@@ -6,9 +6,7 @@
 //! the `figures` binary reproduces the paper-scale sweeps.
 
 use scorpion_agg::Sum;
-use scorpion_core::{
-    Algorithm, ExplainRequest, GroupSpec, InfluenceParams, LabeledQuery, Scorer, Scorpion,
-};
+use scorpion_core::{Algorithm, ExplainRequest, GroupSpec, InfluenceParams, Scorer, Scorpion};
 use scorpion_data::synth::{self, SynthConfig, SynthDataset};
 use scorpion_table::{domains_of, group_by, AttrDomain, Grouping};
 use std::sync::Arc;
@@ -47,18 +45,6 @@ impl BenchSynth {
         BenchSynth { ds, grouping, domains }
     }
 
-    /// The labeled query over this fixture.
-    pub fn query(&self) -> LabeledQuery<'_> {
-        LabeledQuery {
-            table: &self.ds.table,
-            grouping: &self.grouping,
-            agg: &Sum,
-            agg_attr: self.ds.agg_attr(),
-            outliers: self.ds.outlier_groups.iter().map(|&g| (g, 1.0)).collect(),
-            holdouts: self.ds.holdout_groups.clone(),
-        }
-    }
-
     /// An owned request over this fixture running `algorithm` at `c`
     /// (λ = 0.5). Clones the table into an `Arc` per call; build once
     /// outside the measured loop.
@@ -77,7 +63,18 @@ impl BenchSynth {
     /// A scorer at the given `c` (λ = 0.5). `force_blackbox` disables the
     /// §5.1 fast path for the Scorer ablation.
     pub fn scorer(&self, c: f64, force_blackbox: bool) -> Scorer<'_> {
-        self.query().scorer(InfluenceParams { lambda: 0.5, c }, force_blackbox).expect("scorer")
+        let (outliers, holdouts) = (self.outlier_specs(), self.specs(&self.ds.holdout_groups));
+        let params = InfluenceParams { lambda: 0.5, c };
+        Scorer::new(
+            &self.ds.table,
+            &Sum,
+            self.ds.agg_attr(),
+            outliers,
+            holdouts,
+            params,
+            force_blackbox,
+        )
+        .expect("scorer")
     }
 
     /// Level-of-detail hint: total rows.
@@ -87,8 +84,11 @@ impl BenchSynth {
 
     /// Builds GroupSpecs for the outlier groups (for direct Scorer use).
     pub fn outlier_specs(&self) -> Vec<GroupSpec> {
-        self.ds
-            .outlier_groups
+        self.specs(&self.ds.outlier_groups)
+    }
+
+    fn specs(&self, groups: &[usize]) -> Vec<GroupSpec> {
+        groups
             .iter()
             .map(|&g| GroupSpec { rows: self.grouping.rows(g).to_vec(), error: 1.0 })
             .collect()

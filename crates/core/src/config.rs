@@ -1,5 +1,6 @@
 //! Configuration for the Scorpion engine and its algorithms.
 
+use crate::error::{Result, ScorpionError};
 use std::time::Duration;
 
 /// The influence knobs shared by every algorithm.
@@ -34,6 +35,18 @@ impl InfluenceParams {
     #[must_use]
     pub fn with_c(self, c: f64) -> Self {
         InfluenceParams { c, ..self }
+    }
+
+    /// Checks that λ is in `[0, 1]` and `c` is finite and `>= 0` (NaN
+    /// fails both).
+    pub fn validate(&self) -> Result<()> {
+        if !(0.0..=1.0).contains(&self.lambda) {
+            return Err(ScorpionError::BadConfig("lambda must be in [0, 1]"));
+        }
+        if !(self.c.is_finite() && self.c >= 0.0) {
+            return Err(ScorpionError::BadConfig("c must be finite and non-negative"));
+        }
+        Ok(())
     }
 }
 
@@ -316,26 +329,17 @@ pub enum Algorithm {
     BottomUp(McConfig),
 }
 
-/// Top-level engine configuration.
-#[derive(Debug, Clone, Default)]
-pub struct ScorpionConfig {
-    /// Influence knobs (λ and c).
-    pub params: InfluenceParams,
-    /// Algorithm selection.
-    pub algorithm: Algorithm,
-    /// Attributes over which explanations are built (`A_rest`). `None`
-    /// selects every attribute not used by the group-by or the aggregate.
-    pub explain_attrs: Option<Vec<usize>>,
-    /// Force black-box aggregate evaluation even when an incremental
-    /// decomposition exists (ablation).
-    pub force_blackbox: bool,
-    /// §6.4 dimensionality reduction: keep only the `k` attributes most
-    /// associated with the influence signal before searching. `None`
-    /// keeps all explanation attributes.
-    pub max_explain_attrs: Option<usize>,
-    /// Two-stage approximate influence search. `None` (the default)
-    /// keeps every scoring path exact.
-    pub approx: Option<ApproxConfig>,
+impl Algorithm {
+    /// Diagnostic name: `"auto"`, `"naive"`, `"dt"`, or `"mc"` (the
+    /// names [`crate::Diagnostics::algorithm`] reports).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Algorithm::Auto => "auto",
+            Algorithm::Naive(_) => "naive",
+            Algorithm::DecisionTree(_) => "dt",
+            Algorithm::BottomUp(_) => "mc",
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,24 +1,23 @@
-//! The two-phase `Explainer` engine abstraction.
+//! Prepared plans: the two-phase shape every algorithm runs in.
 //!
 //! §8.3.3 observes that DT partitioning is `c`-agnostic: prepare once,
 //! re-score cheaply as the user moves the `c` slider. This module
-//! generalizes that split to every algorithm behind one trait pair:
+//! generalizes that split to every algorithm:
 //!
-//! * [`Explainer::prepare`] runs the expensive, `c`-agnostic phase — DT
-//!   tree growth and carving, MC initial-unit construction, NAIVE
-//!   candidate enumeration — against an owned
-//!   [`ExplainRequest`], and returns a [`PreparedPlan`].
+//! * [`ExplainRequest::prepare`] runs the expensive, `c`-agnostic phase
+//!   of the request's algorithm — DT tree growth and carving, MC
+//!   initial-unit construction, NAIVE candidate enumeration — and
+//!   returns a [`PreparedPlan`].
 //! * [`PreparedPlan::run`] is the cheap phase: re-score the prepared
 //!   artifacts under any [`InfluenceParams`] and merge. Every plan
 //!   carries a shared [`InfluenceCache`], so predicates scored in a
-//!   previous run (at any `c`) are re-scored without matcher work —
-//!   the warm path that previously existed for DT only now covers MC
-//!   and NAIVE too.
+//!   previous run (at any `c`) are re-scored without matcher work.
 //!
-//! Engines also implement [`Explainer::search`], the borrowed one-shot
-//! path [`crate::explain`] dispatches through (no owned request, no
-//! caching) — the two paths produce identical results at equal
-//! parameters.
+//! The three plans share one skeleton (`PlanCore`): the prepare
+//! prologue (validation, caches, scorer, attributes, sampler state,
+//! domains), the run prologue, the prepare cost charged to the first
+//! run, and the [`Diagnostics`] assembly. Each engine adds only its own
+//! prepare step and scoring loop.
 //!
 //! Plans can out-live one dataset snapshot: [`PreparedPlan::rebind`]
 //! transfers the `c`-agnostic geometry onto a new, compatible request
@@ -27,13 +26,13 @@
 //! invalidated.
 
 use crate::approx::ApproxState;
-use crate::config::{Algorithm, DtConfig, InfluenceParams, McConfig, NaiveConfig, SamplingConfig};
+use crate::config::{DtConfig, InfluenceParams, McConfig, NaiveConfig, SamplingConfig};
 use crate::dt::DtPartitioner;
-use crate::error::{Result, ScorpionError};
+use crate::error::Result;
 use crate::features::select_attributes;
-use crate::mc::{initial_units, mc_search, mc_search_units};
+use crate::mc::{initial_units, mc_search_units};
 use crate::merger::Merger;
-use crate::naive::{naive_candidates, naive_search, naive_search_prepared, NaiveCandidates};
+use crate::naive::{naive_candidates, naive_search_prepared, NaiveCandidates};
 use crate::request::ExplainRequest;
 use crate::result::{Diagnostics, Explanation, ScoredPredicate};
 use crate::scorer::{resolve_threads, InfluenceCache, Scorer};
@@ -42,60 +41,21 @@ use scorpion_obs::{merge_phases, span, PhaseTiming};
 use scorpion_table::{domains_of, AttrDomain, ClauseMaskCache, OrdF64, Predicate};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Result of one engine search: the ranked predicates plus the counters
-/// the caller folds into [`Diagnostics`].
-pub struct EngineRun {
-    /// Ranked predicates, best first (may be empty; callers substitute
-    /// the all-predicate).
-    pub predicates: Vec<ScoredPredicate>,
-    /// Partitions / units generated before merging.
-    pub partitions: usize,
-    /// Candidate predicates generated.
-    pub candidates: u64,
-    /// True when an anytime search exhausted its budget.
-    pub budget_exhausted: bool,
-    /// Per-phase wall-clock attribution of the search (callers fold in
-    /// scorer-side timings before publishing `Diagnostics.phases`).
-    pub phases: Vec<PhaseTiming>,
-}
-
-/// A partitioning algorithm as a two-phase engine.
-///
-/// Implementations are stateless config holders; all run state lives in
-/// the [`PreparedPlan`] they produce.
-pub trait Explainer: Send + Sync {
-    /// Diagnostic name (`"dt"`, `"mc"`, `"naive"`).
-    fn algorithm(&self) -> &'static str;
-
-    /// One-shot cold search against a borrowed scorer — the
-    /// [`crate::explain`] path. No preparation artifacts survive the
-    /// call.
-    fn search(
-        &self,
-        scorer: &Scorer<'_>,
-        attrs: &[usize],
-        domains: &[AttrDomain],
-    ) -> Result<EngineRun>;
-
-    /// The expensive, `c`-agnostic phase: build everything about this
-    /// request that does not depend on the influence parameters, and
-    /// return a plan that re-scores cheaply.
-    fn prepare(&self, req: &ExplainRequest) -> Result<Box<dyn PreparedPlan>>;
-}
-
-/// The product of [`Explainer::prepare`]: owned, `Send + Sync`, and
-/// cheap to re-run under any [`InfluenceParams`].
+/// The product of [`ExplainRequest::prepare`]: owned, `Send + Sync`,
+/// and cheap to re-run under any [`InfluenceParams`].
 pub trait PreparedPlan: Send + Sync {
     /// Diagnostic name of the producing algorithm.
     fn algorithm(&self) -> &'static str;
 
     /// Re-scores the prepared artifacts at `params` and returns the
     /// ranked explanation. The first run also charges the preparation's
-    /// scorer calls to its diagnostics, so a prepare+run pair reports
-    /// the same cost shape as the one-shot path.
-    fn run(&self, params: &InfluenceParams) -> Result<Explanation>;
+    /// scorer calls, runtime, and phases to its diagnostics, so a
+    /// prepare+run pair reports the cost of the whole explanation.
+    fn run(&self, params: &InfluenceParams) -> Result<Explanation> {
+        self.run_with_budget(params, None)
+    }
 
     /// Like [`PreparedPlan::run`], but with a best-effort wall-clock
     /// budget. Anytime engines (NAIVE, MC) clamp their internal time
@@ -107,11 +67,8 @@ pub trait PreparedPlan: Send + Sync {
     fn run_with_budget(
         &self,
         params: &InfluenceParams,
-        budget: Option<std::time::Duration>,
-    ) -> Result<Explanation> {
-        let _ = budget;
-        self.run(params)
-    }
+        budget: Option<Duration>,
+    ) -> Result<Explanation>;
 
     /// Transfers the `c`-agnostic artifacts onto a new, compatible
     /// request — same schema and label semantics over fresher data (a
@@ -131,139 +88,232 @@ pub trait PreparedPlan: Send + Sync {
     fn absorb_seeds(&self, _seeds: Vec<Predicate>) {}
 }
 
-/// Maps a (resolved) [`Algorithm`] to its engine. Errors on
-/// [`Algorithm::Auto`] — resolve it first (e.g. via
-/// [`ExplainRequest::resolve_algorithm`] or
-/// [`crate::resolve_algorithm`]).
-pub fn engine_for(algorithm: &Algorithm) -> Result<Box<dyn Explainer>> {
-    Ok(match algorithm {
-        Algorithm::Naive(cfg) => Box::new(NaiveEngine::new(cfg.clone())),
-        Algorithm::DecisionTree(cfg) => Box::new(DtEngine::new(cfg.clone())),
-        Algorithm::BottomUp(cfg) => Box::new(McEngine::new(cfg.clone())),
-        Algorithm::Auto => {
-            return Err(ScorpionError::BadConfig(
-                "Algorithm::Auto must be resolved before engine construction",
-            ))
-        }
-    })
-}
-
-/// Resolves the request's explanation attributes, applying §6.4 feature
-/// selection when configured. Part of the prepare phase: the selection
-/// is made once, at the request's own parameters.
-fn prep_attrs(req: &ExplainRequest, scorer: &Scorer<'_>) -> Result<Vec<usize>> {
-    let mut attrs = req.resolved_attrs()?;
-    if let Some(k) = req.max_explain_attrs {
-        if k < attrs.len() {
-            attrs = select_attributes(scorer, &attrs, k)?;
-        }
-    }
-    Ok(attrs)
-}
-
-/// Builds the approximate-search sampler state for a plan when the
-/// request opted in (`None` otherwise). Runs in `prepare`/`rebind` —
-/// the per-group sort is data-snapshot work, not per-run work.
-fn prep_approx(req: &ExplainRequest, scorer: &Scorer<'_>) -> Result<Option<Arc<ApproxState>>> {
-    req.approx().map(|cfg| scorer.build_approx(*cfg)).transpose()
-}
-
-/// Fills the approx-related [`Diagnostics`] fields from a run's scorer:
-/// pruned count, the error bound (present whenever approximate mode was
-/// requested, 0.0 when nothing was pruned), and any fallback reason.
-pub(crate) fn approx_diag(diag: &mut Diagnostics, scorer: &Scorer<'_>) {
-    if let Some(state) = scorer.approx_state() {
-        diag.candidates_pruned = scorer.candidates_pruned();
-        diag.approx_error_bound = Some(scorer.approx_error_bound());
-        diag.approx_fallback = state.fallback();
-    }
-}
-
 /// Cost of a plan's prepare phase, charged to the diagnostics of its
-/// first run so a prepare+run pair reports the same cost shape as the
-/// one-shot path.
-#[derive(Clone, Default)]
+/// first run.
+#[derive(Default)]
 struct PrepCost {
     calls: u64,
-    runtime: std::time::Duration,
+    runtime: Duration,
     /// Prepare-side phase timings, merged into the first run's phases.
     phases: Vec<PhaseTiming>,
 }
 
-/// Wraps ranked predicates into an [`Explanation`], substituting the
-/// all-predicate when the search produced nothing. The single home of
-/// that fallback policy — both the plan path and the borrowed
-/// [`crate::explain`] path go through it.
-pub(crate) fn finish(
-    algorithm: &'static str,
+/// What one engine's scoring loop produced; [`PlanCore::run`] folds it
+/// into the run's [`Diagnostics`].
+struct RunOutput {
+    /// Ranked predicates, best first (empty means "no explanation": the
+    /// all-predicate is substituted).
     predicates: Vec<ScoredPredicate>,
-    mut diagnostics: Diagnostics,
-) -> Explanation {
-    diagnostics.algorithm = algorithm;
-    let predicates = if predicates.is_empty() {
-        vec![ScoredPredicate::new(Predicate::all(), 0.0)]
-    } else {
-        predicates
-    };
-    Explanation { predicates, diagnostics }
+    candidates: u64,
+    partitions: usize,
+    budget_exhausted: bool,
+    /// The engine's run-side phases (`run.score`, `run.merge`, `mc.*`).
+    phases: Vec<PhaseTiming>,
 }
 
-// ---------------------------------------------------------------------
-// DT
-// ---------------------------------------------------------------------
-
-/// The §6.1 decision-tree partitioner as an engine. `prepare` grows and
-/// carves the trees (the per-tuple influences driving every split are
-/// `c`-agnostic); `run` re-scores the partitions and merges, warm-
-/// starting the merge from the cached output of the nearest `c' ≥ c`
-/// (the Merger is monotone in `c`: decreasing `c` only merges further).
-pub struct DtEngine {
-    cfg: DtConfig,
+/// The state and bookkeeping every plan shares, whatever its algorithm.
+struct PlanCore {
+    req: ExplainRequest,
+    /// Explanation attributes after §6.4 selection.
+    attrs: Vec<usize>,
+    domains: Vec<AttrDomain>,
+    cache: Arc<InfluenceCache>,
+    /// Clause masks for this plan's table snapshot, shared across runs.
+    masks: Arc<ClauseMaskCache>,
+    /// Sampler state for this plan's table snapshot, attached to every
+    /// run scorer when the request opted into approximate search.
+    approx_state: Option<Arc<ApproxState>>,
+    /// The prepare cost the next run still owes; taken by the first run.
+    prep_cost: Mutex<Option<PrepCost>>,
 }
 
-impl DtEngine {
-    /// An engine with the given DT configuration.
-    pub fn new(cfg: DtConfig) -> Self {
-        DtEngine { cfg }
-    }
-}
-
-impl Explainer for DtEngine {
-    fn algorithm(&self) -> &'static str {
-        "dt"
-    }
-
-    fn search(
-        &self,
-        scorer: &Scorer<'_>,
-        attrs: &[usize],
-        domains: &[AttrDomain],
-    ) -> Result<EngineRun> {
-        let dt = DtPartitioner::new(scorer, attrs.to_vec(), domains.to_vec(), self.cfg.clone());
-        let (merged, ddiag, _) = dt.run()?;
-        Ok(EngineRun {
-            predicates: merged,
-            partitions: ddiag.partitions,
-            candidates: ddiag.partitions as u64,
-            budget_exhausted: false,
-            phases: dt.take_phases(),
-        })
-    }
-
-    fn prepare(&self, req: &ExplainRequest) -> Result<Box<dyn PreparedPlan>> {
+impl PlanCore {
+    /// The prepare prologue: validate, build the caches and the prepare
+    /// scorer, select attributes (unless `attrs` carries a selection
+    /// over from a rebound plan — the §6.4 ranking is a property of the
+    /// labeling, not of one window snapshot), build the sampler state
+    /// and domains, then run the engine's `step`. The step returns its
+    /// artifacts and its phases; the whole prepare becomes the cost the
+    /// first run is charged.
+    fn prepare<T>(
+        req: &ExplainRequest,
+        attrs: Option<Vec<usize>>,
+        step: impl FnOnce(&Scorer<'_>, &[usize], &[AttrDomain]) -> Result<(T, Vec<PhaseTiming>)>,
+    ) -> Result<(PlanCore, T)> {
         let _span = span!("prepare");
         let start = Instant::now();
         req.validate()?;
         let cache = Arc::new(InfluenceCache::with_capacity_bound(req.influence_cache_entries()));
         let masks = Arc::new(ClauseMaskCache::new());
         let scorer = req.scorer()?.with_cache(cache.clone()).with_mask_cache(masks.clone());
-        let attrs = prep_attrs(req, &scorer)?;
-        let approx_state = prep_approx(req, &scorer)?;
+        let attrs = match attrs {
+            Some(attrs) => attrs,
+            None => {
+                let attrs = req.resolved_attrs()?;
+                match req.max_explain_attrs {
+                    Some(k) if k < attrs.len() => select_attributes(&scorer, &attrs, k)?,
+                    _ => attrs,
+                }
+            }
+        };
+        let approx_state = req.approx().map(|cfg| scorer.build_approx(*cfg)).transpose()?;
         let domains = domains_of(&req.table)?;
+        let (artifacts, step_phases) = step(&scorer, &attrs, &domains)?;
+        let runtime = start.elapsed();
+        let mut phases = vec![PhaseTiming::once("prepare", runtime)];
+        merge_phases(&mut phases, step_phases);
+        merge_phases(&mut phases, scorer.timing_phases());
+        let prep_cost = PrepCost { calls: scorer.scorer_calls(), runtime, phases };
+        let core = PlanCore {
+            req: req.clone(),
+            attrs,
+            domains,
+            cache,
+            masks,
+            approx_state,
+            prep_cost: Mutex::new(Some(prep_cost)),
+        };
+        Ok((core, artifacts))
+    }
+
+    /// This plan's shared state moved onto a new snapshot: attributes
+    /// survive; the influence cache and clause masks (both encode the
+    /// old table's rows) and the sampler state (old row ids and values)
+    /// are rebuilt. Nothing is charged to the next run.
+    fn rebind(&self, req: &ExplainRequest) -> Result<PlanCore> {
+        req.validate()?;
+        let approx_state = match req.approx() {
+            Some(cfg) => Some(req.scorer()?.build_approx(*cfg)?),
+            None => None,
+        };
+        Ok(PlanCore {
+            req: req.clone(),
+            attrs: self.attrs.clone(),
+            domains: domains_of(&req.table)?,
+            cache: Arc::new(InfluenceCache::with_capacity_bound(req.influence_cache_entries())),
+            masks: Arc::new(ClauseMaskCache::new()),
+            approx_state,
+            prep_cost: Mutex::new(None),
+        })
+    }
+
+    /// One run: build the run scorer over the plan's caches and sampler
+    /// state, run the engine's scoring loop, and assemble the
+    /// [`Explanation`] — charging the prepare cost if this is the first
+    /// run, and substituting the all-predicate when the search produced
+    /// nothing.
+    fn run(
+        &self,
+        algorithm: &'static str,
+        params: &InfluenceParams,
+        score: impl FnOnce(&Scorer<'_>) -> Result<RunOutput>,
+    ) -> Result<Explanation> {
+        let _span = span!("run");
+        let start = Instant::now();
+        let mut scorer = self
+            .req
+            .scorer_at(*params)?
+            .with_cache(self.cache.clone())
+            .with_mask_cache(self.masks.clone());
+        if let Some(state) = &self.approx_state {
+            // Attached for every engine, so diagnostics report the knob
+            // consistently even where a loop is not batch-pruned (NAIVE).
+            scorer = scorer.with_approx_state(state.clone());
+        }
+        let out = score(&scorer)?;
+        let prep = self.prep_cost.lock().take().unwrap_or_default();
+        let mut phases = prep.phases;
+        merge_phases(&mut phases, out.phases);
+        merge_phases(&mut phases, scorer.timing_phases());
+        let mut diagnostics = Diagnostics {
+            algorithm,
+            runtime: start.elapsed() + prep.runtime,
+            scorer_calls: scorer.scorer_calls() + prep.calls,
+            cache_hits: scorer.cache_hits(),
+            cache_evictions: scorer.cache_evictions(),
+            mask_cache_hits: scorer.mask_cache_hits(),
+            mask_cache_entries: scorer.mask_cache_entries(),
+            candidates: out.candidates,
+            partitions: out.partitions,
+            budget_exhausted: out.budget_exhausted,
+            phases,
+            ..Diagnostics::default()
+        };
+        if let Some(state) = scorer.approx_state() {
+            // The bound is present whenever approximate mode was
+            // requested (0.0 when nothing was pruned).
+            diagnostics.candidates_pruned = scorer.candidates_pruned();
+            diagnostics.approx_error_bound = Some(scorer.approx_error_bound());
+            diagnostics.approx_fallback = state.fallback();
+        }
+        let predicates = if out.predicates.is_empty() {
+            vec![ScoredPredicate::new(Predicate::all(), 0.0)]
+        } else {
+            out.predicates
+        };
+        Ok(Explanation { predicates, diagnostics })
+    }
+}
+
+/// Runs an engine's scoring loop under the `score` span, timed as the
+/// `run.score` phase.
+fn score_phase<T>(score: impl FnOnce() -> Result<T>) -> Result<(T, PhaseTiming)> {
+    let _span = span!("score");
+    let start = Instant::now();
+    let out = score()?;
+    Ok((out, PhaseTiming::once("run.score", start.elapsed())))
+}
+
+/// An anytime engine's time budget under a caller's wall-clock budget:
+/// the tighter of the two.
+fn clamp_budget(own: Option<Duration>, budget: Option<Duration>) -> Option<Duration> {
+    match budget {
+        None => own,
+        Some(b) => Some(own.map_or(b, |own| own.min(b))),
+    }
+}
+
+// ---------------------------------------------------------------------
+// DT
+// ---------------------------------------------------------------------
+
+/// The §6.1 decision-tree plan. `prepare` grows and carves the trees
+/// (the per-tuple influences driving every split are `c`-agnostic);
+/// `run` re-scores the partitions and merges, warm-starting the merge
+/// from the cached output of the nearest `c' ≥ c` (the Merger is
+/// monotone in `c`: decreasing `c` only merges further).
+pub(crate) struct DtPlan {
+    core: PlanCore,
+    cfg: DtConfig,
+    /// Unscored partition geometry (predicate + §6.3 stats); influence
+    /// fields hold build-time scores and are re-scored per run.
+    partitions: Vec<ScoredPredicate>,
+    state: Mutex<DtPlanState>,
+}
+
+#[derive(Default)]
+struct DtPlanState {
+    /// Merged outputs keyed by `c` — each is a valid warm start for any
+    /// lower `c` (§8.3.3).
+    merged_by_c: BTreeMap<OrdF64, Vec<ScoredPredicate>>,
+    /// Most recent merged predicates, exported as successor seeds.
+    last_merged: Vec<Predicate>,
+    /// Externally absorbed seeds, consumed by the next run.
+    extra_seeds: Vec<Predicate>,
+}
+
+/// Number of merged predicates exported as seeds to a successor plan.
+const MAX_SEEDS: usize = 8;
+
+impl DtPlan {
+    /// Prepares a DT plan: grows and carves the trees.
+    pub(crate) fn prepare(
+        req: &ExplainRequest,
+        mut cfg: DtConfig,
+    ) -> Result<Box<dyn PreparedPlan>> {
         // Approximate mode implies §6.1.2 tree-growth sampling: when the
         // DT config left it unset, derive one from the approx knobs so
         // the grow phase samples at the same rate the scorer does.
-        let mut cfg = self.cfg.clone();
         if cfg.sampling.is_none() {
             if let Some(a) = req.approx() {
                 cfg.sampling = Some(SamplingConfig {
@@ -274,192 +324,102 @@ impl Explainer for DtEngine {
                 });
             }
         }
-        let dt = DtPartitioner::new(&scorer, attrs.clone(), domains.clone(), cfg.clone());
-        let (partitions, _) = dt.partition()?;
-        let runtime = start.elapsed();
-        let mut phases = vec![PhaseTiming::once("prepare", runtime)];
-        merge_phases(&mut phases, dt.take_phases());
-        merge_phases(&mut phases, scorer.timing_phases());
-        Ok(Box::new(DtPlan {
-            req: req.clone(),
-            cfg,
-            attrs,
-            domains,
-            partitions,
-            cache,
-            masks,
-            approx_state,
-            prep_cost: PrepCost { calls: scorer.scorer_calls(), runtime, phases },
-            state: Mutex::new(DtPlanState {
-                merged_by_c: BTreeMap::new(),
-                last_merged: Vec::new(),
-                extra_seeds: Vec::new(),
-                charge_prep: true,
-            }),
-        }))
+        let (core, partitions) = PlanCore::prepare(req, None, |scorer, attrs, domains| {
+            let dt = DtPartitioner::new(scorer, attrs.to_vec(), domains.to_vec(), cfg.clone());
+            let (partitions, _) = dt.partition()?;
+            Ok((partitions, dt.take_phases()))
+        })?;
+        Ok(Box::new(DtPlan { core, cfg, partitions, state: Mutex::default() }))
     }
 }
-
-struct DtPlanState {
-    /// Merged outputs keyed by `c` — each is a valid warm start for any
-    /// lower `c` (§8.3.3).
-    merged_by_c: BTreeMap<OrdF64, Vec<ScoredPredicate>>,
-    /// Most recent merged predicates, exported as successor seeds.
-    last_merged: Vec<Predicate>,
-    /// Externally absorbed seeds, consumed by the next run.
-    extra_seeds: Vec<Predicate>,
-    /// Charge the prepare phase's scorer calls to the next run.
-    charge_prep: bool,
-}
-
-struct DtPlan {
-    req: ExplainRequest,
-    cfg: DtConfig,
-    attrs: Vec<usize>,
-    domains: Vec<AttrDomain>,
-    /// Unscored partition geometry (predicate + §6.3 stats); influence
-    /// fields hold build-time scores and are re-scored per run.
-    partitions: Vec<ScoredPredicate>,
-    cache: Arc<InfluenceCache>,
-    /// Clause masks for this plan's table snapshot, shared across runs.
-    masks: Arc<ClauseMaskCache>,
-    /// Sampler state for this plan's table snapshot, attached to every
-    /// run scorer when the request opted into approximate search.
-    approx_state: Option<Arc<ApproxState>>,
-    prep_cost: PrepCost,
-    state: Mutex<DtPlanState>,
-}
-
-/// Number of merged predicates exported as seeds to a successor plan.
-const MAX_SEEDS: usize = 8;
 
 impl PreparedPlan for DtPlan {
     fn algorithm(&self) -> &'static str {
         "dt"
     }
 
-    fn run(&self, params: &InfluenceParams) -> Result<Explanation> {
-        let _span = span!("run");
-        let start = Instant::now();
-        let mut scorer = self
-            .req
-            .scorer_at(*params)?
-            .with_cache(self.cache.clone())
-            .with_mask_cache(self.masks.clone());
-        if let Some(state) = &self.approx_state {
-            scorer = scorer.with_approx_state(state.clone());
-        }
+    /// DT has no anytime loop: `budget` is ignored.
+    fn run_with_budget(
+        &self,
+        params: &InfluenceParams,
+        _budget: Option<Duration>,
+    ) -> Result<Explanation> {
+        self.core.run(self.algorithm(), params, |scorer| {
+            // Re-score the cached partitions — batched across workers,
+            // and free of mask work for every cache hit. Under
+            // approximate mode the batch is interval-pruned first; the
+            // Merger re-scores its top results exactly, so reported
+            // predicates stay exact.
+            let (input, score) = score_phase(|| {
+                let mut input = self.partitions.clone();
+                let preds: Vec<Predicate> = input.iter().map(|sp| sp.predicate.clone()).collect();
+                let threads = resolve_threads(self.cfg.score_threads);
+                let batch =
+                    scorer.influence_batch_pruned(&preds, threads, self.cfg.merger.max_results);
+                for (sp, inf) in input.iter_mut().zip(batch.scores) {
+                    sp.influence = inf?;
+                }
+                input.sort_by(|a, b| b.influence.total_cmp(&a.influence));
 
-        // Re-score the cached partitions — batched across workers, and
-        // free of mask work for every cache hit. Under approximate mode
-        // the batch is interval-pruned first; the Merger re-scores its
-        // top results exactly, so reported predicates stay exact.
-        let score_start = Instant::now();
-        let score_span = span!("score");
-        let mut input = self.partitions.clone();
-        let preds: Vec<Predicate> = input.iter().map(|sp| sp.predicate.clone()).collect();
-        let threads = resolve_threads(self.cfg.score_threads);
-        let batch = scorer.influence_batch_pruned(&preds, threads, self.cfg.merger.max_results);
-        for (sp, inf) in input.iter_mut().zip(batch.scores) {
-            sp.influence = inf?;
-        }
-        input.sort_by(|a, b| b.influence.total_cmp(&a.influence));
-        let n_partitions = input.len();
+                // Merge, warm-started from the nearest cached c' ≥ c plus
+                // any absorbed seeds. Warm-start predicates carry stale
+                // influences and stale stats; re-score exactly, stats
+                // dropped.
+                let (warm, extra) = {
+                    let mut st = self.state.lock();
+                    let warm = st
+                        .merged_by_c
+                        .range(OrdF64(params.c)..)
+                        .next()
+                        .map(|(_, v)| v.clone())
+                        .unwrap_or_default();
+                    (warm, std::mem::take(&mut st.extra_seeds))
+                };
+                for mut sp in warm {
+                    sp.influence = scorer.influence(&sp.predicate)?;
+                    sp.stats = None;
+                    input.push(sp);
+                }
+                for pred in extra {
+                    let influence = scorer.influence(&pred)?;
+                    input.push(ScoredPredicate::new(pred, influence));
+                }
+                Ok(input)
+            })?;
 
-        // Merge, warm-started from the nearest cached c' ≥ c plus any
-        // absorbed seeds. Warm-start predicates carry stale influences
-        // and stale stats; re-score exactly, stats dropped.
-        let (warm, extra) = {
-            let mut st = self.state.lock();
-            let warm = st
-                .merged_by_c
-                .range(OrdF64(params.c)..)
-                .next()
-                .map(|(_, v)| v.clone())
-                .unwrap_or_default();
-            (warm, std::mem::take(&mut st.extra_seeds))
-        };
-        for mut sp in warm {
-            sp.influence = scorer.influence(&sp.predicate)?;
-            sp.stats = None;
-            input.push(sp);
-        }
-        for pred in extra {
-            let influence = scorer.influence(&pred)?;
-            input.push(ScoredPredicate::new(pred, influence));
-        }
-        drop(score_span);
-        let score_elapsed = score_start.elapsed();
-
-        let merge_start = Instant::now();
-        let merger = Merger::new(&scorer, &self.domains, self.cfg.merger.clone());
-        let (merged, _) = merger.merge(input)?;
-        let merge_elapsed = merge_start.elapsed();
-
-        let prep = {
-            let mut st = self.state.lock();
-            st.merged_by_c.insert(OrdF64(params.c), merged.clone());
-            st.last_merged = merged.iter().take(MAX_SEEDS).map(|sp| sp.predicate.clone()).collect();
-            if st.charge_prep {
-                st.charge_prep = false;
-                self.prep_cost.clone()
-            } else {
-                PrepCost::default()
+            let merge_start = Instant::now();
+            let merger = Merger::new(scorer, &self.core.domains, self.cfg.merger.clone());
+            let (merged, _) = merger.merge(input)?;
+            let merge = PhaseTiming::once("run.merge", merge_start.elapsed());
+            {
+                let mut st = self.state.lock();
+                st.merged_by_c.insert(OrdF64(params.c), merged.clone());
+                st.last_merged =
+                    merged.iter().take(MAX_SEEDS).map(|sp| sp.predicate.clone()).collect();
             }
-        };
-        let mut phases = prep.phases.clone();
-        merge_phases(
-            &mut phases,
-            [
-                PhaseTiming::once("run.score", score_elapsed),
-                PhaseTiming::once("run.merge", merge_elapsed),
-            ],
-        );
-        merge_phases(&mut phases, scorer.timing_phases());
-        let mut diagnostics = Diagnostics {
-            runtime: start.elapsed() + prep.runtime,
-            scorer_calls: scorer.scorer_calls() + prep.calls,
-            cache_hits: scorer.cache_hits(),
-            cache_evictions: scorer.cache_evictions(),
-            mask_cache_hits: scorer.mask_cache_hits(),
-            mask_cache_entries: scorer.mask_cache_entries(),
-            candidates: n_partitions as u64,
-            partitions: n_partitions,
-            phases,
-            ..Diagnostics::default()
-        };
-        approx_diag(&mut diagnostics, &scorer);
-        Ok(finish("dt", merged, diagnostics))
+            let n_partitions = self.partitions.len();
+            Ok(RunOutput {
+                predicates: merged,
+                candidates: n_partitions as u64,
+                partitions: n_partitions,
+                budget_exhausted: false,
+                phases: vec![score, merge],
+            })
+        })
     }
 
     fn rebind(&self, req: &ExplainRequest) -> Result<Box<dyn PreparedPlan>> {
-        req.validate()?;
         // Geometry survives; §6.3 stats describe the old data and are
-        // dropped (warm merges run exact), as are the influence cache
-        // and the clause masks (both encode the old table's rows).
+        // dropped (warm merges run exact).
         let mut partitions = self.partitions.clone();
         for sp in &mut partitions {
             sp.stats = None;
         }
-        // Sampler state encodes old row ids and values; rebuild it for
-        // the new snapshot.
-        let approx_state = prep_approx(req, &req.scorer()?)?;
         Ok(Box::new(DtPlan {
-            req: req.clone(),
+            core: self.core.rebind(req)?,
             cfg: self.cfg.clone(),
-            attrs: self.attrs.clone(),
-            domains: domains_of(&req.table)?,
             partitions,
-            cache: Arc::new(InfluenceCache::with_capacity_bound(req.influence_cache_entries())),
-            masks: Arc::new(ClauseMaskCache::new()),
-            approx_state,
-            prep_cost: PrepCost::default(),
-            state: Mutex::new(DtPlanState {
-                merged_by_c: BTreeMap::new(),
-                last_merged: Vec::new(),
-                extra_seeds: self.seeds(),
-                charge_prep: false,
-            }),
+            state: Mutex::new(DtPlanState { extra_seeds: self.seeds(), ..DtPlanState::default() }),
         }))
     }
 
@@ -476,155 +436,30 @@ impl PreparedPlan for DtPlan {
 // MC
 // ---------------------------------------------------------------------
 
-/// The §6.2 bottom-up partitioner as an engine. `prepare` builds the
-/// level-1 units (bin and value geometry — `c`-agnostic); `run` executes
-/// the pruned subspace search. The shared influence cache makes every
-/// re-scored unit, intersection, and hull from earlier runs free.
-pub struct McEngine {
+/// The §6.2 bottom-up plan. `prepare` builds the level-1 units (bin and
+/// value geometry — `c`-agnostic); `run` executes the pruned subspace
+/// search. The shared influence cache makes every re-scored unit,
+/// intersection, and hull from earlier runs free.
+pub(crate) struct McPlan {
+    core: PlanCore,
     cfg: McConfig,
-}
-
-impl McEngine {
-    /// An engine with the given MC configuration.
-    pub fn new(cfg: McConfig) -> Self {
-        McEngine { cfg }
-    }
-}
-
-impl Explainer for McEngine {
-    fn algorithm(&self) -> &'static str {
-        "mc"
-    }
-
-    fn search(
-        &self,
-        scorer: &Scorer<'_>,
-        attrs: &[usize],
-        domains: &[AttrDomain],
-    ) -> Result<EngineRun> {
-        let (results, mdiag) = mc_search(scorer, attrs, domains, &self.cfg)?;
-        Ok(EngineRun {
-            predicates: results,
-            partitions: mdiag.initial_units,
-            candidates: mdiag.scored,
-            budget_exhausted: mdiag.budget_exhausted,
-            phases: mdiag.phases,
-        })
-    }
-
-    fn prepare(&self, req: &ExplainRequest) -> Result<Box<dyn PreparedPlan>> {
-        self.prepare_with_attrs(req, None)
-    }
-}
-
-impl McEngine {
-    /// `prepare`, optionally reusing an already selected attribute set —
-    /// the §6.4 ranking is a property of the labeling, not of one window
-    /// snapshot, so rebinding plans pass their attrs through instead of
-    /// re-ranking every slide.
-    fn prepare_with_attrs(
-        &self,
-        req: &ExplainRequest,
-        cached_attrs: Option<Vec<usize>>,
-    ) -> Result<Box<dyn PreparedPlan>> {
-        let _span = span!("prepare");
-        let start = Instant::now();
-        req.validate()?;
-        let cache = Arc::new(InfluenceCache::with_capacity_bound(req.influence_cache_entries()));
-        let masks = Arc::new(ClauseMaskCache::new());
-        let scorer = req.scorer()?.with_cache(cache.clone()).with_mask_cache(masks.clone());
-        let attrs = match cached_attrs {
-            Some(attrs) => attrs,
-            None => prep_attrs(req, &scorer)?,
-        };
-        let approx_state = prep_approx(req, &scorer)?;
-        let domains = domains_of(&req.table)?;
-        let unit_start = Instant::now();
-        let units = initial_units(&scorer, &attrs, &domains, &self.cfg)?;
-        let unit_elapsed = unit_start.elapsed();
-        let runtime = start.elapsed();
-        let mut phases = vec![
-            PhaseTiming::once("prepare", runtime),
-            PhaseTiming::once("mc.units", unit_elapsed),
-        ];
-        merge_phases(&mut phases, scorer.timing_phases());
-        Ok(Box::new(McPlan {
-            req: req.clone(),
-            cfg: self.cfg.clone(),
-            attrs,
-            domains,
-            units,
-            cache,
-            masks,
-            approx_state,
-            prep_cost: PrepCost { calls: scorer.scorer_calls(), runtime, phases },
-            charge_prep: Mutex::new(true),
-        }))
-    }
-}
-
-struct McPlan {
-    req: ExplainRequest,
-    cfg: McConfig,
-    attrs: Vec<usize>,
-    domains: Vec<AttrDomain>,
     units: Vec<Predicate>,
-    cache: Arc<InfluenceCache>,
-    masks: Arc<ClauseMaskCache>,
-    approx_state: Option<Arc<ApproxState>>,
-    prep_cost: PrepCost,
-    charge_prep: Mutex<bool>,
 }
 
 impl McPlan {
-    /// The shared run body, parameterized by config so
-    /// [`PreparedPlan::run_with_budget`] can clamp the anytime budget
-    /// without mutating the plan.
-    fn run_with_cfg(&self, params: &InfluenceParams, cfg: &McConfig) -> Result<Explanation> {
-        let _span = span!("run");
-        let start = Instant::now();
-        let mut scorer = self
-            .req
-            .scorer_at(*params)?
-            .with_cache(self.cache.clone())
-            .with_mask_cache(self.masks.clone());
-        if let Some(state) = &self.approx_state {
-            scorer = scorer.with_approx_state(state.clone());
-        }
-        let score_start = Instant::now();
-        let (results, mdiag) = {
-            let _span = span!("score");
-            mc_search_units(&scorer, &self.attrs, &self.domains, cfg, self.units.clone())?
-        };
-        let score_elapsed = score_start.elapsed();
-        let prep = {
-            let mut charge = self.charge_prep.lock();
-            if *charge {
-                *charge = false;
-                self.prep_cost.clone()
-            } else {
-                PrepCost::default()
-            }
-        };
-        let mut phases = prep.phases.clone();
-        merge_phases(&mut phases, [PhaseTiming::once("run.score", score_elapsed)]);
-        merge_phases(&mut phases, mdiag.phases.clone());
-        merge_phases(&mut phases, scorer.timing_phases());
-        let mut diagnostics = Diagnostics {
-            runtime: start.elapsed() + prep.runtime,
-            scorer_calls: scorer.scorer_calls() + prep.calls,
-            cache_hits: scorer.cache_hits(),
-            cache_evictions: scorer.cache_evictions(),
-            mask_cache_hits: scorer.mask_cache_hits(),
-            mask_cache_entries: scorer.mask_cache_entries(),
-            candidates: mdiag.scored,
-            partitions: mdiag.initial_units,
-            budget_exhausted: mdiag.budget_exhausted,
-            phases,
-            ..Diagnostics::default()
-        };
-        approx_diag(&mut diagnostics, &scorer);
-        Ok(finish("mc", results, diagnostics))
+    /// Prepares an MC plan; `attrs` carries a rebound plan's attribute
+    /// selection over (see [`PlanCore::prepare`]).
+    pub(crate) fn prepare(
+        req: &ExplainRequest,
+        cfg: McConfig,
+        attrs: Option<Vec<usize>>,
+    ) -> Result<Box<dyn PreparedPlan>> {
+        let (core, units) = PlanCore::prepare(req, attrs, |scorer, attrs, domains| {
+            let start = Instant::now();
+            let units = initial_units(scorer, attrs, domains, &cfg)?;
+            Ok((units, vec![PhaseTiming::once("mc.units", start.elapsed())]))
+        })?;
+        Ok(Box::new(McPlan { core, cfg, units }))
     }
 }
 
@@ -633,32 +468,38 @@ impl PreparedPlan for McPlan {
         "mc"
     }
 
-    fn run(&self, params: &InfluenceParams) -> Result<Explanation> {
-        self.run_with_cfg(params, &self.cfg)
-    }
-
     fn run_with_budget(
         &self,
         params: &InfluenceParams,
-        budget: Option<std::time::Duration>,
+        budget: Option<Duration>,
     ) -> Result<Explanation> {
-        match budget {
-            None => self.run(params),
-            Some(b) => {
-                let mut cfg = self.cfg.clone();
-                cfg.time_budget = Some(cfg.time_budget.map_or(b, |own| own.min(b)));
-                self.run_with_cfg(params, &cfg)
-            }
-        }
+        let cfg = McConfig {
+            time_budget: clamp_budget(self.cfg.time_budget, budget),
+            ..self.cfg.clone()
+        };
+        self.core.run(self.algorithm(), params, |scorer| {
+            let ((predicates, mdiag), score) = score_phase(|| {
+                let core = &self.core;
+                mc_search_units(scorer, &core.attrs, &core.domains, &cfg, self.units.clone())
+            })?;
+            let mut phases = vec![score];
+            merge_phases(&mut phases, mdiag.phases);
+            Ok(RunOutput {
+                predicates,
+                candidates: mdiag.scored,
+                partitions: mdiag.initial_units,
+                budget_exhausted: mdiag.budget_exhausted,
+                phases,
+            })
+        })
     }
 
     fn rebind(&self, req: &ExplainRequest) -> Result<Box<dyn PreparedPlan>> {
         // Unit geometry is derived from domains and dictionaries, which
-        // new data may have shifted; re-prepare (it is cheap for MC).
-        // The §6.4 attribute selection survives: it ranks the *labeling*,
-        // which a slide preserves, and re-ranking it is the expensive
-        // part of MC's prepare.
-        McEngine::new(self.cfg.clone()).prepare_with_attrs(req, Some(self.attrs.clone()))
+        // new data may have shifted; re-prepare (it is cheap for MC),
+        // keeping the attribute selection — re-ranking it is the
+        // expensive part of MC's prepare.
+        McPlan::prepare(req, self.cfg.clone(), Some(self.core.attrs.clone()))
     }
 }
 
@@ -666,154 +507,30 @@ impl PreparedPlan for McPlan {
 // NAIVE
 // ---------------------------------------------------------------------
 
-/// The §4.2 exhaustive partitioner as an engine. `prepare` enumerates
-/// the per-attribute clause candidates (bin and value geometry —
-/// `c`-agnostic); `run` walks the anytime enumeration. With the shared
-/// cache, a completed first run makes later runs at new parameters pure
-/// arithmetic: every enumerated predicate re-scores without a matcher
-/// pass.
-pub struct NaiveEngine {
+/// The §4.2 exhaustive plan. `prepare` enumerates the per-attribute
+/// clause candidates (bin and value geometry — `c`-agnostic); `run`
+/// walks the anytime enumeration. With the shared cache, a completed
+/// first run makes later runs at new parameters pure arithmetic: every
+/// enumerated predicate re-scores without a matcher pass.
+pub(crate) struct NaivePlan {
+    core: PlanCore,
     cfg: NaiveConfig,
-}
-
-impl NaiveEngine {
-    /// An engine with the given NAIVE configuration.
-    pub fn new(cfg: NaiveConfig) -> Self {
-        NaiveEngine { cfg }
-    }
-}
-
-impl Explainer for NaiveEngine {
-    fn algorithm(&self) -> &'static str {
-        "naive"
-    }
-
-    fn search(
-        &self,
-        scorer: &Scorer<'_>,
-        attrs: &[usize],
-        domains: &[AttrDomain],
-    ) -> Result<EngineRun> {
-        let score_start = Instant::now();
-        let out = naive_search(scorer, attrs, domains, &self.cfg)?;
-        Ok(EngineRun {
-            predicates: vec![out.best],
-            partitions: 0,
-            candidates: out.evaluated,
-            budget_exhausted: !out.completed,
-            phases: vec![PhaseTiming::once("run.score", score_start.elapsed())],
-        })
-    }
-
-    fn prepare(&self, req: &ExplainRequest) -> Result<Box<dyn PreparedPlan>> {
-        self.prepare_with_attrs(req, None)
-    }
-}
-
-impl NaiveEngine {
-    /// `prepare`, optionally reusing an already selected attribute set
-    /// (see [`McEngine::prepare_with_attrs`] — same §6.4 reasoning).
-    fn prepare_with_attrs(
-        &self,
-        req: &ExplainRequest,
-        cached_attrs: Option<Vec<usize>>,
-    ) -> Result<Box<dyn PreparedPlan>> {
-        let _span = span!("prepare");
-        let start = Instant::now();
-        req.validate()?;
-        let cache = Arc::new(InfluenceCache::with_capacity_bound(req.influence_cache_entries()));
-        let masks = Arc::new(ClauseMaskCache::new());
-        let scorer = req.scorer()?.with_cache(cache.clone()).with_mask_cache(masks.clone());
-        let attrs = match cached_attrs {
-            Some(attrs) => attrs,
-            None => prep_attrs(req, &scorer)?,
-        };
-        let approx_state = prep_approx(req, &scorer)?;
-        let domains = domains_of(&req.table)?;
-        let cand_start = Instant::now();
-        let candidates = naive_candidates(&scorer, &attrs, &domains, &self.cfg)?;
-        let cand_elapsed = cand_start.elapsed();
-        let runtime = start.elapsed();
-        let mut phases = vec![
-            PhaseTiming::once("prepare", runtime),
-            PhaseTiming::once("naive.candidates", cand_elapsed),
-        ];
-        merge_phases(&mut phases, scorer.timing_phases());
-        Ok(Box::new(NaivePlan {
-            req: req.clone(),
-            cfg: self.cfg.clone(),
-            attrs,
-            candidates,
-            cache,
-            masks,
-            approx_state,
-            prep_cost: PrepCost { calls: scorer.scorer_calls(), runtime, phases },
-            charge_prep: Mutex::new(true),
-        }))
-    }
-}
-
-struct NaivePlan {
-    req: ExplainRequest,
-    cfg: NaiveConfig,
-    attrs: Vec<usize>,
     candidates: NaiveCandidates,
-    cache: Arc<InfluenceCache>,
-    masks: Arc<ClauseMaskCache>,
-    approx_state: Option<Arc<ApproxState>>,
-    prep_cost: PrepCost,
-    charge_prep: Mutex<bool>,
 }
 
 impl NaivePlan {
-    /// The shared run body, parameterized by config so
-    /// [`PreparedPlan::run_with_budget`] can clamp the anytime budget
-    /// without mutating the plan.
-    fn run_with_cfg(&self, params: &InfluenceParams, cfg: &NaiveConfig) -> Result<Explanation> {
-        let _span = span!("run");
-        let start = Instant::now();
-        let mut scorer = self
-            .req
-            .scorer_at(*params)?
-            .with_cache(self.cache.clone())
-            .with_mask_cache(self.masks.clone());
-        if let Some(state) = &self.approx_state {
-            // NAIVE's anytime argmax loop is not batch-pruned; the state is
-            // attached so diagnostics report the knob consistently.
-            scorer = scorer.with_approx_state(state.clone());
-        }
-        let score_start = Instant::now();
-        let out = {
-            let _span = span!("score");
-            naive_search_prepared(&scorer, &self.candidates, cfg)?
-        };
-        let score_elapsed = score_start.elapsed();
-        let prep = {
-            let mut charge = self.charge_prep.lock();
-            if *charge {
-                *charge = false;
-                self.prep_cost.clone()
-            } else {
-                PrepCost::default()
-            }
-        };
-        let mut phases = prep.phases.clone();
-        merge_phases(&mut phases, [PhaseTiming::once("run.score", score_elapsed)]);
-        merge_phases(&mut phases, scorer.timing_phases());
-        let mut diagnostics = Diagnostics {
-            runtime: start.elapsed() + prep.runtime,
-            scorer_calls: scorer.scorer_calls() + prep.calls,
-            cache_hits: scorer.cache_hits(),
-            cache_evictions: scorer.cache_evictions(),
-            mask_cache_hits: scorer.mask_cache_hits(),
-            mask_cache_entries: scorer.mask_cache_entries(),
-            candidates: out.evaluated,
-            budget_exhausted: !out.completed,
-            phases,
-            ..Diagnostics::default()
-        };
-        approx_diag(&mut diagnostics, &scorer);
-        Ok(finish("naive", vec![out.best], diagnostics))
+    /// Prepares a NAIVE plan; `attrs` as in [`McPlan::prepare`].
+    pub(crate) fn prepare(
+        req: &ExplainRequest,
+        cfg: NaiveConfig,
+        attrs: Option<Vec<usize>>,
+    ) -> Result<Box<dyn PreparedPlan>> {
+        let (core, candidates) = PlanCore::prepare(req, attrs, |scorer, attrs, domains| {
+            let start = Instant::now();
+            let candidates = naive_candidates(scorer, attrs, domains, &cfg)?;
+            Ok((candidates, vec![PhaseTiming::once("naive.candidates", start.elapsed())]))
+        })?;
+        Ok(Box::new(NaivePlan { core, cfg, candidates }))
     }
 }
 
@@ -822,34 +539,37 @@ impl PreparedPlan for NaivePlan {
         "naive"
     }
 
-    fn run(&self, params: &InfluenceParams) -> Result<Explanation> {
-        self.run_with_cfg(params, &self.cfg)
-    }
-
     fn run_with_budget(
         &self,
         params: &InfluenceParams,
-        budget: Option<std::time::Duration>,
+        budget: Option<Duration>,
     ) -> Result<Explanation> {
-        match budget {
-            None => self.run(params),
-            Some(b) => {
-                let mut cfg = self.cfg.clone();
-                cfg.time_budget = Some(cfg.time_budget.map_or(b, |own| own.min(b)));
-                self.run_with_cfg(params, &cfg)
-            }
-        }
+        let cfg = NaiveConfig {
+            time_budget: clamp_budget(self.cfg.time_budget, budget),
+            ..self.cfg.clone()
+        };
+        self.core.run(self.algorithm(), params, |scorer| {
+            let (out, score) =
+                score_phase(|| naive_search_prepared(scorer, &self.candidates, &cfg))?;
+            Ok(RunOutput {
+                predicates: vec![out.best],
+                candidates: out.evaluated,
+                partitions: 0,
+                budget_exhausted: !out.completed,
+                phases: vec![score],
+            })
+        })
     }
 
     fn rebind(&self, req: &ExplainRequest) -> Result<Box<dyn PreparedPlan>> {
-        NaiveEngine::new(self.cfg.clone()).prepare_with_attrs(req, Some(self.attrs.clone()))
+        NaivePlan::prepare(req, self.cfg.clone(), Some(self.core.attrs.clone()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DtConfig, McConfig, NaiveConfig};
+    use crate::config::Algorithm;
     use crate::request::Scorpion;
     use scorpion_agg::{Avg, Sum};
     use scorpion_table::{Field, Schema, Table, TableBuilder, Value};
@@ -881,23 +601,6 @@ mod tests {
             .algorithm(algorithm)
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn engine_for_rejects_auto() {
-        assert!(matches!(engine_for(&Algorithm::Auto), Err(ScorpionError::BadConfig(_))));
-        assert_eq!(
-            engine_for(&Algorithm::DecisionTree(DtConfig::default())).unwrap().algorithm(),
-            "dt"
-        );
-        assert_eq!(
-            engine_for(&Algorithm::BottomUp(McConfig::default())).unwrap().algorithm(),
-            "mc"
-        );
-        assert_eq!(
-            engine_for(&Algorithm::Naive(NaiveConfig::default())).unwrap().algorithm(),
-            "naive"
-        );
     }
 
     #[test]
@@ -949,32 +652,30 @@ mod tests {
             Algorithm::BottomUp(McConfig::default()),
             Algorithm::Naive(NaiveConfig::default()),
         ];
+        let prepares = |ex: &Explanation| -> u64 {
+            ex.diagnostics.phases.iter().filter(|p| p.name == "prepare").map(|p| p.count).sum()
+        };
         for algorithm in algorithms {
             let req = request(algorithm, 0.5);
-            let plan = req.prepare().unwrap();
-            let first = plan.run(&req.params()).unwrap();
-            let names: Vec<&str> = first.diagnostics.phases.iter().map(|p| p.name).collect();
-            assert!(
-                names.contains(&"prepare"),
-                "{}: first run missing prepare phase in {names:?}",
-                first.diagnostics.algorithm
-            );
-            assert!(
-                first.diagnostics.phases.iter().all(|p| p.count > 0),
-                "{names:?} has zero-count phases"
-            );
-            // The prepare cost is charged exactly once.
-            let second = plan.run(&req.params()).unwrap();
-            assert!(
-                second.diagnostics.phases.iter().all(|p| p.name != "prepare"),
-                "{}: prepare charged twice",
-                second.diagnostics.algorithm
-            );
-            assert!(
-                !second.diagnostics.phases.is_empty(),
-                "{}: warm run has no phases",
-                second.diagnostics.algorithm
-            );
+            // `run` and the server's `run_with_budget(Some(..))` path
+            // must charge the prepare cost alike: to the first run only.
+            for budget in [None, Some(Duration::from_secs(3600))] {
+                let plan = req.prepare().unwrap();
+                let first = plan.run_with_budget(&req.params(), budget).unwrap();
+                let algo = first.diagnostics.algorithm;
+                let names: Vec<&str> = first.diagnostics.phases.iter().map(|p| p.name).collect();
+                assert_eq!(prepares(&first), 1, "{algo}/{budget:?}: first run in {names:?}");
+                assert!(
+                    first.diagnostics.phases.iter().all(|p| p.count > 0),
+                    "{names:?} has zero-count phases"
+                );
+                for later in [plan.run(&req.params()), plan.run_with_budget(&req.params(), budget)]
+                {
+                    let later = later.unwrap();
+                    assert_eq!(prepares(&later), 0, "{algo}/{budget:?}: prepare charged twice");
+                    assert!(!later.diagnostics.phases.is_empty(), "{algo}: warm run has no phases");
+                }
+            }
         }
     }
 
@@ -985,20 +686,19 @@ mod tests {
         {
             let req = request(algorithm, 0.5);
             let plan = req.prepare().unwrap();
-            let out = plan.run_with_budget(&req.params(), Some(std::time::Duration::ZERO)).unwrap();
+            let out = plan.run_with_budget(&req.params(), Some(Duration::ZERO)).unwrap();
             assert!(out.diagnostics.budget_exhausted, "{}", out.diagnostics.algorithm);
             assert!(!out.predicates.is_empty());
             // A generous budget does not trip the anytime exit.
-            let full = plan
-                .run_with_budget(&req.params(), Some(std::time::Duration::from_secs(3600)))
-                .unwrap();
+            let full =
+                plan.run_with_budget(&req.params(), Some(Duration::from_secs(3600))).unwrap();
             assert!(!full.diagnostics.budget_exhausted, "{}", full.diagnostics.algorithm);
         }
         // DT has no anytime loop: the budget is ignored, not an error.
         let dt = DtConfig { sampling: None, ..DtConfig::default() };
         let req = request(Algorithm::DecisionTree(dt), 0.5);
         let plan = req.prepare().unwrap();
-        let out = plan.run_with_budget(&req.params(), Some(std::time::Duration::ZERO)).unwrap();
+        let out = plan.run_with_budget(&req.params(), Some(Duration::ZERO)).unwrap();
         assert!(!out.diagnostics.budget_exhausted);
     }
 

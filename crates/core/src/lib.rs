@@ -8,10 +8,12 @@
 //!
 //! Components, mirroring the paper's architecture (Figure 2):
 //!
-//! * [`Scorpion`] / [`ExplainRequest`] — the fluent, owned entry point:
-//!   `Scorpion::on(table).sql(…)?.outlier(…).holdout(…).build()?`.
-//! * [`engine::Explainer`] / [`engine::PreparedPlan`] — every algorithm
-//!   as a two-phase engine: an expensive, `c`-agnostic `prepare` (DT
+//! * [`Scorpion`] / [`ExplainRequest`] — the one entry point:
+//!   `Scorpion::on(table).sql(…)?.outlier(…).holdout(…).build()?`,
+//!   with label validation and automatic algorithm selection from the
+//!   aggregate's §5 properties.
+//! * [`engine::PreparedPlan`] — every algorithm in two phases: an
+//!   expensive, `c`-agnostic [`ExplainRequest::prepare`] (DT
 //!   partitioning, MC unit construction, NAIVE candidate enumeration)
 //!   and a cheap, re-runnable `run` (§8.3.3, generalized).
 //! * [`Scorer`] — influence evaluation, with the §5.1 incremental fast
@@ -22,12 +24,9 @@
 //!   optimizations.
 //! * [`session::ScorpionSession`] — algorithm-generic cross-parameter
 //!   caching over a prepared plan.
-//! * [`explain`] — the borrowed one-call entry point with automatic
-//!   algorithm selection from the aggregate's §5 properties.
 
 #![warn(missing_docs)]
 
-pub mod api;
 pub mod approx;
 pub mod config;
 pub mod dt;
@@ -45,13 +44,12 @@ mod scorer;
 pub mod session;
 pub mod telemetry;
 
-pub use api::{explain, resolve_algorithm, LabeledQuery};
 pub use approx::ApproxState;
 pub use config::{
     Algorithm, ApproxConfig, DtConfig, InfluenceParams, McConfig, MergerConfig, NaiveConfig,
-    SamplingConfig, ScorpionConfig, APPROX_CONFIDENCE_RANGE, APPROX_RATE_RANGE,
+    SamplingConfig, APPROX_CONFIDENCE_RANGE, APPROX_RATE_RANGE,
 };
-pub use engine::{engine_for, DtEngine, EngineRun, Explainer, McEngine, NaiveEngine, PreparedPlan};
+pub use engine::PreparedPlan;
 pub use error::{Result, ScorpionError};
 pub use lru::LruShard;
 pub use prepared::PreparedQuery;

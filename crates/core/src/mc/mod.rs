@@ -65,8 +65,8 @@ pub fn mc_search(
 /// Runs the MC search from pre-built level-1 units — the cheap,
 /// re-runnable phase of the engine split: unit construction is
 /// `c`-agnostic and can be prepared once (see
-/// [`crate::engine::McEngine`]), while the search itself depends on the
-/// scorer's parameters.
+/// [`crate::ExplainRequest::prepare`]), while the search itself depends
+/// on the scorer's parameters.
 pub fn mc_search_units(
     scorer: &Scorer<'_>,
     attrs: &[usize],

@@ -60,7 +60,7 @@ enum AttrClauses {
 /// candidates the enumeration walks. Geometry depends only on the
 /// domains, the binning config, and the outlier rows, so it can be
 /// prepared once and re-enumerated cheaply at any influence parameters
-/// (see [`crate::engine::NaiveEngine`]).
+/// (see [`crate::ExplainRequest::prepare`]).
 #[derive(Clone)]
 pub(crate) struct NaiveCandidates {
     candidates: Vec<AttrClauses>,

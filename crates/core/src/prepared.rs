@@ -3,7 +3,6 @@
 //! the user runs an aggregate query, sees the result series, and labels
 //! result indices.
 
-use crate::api::LabeledQuery;
 use crate::error::{Result, ScorpionError};
 use scorpion_agg::{aggregate_by_name, Aggregate};
 use scorpion_table::{
@@ -55,19 +54,6 @@ impl PreparedQuery {
         Ok(PreparedQuery { table, grouping, agg, agg_attr, results })
     }
 
-    /// Labels result indices and returns the query Scorpion consumes.
-    /// `outliers` pairs each result index with its error-vector component.
-    pub fn labeled(&self, outliers: Vec<(usize, f64)>, holdouts: Vec<usize>) -> LabeledQuery<'_> {
-        LabeledQuery {
-            table: &self.table,
-            grouping: &self.grouping,
-            agg: self.agg.as_ref(),
-            agg_attr: self.agg_attr,
-            outliers,
-            holdouts,
-        }
-    }
-
     /// Convenience auto-labeling for exploration: flags the `k` results
     /// whose values deviate most from the median as outliers (error = sign
     /// of the deviation) and up to `k` of the closest as hold-outs — the
@@ -82,8 +68,19 @@ impl PreparedQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ScorpionConfig;
+    use crate::request::ExplainRequest;
     use scorpion_table::{Field, Schema, TableBuilder};
+
+    /// Labels result indices of `q` and builds the request Scorpion
+    /// consumes.
+    fn labeled(
+        q: PreparedQuery,
+        outliers: Vec<(usize, f64)>,
+        holdouts: Vec<usize>,
+    ) -> Result<ExplainRequest> {
+        let (table, grouping) = (Arc::new(q.table), Arc::new(q.grouping));
+        ExplainRequest::from_parts(table, grouping, q.agg, q.agg_attr, outliers, holdouts)
+    }
 
     fn sensors() -> Table {
         let schema = Schema::new(vec![
@@ -118,12 +115,13 @@ mod tests {
             PreparedQuery::new(&t, "SELECT avg(temp), time FROM sensors GROUP BY time").unwrap();
         assert_eq!(q.results.len(), 3);
         assert!((q.results[1] - 56.6667).abs() < 1e-3);
-        let labeled = q.labeled(vec![(1, 1.0), (2, 1.0)], vec![0]);
-        let ex = crate::api::explain(&labeled, &ScorpionConfig::default()).unwrap();
+        let req = labeled(q, vec![(1, 1.0), (2, 1.0)], vec![0]).unwrap();
+        let ex = req.explain().unwrap();
+        let table = req.table();
         let sel = ex
             .best()
             .predicate
-            .select(&q.table, &(0..q.table.len() as u32).collect::<Vec<_>>())
+            .select(table, &(0..table.len() as u32).collect::<Vec<_>>())
             .unwrap();
         assert!(sel.contains(&5) && sel.contains(&8));
     }
@@ -194,10 +192,9 @@ mod tests {
         let (outliers, holdouts) = q.label_extremes(1);
         assert_eq!(outliers.len(), 1);
         assert!(holdouts.is_empty(), "single result must not double-label: {holdouts:?}");
-        let labeled = q.labeled(outliers, holdouts);
-        assert!(labeled.validate().is_ok());
-        // And the downstream explain must no longer be doomed to fail.
-        assert!(crate::api::explain(&labeled, &ScorpionConfig::default()).is_ok());
+        // Labeling validates, and the downstream explain must no longer
+        // be doomed to fail.
+        assert!(labeled(q, outliers, holdouts).unwrap().explain().is_ok());
     }
 
     #[test]

@@ -1,10 +1,13 @@
-//! Owned, shareable explain requests and the [`Scorpion`] builder.
+//! Owned, shareable explain requests and the [`Scorpion`] builder — the
+//! one way into the engine.
 //!
-//! [`crate::LabeledQuery`] borrows its table and grouping, which ties an
-//! explanation to one stack frame. An [`ExplainRequest`] owns everything
-//! through `Arc`s, so it can be cloned cheaply, moved into sessions or
-//! worker threads, and re-run under different influence parameters —
-//! the shape a long-lived explanation service needs.
+//! An [`ExplainRequest`] owns everything through `Arc`s, so it can be
+//! cloned cheaply, moved into sessions or worker threads, and re-run
+//! under different influence parameters — the shape a long-lived
+//! explanation service needs. It is also where the problem is checked
+//! and resolved: label validation, the `A_rest` default, scorer
+//! construction, and the §5 choice behind [`Algorithm::Auto`] live here
+//! and nowhere else.
 //!
 //! The fluent entry point mirrors the paper's Figure 2 flow (query →
 //! inspect results → label → explain):
@@ -37,15 +40,15 @@
 //! # demo().unwrap();
 //! ```
 
-use crate::api::LabeledQuery;
-use crate::config::{Algorithm, ApproxConfig, InfluenceParams};
-use crate::engine::{engine_for, Explainer, PreparedPlan};
+use crate::config::{Algorithm, ApproxConfig, DtConfig, InfluenceParams, McConfig, NaiveConfig};
+use crate::engine::{DtPlan, McPlan, NaivePlan, PreparedPlan};
 use crate::error::{Result, ScorpionError};
 use crate::prepared::PreparedQuery;
 use crate::result::Explanation;
-use crate::scorer::Scorer;
+use crate::scorer::{GroupHandle, Scorer};
 use scorpion_agg::Aggregate;
-use scorpion_table::{aggregate_groups, group_by, Grouping, Table};
+use scorpion_table::{aggregate_groups, group_by, Grouping, Table, TableError};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A fully specified Influential Predicates problem (§3.3) with owned,
@@ -200,27 +203,40 @@ impl ExplainRequest {
         ExplainRequest { approx, ..self.clone() }
     }
 
-    /// A borrowed [`LabeledQuery`] view of this request — the bridge to
-    /// the original borrowed API (and its validation).
-    pub fn as_labeled(&self) -> LabeledQuery<'_> {
-        LabeledQuery {
-            table: &self.table,
-            grouping: &self.grouping,
-            agg: self.agg.as_ref(),
-            agg_attr: self.agg_attr,
-            outliers: self.outliers.clone(),
-            holdouts: self.holdouts.clone(),
-        }
-    }
-
-    /// Validates the labels against the grouping.
+    /// Validates the labels against the grouping, the explanation
+    /// attributes against the schema, and the influence parameters.
     pub fn validate(&self) -> Result<()> {
-        self.as_labeled().validate()
+        if self.outliers.is_empty() {
+            return Err(ScorpionError::NoOutliers);
+        }
+        let len = self.grouping.len();
+        let mut seen = HashSet::new();
+        for &(i, _) in &self.outliers {
+            if i >= len {
+                return Err(ScorpionError::BadLabel { index: i, len });
+            }
+            seen.insert(i);
+        }
+        for &i in &self.holdouts {
+            if i >= len {
+                return Err(ScorpionError::BadLabel { index: i, len });
+            }
+            if seen.contains(&i) {
+                return Err(ScorpionError::OverlappingLabels { index: i });
+            }
+        }
+        let n_attrs = self.table.schema().len();
+        if let Some(&index) = self.explain_attrs.iter().flatten().find(|&&a| a >= n_attrs) {
+            return Err(TableError::AttributeOutOfBounds { index, len: n_attrs }.into());
+        }
+        self.params.validate()
     }
 
     /// The explanation attributes `A_rest = A − A_gb − A_agg` (§3.1).
     pub fn default_explain_attrs(&self) -> Vec<usize> {
-        self.as_labeled().default_explain_attrs()
+        (0..self.table.schema().len())
+            .filter(|a| *a != self.agg_attr && !self.grouping.group_attrs().contains(a))
+            .collect()
     }
 
     /// The attributes the search will run over: the configured set, or
@@ -242,26 +258,63 @@ impl ExplainRequest {
         self.scorer_at(self.params)
     }
 
-    /// Builds a Scorer at the given parameters.
+    /// Builds a Scorer at the given parameters. Group rows and masks come
+    /// from the grouping's shared (`Arc`-cached) handles, so repeated
+    /// scorer builds over the same grouping — plan re-runs, session
+    /// re-scores, streaming rebinds — copy no row ids.
     pub fn scorer_at(&self, params: InfluenceParams) -> Result<Scorer<'_>> {
-        self.as_labeled().scorer(params, self.force_blackbox)
+        let handle = |i: usize, error: f64| {
+            let (rows, mask) = self.grouping.shared_group(i, self.table.len());
+            GroupHandle { rows, mask, error }
+        };
+        Scorer::from_handles(
+            &self.table,
+            self.agg.as_ref(),
+            self.agg_attr,
+            self.outliers.iter().map(|&(i, e)| handle(i, e)).collect(),
+            self.holdouts.iter().map(|&i| handle(i, 1.0)).collect(),
+            params,
+            self.force_blackbox,
+        )
     }
 
-    /// Resolves [`Algorithm::Auto`] against the aggregate's §5
-    /// properties.
+    /// Resolves [`Algorithm::Auto`] from the aggregate's §5 properties:
+    /// independent + anti-monotonic (per `check(D)` on the labeled data)
+    /// → MC; independent → DT; otherwise NAIVE. Explicit choices pass
+    /// through unchanged.
     pub fn resolve_algorithm(&self) -> Result<Algorithm> {
-        crate::api::resolve_algorithm(&self.as_labeled(), &self.algorithm)
+        if !matches!(self.algorithm, Algorithm::Auto) {
+            return Ok(self.algorithm.clone());
+        }
+        let independent = self.agg.properties().independent;
+        let anti = self.agg.anti_monotonic_check(&self.labeled_values()?);
+        Ok(if independent && anti {
+            Algorithm::BottomUp(McConfig::default())
+        } else if independent {
+            Algorithm::DecisionTree(DtConfig::default())
+        } else {
+            Algorithm::Naive(NaiveConfig::default())
+        })
     }
 
-    /// The engine implementing this request's (resolved) algorithm.
-    pub fn engine(&self) -> Result<Box<dyn Explainer>> {
-        engine_for(&self.resolve_algorithm()?)
+    /// Values of the aggregate attribute across all labeled groups, used
+    /// for the §5.3 `check(D)` anti-monotonicity test.
+    fn labeled_values(&self) -> Result<Vec<f64>> {
+        let vals = self.table.num(self.agg_attr)?;
+        let labeled = self.outliers.iter().map(|&(i, _)| i).chain(self.holdouts.iter().copied());
+        Ok(labeled.flat_map(|i| self.grouping.rows(i).iter().map(|&r| vals[r as usize])).collect())
     }
 
-    /// Runs the expensive, `c`-agnostic preparation phase, returning a
-    /// plan that can be re-run cheaply under any [`InfluenceParams`].
+    /// Runs the expensive, `c`-agnostic preparation phase of the
+    /// (resolved) algorithm, returning a plan that can be re-run cheaply
+    /// under any [`InfluenceParams`].
     pub fn prepare(&self) -> Result<Box<dyn PreparedPlan>> {
-        self.engine()?.prepare(self)
+        match self.resolve_algorithm()? {
+            Algorithm::DecisionTree(cfg) => DtPlan::prepare(self, cfg),
+            Algorithm::BottomUp(cfg) => McPlan::prepare(self, cfg, None),
+            Algorithm::Naive(cfg) => NaivePlan::prepare(self, cfg, None),
+            Algorithm::Auto => unreachable!("resolve_algorithm never returns Auto"),
+        }
     }
 
     /// Solves the Influential Predicates problem: prepare + run at this
@@ -540,7 +593,8 @@ impl RequestBuilder {
         self
     }
 
-    /// Validates the labels and produces the owned request.
+    /// Validates the request ([`ExplainRequest::validate`]) and produces
+    /// it.
     pub fn build(self) -> Result<ExplainRequest> {
         let req = ExplainRequest {
             table: self.table,
@@ -565,8 +619,8 @@ impl RequestBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scorpion_agg::Avg;
-    use scorpion_table::{Field, Schema, TableBuilder};
+    use scorpion_agg::{Avg, Median, Sum};
+    use scorpion_table::{Field, Schema, TableBuilder, Value};
 
     fn sensors() -> Table {
         let schema = Schema::new(vec![
@@ -707,5 +761,93 @@ mod tests {
         assert_eq!(req.outliers().len(), 1);
         assert_eq!(req.holdouts().len(), 1);
         assert!(req.explain().unwrap().best().influence.is_finite());
+    }
+
+    /// Group "o" runs hot for x ∈ [20, 60); group "h" is uniform.
+    fn planted(agg: Arc<dyn Aggregate>) -> RequestBuilder {
+        let schema =
+            Schema::new(vec![Field::disc("g"), Field::cont("x"), Field::cont("v")]).unwrap();
+        let mut b = TableBuilder::new(schema);
+        for i in 0..200 {
+            let x = (i as f64 * 7.3) % 100.0;
+            let v = if (20.0..60.0).contains(&x) { 80.0 } else { 10.0 };
+            b.push_row(vec!["o".into(), Value::from(x), v.into()]).unwrap();
+            b.push_row(vec!["h".into(), Value::from(x), Value::from(10.0)]).unwrap();
+        }
+        Scorpion::on(b.build()).group_by(&[0], agg, 2).unwrap().outlier(0, 1.0).holdout(1)
+    }
+
+    #[test]
+    fn auto_selects_mc_for_sum_on_nonnegative() {
+        let algo = planted(Arc::new(Sum)).build().unwrap().resolve_algorithm().unwrap();
+        assert!(matches!(algo, Algorithm::BottomUp(_)));
+    }
+
+    #[test]
+    fn auto_selects_dt_for_avg() {
+        let algo = planted(Arc::new(Avg)).build().unwrap().resolve_algorithm().unwrap();
+        assert!(matches!(algo, Algorithm::DecisionTree(_)));
+    }
+
+    #[test]
+    fn auto_selects_naive_for_median() {
+        let algo = planted(Arc::new(Median)).build().unwrap().resolve_algorithm().unwrap();
+        assert!(matches!(algo, Algorithm::Naive(_)));
+    }
+
+    #[test]
+    fn sum_with_negatives_falls_back_to_dt() {
+        let schema = Schema::new(vec![Field::disc("g"), Field::cont("v")]).unwrap();
+        let mut b = TableBuilder::new(schema);
+        b.push_row(vec!["a".into(), Value::from(-1.0)]).unwrap();
+        b.push_row(vec!["b".into(), Value::from(2.0)]).unwrap();
+        let req = Scorpion::on(b.build())
+            .group_by(&[0], Arc::new(Sum), 1)
+            .unwrap()
+            .outlier(0, 1.0)
+            .holdout(1)
+            .build()
+            .unwrap();
+        let algo = req.resolve_algorithm().unwrap();
+        assert!(matches!(algo, Algorithm::DecisionTree(_)));
+    }
+
+    #[test]
+    fn end_to_end_explain_finds_planted_range() {
+        let ex = planted(Arc::new(Avg)).params(0.5, 0.2).build().unwrap().explain().unwrap();
+        assert_eq!(ex.diagnostics.algorithm, "dt");
+        assert!(ex.diagnostics.scorer_calls > 0);
+        let clause = ex.best().predicate.clause(1).expect("x clause");
+        assert!(clause.matches_num(40.0));
+        assert!(!clause.matches_num(90.0));
+    }
+
+    #[test]
+    fn default_explain_attrs_exclude_roles() {
+        let req = planted(Arc::new(Avg)).build().unwrap();
+        // Attr 0 = group-by, attr 2 = aggregate → only attr 1 remains.
+        assert_eq!(req.default_explain_attrs(), vec![1]);
+    }
+
+    #[test]
+    fn out_of_range_explain_attrs_are_errors_for_every_algorithm() {
+        let bad = |e: &ScorpionError| {
+            matches!(e, ScorpionError::Table(TableError::AttributeOutOfBounds { index: 9, len: 3 }))
+        };
+        for algorithm in [
+            Algorithm::DecisionTree(DtConfig::default()),
+            Algorithm::BottomUp(McConfig::default()),
+            Algorithm::Naive(NaiveConfig::default()),
+        ] {
+            let name = algorithm.name();
+            let built =
+                planted(Arc::new(Sum)).algorithm(algorithm.clone()).explain_attrs([9]).build();
+            assert!(built.is_err_and(|e| bad(&e)), "{name}: build must reject attr 9");
+            // A valid request re-pointed at a bad attribute fails at
+            // prepare, not with a panic inside the engine.
+            let req = planted(Arc::new(Sum)).algorithm(algorithm).build().unwrap();
+            let req = req.with_explain_attrs(Some(vec![9]));
+            assert!(req.explain().is_err_and(|e| bad(&e)), "{name}: explain must reject attr 9");
+        }
     }
 }

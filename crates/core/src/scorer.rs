@@ -91,7 +91,7 @@ pub struct GroupSpec {
 }
 
 /// A labeled group as shared handles — the zero-copy form
-/// [`crate::LabeledQuery::scorer`] feeds from a grouping's cached
+/// [`crate::ExplainRequest::scorer_at`] feeds from a grouping's cached
 /// `Arc` slices and masks.
 pub(crate) struct GroupHandle {
     /// Row ids, ascending and unique.
@@ -375,7 +375,7 @@ impl<'a> Scorer<'a> {
 
     /// Builds a Scorer from pre-shared group handles (row slices +
     /// masks), avoiding any per-group copying — the path
-    /// [`crate::LabeledQuery::scorer`] takes from a grouping's cached
+    /// [`crate::ExplainRequest::scorer_at`] takes from a grouping's cached
     /// shared groups.
     pub(crate) fn from_handles(
         table: &'a Table,
@@ -389,12 +389,7 @@ impl<'a> Scorer<'a> {
         if outliers.is_empty() {
             return Err(ScorpionError::NoOutliers);
         }
-        if !(0.0..=1.0).contains(&params.lambda) {
-            return Err(ScorpionError::BadConfig("lambda must be in [0, 1]"));
-        }
-        if params.c < 0.0 {
-            return Err(ScorpionError::BadConfig("c must be non-negative"));
-        }
+        params.validate()?;
         let inc = if force_blackbox { None } else { agg.incremental() };
         let vals = table.num(agg_attr)?;
         let build = |h: GroupHandle, default_error: Option<f64>| -> GroupCtx {
@@ -1926,21 +1921,11 @@ mod tests {
             Err(ScorpionError::NoOutliers)
         ));
         let spec = vec![GroupSpec { rows: g.rows(0).to_vec(), error: 1.0 }];
-        assert!(matches!(
-            Scorer::new(
-                &t,
-                &Avg,
-                3,
-                spec.clone(),
-                vec![],
-                InfluenceParams { lambda: 2.0, c: 1.0 },
-                false
-            ),
-            Err(ScorpionError::BadConfig(_))
-        ));
-        assert!(matches!(
-            Scorer::new(&t, &Avg, 3, spec, vec![], InfluenceParams { lambda: 0.5, c: -1.0 }, false),
-            Err(ScorpionError::BadConfig(_))
-        ));
+        let bad = [(2.0, 1.0), (f64::NAN, 1.0), (0.5, -1.0), (0.5, f64::NAN), (0.5, f64::INFINITY)];
+        for (lambda, c) in bad {
+            let params = InfluenceParams { lambda, c };
+            let built = Scorer::new(&t, &Avg, 3, spec.clone(), vec![], params, false);
+            assert!(matches!(built, Err(ScorpionError::BadConfig(_))), "{params:?}");
+        }
     }
 }

@@ -5,11 +5,10 @@
 //! The expensive phase of every algorithm is `c`-agnostic — DT tree
 //! growth, MC unit construction, NAIVE candidate enumeration — and so is
 //! each scored predicate's per-group `(n, Δ)` evaluation. A
-//! [`ScorpionSession`] therefore wraps any [`Explainer`] engine's
-//! [`PreparedPlan`]:
+//! [`ScorpionSession`] therefore keeps the request's [`PreparedPlan`]:
 //!
-//! 1. The first run triggers [`Explainer::prepare`] (lazily) and pays
-//!    the full cost.
+//! 1. The first run triggers [`ExplainRequest::prepare`] (lazily) and
+//!    pays the full cost.
 //! 2. Every later run, at any `(λ, c)`, re-scores through the plan's
 //!    shared [`crate::InfluenceCache`] — known predicates re-score with
 //!    pure arithmetic, no matcher passes — and, for DT, warm-starts the
@@ -20,44 +19,38 @@
 //! runs now work for DT **and** MC **and** NAIVE.
 
 use crate::config::InfluenceParams;
-use crate::engine::{Explainer, PreparedPlan};
+use crate::engine::PreparedPlan;
 use crate::error::Result;
 use crate::request::ExplainRequest;
 use crate::result::Explanation;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// A reusable Scorpion session: one request, one engine, cached
+/// A reusable Scorpion session: one request, one algorithm, cached
 /// preparation, cheap re-runs across parameter changes.
 pub struct ScorpionSession {
+    /// The request, with [`crate::Algorithm::Auto`] already resolved.
     req: ExplainRequest,
-    engine: Box<dyn Explainer>,
     plan: Mutex<Option<Arc<dyn PreparedPlan>>>,
 }
 
 impl ScorpionSession {
-    /// Creates a session for the request's (resolved) algorithm.
-    pub fn new(req: ExplainRequest) -> Result<Self> {
+    /// Creates a session, resolving the request's algorithm once (so
+    /// later preparations never re-run the §5 selection).
+    pub fn new(mut req: ExplainRequest) -> Result<Self> {
         req.validate()?;
-        let engine = req.engine()?;
-        Ok(ScorpionSession { req, engine, plan: Mutex::new(None) })
+        req.algorithm = req.resolve_algorithm()?;
+        Ok(ScorpionSession { req, plan: Mutex::new(None) })
     }
 
-    /// Creates a session driven by an explicit engine (overriding the
-    /// request's algorithm choice).
-    pub fn with_engine(req: ExplainRequest, engine: Box<dyn Explainer>) -> Result<Self> {
-        req.validate()?;
-        Ok(ScorpionSession { req, engine, plan: Mutex::new(None) })
-    }
-
-    /// The underlying request.
+    /// The underlying request, its algorithm resolved.
     pub fn request(&self) -> &ExplainRequest {
         &self.req
     }
 
-    /// Diagnostic name of the engine in charge.
+    /// Diagnostic name of the algorithm in charge.
     pub fn algorithm(&self) -> &'static str {
-        self.engine.algorithm()
+        self.req.algorithm().name()
     }
 
     /// The session's prepared plan, preparing it on first use.
@@ -66,7 +59,7 @@ impl ScorpionSession {
         if let Some(p) = &*guard {
             return Ok(p.clone());
         }
-        let p: Arc<dyn PreparedPlan> = Arc::from(self.engine.prepare(&self.req)?);
+        let p: Arc<dyn PreparedPlan> = Arc::from(self.req.prepare()?);
         *guard = Some(p.clone());
         Ok(p)
     }

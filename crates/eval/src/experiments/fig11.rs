@@ -5,7 +5,7 @@ use crate::experiments::Scale;
 use crate::harness::SynthRun;
 use crate::report::{f, Report};
 use scorpion_core::naive::naive_search;
-use scorpion_core::{InfluenceParams, NaiveConfig};
+use scorpion_core::{Algorithm, NaiveConfig};
 use scorpion_data::synth::SynthConfig;
 use scorpion_table::domains_of;
 use std::time::Duration;
@@ -20,12 +20,13 @@ pub fn run(scale: &Scale) -> Vec<Report> {
         &["c", "elapsed_s", "influence", "F_inner", "F_outer"],
     );
     for &c in &[0.0, 0.1, 0.5] {
-        let scorer = run.query().scorer(InfluenceParams { lambda: 0.5, c }, false).expect("scorer");
         let cfg = NaiveConfig {
             keep_trace: true,
             time_budget: Some(scale.naive_budget.max(Duration::from_secs(30))),
             ..NaiveConfig::default()
         };
+        let req = run.request(Algorithm::Naive(cfg.clone()), c);
+        let scorer = req.scorer().expect("scorer");
         let out = naive_search(&scorer, &run.ds.dim_attrs(), &domains, &cfg).expect("naive");
         for tp in &out.trace {
             let inner = run.accuracy(&tp.predicate, true);

@@ -7,7 +7,7 @@ use crate::experiments::{Scale, C_GRID};
 use crate::harness::{dt, mc, naive_with_budget, SynthRun};
 use crate::report::{f, Report};
 use scorpion_core::naive::naive_search;
-use scorpion_core::InfluenceParams;
+use scorpion_core::Algorithm;
 use scorpion_data::synth::SynthConfig;
 use scorpion_table::domains_of;
 
@@ -33,13 +33,10 @@ pub fn run(scale: &Scale) -> Vec<Report> {
                 ]);
             }
             // NAIVE convergence time under the anytime budget.
-            let scorer =
-                run.query().scorer(InfluenceParams { lambda: 0.5, c }, false).expect("scorer");
-            let ncfg = match naive_with_budget(scale.naive_budget, false) {
-                scorpion_core::Algorithm::Naive(n) => n,
-                _ => unreachable!(),
-            };
-            let out = naive_search(&scorer, &run.ds.dim_attrs(), &domains, &ncfg).expect("naive");
+            let req = run.request(naive_with_budget(scale.naive_budget, false), c);
+            let Algorithm::Naive(ncfg) = req.algorithm() else { unreachable!() };
+            let scorer = req.scorer().expect("scorer");
+            let out = naive_search(&scorer, &run.ds.dim_attrs(), &domains, ncfg).expect("naive");
             let note = if out.completed { "completed" } else { "budget hit" };
             r.push(vec![
                 dims.to_string(),

@@ -1,11 +1,11 @@
-//! Shared experiment harness: builds labeled queries over the generated
+//! Shared experiment harness: builds labeled requests over the generated
 //! workloads, runs each algorithm, and scores results against ground
 //! truth.
 
 use crate::metrics::{predicate_accuracy, Accuracy};
 use scorpion_agg::{StdDev, Sum};
 use scorpion_core::{
-    Algorithm, DtConfig, ExplainRequest, Explanation, LabeledQuery, McConfig, NaiveConfig, Scorpion,
+    Algorithm, DtConfig, ExplainRequest, Explanation, McConfig, NaiveConfig, Scorpion,
 };
 use scorpion_data::expense::ExpenseDataset;
 use scorpion_data::intel::IntelDataset;
@@ -44,19 +44,6 @@ impl SynthRun {
             .build()
             .expect("synth request");
         SynthRun { ds, grouping, outlier_union, base }
-    }
-
-    /// The labeled query: outlier groups flagged "too high" (`v = <1>`),
-    /// hold-out groups labeled as hold-outs.
-    pub fn query(&self) -> LabeledQuery<'_> {
-        LabeledQuery {
-            table: &self.ds.table,
-            grouping: &self.grouping,
-            agg: &Sum,
-            agg_attr: self.ds.agg_attr(),
-            outliers: self.ds.outlier_groups.iter().map(|&g| (g, 1.0)).collect(),
-            holdouts: self.ds.holdout_groups.clone(),
-        }
     }
 
     /// Union of the outlier input groups (`g_O`).
@@ -138,18 +125,6 @@ impl IntelRun {
         IntelRun { ds, grouping, outlier_union, base }
     }
 
-    /// The labeled query (outlier hours "too high").
-    pub fn query(&self) -> LabeledQuery<'_> {
-        LabeledQuery {
-            table: &self.ds.table,
-            grouping: &self.grouping,
-            agg: &StdDev,
-            agg_attr: self.ds.agg_attr(),
-            outliers: self.ds.outlier_hours.iter().map(|&g| (g, 1.0)).collect(),
-            holdouts: self.ds.holdout_hours.clone(),
-        }
-    }
-
     /// Union of the outlier input groups (`g_O`).
     pub fn outlier_rows(&self) -> &[u32] {
         &self.outlier_union
@@ -201,18 +176,6 @@ impl ExpenseRun {
             .build()
             .expect("expense request");
         ExpenseRun { ds, grouping, outlier_union, base }
-    }
-
-    /// The labeled query (spike days "too high").
-    pub fn query(&self) -> LabeledQuery<'_> {
-        LabeledQuery {
-            table: &self.ds.table,
-            grouping: &self.grouping,
-            agg: &Sum,
-            agg_attr: self.ds.agg_attr(),
-            outliers: self.ds.outlier_days.iter().map(|&g| (g, 1.0)).collect(),
-            holdouts: self.ds.holdout_days.clone(),
-        }
     }
 
     /// Union of the outlier input groups (`g_O`).

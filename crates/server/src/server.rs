@@ -765,6 +765,8 @@ fn handle_explain(
 
     let lambda = body.get("lambda").and_then(Json::as_f64).unwrap_or(0.5);
     let c = body.get("c").and_then(Json::as_f64).unwrap_or(0.5);
+    // Checked before the plan-cache lookup, so hits and misses answer alike.
+    InfluenceParams { lambda, c }.validate().map_err(|e| error_response(400, &e.to_string()))?;
     let top = body.get("top").and_then(Json::as_f64).unwrap_or(3.0).max(1.0) as usize;
     let algorithm_name = body.get("algorithm").and_then(Json::as_str).unwrap_or("auto");
     let algorithm = parse_algorithm(algorithm_name)?;

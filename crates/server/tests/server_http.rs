@@ -240,6 +240,23 @@ fn approx_knobs_validate_and_report() {
         assert!(msg.contains(range), "{field}={value}: body must name {range}, got: {msg}");
     }
 
+    // Out-of-range λ and c are client errors on a plan-cache miss here,
+    // and on a hit once a valid request has cached the plan (below).
+    let bad_params = |c: &mut client::Client| {
+        for (field, value, range) in [("c", -1.0, "non-negative"), ("lambda", 2.0, "[0, 1]")] {
+            let mut body = explain_body("t", "dt", 0.5);
+            if let Json::Obj(pairs) = &mut body {
+                pairs.retain(|(k, _)| k != field);
+                pairs.push((field.to_owned(), Json::from(value)));
+            }
+            let (status, err) = c.post("/explain", &body).unwrap();
+            assert_eq!(status, 400, "{field}={value}: {err:?}");
+            let msg = err.get("error").and_then(Json::as_str).unwrap();
+            assert!(msg.contains(range), "{field}={value}: body must name {range}, got: {msg}");
+        }
+    };
+    bad_params(&mut c);
+
     let (status, resp) = c.post("/explain", &with(&[("approx", Json::from(true))])).unwrap();
     assert_eq!(status, 200, "{resp:?}");
     let bound = diag(&resp, "approx_error_bound");
@@ -255,6 +272,8 @@ fn approx_knobs_validate_and_report() {
         Some(&Json::Null),
         "{exact:?}"
     );
+    assert_eq!(exact.get("plan_cache").and_then(Json::as_str), Some("miss"));
+    bad_params(&mut c);
     handle.stop();
 }
 

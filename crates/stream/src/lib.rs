@@ -12,7 +12,7 @@
 //! * [`OutlierDetector`] — a robust (median/MAD) z-score detector over
 //!   the live series that auto-generates the outlier labels, error
 //!   directions, and hold-out set the offline
-//!   [`scorpion_core::LabeledQuery`] API requires a human for.
+//!   [`scorpion_core::ExplainRequest`] builder requires a human for.
 //! * [`ContinuousSession`] — re-explains flagged windows incrementally:
 //!   the DT partitioning is cached under a *chunk signature* of the
 //!   outlier groups and reused (re-scored, re-merged) as long as window

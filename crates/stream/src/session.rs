@@ -2,7 +2,7 @@
 //!
 //! The offline engine splits every algorithm into an expensive,
 //! `c`-agnostic `prepare` and a cheap `run`
-//! ([`scorpion_core::engine::Explainer`] / [`PreparedPlan`], §8.3.3
+//! ([`ExplainRequest::prepare`] / [`PreparedPlan`], §8.3.3
 //! generalized). The prepared artifacts are *time*-agnostic too, as
 //! long as the window slide does not touch the rows they were grown
 //! from: the DT trees are built from the outlier groups' tuples (plus
@@ -52,8 +52,8 @@ use crate::detector::{Detection, DetectorConfig, OutlierDetector};
 use crate::error::{Result, StreamError};
 use crate::window::SlidingWindow;
 use parking_lot::Mutex;
-use scorpion_core::engine::{DtEngine, Explainer, PreparedPlan};
-use scorpion_core::{DtConfig, ExplainRequest, Explanation, InfluenceParams};
+use scorpion_core::engine::PreparedPlan;
+use scorpion_core::{Algorithm, DtConfig, ExplainRequest, Explanation, InfluenceParams};
 use scorpion_table::{Grouping, Table};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -143,7 +143,6 @@ struct SessionCache {
 pub struct ContinuousSession {
     cfg: ContinuousConfig,
     detector: OutlierDetector,
-    engine: DtEngine,
     cache: Mutex<SessionCache>,
 }
 
@@ -151,11 +150,9 @@ impl ContinuousSession {
     /// Creates a session.
     pub fn new(cfg: ContinuousConfig) -> Self {
         let detector = OutlierDetector::new(cfg.detector.clone());
-        let engine = DtEngine::new(cfg.dt.clone());
         ContinuousSession {
             cfg,
             detector,
-            engine,
             cache: Mutex::new(SessionCache {
                 outlier_sig: None,
                 dict_sig: None,
@@ -223,7 +220,8 @@ impl ContinuousSession {
             holdouts.clone(),
         )?
         .with_params(params)
-        .with_explain_attrs(self.cfg.explain_attrs.clone());
+        .with_explain_attrs(self.cfg.explain_attrs.clone())
+        .with_algorithm(Algorithm::DecisionTree(self.cfg.dt.clone()));
         let attrs = req.resolved_attrs()?;
 
         let outlier_sig = self.outlier_signature(window, &detection, &attrs);
@@ -244,7 +242,7 @@ impl ContinuousSession {
             let prev = cached_plan.as_ref().expect("warm implies a cached plan");
             Arc::from(prev.rebind(&req)?)
         } else {
-            let fresh: Arc<dyn PreparedPlan> = Arc::from(self.engine.prepare(&req)?);
+            let fresh: Arc<dyn PreparedPlan> = Arc::from(req.prepare()?);
             if dict_ok {
                 if let Some(prev) = &cached_plan {
                     fresh.absorb_seeds(prev.seeds());

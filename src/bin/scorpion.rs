@@ -235,6 +235,10 @@ fn parse_args(it: impl Iterator<Item = String>) -> Args {
             exit(2);
         }
     }
+    if let Err(e) = InfluenceParams::new(args.lambda, args.c).validate() {
+        eprintln!("{e}");
+        exit(2);
+    }
     args
 }
 

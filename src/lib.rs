@@ -61,7 +61,7 @@
 //! | [`table`] | Columnar relational substrate, predicates, group-by + provenance |
 //! | [`agg`] | Aggregate-property framework (§5) + sketch-tier operators |
 //! | [`sketch`] | Probabilistic sketches: retractable quantiles, HLL++, SpaceSaving |
-//! | [`core`] | Scorer + influence cache, `Explainer` engines (NAIVE/DT/MC), Merger, builder + sessions (§3–§7) |
+//! | [`core`] | Scorer + influence cache, `ExplainRequest` builder (the one entry point), prepared plans (NAIVE/DT/MC), Merger, sessions (§3–§7) |
 //! | [`data`] | SYNTH / INTEL / EXPENSE workload generators + streaming sensor feed (§8.1) |
 //! | [`stream`] | Continuous sliding-window engine: mergeable partials, auto-labeling, warm re-explanation |
 //! | [`server`] | HTTP explanation service: table registry, plan cache, bounded worker pool |
@@ -88,11 +88,10 @@ pub mod prelude {
     pub use scorpion_core::features::{rank_attributes, select_attributes};
     pub use scorpion_core::session::ScorpionSession;
     pub use scorpion_core::{
-        explain, label_extremes, Algorithm, ApproxConfig, Diagnostics, DtConfig, DtEngine,
-        ExplainRequest, Explainer, Explanation, GroupSpec, InfluenceCache, InfluenceParams,
-        LabeledQuery, McConfig, McEngine, MergerConfig, NaiveConfig, NaiveEngine, PreparedPlan,
-        PreparedQuery, RequestBuilder, ScoredPredicate, Scorer, Scorpion, ScorpionConfig,
-        ScorpionError,
+        label_extremes, Algorithm, ApproxConfig, Diagnostics, DtConfig, ExplainRequest,
+        Explanation, GroupSpec, InfluenceCache, InfluenceParams, McConfig, MergerConfig,
+        NaiveConfig, PreparedPlan, PreparedQuery, RequestBuilder, ScoredPredicate, Scorer,
+        Scorpion, ScorpionError,
     };
     pub use scorpion_sketch::{
         ErrorBound, HyperLogLog, QuantileSketch, SketchPartial, SpaceSaving,

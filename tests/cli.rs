@@ -130,8 +130,8 @@ fn json_output_parses_and_ranks() {
     assert!(names.contains(&"run.score"), "{names:?}");
 }
 
-/// Out-of-range approximate-search knobs exit 2 with a message that
-/// names the valid range, before any data is read.
+/// Out-of-range approximate-search knobs and influence parameters exit
+/// 2 with a message that names the valid range, before any data is read.
 #[test]
 fn approx_flags_validate_ranges() {
     let csv = sample_csv_path("approx_validate.csv");
@@ -141,6 +141,9 @@ fn approx_flags_validate_ranges() {
         ("--approx-rate", "abc", "(0.0, 1.0]"),
         ("--approx-confidence", "0.4", "(0.5, 1.0]"),
         ("--approx-confidence", "1.2", "(0.5, 1.0]"),
+        ("--c", "NaN", "c must be finite and non-negative"),
+        ("--c", "-1", "c must be finite and non-negative"),
+        ("--lambda", "2", "lambda must be in [0, 1]"),
     ] {
         let out = bin()
             .args([

@@ -6,17 +6,27 @@ use scorpion::data::intel::{self, IntelConfig};
 use scorpion::data::synth::{self, SynthConfig};
 use scorpion::eval::predicate_accuracy;
 use scorpion::prelude::*;
+use std::sync::Arc;
 use std::time::Duration;
 
-fn synth_query<'a>(ds: &'a synth::SynthDataset, grouping: &'a Grouping) -> LabeledQuery<'a> {
-    LabeledQuery {
-        table: &ds.table,
-        grouping,
-        agg: &Sum,
-        agg_attr: ds.agg_attr(),
-        outliers: ds.outlier_groups.iter().map(|&g| (g, 1.0)).collect(),
-        holdouts: ds.holdout_groups.clone(),
-    }
+/// `agg(agg_attr) GROUP BY` attribute 0, with `outliers` labeled "too
+/// high".
+fn labeled(
+    table: &Table,
+    agg: Arc<dyn Aggregate>,
+    agg_attr: usize,
+    outliers: &[usize],
+    holdouts: &[usize],
+) -> RequestBuilder {
+    Scorpion::on(table.clone())
+        .group_by(&[0], agg, agg_attr)
+        .unwrap()
+        .outliers(outliers.iter().map(|&g| (g, 1.0)))
+        .holdouts(holdouts.iter().copied())
+}
+
+fn synth_request(ds: &synth::SynthDataset, agg: Arc<dyn Aggregate>) -> RequestBuilder {
+    labeled(&ds.table, agg, ds.agg_attr(), &ds.outlier_groups, &ds.holdout_groups)
 }
 
 fn outlier_union(ds: &synth::SynthDataset, grouping: &Grouping) -> Vec<u32> {
@@ -27,7 +37,6 @@ fn outlier_union(ds: &synth::SynthDataset, grouping: &Grouping) -> Vec<u32> {
 fn synth_easy_all_algorithms_beat_random() {
     let ds = synth::generate(SynthConfig::easy(2).with_tuples_per_group(400));
     let grouping = group_by(&ds.table, &[0]).unwrap();
-    let q = synth_query(&ds, &grouping);
     let rows = outlier_union(&ds, &grouping);
     // A random quarter-box baseline has F ≈ 0.25 against the outer cube.
     for algo in [
@@ -38,15 +47,13 @@ fn synth_easy_all_algorithms_beat_random() {
             ..NaiveConfig::default()
         }),
     ] {
-        let cfg = ScorpionConfig {
-            params: InfluenceParams { lambda: 0.5, c: 0.3 },
-            algorithm: algo,
-            explain_attrs: Some(ds.dim_attrs()),
-            force_blackbox: false,
-            max_explain_attrs: None,
-            approx: None,
-        };
-        let ex = explain(&q, &cfg).unwrap();
+        let req = synth_request(&ds, Arc::new(Sum))
+            .params(0.5, 0.3)
+            .algorithm(algo)
+            .explain_attrs(ds.dim_attrs())
+            .build()
+            .unwrap();
+        let ex = req.explain().unwrap();
         let acc = predicate_accuracy(&ds.table, &ex.best().predicate, &rows, ds.truth_rows(false));
         assert!(
             acc.f_score > 0.4,
@@ -61,11 +68,9 @@ fn synth_easy_all_algorithms_beat_random() {
 #[test]
 fn auto_selection_picks_mc_for_synth() {
     let ds = synth::generate(SynthConfig::easy(2).with_tuples_per_group(200));
-    let grouping = group_by(&ds.table, &[0]).unwrap();
-    let q = synth_query(&ds, &grouping);
     // SUM over non-negative-ish values... SYNTH Av values can dip below 0
     // (N(10,10)), so Auto must NOT pick MC blindly; just check it runs.
-    let ex = explain(&q, &ScorpionConfig::default()).unwrap();
+    let ex = synth_request(&ds, Arc::new(Sum)).build().unwrap().explain().unwrap();
     assert!(["mc", "dt"].contains(&ex.diagnostics.algorithm));
     assert!(ex.best().influence.is_finite());
 }
@@ -74,17 +79,19 @@ fn auto_selection_picks_mc_for_synth() {
 fn blackbox_and_incremental_agree_end_to_end() {
     let ds = synth::generate(SynthConfig::easy(2).with_tuples_per_group(150));
     let grouping = group_by(&ds.table, &[0]).unwrap();
-    let q = synth_query(&ds, &grouping);
-    let mk = |blackbox: bool| ScorpionConfig {
-        params: InfluenceParams { lambda: 0.5, c: 0.2 },
-        algorithm: Algorithm::DecisionTree(DtConfig { sampling: None, ..DtConfig::default() }),
-        explain_attrs: Some(ds.dim_attrs()),
-        force_blackbox: blackbox,
-        max_explain_attrs: None,
-        approx: None,
+    let run = |blackbox: bool| {
+        synth_request(&ds, Arc::new(Sum))
+            .params(0.5, 0.2)
+            .algorithm(Algorithm::DecisionTree(DtConfig { sampling: None, ..DtConfig::default() }))
+            .explain_attrs(ds.dim_attrs())
+            .force_blackbox(blackbox)
+            .build()
+            .unwrap()
+            .explain()
+            .unwrap()
     };
-    let fast = explain(&q, &mk(false)).unwrap();
-    let slow = explain(&q, &mk(true)).unwrap();
+    let fast = run(false);
+    let slow = run(true);
     // The two paths may break floating-point ties differently at split
     // boundaries, so require equivalent results rather than identical
     // trees: near-equal influence and heavily overlapping selections.
@@ -108,21 +115,13 @@ fn blackbox_and_incremental_agree_end_to_end() {
 #[test]
 fn intel_workload1_names_sensor15() {
     let ds = intel::generate(IntelConfig::workload1());
-    let grouping = group_by(&ds.table, &[0]).unwrap();
-    let q = LabeledQuery {
-        table: &ds.table,
-        grouping: &grouping,
-        agg: &StdDev,
-        agg_attr: ds.agg_attr(),
-        outliers: ds.outlier_hours.iter().map(|&h| (h, 1.0)).collect(),
-        holdouts: ds.holdout_hours.clone(),
-    };
-    let cfg = ScorpionConfig {
-        params: InfluenceParams { lambda: 0.5, c: 1.0 },
-        explain_attrs: Some(ds.explain_attrs()),
-        ..ScorpionConfig::default()
-    };
-    let ex = explain(&q, &cfg).unwrap();
+    let req =
+        labeled(&ds.table, Arc::new(StdDev), ds.agg_attr(), &ds.outlier_hours, &ds.holdout_hours)
+            .params(0.5, 1.0)
+            .explain_attrs(ds.explain_attrs())
+            .build()
+            .unwrap();
+    let ex = req.explain().unwrap();
     assert_eq!(ex.diagnostics.algorithm, "dt"); // STDDEV → DT via Auto
     let best = &ex.best().predicate;
     let s15 = ds.table.cat(1).unwrap().code_of("s15").unwrap();
@@ -133,22 +132,14 @@ fn intel_workload1_names_sensor15() {
 #[test]
 fn expense_workload_recovers_gmmb() {
     let ds = expense::generate(ExpenseConfig { days: 90, ..ExpenseConfig::default() });
-    let grouping = group_by(&ds.table, &[0]).unwrap();
-    let q = LabeledQuery {
-        table: &ds.table,
-        grouping: &grouping,
-        agg: &Sum,
-        agg_attr: ds.agg_attr(),
-        outliers: ds.outlier_days.iter().map(|&d| (d, 1.0)).collect(),
-        holdouts: ds.holdout_days.clone(),
-    };
-    let cfg = ScorpionConfig {
-        params: InfluenceParams { lambda: 0.5, c: 0.5 },
-        explain_attrs: Some(ds.explain_attrs()),
-        ..ScorpionConfig::default()
-    };
-    let ex = explain(&q, &cfg).unwrap();
+    let req = labeled(&ds.table, Arc::new(Sum), ds.agg_attr(), &ds.outlier_days, &ds.holdout_days)
+        .params(0.5, 0.5)
+        .explain_attrs(ds.explain_attrs())
+        .build()
+        .unwrap();
+    let ex = req.explain().unwrap();
     assert_eq!(ex.diagnostics.algorithm, "mc"); // SUM over positive amounts
+    let grouping = req.grouping();
     let rows: Vec<u32> =
         ds.outlier_days.iter().flat_map(|&d| grouping.rows(d).iter().copied()).collect();
     let acc = predicate_accuracy(&ds.table, &ex.best().predicate, &rows, &ds.big_expense_rows);
@@ -167,7 +158,7 @@ fn session_caching_is_consistent_across_c() {
     let agg_attr = ds.agg_attr();
     let table = ds.table.clone();
     let req = Scorpion::on(table.clone())
-        .group_by(&[0], std::sync::Arc::new(Avg), agg_attr)
+        .group_by(&[0], Arc::new(Avg), agg_attr)
         .unwrap()
         .outliers(ds.outlier_groups.iter().map(|&g| (g, 1.0)))
         .holdouts(ds.holdout_groups.iter().copied())
@@ -195,21 +186,12 @@ fn session_caching_is_consistent_across_c() {
 #[test]
 fn median_falls_back_to_naive_blackbox() {
     let ds = synth::generate(SynthConfig::easy(2).with_tuples_per_group(60));
-    let grouping = group_by(&ds.table, &[0]).unwrap();
-    let q = LabeledQuery {
-        table: &ds.table,
-        grouping: &grouping,
-        agg: &Median,
-        agg_attr: ds.agg_attr(),
-        outliers: ds.outlier_groups.iter().map(|&g| (g, 1.0)).collect(),
-        holdouts: ds.holdout_groups.clone(),
-    };
-    let cfg = ScorpionConfig {
-        params: InfluenceParams { lambda: 0.5, c: 0.5 },
-        explain_attrs: Some(ds.dim_attrs()),
-        ..ScorpionConfig::default()
-    };
-    let ex = explain(&q, &cfg).unwrap();
+    let req = synth_request(&ds, Arc::new(Median))
+        .params(0.5, 0.5)
+        .explain_attrs(ds.dim_attrs())
+        .build()
+        .unwrap();
+    let ex = req.explain().unwrap();
     assert_eq!(ex.diagnostics.algorithm, "naive");
     assert!(ex.best().influence.is_finite());
 }

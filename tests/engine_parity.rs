@@ -1,19 +1,18 @@
-//! Parity and warm-path guarantees of the `Explainer` engine API.
+//! Warm-path guarantees of the prepared-plan engines.
 //!
-//! Two families of checks, per algorithm (DT / MC / NAIVE):
+//! Per algorithm (DT / MC / NAIVE):
 //!
-//! 1. **Parity** — the owned engine path
-//!    (`ExplainRequest::prepare` + `PreparedPlan::run`) returns the
-//!    same ranked predicates and influences as the borrowed
-//!    `explain(&LabeledQuery, …)` path on planted workloads. The
-//!    influence cache stores per-group `(n, Δ)` pairs and replays the
-//!    exact scoring arithmetic, so equality is to machine precision.
-//!
-//! 2. **Warm runs** — a session's second run at a new `c` matches a
+//! 1. **Warm runs** — a session's second run at a new `c` matches a
 //!    cold run at that `c` (exactly for MC/NAIVE, whose searches are
 //!    deterministic; at-least-as-good for DT, whose warm merge sees a
 //!    superset of the cold inputs) while performing strictly fewer
 //!    scorer calls — the §8.3.3 cache generalized to every engine.
+//!
+//! 2. **Shared plans** — sessions shared through the server's plan cache
+//!    across threads answer exactly like a fresh single-threaded
+//!    `ExplainRequest::explain` per `(algorithm, c)`. The influence
+//!    cache stores per-group `(n, Δ)` pairs and replays the exact
+//!    scoring arithmetic, so equality is to machine precision.
 
 use scorpion::prelude::*;
 use std::sync::Arc;
@@ -79,35 +78,6 @@ fn assert_same_results(name: &str, a: &Explanation, b: &Explanation) {
     }
 }
 
-/// The engine path must reproduce the borrowed `explain()` path exactly.
-#[test]
-fn engine_api_matches_explain_for_all_algorithms() {
-    let t = planted(300);
-    let g = group_by(&t, &[0]).unwrap();
-    for (name, algo, agg) in algorithms() {
-        let c = 0.4;
-        let old = {
-            let q = LabeledQuery {
-                table: &t,
-                grouping: &g,
-                agg: agg.as_ref(),
-                agg_attr: 2,
-                outliers: vec![(0, 1.0)],
-                holdouts: vec![1],
-            };
-            let cfg = ScorpionConfig {
-                params: InfluenceParams { lambda: 0.5, c },
-                algorithm: algo.clone(),
-                ..ScorpionConfig::default()
-            };
-            explain(&q, &cfg).unwrap()
-        };
-        let new = request(&t, algo, agg, c).explain().unwrap();
-        assert_eq!(old.diagnostics.algorithm, new.diagnostics.algorithm);
-        assert_same_results(name, &old, &new);
-    }
-}
-
 /// Acceptance: the session accepts every engine, and a warm second run
 /// at a new `c` performs strictly fewer scorer calls than the cold run
 /// — for DT **and** MC **and** NAIVE.
@@ -161,14 +131,13 @@ fn warm_run_matches_cold_run_at_new_c() {
     }
 }
 
-/// MC and NAIVE sessions work through explicit engines too (not only
-/// via the request's algorithm field).
+/// An explicit algorithm on a request overrides what `Auto` would pick.
 #[test]
 fn explicit_engine_override() {
     let t = planted(200);
     let req = request(&t, Algorithm::Auto, Arc::new(Sum), 0.5);
-    let session =
-        ScorpionSession::with_engine(req, Box::new(McEngine::new(McConfig::default()))).unwrap();
+    let req = req.with_algorithm(Algorithm::BottomUp(McConfig::default()));
+    let session = ScorpionSession::new(req).unwrap();
     assert_eq!(session.algorithm(), "mc");
     let ex = session.run_default().unwrap();
     assert_eq!(ex.diagnostics.algorithm, "mc");
@@ -177,37 +146,24 @@ fn explicit_engine_override() {
 
 /// The server substrate under concurrency: N threads hammering one
 /// shared `TableRegistry`/`PlanCache` must produce bit-exact results vs
-/// the single-threaded borrowed `explain()` path — the shared sessions,
-/// shared influence caches, and racing plan builders may never change
-/// an answer. (DT is excluded from the bit-exact check: its warm merge
-/// legitimately sees a superset of the cold inputs across `c` values;
-/// it is asserted at-least-as-good instead.)
+/// a fresh single-threaded `explain()` per `(algorithm, c)` — the shared
+/// sessions, shared influence caches, and racing plan builders may never
+/// change an answer. (DT is excluded from the bit-exact check: its warm
+/// merge legitimately sees a superset of the cold inputs across `c`
+/// values; it is asserted at-least-as-good instead.)
 #[test]
-fn concurrent_shared_plan_cache_matches_borrowed_explain() {
+fn concurrent_shared_plan_cache_matches_fresh_explain() {
     use scorpion::server::{PlanCache, PlanEntry, PlanKey, TableRegistry};
 
     let t = planted(300);
-    let g = group_by(&t, &[0]).unwrap();
     let cs = [0.5, 0.3, 0.7];
 
-    // Single-threaded reference: the borrowed explain() path per (algo, c).
+    // Single-threaded reference: a fresh request per (algo, c).
     let mut reference = std::collections::HashMap::new();
     for (name, algo, agg) in algorithms() {
         for &c in &cs {
-            let q = LabeledQuery {
-                table: &t,
-                grouping: &g,
-                agg: agg.as_ref(),
-                agg_attr: 2,
-                outliers: vec![(0, 1.0)],
-                holdouts: vec![1],
-            };
-            let cfg = ScorpionConfig {
-                params: InfluenceParams { lambda: 0.5, c },
-                algorithm: algo.clone(),
-                ..ScorpionConfig::default()
-            };
-            reference.insert((name, c.to_bits()), explain(&q, &cfg).unwrap());
+            let fresh = request(&t, algo.clone(), agg.clone(), c).explain().unwrap();
+            reference.insert((name, c.to_bits()), fresh);
         }
     }
 
