@@ -191,9 +191,6 @@ pub struct ApproxState {
     /// through a fallback state is exact; the reason surfaces in
     /// [`crate::Diagnostics::approx_fallback`].
     pub(crate) fallback: Option<&'static str>,
-    /// Wall-clock nanoseconds spent building the samples — surfaced as
-    /// the `sampler.build` phase by the run that first reports it.
-    pub(crate) build_nanos: u64,
 }
 
 impl ApproxState {
@@ -206,7 +203,6 @@ impl ApproxState {
         holdouts: Vec<GroupSample>,
         fallback: Option<&'static str>,
         vals: &[f64],
-        build_nanos: u64,
     ) -> Self {
         let total: usize = outliers.iter().chain(&holdouts).map(|g| g.sampled.count_ones()).sum();
         let mut universe_rows = Vec::with_capacity(total);
@@ -229,7 +225,6 @@ impl ApproxState {
             slot_ranges,
             compressed: Mutex::new(HashMap::new()),
             fallback,
-            build_nanos,
         }
     }
 
@@ -269,11 +264,6 @@ impl ApproxState {
     /// approximate path is active).
     pub fn fallback(&self) -> Option<&'static str> {
         self.fallback
-    }
-
-    /// Nanoseconds spent building the per-group samples.
-    pub fn build_nanos(&self) -> u64 {
-        self.build_nanos
     }
 }
 

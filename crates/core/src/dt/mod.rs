@@ -32,10 +32,9 @@ use crate::result::{GroupStat, PartitionStats, ScoredPredicate};
 use crate::scorer::Scorer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scorpion_obs::{span, PhaseTiming, Phases};
+use scorpion_obs::span;
 use scorpion_table::{AttrDomain, Clause, Column, Predicate};
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 /// Counters describing one DT run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -50,14 +49,13 @@ pub struct DtDiag {
     pub sampled_fraction: f64,
 }
 
-/// The DT partitioner bound to a scorer.
+/// The DT partitioner bound to a scorer. Its pipeline stages are timed
+/// as `dt.*` phases on the scorer's phase list.
 pub struct DtPartitioner<'s, 'a> {
     scorer: &'s Scorer<'a>,
     attrs: Vec<usize>,
     domains: Vec<AttrDomain>,
     cfg: DtConfig,
-    /// Wall-clock attribution of the pipeline stages (`dt.*` phases).
-    phases: Phases,
 }
 
 /// A column borrowed for fast attribute access.
@@ -108,37 +106,31 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
         domains: Vec<AttrDomain>,
         cfg: DtConfig,
     ) -> Self {
-        DtPartitioner { scorer, attrs, domains, cfg, phases: Phases::new() }
-    }
-
-    /// Takes the `dt.*` phase timings accumulated by partitioning runs
-    /// so far (callers fold them into `Diagnostics.phases`).
-    pub fn take_phases(&self) -> Vec<PhaseTiming> {
-        self.phases.take()
+        DtPartitioner { scorer, attrs, domains, cfg }
     }
 
     /// Runs partitioning only: ranked, exactly scored partitions with the
     /// per-group statistics the Merger needs.
     pub fn partition(&self) -> Result<(Vec<ScoredPredicate>, DtDiag)> {
         let _span = span!("dt.partition");
+        let phases = self.scorer.phases();
         let mut diag = DtDiag::default();
         let cols = self.borrow_cols()?;
         let mut rng = StdRng::seed_from_u64(self.cfg.sampling.map(|s| s.seed).unwrap_or(0));
 
         // Outlier side.
-        let out_side = self.phases.time("dt.influences", || self.build_side(true))?;
-        let out_leaves = self
-            .phases
+        let out_side = phases.time("dt.influences", || self.build_side(true))?;
+        let out_leaves = phases
             .time("dt.grow", || self.grow(&out_side, &cols, &mut rng, &mut diag.sampled_fraction));
         diag.outlier_leaves = out_leaves.len();
 
         // Hold-out side (if any).
         let mut hold_preds: Vec<(Predicate, f64)> = Vec::new();
         if self.scorer.n_holdouts() > 0 {
-            let hold_side = self.phases.time("dt.influences", || self.build_side(false))?;
+            let hold_side = phases.time("dt.influences", || self.build_side(false))?;
             let mut dummy = 0.0;
             let hold_leaves =
-                self.phases.time("dt.grow", || self.grow(&hold_side, &cols, &mut rng, &mut dummy));
+                phases.time("dt.grow", || self.grow(&hold_side, &cols, &mut rng, &mut dummy));
             diag.holdout_leaves = hold_leaves.len();
             hold_preds = hold_leaves
                 .iter()
@@ -148,10 +140,10 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
 
         // §6.1.4: carve outlier partitions along influential hold-out
         // partitions.
-        let combined = self.phases.time("dt.carve", || self.combine(&out_leaves, &hold_preds));
+        let combined = phases.time("dt.carve", || self.combine(&out_leaves, &hold_preds));
         diag.partitions = combined.len();
 
-        let mut scored = self.phases.time("dt.finalize", || self.finalize(combined))?;
+        let mut scored = phases.time("dt.finalize", || self.finalize(combined))?;
         // Bound the Merger's (quadratic) input; the ranking is exact, so
         // only the weakest partitions are dropped.
         scored.truncate(self.cfg.max_partitions.max(1));
@@ -162,7 +154,7 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
     pub fn run(&self) -> Result<(Vec<ScoredPredicate>, DtDiag, MergeDiag)> {
         let (parts, diag) = self.partition()?;
         let merger = Merger::new(self.scorer, &self.domains, self.cfg.merger.clone());
-        let (merged, mdiag) = self.phases.time("run.merge", || merger.merge(parts))?;
+        let (merged, mdiag) = self.scorer.phases().time("run.merge", || merger.merge(parts))?;
         Ok((merged, diag, mdiag))
     }
 
@@ -258,6 +250,7 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
         // quarter of the root's tuples.
         let root_total: usize = slices.iter().map(|s| s.sample.len()).sum();
         let min_size = self.cfg.min_partition_size.min((root_total / 4).max(2));
+        let phases = self.scorer.phases();
         let mut leaves = Vec::new();
         let mut stack = vec![Node { pred: Predicate::all(), slices, depth: 0 }];
         while let Some(node) = stack.pop() {
@@ -272,19 +265,10 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
                 leaves.push(node);
                 continue;
             }
-            let split = {
-                let _span = span!("dt.split");
-                let start = Instant::now();
-                let split = self.best_split(side, cols, &node);
-                self.phases.add("dt.split", start.elapsed());
-                split
-            };
-            match split {
+            match phases.time("dt.split", || self.best_split(side, cols, &node)) {
                 Some(split) => {
-                    let _span = span!("dt.expand");
-                    let start = Instant::now();
-                    let (l, r) = self.apply_split(side, cols, node, &split, rng);
-                    self.phases.add("dt.expand", start.elapsed());
+                    let (l, r) = phases
+                        .time("dt.expand", || self.apply_split(side, cols, node, &split, rng));
                     stack.push(l);
                     stack.push(r);
                 }

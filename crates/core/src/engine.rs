@@ -37,11 +37,11 @@ use crate::request::ExplainRequest;
 use crate::result::{Diagnostics, Explanation, ScoredPredicate};
 use crate::scorer::{resolve_threads, InfluenceCache, Scorer};
 use parking_lot::Mutex;
-use scorpion_obs::{merge_phases, span, PhaseTiming};
+use scorpion_obs::{merge_phases, span, PhaseTiming, Phases};
 use scorpion_table::{domains_of, AttrDomain, ClauseMaskCache, OrdF64, Predicate};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The product of [`ExplainRequest::prepare`]: owned, `Send + Sync`,
 /// and cheap to re-run under any [`InfluenceParams`].
@@ -94,12 +94,14 @@ pub trait PreparedPlan: Send + Sync {
 struct PrepCost {
     calls: u64,
     runtime: Duration,
-    /// Prepare-side phase timings, merged into the first run's phases.
+    /// Prepare-side phase timings (`prepare` first), placed ahead of
+    /// the first run's phases.
     phases: Vec<PhaseTiming>,
 }
 
 /// What one engine's scoring loop produced; [`PlanCore::run`] folds it
-/// into the run's [`Diagnostics`].
+/// into the run's [`Diagnostics`]. The loop's phases are on the run
+/// scorer's phase list.
 struct RunOutput {
     /// Ranked predicates, best first (empty means "no explanation": the
     /// all-predicate is substituted).
@@ -107,8 +109,6 @@ struct RunOutput {
     candidates: u64,
     partitions: usize,
     budget_exhausted: bool,
-    /// The engine's run-side phases (`run.score`, `run.merge`, `mc.*`).
-    phases: Vec<PhaseTiming>,
 }
 
 /// The state and bookkeeping every plan shares, whatever its algorithm.
@@ -132,20 +132,24 @@ impl PlanCore {
     /// scorer, select attributes (unless `attrs` carries a selection
     /// over from a rebound plan — the §6.4 ranking is a property of the
     /// labeling, not of one window snapshot), build the sampler state
-    /// and domains, then run the engine's `step`. The step returns its
-    /// artifacts and its phases; the whole prepare becomes the cost the
-    /// first run is charged.
+    /// and domains, then run the engine's `step`, which times its own
+    /// phases on the scorer. The whole prepare — the `prepare` phase and
+    /// everything under it — becomes the cost the first run is charged.
     fn prepare<T>(
         req: &ExplainRequest,
         attrs: Option<Vec<usize>>,
-        step: impl FnOnce(&Scorer<'_>, &[usize], &[AttrDomain]) -> Result<(T, Vec<PhaseTiming>)>,
+        step: impl FnOnce(&Scorer<'_>, &[usize], &[AttrDomain]) -> Result<T>,
     ) -> Result<(PlanCore, T)> {
-        let _span = span!("prepare");
-        let start = Instant::now();
+        let phases = Arc::new(Phases::new());
+        let prepare = phases.enter("prepare");
         req.validate()?;
         let cache = Arc::new(InfluenceCache::with_capacity_bound(req.influence_cache_entries()));
         let masks = Arc::new(ClauseMaskCache::new());
-        let scorer = req.scorer()?.with_cache(cache.clone()).with_mask_cache(masks.clone());
+        let scorer = req
+            .scorer()?
+            .with_cache(cache.clone())
+            .with_mask_cache(masks.clone())
+            .with_phases(phases.clone());
         let attrs = match attrs {
             Some(attrs) => attrs,
             None => {
@@ -158,12 +162,9 @@ impl PlanCore {
         };
         let approx_state = req.approx().map(|cfg| scorer.build_approx(*cfg)).transpose()?;
         let domains = domains_of(&req.table)?;
-        let (artifacts, step_phases) = step(&scorer, &attrs, &domains)?;
-        let runtime = start.elapsed();
-        let mut phases = vec![PhaseTiming::once("prepare", runtime)];
-        merge_phases(&mut phases, step_phases);
-        merge_phases(&mut phases, scorer.timing_phases());
-        let prep_cost = PrepCost { calls: scorer.scorer_calls(), runtime, phases };
+        let artifacts = step(&scorer, &attrs, &domains)?;
+        let runtime = prepare.finish();
+        let prep_cost = PrepCost { calls: scorer.scorer_calls(), runtime, phases: phases.take() };
         let core = PlanCore {
             req: req.clone(),
             attrs,
@@ -208,8 +209,7 @@ impl PlanCore {
         params: &InfluenceParams,
         score: impl FnOnce(&Scorer<'_>) -> Result<RunOutput>,
     ) -> Result<Explanation> {
-        let _span = span!("run");
-        let start = Instant::now();
+        let run = span!("run");
         let mut scorer = self
             .req
             .scorer_at(*params)?
@@ -221,13 +221,13 @@ impl PlanCore {
             scorer = scorer.with_approx_state(state.clone());
         }
         let out = score(&scorer)?;
+        let runtime = run.finish();
         let prep = self.prep_cost.lock().take().unwrap_or_default();
         let mut phases = prep.phases;
-        merge_phases(&mut phases, out.phases);
-        merge_phases(&mut phases, scorer.timing_phases());
+        merge_phases(&mut phases, scorer.phases().take());
         let mut diagnostics = Diagnostics {
             algorithm,
-            runtime: start.elapsed() + prep.runtime,
+            runtime: runtime + prep.runtime,
             scorer_calls: scorer.scorer_calls() + prep.calls,
             cache_hits: scorer.cache_hits(),
             cache_evictions: scorer.cache_evictions(),
@@ -253,15 +253,6 @@ impl PlanCore {
         };
         Ok(Explanation { predicates, diagnostics })
     }
-}
-
-/// Runs an engine's scoring loop under the `score` span, timed as the
-/// `run.score` phase.
-fn score_phase<T>(score: impl FnOnce() -> Result<T>) -> Result<(T, PhaseTiming)> {
-    let _span = span!("score");
-    let start = Instant::now();
-    let out = score()?;
-    Ok((out, PhaseTiming::once("run.score", start.elapsed())))
 }
 
 /// An anytime engine's time budget under a caller's wall-clock budget:
@@ -326,8 +317,7 @@ impl DtPlan {
         }
         let (core, partitions) = PlanCore::prepare(req, None, |scorer, attrs, domains| {
             let dt = DtPartitioner::new(scorer, attrs.to_vec(), domains.to_vec(), cfg.clone());
-            let (partitions, _) = dt.partition()?;
-            Ok((partitions, dt.take_phases()))
+            Ok(dt.partition()?.0)
         })?;
         Ok(Box::new(DtPlan { core, cfg, partitions, state: Mutex::default() }))
     }
@@ -350,7 +340,7 @@ impl PreparedPlan for DtPlan {
             // approximate mode the batch is interval-pruned first; the
             // Merger re-scores its top results exactly, so reported
             // predicates stay exact.
-            let (input, score) = score_phase(|| {
+            let input = scorer.phases().time("run.score", || -> Result<_> {
                 let mut input = self.partitions.clone();
                 let preds: Vec<Predicate> = input.iter().map(|sp| sp.predicate.clone()).collect();
                 let threads = resolve_threads(self.cfg.score_threads);
@@ -387,10 +377,8 @@ impl PreparedPlan for DtPlan {
                 Ok(input)
             })?;
 
-            let merge_start = Instant::now();
             let merger = Merger::new(scorer, &self.core.domains, self.cfg.merger.clone());
-            let (merged, _) = merger.merge(input)?;
-            let merge = PhaseTiming::once("run.merge", merge_start.elapsed());
+            let (merged, _) = scorer.phases().time("run.merge", || merger.merge(input))?;
             {
                 let mut st = self.state.lock();
                 st.merged_by_c.insert(OrdF64(params.c), merged.clone());
@@ -403,7 +391,6 @@ impl PreparedPlan for DtPlan {
                 candidates: n_partitions as u64,
                 partitions: n_partitions,
                 budget_exhausted: false,
-                phases: vec![score, merge],
             })
         })
     }
@@ -455,9 +442,7 @@ impl McPlan {
         attrs: Option<Vec<usize>>,
     ) -> Result<Box<dyn PreparedPlan>> {
         let (core, units) = PlanCore::prepare(req, attrs, |scorer, attrs, domains| {
-            let start = Instant::now();
-            let units = initial_units(scorer, attrs, domains, &cfg)?;
-            Ok((units, vec![PhaseTiming::once("mc.units", start.elapsed())]))
+            scorer.phases().time("mc.units", || initial_units(scorer, attrs, domains, &cfg))
         })?;
         Ok(Box::new(McPlan { core, cfg, units }))
     }
@@ -478,18 +463,15 @@ impl PreparedPlan for McPlan {
             ..self.cfg.clone()
         };
         self.core.run(self.algorithm(), params, |scorer| {
-            let ((predicates, mdiag), score) = score_phase(|| {
+            let (predicates, mdiag) = scorer.phases().time("run.score", || {
                 let core = &self.core;
                 mc_search_units(scorer, &core.attrs, &core.domains, &cfg, self.units.clone())
             })?;
-            let mut phases = vec![score];
-            merge_phases(&mut phases, mdiag.phases);
             Ok(RunOutput {
                 predicates,
                 candidates: mdiag.scored,
                 partitions: mdiag.initial_units,
                 budget_exhausted: mdiag.budget_exhausted,
-                phases,
             })
         })
     }
@@ -526,9 +508,9 @@ impl NaivePlan {
         attrs: Option<Vec<usize>>,
     ) -> Result<Box<dyn PreparedPlan>> {
         let (core, candidates) = PlanCore::prepare(req, attrs, |scorer, attrs, domains| {
-            let start = Instant::now();
-            let candidates = naive_candidates(scorer, attrs, domains, &cfg)?;
-            Ok((candidates, vec![PhaseTiming::once("naive.candidates", start.elapsed())]))
+            scorer
+                .phases()
+                .time("naive.candidates", || naive_candidates(scorer, attrs, domains, &cfg))
         })?;
         Ok(Box::new(NaivePlan { core, cfg, candidates }))
     }
@@ -549,14 +531,14 @@ impl PreparedPlan for NaivePlan {
             ..self.cfg.clone()
         };
         self.core.run(self.algorithm(), params, |scorer| {
-            let (out, score) =
-                score_phase(|| naive_search_prepared(scorer, &self.candidates, &cfg))?;
+            let out = scorer
+                .phases()
+                .time("run.score", || naive_search_prepared(scorer, &self.candidates, &cfg))?;
             Ok(RunOutput {
                 predicates: vec![out.best],
                 candidates: out.evaluated,
                 partitions: 0,
                 budget_exhausted: !out.completed,
-                phases: vec![score],
             })
         })
     }
@@ -652,8 +634,14 @@ mod tests {
             Algorithm::BottomUp(McConfig::default()),
             Algorithm::Naive(NaiveConfig::default()),
         ];
-        let prepares = |ex: &Explanation| -> u64 {
-            ex.diagnostics.phases.iter().filter(|p| p.name == "prepare").map(|p| p.count).sum()
+        let count = |ex: &Explanation, name: &str| -> u64 {
+            ex.diagnostics.phases.iter().filter(|p| p.name == name).map(|p| p.count).sum()
+        };
+        // Every uncached evaluation, prepare-side or run-side, is timed
+        // once as `scorer.mask`: the phase count is the scorer-call count.
+        let mask_matches_calls = |ex: &Explanation| {
+            let d = &ex.diagnostics;
+            assert_eq!(count(ex, "scorer.mask"), d.scorer_calls, "{}: {:?}", d.algorithm, d.phases);
         };
         for algorithm in algorithms {
             let req = request(algorithm, 0.5);
@@ -664,16 +652,27 @@ mod tests {
                 let first = plan.run_with_budget(&req.params(), budget).unwrap();
                 let algo = first.diagnostics.algorithm;
                 let names: Vec<&str> = first.diagnostics.phases.iter().map(|p| p.name).collect();
-                assert_eq!(prepares(&first), 1, "{algo}/{budget:?}: first run in {names:?}");
+                assert_eq!(
+                    count(&first, "prepare"),
+                    1,
+                    "{algo}/{budget:?}: first run in {names:?}"
+                );
+                assert_eq!(names[0], "prepare", "{algo}/{budget:?}: prepare not first");
                 assert!(
                     first.diagnostics.phases.iter().all(|p| p.count > 0),
                     "{names:?} has zero-count phases"
                 );
+                mask_matches_calls(&first);
                 for later in [plan.run(&req.params()), plan.run_with_budget(&req.params(), budget)]
                 {
                     let later = later.unwrap();
-                    assert_eq!(prepares(&later), 0, "{algo}/{budget:?}: prepare charged twice");
+                    assert_eq!(
+                        count(&later, "prepare"),
+                        0,
+                        "{algo}/{budget:?}: prepare charged twice"
+                    );
                     assert!(!later.diagnostics.phases.is_empty(), "{algo}: warm run has no phases");
+                    mask_matches_calls(&later);
                 }
             }
         }

@@ -33,7 +33,7 @@ pub mod dt;
 pub mod engine;
 mod error;
 pub mod features;
-pub mod lru;
+mod lru;
 pub mod mc;
 pub mod merger;
 pub mod naive;
@@ -51,7 +51,6 @@ pub use config::{
 };
 pub use engine::PreparedPlan;
 pub use error::{Result, ScorpionError};
-pub use lru::LruShard;
 pub use prepared::PreparedQuery;
 pub use request::{label_extremes, ExplainRequest, RequestBuilder, Scorpion};
 pub use result::{Diagnostics, Explanation, GroupStat, PartitionStats, ScoredPredicate};

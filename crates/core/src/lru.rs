@@ -1,6 +1,6 @@
-//! A lazily maintained LRU map shard, shared by every bounded cache in
-//! the workspace (the Scorer's [`crate::InfluenceCache`], the server's
-//! plan cache).
+//! A lazily maintained LRU map shard: the recency and eviction core of
+//! the Scorer's [`crate::InfluenceCache`]. (The server's plan cache has
+//! its own cost-aware shard.)
 //!
 //! Map values carry a last-access tick; the recency queue holds each
 //! resident key exactly once, stamped with the tick it was enqueued at.

@@ -24,7 +24,7 @@ use crate::error::Result;
 use crate::merger::{MergeDiag, Merger};
 use crate::result::ScoredPredicate;
 use crate::scorer::Scorer;
-use scorpion_obs::{span, PhaseTiming, Phases};
+use scorpion_obs::span;
 use scorpion_table::{bin_edges, AttrDomain, Clause, Predicate};
 use std::collections::{HashMap, HashSet};
 
@@ -45,13 +45,11 @@ pub struct McDiag {
     /// before the level loop converged; the returned predicates are the
     /// best found so far.
     pub budget_exhausted: bool,
-    /// Per-phase wall-clock attribution (`mc.*` phases), summed across
-    /// levels.
-    pub phases: Vec<PhaseTiming>,
 }
 
 /// Runs the MC search over the given explanation attributes. Returns the
-/// ranked result list (best first) and diagnostics.
+/// ranked result list (best first) and diagnostics. Level work is timed
+/// as `mc.*` phases on the scorer's phase list.
 pub fn mc_search(
     scorer: &Scorer<'_>,
     attrs: &[usize],
@@ -77,7 +75,7 @@ pub fn mc_search_units(
     let mut diag = McDiag::default();
     let merger = Merger::new(scorer, domains, cfg.merger.clone());
     let threads = crate::scorer::resolve_threads(cfg.score_threads);
-    let phases = Phases::new();
+    let phases = scorer.phases();
     // Anytime budget: checked between whole level phases (score, prune,
     // merge, intersect are each uninterruptible) — level granularity is
     // the natural checkpoint, since every completed level has already
@@ -91,7 +89,6 @@ pub fn mc_search_units(
     let mut scored =
         phases.time("mc.level_score", || score_all(scorer, units, threads, top_k, &mut diag))?;
     if scored.is_empty() {
-        diag.phases = phases.take();
         return Ok((vec![ScoredPredicate::new(Predicate::all(), 0.0)], diag));
     }
 
@@ -187,7 +184,6 @@ pub fn mc_search_units(
     if results.is_empty() {
         results.push(ScoredPredicate::new(Predicate::all(), 0.0));
     }
-    diag.phases = phases.take();
     Ok((results, diag))
 }
 

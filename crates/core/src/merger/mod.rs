@@ -60,7 +60,6 @@ impl<'s, 'a> Merger<'s, 'a> {
     /// Merges the ranked input list, returning a ranked result list
     /// (exactly scored, best first) and diagnostics.
     pub fn merge(&self, input: Vec<ScoredPredicate>) -> Result<(Vec<ScoredPredicate>, MergeDiag)> {
-        let _span = span!("merge");
         let mut diag = MergeDiag::default();
         if input.is_empty() {
             return Ok((Vec::new(), diag));

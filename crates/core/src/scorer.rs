@@ -24,7 +24,7 @@ use crate::error::{Result, ScorpionError};
 use crate::lru::LruShard;
 use parking_lot::Mutex;
 use scorpion_agg::{AggState, Aggregate, IncrementalAggregate};
-use scorpion_obs::PhaseTiming;
+use scorpion_obs::Phases;
 use scorpion_table::{
     intersect_count_words, ClauseMaskCache, Predicate, PredicateMask, PredicateMatcher, RowMask,
     Table,
@@ -33,7 +33,6 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// `n^c` for the interval pass. `c = 0.5` (the paper's default) hits
 /// `sqrt` instead of the generic `powf`; any ulp drift against the exact
@@ -315,14 +314,9 @@ pub struct Scorer<'a> {
     /// attribution stays per-run even when concurrent runs share one
     /// cache (mirrors the per-Scorer `cache_hits` counter).
     mask_hits: AtomicU64,
-    /// Nanoseconds spent in uncached mask-path evaluations, and how
-    /// many there were — the `scorer.mask` phase.
-    mask_nanos: AtomicU64,
-    mask_timed: AtomicU64,
-    /// Nanoseconds spent in the row-at-a-time oracle — the
-    /// `scorer.rowwise` phase.
-    rowwise_nanos: AtomicU64,
-    rowwise_timed: AtomicU64,
+    /// The phase list this Scorer's timed scopes record into (see
+    /// [`Scorer::phases`]).
+    phases: Arc<Phases>,
     /// Sampler state of the two-stage approximate search; `None` keeps
     /// every batch exact.
     approx: Option<Arc<ApproxState>>,
@@ -333,12 +327,6 @@ pub struct Scorer<'a> {
     /// (bounds are non-negative, so `f64` bit order equals value order
     /// and a monotonic `fetch_max` suffices).
     bound_bits: AtomicU64,
-    /// Nanoseconds building sampler state — the `sampler.build` phase.
-    sampler_build_nanos: AtomicU64,
-    sampler_build_timed: AtomicU64,
-    /// Nanoseconds in interval-bound passes — the `sampler.bound` phase.
-    sampler_bound_nanos: AtomicU64,
-    sampler_bound_timed: AtomicU64,
 }
 
 impl<'a> Scorer<'a> {
@@ -426,17 +414,10 @@ impl<'a> Scorer<'a> {
             cache: None,
             masks: Arc::new(ClauseMaskCache::new()),
             mask_hits: AtomicU64::new(0),
-            mask_nanos: AtomicU64::new(0),
-            mask_timed: AtomicU64::new(0),
-            rowwise_nanos: AtomicU64::new(0),
-            rowwise_timed: AtomicU64::new(0),
+            phases: Arc::default(),
             approx: None,
             pruned: AtomicU64::new(0),
             bound_bits: AtomicU64::new(0),
-            sampler_build_nanos: AtomicU64::new(0),
-            sampler_build_timed: AtomicU64::new(0),
-            sampler_bound_nanos: AtomicU64::new(0),
-            sampler_bound_timed: AtomicU64::new(0),
         })
     }
 
@@ -457,6 +438,24 @@ impl<'a> Scorer<'a> {
     pub fn with_mask_cache(mut self, masks: Arc<ClauseMaskCache>) -> Self {
         self.masks = masks;
         self
+    }
+
+    /// Records this Scorer's timed scopes into `phases` — the list of
+    /// the run (or prepare step) the Scorer serves — instead of a list
+    /// of its own.
+    #[must_use]
+    pub(crate) fn with_phases(mut self, phases: Arc<Phases>) -> Self {
+        self.phases = phases;
+        self
+    }
+
+    /// The phase list this Scorer records into: its own uncached
+    /// evaluations (`scorer.mask`), the approximate search's
+    /// sampler-state construction (`sampler.build`) and interval-bound
+    /// passes (`sampler.bound`), plus whatever the partitioners and the
+    /// engine driving it time there. Cache hits are not timed.
+    pub fn phases(&self) -> &Phases {
+        &self.phases
     }
 
     /// The clause-mask cache this Scorer evaluates through.
@@ -534,7 +533,7 @@ impl<'a> Scorer<'a> {
                 "approx sample_rate must be in (0.0, 1.0] and confidence in (0.5, 1.0]",
             ));
         }
-        let start = Instant::now();
+        let _scope = self.phases.enter("sampler.build");
         let fallback = match self.inc {
             None => Some("aggregate is not incrementally removable; scored exactly"),
             // Probe the closed-form hook once: the empty removal is
@@ -554,17 +553,7 @@ impl<'a> Scorer<'a> {
                 .collect()
         };
         let (outliers, holdouts) = (build(&self.outliers), build(&self.holdouts));
-        let state = ApproxState::assemble(
-            cfg,
-            outliers,
-            holdouts,
-            fallback,
-            self.vals,
-            start.elapsed().as_nanos() as u64,
-        );
-        self.sampler_build_nanos.fetch_add(state.build_nanos, Ordering::Relaxed);
-        self.sampler_build_timed.fetch_add(1, Ordering::Relaxed);
-        Ok(Arc::new(state))
+        Ok(Arc::new(ApproxState::assemble(cfg, outliers, holdouts, fallback, self.vals)))
     }
 
     /// Attaches prebuilt sampler state. The state must have been built
@@ -661,33 +650,6 @@ impl<'a> Scorer<'a> {
     /// several runs share one cache concurrently.
     pub fn cache_evictions(&self) -> u64 {
         self.cache_evictions.load(Ordering::Relaxed)
-    }
-
-    /// Wall-clock attribution of this Scorer's uncached evaluations:
-    /// time in the vectorized mask-kernel path (`scorer.mask`) vs the
-    /// row-at-a-time oracle (`scorer.rowwise`), plus the approximate
-    /// search's sampler-state construction (`sampler.build`) and
-    /// interval-bound passes (`sampler.bound`). Cache hits do none of
-    /// these kinds of work and are not timed.
-    pub fn timing_phases(&self) -> Vec<PhaseTiming> {
-        [
-            ("scorer.mask", &self.mask_nanos, &self.mask_timed),
-            ("scorer.rowwise", &self.rowwise_nanos, &self.rowwise_timed),
-            ("sampler.build", &self.sampler_build_nanos, &self.sampler_build_timed),
-            ("sampler.bound", &self.sampler_bound_nanos, &self.sampler_bound_timed),
-        ]
-        .into_iter()
-        .filter_map(|(name, nanos, count)| {
-            let count = count.load(Ordering::Relaxed);
-            (count > 0).then(|| PhaseTiming { name, nanos: nanos.load(Ordering::Relaxed), count })
-        })
-        .collect()
-    }
-
-    #[inline]
-    fn note_mask_time(&self, start: Instant) {
-        self.mask_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.mask_timed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The bitmap of `p` over this Scorer's table, through the attached
@@ -820,9 +782,8 @@ impl<'a> Scorer<'a> {
     /// [`PredicateMatcher`] — the pre-vectorization reference
     /// implementation, kept as the parity oracle (and the baseline the
     /// `influence_throughput` bench measures the mask path against). No
-    /// caches are consulted and no counters advance.
+    /// caches are consulted, no counters advance, and nothing is timed.
     pub fn influence_rowwise(&self, p: &Predicate) -> Result<f64> {
-        let start = Instant::now();
         let m = p.matcher(self.table)?;
         let mut sum = 0.0;
         for ctx in &self.outliers {
@@ -835,8 +796,6 @@ impl<'a> Scorer<'a> {
             let (d, n) = self.delta_ctx_rowwise(ctx, &m);
             hold = hold.max(self.inf_from_delta(d, n as f64, 1.0).abs());
         }
-        self.rowwise_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.rowwise_timed.fetch_add(1, Ordering::Relaxed);
         Ok(self.combine_terms(out, hold))
     }
 
@@ -935,28 +894,32 @@ impl<'a> Scorer<'a> {
     pub fn influence(&self, p: &Predicate) -> Result<f64> {
         let Some(cache) = &self.cache else {
             self.calls.fetch_add(1, Ordering::Relaxed);
-            let start = Instant::now();
+            let _scope = self.phases.enter("scorer.mask");
             let pm = self.predicate_mask(p)?;
-            let inf =
-                self.combine_terms(self.outlier_term_direct(&pm), self.holdout_term_direct(&pm));
-            self.note_mask_time(start);
-            return Ok(inf);
+            return Ok(
+                self.combine_terms(self.outlier_term_direct(&pm), self.holdout_term_direct(&pm))
+            );
         };
+        let g = self.cached_pairs(cache, p)?;
+        Ok(self.combine_terms(self.outlier_term_from(&g.0), self.holdout_term_from(&g.1)))
+    }
+
+    /// `p`'s `(n, Δ)` pairs over every labeled group, through `cache`. A
+    /// miss is one uncached evaluation, timed as `scorer.mask` and
+    /// stored.
+    fn cached_pairs(&self, cache: &InfluenceCache, p: &Predicate) -> Result<Arc<GroupPairs>> {
         if let Some(CachedEval { groups: Some(g), .. }) = cache.get(p) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(
-                self.combine_terms(self.outlier_term_from(&g.0), self.holdout_term_from(&g.1))
-            );
+            return Ok(g);
         }
         self.calls.fetch_add(1, Ordering::Relaxed);
-        let start = Instant::now();
+        let scope = self.phases.enter("scorer.mask");
         let pm = self.predicate_mask(p)?;
-        let (o, h) = (self.outlier_pairs(&pm), self.holdout_pairs(&pm));
-        let inf = self.combine_terms(self.outlier_term_from(&o), self.holdout_term_from(&h));
-        self.note_mask_time(start);
-        let evicted = cache.store_groups(p, Arc::new((o, h)));
+        let pairs = Arc::new((self.outlier_pairs(&pm), self.holdout_pairs(&pm)));
+        drop(scope);
+        let evicted = cache.store_groups(p, pairs.clone());
         self.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
-        Ok(inf)
+        Ok(pairs)
     }
 
     /// Hold-out-free influence `inf(O, ∅, p, V)` — MC's conservative
@@ -968,25 +931,12 @@ impl<'a> Scorer<'a> {
     pub fn influence_outliers_only(&self, p: &Predicate) -> Result<f64> {
         let Some(cache) = &self.cache else {
             self.calls.fetch_add(1, Ordering::Relaxed);
-            let start = Instant::now();
+            let _scope = self.phases.enter("scorer.mask");
             let pm = self.predicate_mask(p)?;
-            let inf = self.params.lambda * self.outlier_term_direct(&pm);
-            self.note_mask_time(start);
-            return Ok(inf);
+            return Ok(self.params.lambda * self.outlier_term_direct(&pm));
         };
-        if let Some(CachedEval { groups: Some(g), .. }) = cache.get(p) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(self.params.lambda * self.outlier_term_from(&g.0));
-        }
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        let start = Instant::now();
-        let pm = self.predicate_mask(p)?;
-        let (o, h) = (self.outlier_pairs(&pm), self.holdout_pairs(&pm));
-        let inf = self.params.lambda * self.outlier_term_from(&o);
-        self.note_mask_time(start);
-        let evicted = cache.store_groups(p, Arc::new((o, h)));
-        self.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
-        Ok(inf)
+        let g = self.cached_pairs(cache, p)?;
+        Ok(self.params.lambda * self.outlier_term_from(&g.0))
     }
 
     /// Per-tuple deltas of outlier group `g`, aligned with its rows.
@@ -1417,7 +1367,7 @@ impl<'a> Scorer<'a> {
             };
         }
         let st = self.approx.as_ref().expect("checked above").clone();
-        let start = Instant::now();
+        let bound_pass = self.phases.enter("sampler.bound");
         // No cache pre-warm pass: `sampled_stats` evaluates (and counts
         // hits for) each distinct clause itself, and the survivor batch
         // re-warms serially before any fan-out.
@@ -1431,8 +1381,7 @@ impl<'a> Scorer<'a> {
         } else {
             f64::NEG_INFINITY
         };
-        self.sampler_bound_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.sampler_bound_timed.fetch_add(1, Ordering::Relaxed);
+        drop(bound_pass);
         // NaN-safe survivorship: only a *provably* dominated candidate
         // (`hi < L`) is pruned; NaN intervals and mask errors survive to
         // exact scoring.

@@ -1,6 +1,6 @@
 //! Dependency-free observability for the Scorpion workspace.
 //!
-//! Four small pieces, designed to be cheap enough to leave compiled
+//! Small pieces, designed to be cheap enough to leave compiled
 //! into the hot path:
 //!
 //! - [`Histogram`]: a log-scale (HDR-style, power-of-two octaves with
@@ -9,10 +9,14 @@
 //! - [`Phases`] / [`PhaseTiming`]: named monotonic-clock phase timers
 //!   that accumulate `(nanos, count)` per phase — the data behind
 //!   `Diagnostics.phases` and the CLI `--verbose` table.
-//! - [`Recorder`] / [`span!`]: a global span recorder with RAII scope
-//!   guards. Disabled (the default) it costs one relaxed atomic load
-//!   per span site; enabled it buffers spans thread-locally and
-//!   flushes them to a bounded global ring.
+//! - [`ScopeGuard`]: the one RAII timer. [`Phases::enter`] returns it
+//!   for a phase, [`span!`] for a trace-only scope. It reads the clock
+//!   at entry and exit, adds its phase, and records a span of the same
+//!   name while the [`Recorder`] is on.
+//! - [`Recorder`]: the global span recorder. Disabled (the default) a
+//!   closing scope pays one relaxed atomic load for it; enabled it
+//!   buffers spans thread-locally and flushes them to a bounded global
+//!   ring.
 //! - [`chrome_trace_json`] and [`PromText`]: export completed spans as
 //!   Chrome `chrome://tracing` JSON, and counters/gauges/histograms as
 //!   Prometheus text exposition.
@@ -31,26 +35,27 @@ mod telemetry;
 mod trace;
 
 pub use histogram::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, NUM_BUCKETS};
-pub use phase::{merge_phases, PhaseTiming, Phases};
+pub use phase::{merge_phases, PhaseTiming, Phases, ScopeGuard};
 pub use prom::PromText;
-pub use recorder::{recorder, Recorder, Span, SpanGuard};
+pub use recorder::{recorder, Recorder, Span};
 pub use telemetry::{
     next_trace_id, telemetry, CacheHit, Telemetry, TelemetryEvent, DEFAULT_TELEMETRY_EVENTS,
 };
 pub use trace::{chrome_trace_json, write_chrome_trace};
 
-/// Opens a named span scope on the global [`Recorder`], returning the
-/// RAII guard. Bind it to keep the span open for the rest of the block:
+/// Opens a trace-only scope: a [`ScopeGuard`] with no phase list that
+/// records a span named `name` while the global [`Recorder`] is on.
+/// Bind it to keep the scope open for the rest of the block:
 ///
 /// ```
-/// let _span = scorpion_obs::span!("dt.split");
+/// let _span = scorpion_obs::span!("dt.partition");
 /// ```
 ///
-/// When the recorder is disabled (the default) this is one relaxed
-/// atomic load and no clock read.
+/// Scopes that are also phases use [`Phases::enter`] instead, which
+/// records the same span.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
-        $crate::recorder().start($name)
+        $crate::ScopeGuard::span($name)
     };
 }

@@ -1,11 +1,14 @@
 //! Named phase timers: coarse, always-on wall-clock attribution.
 //!
 //! A [`Phases`] accumulator lives wherever timing is collected (a
-//! partitioner, a prepared plan) and aggregates `(nanos, count)` per
-//! phase name. Snapshots come out as `Vec<PhaseTiming>` — the payload
-//! of `Diagnostics.phases`.
+//! scorer, a stream window) and aggregates `(nanos, count)` per phase
+//! name. Scopes are timed with the [`ScopeGuard`] that
+//! [`Phases::enter`] returns; the same guard records a span of the
+//! same name while the global [`crate::Recorder`] is on, so phase
+//! tables and traces share one set of names. Snapshots come out as
+//! `Vec<PhaseTiming>` — the payload of `Diagnostics.phases`.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Accumulated wall-clock time of one named phase.
@@ -20,11 +23,6 @@ pub struct PhaseTiming {
 }
 
 impl PhaseTiming {
-    /// A single-run timing of `elapsed` wall-clock time.
-    pub fn once(name: &'static str, elapsed: Duration) -> Self {
-        PhaseTiming { name, nanos: elapsed.as_nanos() as u64, count: 1 }
-    }
-
     /// Total time in milliseconds.
     pub fn millis(&self) -> f64 {
         self.nanos as f64 / 1e6
@@ -50,7 +48,10 @@ pub fn merge_phases(dst: &mut Vec<PhaseTiming>, src: impl IntoIterator<Item = Ph
 /// short (tens of entries), so a mutex-guarded vec is cheap.
 #[derive(Debug, Default)]
 pub struct Phases {
-    inner: Mutex<Vec<PhaseTiming>>,
+    /// Each phase with the instant its first scope was entered, in that
+    /// order — so an enclosing phase lists before the phases it
+    /// contains, although it closes after them.
+    inner: Mutex<Vec<(Instant, PhaseTiming)>>,
 }
 
 impl Phases {
@@ -59,39 +60,97 @@ impl Phases {
         Phases::default()
     }
 
-    /// Adds one elapsed duration to `name`.
-    pub fn add(&self, name: &'static str, elapsed: Duration) {
-        self.add_nanos(name, elapsed.as_nanos() as u64, 1);
+    /// Opens a scope timed as phase `name`; it closes when the guard is
+    /// dropped or [finished](ScopeGuard::finish).
+    pub fn enter(&self, name: &'static str) -> ScopeGuard<'_> {
+        ScopeGuard { name, phases: Some(self), start: Some(Instant::now()) }
+    }
+
+    /// Runs `f` inside a scope timed as phase `name`.
+    pub fn time<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
+        let _scope = self.enter(name);
+        f()
     }
 
     /// Adds raw `(nanos, count)` to `name`.
     pub fn add_nanos(&self, name: &'static str, nanos: u64, count: u64) {
-        let mut inner = self.inner.lock().expect("phases lock");
-        merge_phases(&mut inner, [PhaseTiming { name, nanos, count }]);
+        self.record(name, Instant::now(), nanos, count);
     }
 
-    /// Runs `f`, charging its wall-clock time to `name`.
-    pub fn time<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.add(name, start.elapsed());
-        out
-    }
-
-    /// Merges a list of timings (e.g. another accumulator's snapshot).
-    pub fn extend(&self, items: impl IntoIterator<Item = PhaseTiming>) {
-        let mut inner = self.inner.lock().expect("phases lock");
-        merge_phases(&mut inner, items);
-    }
-
-    /// A copy of the accumulated timings, in first-recorded order.
+    /// A copy of the accumulated timings, in first-entered order.
     pub fn snapshot(&self) -> Vec<PhaseTiming> {
-        self.inner.lock().expect("phases lock").clone()
+        self.lock().iter().map(|(_, p)| p.clone()).collect()
     }
 
     /// Takes the accumulated timings, leaving the accumulator empty.
     pub fn take(&self) -> Vec<PhaseTiming> {
-        std::mem::take(&mut self.inner.lock().expect("phases lock"))
+        std::mem::take(&mut *self.lock()).into_iter().map(|(_, p)| p).collect()
+    }
+
+    /// Adds `(nanos, count)` to `name`; a new phase takes its place by
+    /// `entered`. Among equal instants it goes first: it closed last, so
+    /// it encloses the others.
+    fn record(&self, name: &'static str, entered: Instant, nanos: u64, count: u64) {
+        let mut list = self.lock();
+        if let Some((_, p)) = list.iter_mut().find(|(_, p)| p.name == name) {
+            p.nanos += nanos;
+            p.count += count;
+        } else {
+            let at = list.partition_point(|(first, _)| *first < entered);
+            list.insert(at, (entered, PhaseTiming { name, nanos, count }));
+        }
+    }
+
+    // Every update completes under the lock, so a poisoned list is
+    // still consistent; recovering keeps a guard dropped during an
+    // unwind from panicking.
+    fn lock(&self) -> MutexGuard<'_, Vec<(Instant, PhaseTiming)>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// RAII guard over one timed scope, returned by [`Phases::enter`] (a
+/// phase) and by [`span!`](crate::span) (a trace-only scope). It reads
+/// the clock once at entry and once at exit. On exit it adds the
+/// elapsed time to its phase list, if it has one, and records a span of
+/// the same name while the global recorder is on. Closing never panics,
+/// so a guard may drop during an unwind.
+#[must_use = "a scope guard times until dropped; binding it to _ closes it immediately"]
+pub struct ScopeGuard<'p> {
+    name: &'static str,
+    phases: Option<&'p Phases>,
+    /// `None` once closed.
+    start: Option<Instant>,
+}
+
+impl ScopeGuard<'static> {
+    /// Opens a trace-only scope: a span named `name`, no phase. This is
+    /// what [`span!`](crate::span) expands to.
+    pub fn span(name: &'static str) -> Self {
+        ScopeGuard { name, phases: None, start: Some(Instant::now()) }
+    }
+}
+
+impl ScopeGuard<'_> {
+    /// Closes the scope now and returns its elapsed wall-clock time.
+    pub fn finish(mut self) -> Duration {
+        self.close()
+    }
+
+    fn close(&mut self) -> Duration {
+        let Some(start) = self.start.take() else { return Duration::ZERO };
+        let elapsed = start.elapsed();
+        if let Some(phases) = self.phases {
+            phases.record(self.name, start, elapsed.as_nanos() as u64, 1);
+        }
+        crate::recorder().record(self.name, start, elapsed);
+        elapsed
+    }
+}
+
+impl Drop for ScopeGuard<'_> {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -118,6 +177,47 @@ mod tests {
         assert_eq!(v, 7);
         let snap = p.snapshot();
         assert_eq!(snap[0].count, 1);
+    }
+
+    #[test]
+    fn enclosing_phase_lists_first() {
+        let p = Phases::new();
+        {
+            let _outer = p.enter("outer");
+            p.time("inner", || ());
+            p.time("inner", || ());
+        }
+        let snap = p.snapshot();
+        let names: Vec<_> = snap.iter().map(|t| (t.name, t.count)).collect();
+        assert_eq!(names, [("outer", 1), ("inner", 2)]);
+        assert!(snap[0].nanos >= snap[1].nanos);
+    }
+
+    #[test]
+    fn finish_returns_elapsed_and_records_once() {
+        let p = Phases::new();
+        let scope = p.enter("timed");
+        std::thread::sleep(Duration::from_millis(2));
+        let elapsed = scope.finish();
+        assert!(elapsed >= Duration::from_millis(2));
+        assert_eq!(
+            p.snapshot(),
+            [PhaseTiming { name: "timed", nanos: elapsed.as_nanos() as u64, count: 1 }]
+        );
+    }
+
+    #[test]
+    fn guard_dropped_in_an_unwind_records_and_leaves_phases_usable() {
+        let p = Phases::new();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _scope = p.enter("obs.test.unwind");
+            panic!("scope body failed");
+        }));
+        assert!(caught.is_err());
+        assert_eq!(p.snapshot()[0].name, "obs.test.unwind");
+        assert_eq!(p.snapshot()[0].count, 1);
+        p.time("after", || ());
+        assert_eq!(p.take().len(), 2);
     }
 
     #[test]

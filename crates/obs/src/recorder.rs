@@ -1,25 +1,25 @@
 //! The global span recorder: fine-grained, off-by-default tracing.
 //!
-//! Span sites call [`Recorder::start`] (usually via the [`span!`]
-//! macro) and hold the returned guard for the scope's duration. While
-//! the recorder is disabled — the default — `start` is one relaxed
-//! atomic load and the guard is inert: no clock read, no allocation.
-//! Enabled, finished spans land in a thread-local buffer that flushes
-//! to a bounded global ring; [`Recorder::drain`] takes the ring for
-//! export (e.g. as a Chrome trace).
+//! Every [`ScopeGuard`] — a phase from [`crate::Phases::enter`] or a
+//! trace-only [`span!`] — offers its scope here when it closes. While
+//! the recorder is disabled — the default — that costs one relaxed
+//! atomic load. Enabled, finished spans land in a thread-local buffer
+//! that flushes to a bounded global ring; [`Recorder::drain`] takes the
+//! ring for export (e.g. as a Chrome trace).
 //!
+//! [`ScopeGuard`]: crate::ScopeGuard
 //! [`span!`]: crate::span
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 /// A completed span: name, start offset from the recorder epoch, and
 /// duration, both in microseconds, plus the recording thread's id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
-    /// Span name as passed to [`Recorder::start`].
+    /// Name of the scope that recorded the span.
     pub name: &'static str,
     /// Start time, microseconds since the recorder was first enabled.
     pub start_us: u64,
@@ -99,16 +99,6 @@ impl Recorder {
         self.enabled.store(false, Ordering::Relaxed);
     }
 
-    /// Opens a span scope. The returned guard records the span when
-    /// dropped; inert (no clock read) while the recorder is disabled.
-    #[inline]
-    pub fn start(&self, name: &'static str) -> SpanGuard {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return SpanGuard { name, start: None };
-        }
-        SpanGuard { name, start: Some(Instant::now()) }
-    }
-
     /// Takes all completed spans (flushing the calling thread's buffer
     /// first), ordered by flush time. Spans still buffered on *other*
     /// live threads are not included until those threads flush.
@@ -120,7 +110,7 @@ impl Recorder {
                 self.push_all(&mut spans);
             }
         });
-        std::mem::take(&mut self.ring.lock().expect("span ring"))
+        std::mem::take(&mut self.ring())
     }
 
     /// Spans dropped because the ring was full.
@@ -128,8 +118,14 @@ impl Recorder {
         self.dropped.load(Ordering::Relaxed)
     }
 
+    // Ring updates complete under the lock, so a poisoned ring is still
+    // consistent; recovering keeps a closing guard from panicking.
+    fn ring(&self) -> MutexGuard<'_, Vec<Span>> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn push_all(&self, spans: &mut Vec<Span>) {
-        let mut ring = self.ring.lock().expect("span ring");
+        let mut ring = self.ring();
         ring.append(spans);
         if ring.len() > RING_CAPACITY {
             let overflow = ring.len() - RING_CAPACITY;
@@ -138,15 +134,21 @@ impl Recorder {
         }
     }
 
-    fn finish(&self, name: &'static str, start: Instant) {
+    /// Records a closed scope as a span, if the recorder is on. Called
+    /// by [`crate::ScopeGuard`] on close; never panics (a thread whose
+    /// buffer is already torn down drops the span).
+    pub(crate) fn record(&self, name: &'static str, start: Instant, elapsed: Duration) {
+        if !self.enabled() {
+            return;
+        }
         let epoch = *EPOCH.get_or_init(Instant::now);
         let span = Span {
             name,
             start_us: start.saturating_duration_since(epoch).as_micros() as u64,
-            dur_us: start.elapsed().as_micros() as u64,
+            dur_us: elapsed.as_micros() as u64,
             tid: 0,
         };
-        BUF.with(|b| {
+        let _ = BUF.try_with(|b| {
             let mut b = b.borrow_mut();
             let tid = b.tid;
             b.spans.push(Span { tid, ..span });
@@ -155,22 +157,6 @@ impl Recorder {
                 self.push_all(&mut spans);
             }
         });
-    }
-}
-
-/// RAII scope guard returned by [`Recorder::start`]; records the span
-/// on drop.
-#[must_use = "a span guard records on drop; binding it to _ closes the span immediately"]
-pub struct SpanGuard {
-    name: &'static str,
-    start: Option<Instant>,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            RECORDER.finish(self.name, start);
-        }
     }
 }
 
@@ -192,8 +178,22 @@ mod tests {
         let _g = test_lock();
         let r = recorder();
         r.disable();
-        drop(r.start("obs.test.disabled"));
+        drop(crate::span!("obs.test.disabled"));
         assert!(!r.drain().iter().any(|s| s.name == "obs.test.disabled"));
+    }
+
+    #[test]
+    fn phase_scope_records_a_span_of_the_same_name() {
+        let _g = test_lock();
+        let r = recorder();
+        let phases = crate::Phases::new();
+        r.enable();
+        let elapsed = phases.enter("obs.test.phase").finish();
+        r.disable();
+        let spans = r.drain();
+        let span = spans.iter().find(|s| s.name == "obs.test.phase").expect("phase span");
+        assert_eq!(span.dur_us, elapsed.as_micros() as u64);
+        assert_eq!(phases.snapshot()[0].name, "obs.test.phase");
     }
 
     #[test]
@@ -202,8 +202,8 @@ mod tests {
         let r = recorder();
         r.enable();
         {
-            let _outer = r.start("obs.test.outer");
-            let _inner = r.start("obs.test.inner");
+            let _outer = crate::span!("obs.test.outer");
+            let _inner = crate::span!("obs.test.inner");
         }
         r.disable();
         let spans = r.drain();
@@ -220,7 +220,7 @@ mod tests {
         let r = recorder();
         r.enable();
         std::thread::spawn(|| {
-            let _s = recorder().start("obs.test.worker");
+            let _s = crate::span!("obs.test.worker");
         })
         .join()
         .unwrap();

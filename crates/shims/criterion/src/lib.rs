@@ -343,9 +343,21 @@ macro_rules! criterion_main {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    // `BENCH_JSON` is process-global: while one test sets it, any other
+    // test that benches appends to the same file. Tests that bench
+    // serialize on one lock, so the JSON test's file holds only its own
+    // records.
+    static BENCH_LOCK: Mutex<()> = Mutex::new(());
+
+    fn bench_lock() -> MutexGuard<'static, ()> {
+        BENCH_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn bencher_collects_samples() {
+        let _g = bench_lock();
         let mut c = Criterion::default();
         let mut g = c.benchmark_group("shim");
         g.sample_size(3)
@@ -364,6 +376,7 @@ mod tests {
 
     #[test]
     fn bench_json_appends_records() {
+        let _g = bench_lock();
         let path = std::env::temp_dir().join("criterion_shim_bench.jsonl");
         let _ = std::fs::remove_file(&path);
         std::env::set_var("BENCH_JSON", &path);

@@ -486,8 +486,9 @@ fn audit_main(it: impl Iterator<Item = String>) -> ! {
 
 /// Prints the per-phase timing table from [`Diagnostics::phases`] to
 /// stderr (so it composes with `--json` on stdout). Phases nest —
-/// `prepare` contains `dt.*`, `run.score` contains `scorer.*` — so the
-/// totals row is a sum of attributed time, not wall time.
+/// `prepare` contains `dt.*`, and both `dt.finalize` and `run.score`
+/// contain `scorer.mask` — so the totals row is a sum of attributed
+/// time, not wall time.
 fn phase_table(d: &Diagnostics) {
     use std::io::Write as _;
     let stderr = std::io::stderr();

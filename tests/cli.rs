@@ -224,42 +224,59 @@ fn verbose_phase_table_on_stderr() {
     assert!(lines.len() >= 3, "{table}");
 }
 
-/// `--trace FILE` writes a chrome://tracing JSON dump with the nested
-/// prepare/run span structure.
+/// `--trace FILE` writes a chrome://tracing JSON dump whose spans carry
+/// the phase names: for DT (`avg`), MC (`sum`) and NAIVE (`median`)
+/// picked through Auto, every `diagnostics.phases` entry of the run's
+/// `--json` document appears as a span, inside `prepare` and `run`.
 #[test]
 fn trace_flag_writes_chrome_trace() {
     let csv = sample_csv_path("trace.csv");
-    let trace = std::env::temp_dir().join("scorpion_cli_test").join("trace_out.json");
-    let _ = std::fs::remove_file(&trace);
-    let out = bin()
-        .args([
-            "--csv",
-            csv.to_str().unwrap(),
-            "--sql",
-            "SELECT avg(v) FROM t GROUP BY g",
-            "--outliers",
-            "o",
-            "--holdouts",
-            "h",
-            "--json",
-            "--trace",
-            trace.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    let text = std::fs::read_to_string(&trace).expect("trace file written");
-    let doc = Json::parse(&text).expect("trace is valid JSON");
-    let events = doc.get("traceEvents").and_then(Json::as_array).expect("traceEvents array");
-    assert!(!events.is_empty());
-    let names: Vec<&str> =
-        events.iter().filter_map(|e| e.get("name").and_then(Json::as_str)).collect();
-    for required in ["prepare", "run", "score"] {
-        assert!(names.contains(&required), "missing span `{required}` in {names:?}");
-    }
-    for e in events {
-        assert!(e.get("ts").and_then(Json::as_f64).is_some());
-        assert!(e.get("dur").and_then(Json::as_f64).is_some());
+    for (agg, algorithm) in [("avg", "dt"), ("sum", "mc"), ("median", "naive")] {
+        let trace =
+            std::env::temp_dir().join("scorpion_cli_test").join(format!("trace_out_{agg}.json"));
+        let _ = std::fs::remove_file(&trace);
+        let out = bin()
+            .args([
+                "--csv",
+                csv.to_str().unwrap(),
+                "--sql",
+                &format!("SELECT {agg}(v) FROM t GROUP BY g"),
+                "--outliers",
+                "o",
+                "--holdouts",
+                "h",
+                "--json",
+                "--trace",
+                trace.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        let doc = Json::parse(std::str::from_utf8(&out.stdout).unwrap().trim()).unwrap();
+        assert_eq!(doc.get("algorithm").and_then(Json::as_str), Some(algorithm), "{agg}");
+        let phases: Vec<&str> = doc
+            .get("diagnostics")
+            .and_then(|d| d.get("phases"))
+            .and_then(Json::as_array)
+            .expect("diagnostics.phases in --json output")
+            .iter()
+            .filter_map(|p| p.get("name").and_then(Json::as_str))
+            .collect();
+        assert!(phases.contains(&"run.score"), "{agg}: {phases:?}");
+
+        let text = std::fs::read_to_string(&trace).expect("trace file written");
+        let trace_doc = Json::parse(&text).expect("trace is valid JSON");
+        let events =
+            trace_doc.get("traceEvents").and_then(Json::as_array).expect("traceEvents array");
+        let names: Vec<&str> =
+            events.iter().filter_map(|e| e.get("name").and_then(Json::as_str)).collect();
+        for required in phases.iter().copied().chain(["prepare", "run"]) {
+            assert!(names.contains(&required), "{agg}: missing span `{required}` in {names:?}");
+        }
+        for e in events {
+            assert!(e.get("ts").and_then(Json::as_f64).is_some());
+            assert!(e.get("dur").and_then(Json::as_f64).is_some());
+        }
     }
 }
 
