@@ -33,7 +33,7 @@ use crate::scorer::Scorer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scorpion_obs::span;
-use scorpion_table::{AttrDomain, Clause, Column, Predicate};
+use scorpion_table::{AttrDomain, Clause, Column, Predicate, RowMask};
 use std::collections::BTreeSet;
 
 /// Counters describing one DT run.
@@ -578,55 +578,72 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
     ///
     /// Partition membership is read from the Scorer's predicate masks,
     /// so sibling partitions sharing clauses (children of the same
-    /// carve) reuse cached clause masks instead of re-walking rows.
+    /// carve) reuse cached clause masks instead of re-walking rows. The
+    /// tuple influences are computed once per call. Each group's
+    /// statistics then come from one walk over the set bits of
+    /// `group mask ∧ partition mask` ([`Scorer::for_each_selected`]),
+    /// which visits the selected rows in ascending order, as a row-by-row
+    /// scan would: the influence sum and the first-closest representative
+    /// are the same.
     fn finalize(&self, preds: Vec<Predicate>) -> Result<Vec<ScoredPredicate>> {
+        let s = self.scorer;
+        let out_infs: Vec<Vec<f64>> =
+            (0..s.n_outliers()).map(|g| s.outlier_tuple_influences(g)).collect();
+        let hold_infs: Vec<Vec<f64>> =
+            (0..s.n_holdouts()).map(|g| s.holdout_tuple_influences(g)).collect();
         let mut seen = std::collections::HashSet::new();
         let mut out = Vec::with_capacity(preds.len());
+        let mut pos = Vec::new();
         for pred in preds {
             if !seen.insert(pred.clone()) {
                 continue;
             }
-            let pm = self.scorer.predicate_mask(&pred)?;
-            let stat_for = |rows: &[u32], values: &[f64], infs: &[f64]| -> GroupStat {
-                let mut idx: Vec<usize> = Vec::new();
-                let mut sum = 0.0;
-                for (i, &row) in rows.iter().enumerate() {
-                    if pm.contains(row) {
-                        idx.push(i);
-                        sum += infs[i];
-                    }
-                }
-                if idx.is_empty() {
-                    return GroupStat { n: 0.0, rep_value: 0.0 };
-                }
-                let mean = sum / idx.len() as f64;
-                let rep = idx
-                    .iter()
-                    .copied()
-                    .min_by(|&a, &b| (infs[a] - mean).abs().total_cmp(&(infs[b] - mean).abs()))
-                    .expect("non-empty");
-                GroupStat { n: idx.len() as f64, rep_value: values[rep] }
-            };
+            let pm = s.predicate_mask(&pred)?;
             let mut stats = PartitionStats::default();
-            for g in 0..self.scorer.n_outliers() {
-                stats.outlier.push(stat_for(
-                    self.scorer.outlier_rows(g),
-                    self.scorer.outlier_values(g),
-                    &self.scorer.outlier_tuple_influences(g),
-                ));
+            for (g, infs) in out_infs.iter().enumerate() {
+                stats.outlier.push(self.group_stat(true, g, &pm, infs, &mut pos));
             }
-            for g in 0..self.scorer.n_holdouts() {
-                stats.holdout.push(stat_for(
-                    self.scorer.holdout_rows(g),
-                    self.scorer.holdout_values(g),
-                    &self.scorer.holdout_tuple_influences(g),
-                ));
+            for (g, infs) in hold_infs.iter().enumerate() {
+                stats.holdout.push(self.group_stat(false, g, &pm, infs, &mut pos));
             }
-            let influence = self.scorer.influence(&pred)?;
+            let influence = s.influence(&pred)?;
             out.push(ScoredPredicate { predicate: pred, influence, stats: Some(stats) });
         }
         out.sort_by(|a, b| b.influence.total_cmp(&a.influence));
         Ok(out)
+    }
+
+    /// The §6.3 statistics of outlier group `g` (hold-out group `g` when
+    /// `outlier` is false) over the tuples `pm` selects: their count, and
+    /// the value of the first of them whose influence lies closest to
+    /// their mean influence. `infs` are the group's tuple influences;
+    /// `pos` is scratch.
+    fn group_stat(
+        &self,
+        outlier: bool,
+        g: usize,
+        pm: &RowMask,
+        infs: &[f64],
+        pos: &mut Vec<usize>,
+    ) -> GroupStat {
+        let s = self.scorer;
+        let values = if outlier { s.outlier_values(g) } else { s.holdout_values(g) };
+        pos.clear();
+        let mut sum = 0.0;
+        s.for_each_selected(outlier, g, pm, |i| {
+            pos.push(i);
+            sum += infs[i];
+        });
+        if pos.is_empty() {
+            return GroupStat { n: 0.0, rep_value: 0.0 };
+        }
+        let mean = sum / pos.len() as f64;
+        let rep = pos
+            .iter()
+            .copied()
+            .min_by(|&a, &b| (infs[a] - mean).abs().total_cmp(&(infs[b] - mean).abs()))
+            .expect("non-empty");
+        GroupStat { n: pos.len() as f64, rep_value: values[rep] }
     }
 }
 
@@ -897,6 +914,44 @@ mod tests {
         // per tuple (combined partitions are disjoint boxes).
         let total: f64 = parts.iter().map(|p| p.stats.as_ref().unwrap().outlier[0].n).sum();
         assert!(total <= s.outlier_rows(0).len() as f64 + 1e-9);
+
+        // Row-at-a-time reference: match the group's rows one by one, take
+        // their mean tuple influence, and the first row closest to it. The
+        // fixture interleaves `o` and `h` rows, so neither group's rows are
+        // contiguous and the mask walk's position mapping is exercised.
+        let reference = |p: &Predicate, rows: &[u32], values: &[f64], infs: &[f64]| {
+            let m = p.matcher(&t).unwrap();
+            let matched: Vec<usize> = (0..rows.len()).filter(|&i| m.matches(rows[i])).collect();
+            if matched.is_empty() {
+                return GroupStat { n: 0.0, rep_value: 0.0 };
+            }
+            let mut sum = 0.0;
+            for &i in &matched {
+                sum += infs[i];
+            }
+            let mean = sum / matched.len() as f64;
+            let mut rep = matched[0];
+            for &i in &matched {
+                if (infs[i] - mean).abs() < (infs[rep] - mean).abs() {
+                    rep = i;
+                }
+            }
+            GroupStat { n: matched.len() as f64, rep_value: values[rep] }
+        };
+        let (out_infs, hold_infs) = (s.outlier_tuple_influences(0), s.holdout_tuple_influences(0));
+        assert!(s.outlier_rows(0).iter().all(|r| r % 2 == 0));
+        assert!(s.holdout_rows(0).iter().all(|r| r % 2 == 1));
+        let mut nonempty = 0;
+        for p in &parts {
+            let st = p.stats.as_ref().unwrap();
+            let want_o = reference(&p.predicate, s.outlier_rows(0), s.outlier_values(0), &out_infs);
+            let want_h =
+                reference(&p.predicate, s.holdout_rows(0), s.holdout_values(0), &hold_infs);
+            assert_eq!(st.outlier[0], want_o, "outlier stats of {:?}", p.predicate);
+            assert_eq!(st.holdout[0], want_h, "hold-out stats of {:?}", p.predicate);
+            nonempty += usize::from(want_o.n > 0.0 && want_h.n > 0.0);
+        }
+        assert!(nonempty > 1, "only {nonempty} partitions select rows of both groups");
     }
 
     #[test]

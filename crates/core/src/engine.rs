@@ -284,24 +284,53 @@ pub(crate) struct DtPlan {
 
 #[derive(Default)]
 struct DtPlanState {
-    /// Merged outputs keyed by `c` — each is a valid warm start for any
-    /// lower `c` (§8.3.3).
-    merged_by_c: BTreeMap<OrdF64, Vec<ScoredPredicate>>,
+    /// Merged outputs keyed by `c`, each with the number of the write
+    /// that stored it — each is a valid warm start for any lower `c`
+    /// (§8.3.3). At most [`MAX_WARM_STARTS`] entries.
+    merged_by_c: BTreeMap<OrdF64, (u64, Vec<ScoredPredicate>)>,
+    /// Writes to `merged_by_c` so far.
+    writes: u64,
     /// Most recent merged predicates, exported as successor seeds.
     last_merged: Vec<Predicate>,
     /// Externally absorbed seeds, consumed by the next run.
     extra_seeds: Vec<Predicate>,
 }
 
+impl DtPlanState {
+    /// The cached merge of the nearest `c' ≥ c`, if any.
+    fn warm_start(&self, c: f64) -> Vec<ScoredPredicate> {
+        self.merged_by_c.range(OrdF64(c)..).next().map(|(_, (_, v))| v.clone()).unwrap_or_default()
+    }
+
+    /// Stores `merged` as the warm start for `c`. Past
+    /// [`MAX_WARM_STARTS`] entries, the oldest write is evicted; the
+    /// entry just written is the newest, so it always stays.
+    fn remember(&mut self, c: f64, merged: Vec<ScoredPredicate>) {
+        self.writes += 1;
+        self.merged_by_c.insert(OrdF64(c), (self.writes, merged));
+        if self.merged_by_c.len() > MAX_WARM_STARTS {
+            let oldest = self
+                .merged_by_c
+                .iter()
+                .min_by_key(|(_, (write, _))| *write)
+                .map(|(c, _)| *c)
+                .expect("the map is over its cap, so not empty");
+            self.merged_by_c.remove(&oldest);
+        }
+    }
+}
+
 /// Number of merged predicates exported as seeds to a successor plan.
 const MAX_SEEDS: usize = 8;
 
+/// Most merged outputs a DT plan keeps as warm starts. A long-lived
+/// plan (one in the server's plan cache, which keys plans without `c`)
+/// would otherwise grow by one entry per distinct `c` a client sends.
+const MAX_WARM_STARTS: usize = 16;
+
 impl DtPlan {
     /// Prepares a DT plan: grows and carves the trees.
-    pub(crate) fn prepare(
-        req: &ExplainRequest,
-        mut cfg: DtConfig,
-    ) -> Result<Box<dyn PreparedPlan>> {
+    pub(crate) fn prepare(req: &ExplainRequest, mut cfg: DtConfig) -> Result<DtPlan> {
         // Approximate mode implies §6.1.2 tree-growth sampling: when the
         // DT config left it unset, derive one from the approx knobs so
         // the grow phase samples at the same rate the scorer does.
@@ -319,7 +348,7 @@ impl DtPlan {
             let dt = DtPartitioner::new(scorer, attrs.to_vec(), domains.to_vec(), cfg.clone());
             Ok(dt.partition()?.0)
         })?;
-        Ok(Box::new(DtPlan { core, cfg, partitions, state: Mutex::default() }))
+        Ok(DtPlan { core, cfg, partitions, state: Mutex::default() })
     }
 }
 
@@ -357,13 +386,7 @@ impl PreparedPlan for DtPlan {
                 // dropped.
                 let (warm, extra) = {
                     let mut st = self.state.lock();
-                    let warm = st
-                        .merged_by_c
-                        .range(OrdF64(params.c)..)
-                        .next()
-                        .map(|(_, v)| v.clone())
-                        .unwrap_or_default();
-                    (warm, std::mem::take(&mut st.extra_seeds))
+                    (st.warm_start(params.c), std::mem::take(&mut st.extra_seeds))
                 };
                 for mut sp in warm {
                     sp.influence = scorer.influence(&sp.predicate)?;
@@ -381,7 +404,7 @@ impl PreparedPlan for DtPlan {
             let (merged, _) = scorer.phases().time("run.merge", || merger.merge(input))?;
             {
                 let mut st = self.state.lock();
-                st.merged_by_c.insert(OrdF64(params.c), merged.clone());
+                st.remember(params.c, merged.clone());
                 st.last_merged =
                     merged.iter().take(MAX_SEEDS).map(|sp| sp.predicate.clone()).collect();
             }
@@ -625,6 +648,33 @@ mod tests {
         seeded.absorb_seeds(vec![baseline.best().predicate.clone()]);
         let run = seeded.run(&req.params()).unwrap();
         assert!(run.best().influence >= baseline.best().influence - 1e-9);
+    }
+
+    #[test]
+    fn dt_warm_starts_are_bounded() {
+        let dt = DtConfig { sampling: None, ..DtConfig::default() };
+        let req = request(Algorithm::DecisionTree(dt.clone()), 0.5);
+        let plan = DtPlan::prepare(&req, dt).unwrap();
+        let cs: Vec<f64> = (0..MAX_WARM_STARTS + 5).map(|i| 0.05 * (i + 1) as f64).collect();
+        for &c in &cs {
+            plan.run(&InfluenceParams { lambda: 0.5, c }).unwrap();
+            assert!(plan.state.lock().merged_by_c.len() <= MAX_WARM_STARTS);
+        }
+        // The oldest writes went; the newest `MAX_WARM_STARTS` stayed.
+        let kept: Vec<f64> = plan.state.lock().merged_by_c.keys().map(|c| c.0).collect();
+        assert_eq!(kept, cs[cs.len() - MAX_WARM_STARTS..]);
+        // A rerun at a kept `c` starts from that `c`'s own merge, whose
+        // predicates were all scored before, and stays within the cap.
+        let kept_c = kept[0];
+        let warm = plan.state.lock().warm_start(kept_c);
+        let preds = |v: &[ScoredPredicate]| v.iter().map(|sp| sp.predicate.clone()).collect();
+        let stored: Vec<Predicate> = preds(&plan.state.lock().merged_by_c[&OrdF64(kept_c)].1);
+        assert_eq!(preds(&warm), stored);
+        let rerun = plan.run(&InfluenceParams { lambda: 0.5, c: kept_c }).unwrap();
+        let rescored = plan.partitions.len() + warm.len();
+        assert!(rerun.diagnostics.cache_hits >= rescored as u64, "{:?}", rerun.diagnostics);
+        assert!(rerun.best().influence >= warm[0].influence - 1e-9);
+        assert_eq!(plan.state.lock().merged_by_c.len(), MAX_WARM_STARTS);
     }
 
     #[test]

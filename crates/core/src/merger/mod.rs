@@ -12,6 +12,15 @@
 //!    (Figure 7), avoiding Scorer calls entirely during expansion. Final
 //!    results are re-scored exactly.
 //!
+//!    Each estimate visits every input partition once and allocates
+//!    nothing per partition. A partition's volume and the aggregate
+//!    states of its representative tuples are computed once per
+//!    [`Merger::merge`] call, and only when this path is active. The
+//!    volume of its intersection with the merged box is computed
+//!    directly from the two boxes' clauses
+//!    ([`Predicate::intersect_volume_fraction`]); the intersection
+//!    predicate is never built.
+//!
 //! Deviation note: the paper's contribution formula divides by `V_{p*}`;
 //! we use the standard uniform-density estimate
 //! `n_i = N_i · V(p_i ∩ p*) / V(p_i)` (the count of `p_i`'s tuples that
@@ -71,6 +80,9 @@ impl<'s, 'a> Merger<'s, 'a> {
         let approx_ok = self.cfg.use_cached_tuples
             && self.scorer.is_incremental()
             && items.iter().all(|i| i.stats.is_some());
+        // Built only for the cached-tuple path, so exact merges pay
+        // nothing for it.
+        let tuples = if approx_ok { self.cached_tuples(&items) } else { Vec::new() };
 
         let n_seeds =
             if self.cfg.top_quartile_only { (items.len().div_ceil(4)).max(1) } else { items.len() };
@@ -112,7 +124,7 @@ impl<'s, 'a> Merger<'s, 'a> {
                     }
                     let est = if approx_ok {
                         diag.approx_estimates += 1;
-                        self.estimate_from_stats(&merged_pred, &items)?
+                        self.estimate_from_stats(&merged_pred, &items, &tuples)?
                     } else {
                         diag.exact_estimates += 1;
                         let inf = self.scorer.influence(&merged_pred)?;
@@ -164,12 +176,38 @@ impl<'s, 'a> Merger<'s, 'a> {
         Ok((results, diag))
     }
 
+    /// The per-item inputs of [`Merger::estimate_from_stats`] that do
+    /// not depend on the merged box, aligned with `items`. Every item
+    /// must carry stats.
+    fn cached_tuples(&self, items: &[ScoredPredicate]) -> Vec<CachedTuple> {
+        let inc = self.scorer.incremental_agg().expect("approx requires incremental");
+        let states =
+            |groups: &[GroupStat]| groups.iter().map(|st| inc.state_one(st.rep_value)).collect();
+        items
+            .iter()
+            .map(|item| {
+                let stats = item.stats.as_ref().expect("approx requires stats on every item");
+                CachedTuple {
+                    volume: item.predicate.volume_fraction(self.domains),
+                    outlier: states(&stats.outlier),
+                    holdout: states(&stats.holdout),
+                }
+            })
+            .collect()
+    }
+
     /// §6.3 cached-tuple estimate of `merged`'s influence, built from the
-    /// volume-weighted contributions of every input partition.
+    /// volume-weighted contributions of every input partition. Each
+    /// item's share is `V(item ∩ merged) / V(item)`; the intersection's
+    /// volume is computed directly from the two boxes
+    /// ([`Predicate::intersect_volume_fraction`]), and the intersection
+    /// predicate is never built. `tuples` are the items' cached
+    /// volumes and representative states ([`Merger::cached_tuples`]).
     fn estimate_from_stats(
         &self,
         merged: &Predicate,
         items: &[ScoredPredicate],
+        tuples: &[CachedTuple],
     ) -> Result<(f64, Option<PartitionStats>)> {
         let inc = self.scorer.incremental_agg().expect("approx requires incremental");
         let n_out = self.scorer.n_outliers();
@@ -181,30 +219,31 @@ impl<'s, 'a> Merger<'s, 'a> {
         let mut rep_out = vec![0.0f64; n_out];
         let mut rep_hold = vec![0.0f64; n_hold];
 
-        for item in items {
+        for (item, tuple) in items.iter().zip(tuples) {
             let Some(stats) = &item.stats else { continue };
-            let Some(inter) = item.predicate.intersect(merged) else { continue };
-            let item_vol = item.predicate.volume_fraction(self.domains);
-            if item_vol <= 0.0 {
+            if tuple.volume <= 0.0 {
                 continue;
             }
-            let frac = (inter.volume_fraction(self.domains) / item_vol).clamp(0.0, 1.0);
+            let Some(inter) = item.predicate.intersect_volume_fraction(merged, self.domains) else {
+                continue;
+            };
+            let frac = (inter / tuple.volume).clamp(0.0, 1.0);
             if frac <= 0.0 {
                 continue;
             }
-            for (g, st) in stats.outlier.iter().enumerate() {
+            for (g, (st, one)) in stats.outlier.iter().zip(&tuple.outlier).enumerate() {
                 let n_i = st.n * frac;
                 if n_i > 0.0 {
                     out[g].0 += n_i;
-                    out[g].1.accumulate(&inc.scale(&inc.state_one(st.rep_value), n_i));
+                    out[g].1.accumulate(&inc.scale(one, n_i));
                     rep_out[g] += st.rep_value * n_i;
                 }
             }
-            for (g, st) in stats.holdout.iter().enumerate() {
+            for (g, (st, one)) in stats.holdout.iter().zip(&tuple.holdout).enumerate() {
                 let n_i = st.n * frac;
                 if n_i > 0.0 {
                     hold[g].0 += n_i;
-                    hold[g].1.accumulate(&inc.scale(&inc.state_one(st.rep_value), n_i));
+                    hold[g].1.accumulate(&inc.scale(one, n_i));
                     rep_hold[g] += st.rep_value * n_i;
                 }
             }
@@ -230,6 +269,15 @@ impl<'s, 'a> Merger<'s, 'a> {
         };
         Ok((influence, Some(stats)))
     }
+}
+
+/// What the cached-tuple estimate needs of one input partition,
+/// whatever the merged box: its volume fraction and, per labeled group,
+/// the aggregate state of its representative tuple.
+struct CachedTuple {
+    volume: f64,
+    outlier: Vec<AggState>,
+    holdout: Vec<AggState>,
 }
 
 /// Removes duplicate predicates, keeping the first (highest-scored after
@@ -440,7 +488,8 @@ mod tests {
         let merger = Merger::new(&s, &d, cfg);
         // Estimate the hull of the two hot partitions ([2,4) ∪ [4,6)).
         let hull = parts[1].predicate.hull(&parts[2].predicate);
-        let (est, _) = merger.estimate_from_stats(&hull, &parts).unwrap();
+        let tuples = merger.cached_tuples(&parts);
+        let (est, _) = merger.estimate_from_stats(&hull, &parts, &tuples).unwrap();
         let exact = s.influence(&hull).unwrap();
         let rel = (est - exact).abs() / exact.abs().max(1.0);
         assert!(rel < 0.05, "estimate {est} vs exact {exact}");

@@ -310,7 +310,7 @@ impl ExplainRequest {
     /// under any [`InfluenceParams`].
     pub fn prepare(&self) -> Result<Box<dyn PreparedPlan>> {
         match self.resolve_algorithm()? {
-            Algorithm::DecisionTree(cfg) => DtPlan::prepare(self, cfg),
+            Algorithm::DecisionTree(cfg) => Ok(Box::new(DtPlan::prepare(self, cfg)?)),
             Algorithm::BottomUp(cfg) => McPlan::prepare(self, cfg, None),
             Algorithm::Naive(cfg) => NaivePlan::prepare(self, cfg, None),
             Algorithm::Auto => unreachable!("resolve_algorithm never returns Auto"),

@@ -744,6 +744,37 @@ impl<'a> Scorer<'a> {
         }
     }
 
+    /// Calls `f` with the position of every row of a labeled group that
+    /// `pm` selects — outlier group `g`, or hold-out group `g` when
+    /// `outlier` is false — in ascending order. A position indexes the
+    /// group's rows, and so its values and tuple influences.
+    ///
+    /// Walks the set bits of `group ∧ pm` over the group's nonzero word
+    /// span (the zip of [`Scorer::delta_ctx`]). A row's position is the
+    /// running popcount of the group's words before its word plus the
+    /// group bits below it in its own word.
+    pub(crate) fn for_each_selected(
+        &self,
+        outlier: bool,
+        g: usize,
+        pm: &RowMask,
+        mut f: impl FnMut(usize),
+    ) {
+        let ctx = if outlier { &self.outliers[g] } else { &self.holdouts[g] };
+        let (gw, pw) = (ctx.mask.words(), pm.words());
+        let mut before = 0usize;
+        for wi in ctx.span.clone() {
+            let group = gw[wi];
+            let mut w = group & pw[wi];
+            while w != 0 {
+                let below = group & ((1u64 << w.trailing_zeros()) - 1);
+                f(before + below.count_ones() as usize);
+                w &= w - 1;
+            }
+            before += group.count_ones() as usize;
+        }
+    }
+
     /// Row-at-a-time `Δ` and match count — the reference oracle the
     /// masked fold is parity-tested against.
     fn delta_ctx_rowwise(&self, ctx: &GroupCtx, m: &PredicateMatcher) -> (f64, usize) {

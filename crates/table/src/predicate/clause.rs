@@ -141,28 +141,27 @@ impl Clause {
     /// The fraction of the attribute's domain this clause admits, in
     /// `[0, 1]`. Used by the Merger's volume estimates (§6.3).
     pub fn fraction(&self, domain: &AttrDomain) -> f64 {
-        match (self, domain) {
-            (Clause::Range { lo, hi, .. }, AttrDomain::Continuous { lo: dl, hi: dh }) => {
-                let span = dh - dl;
-                if span <= 0.0 {
-                    if self.is_empty() {
-                        0.0
-                    } else {
-                        1.0
-                    }
-                } else {
-                    ((hi.min(*dh) - lo.max(*dl)) / span).clamp(0.0, 1.0)
-                }
+        match self {
+            Clause::Range { lo, hi, .. } => range_fraction(*lo, *hi, domain),
+            Clause::In { codes, .. } => set_fraction(codes.len(), domain),
+        }
+    }
+
+    /// `self.intersect(other).map(|c| c.fraction(domain))`, without
+    /// building the intersection: range bounds are compared in place and
+    /// a set intersection is counted, not collected.
+    pub(crate) fn intersect_fraction(&self, other: &Clause, domain: &AttrDomain) -> Option<f64> {
+        debug_assert_eq!(self.attr(), other.attr());
+        match (self, other) {
+            (Clause::Range { lo: a, hi: b, .. }, Clause::Range { lo: c, hi: d, .. }) => {
+                let (lo, hi) = (a.max(*c), b.min(*d));
+                (lo < hi).then(|| range_fraction(lo, hi, domain))
             }
-            (Clause::In { codes, .. }, AttrDomain::Discrete { cardinality }) => {
-                if *cardinality == 0 {
-                    0.0
-                } else {
-                    (codes.len() as f64 / *cardinality as f64).clamp(0.0, 1.0)
-                }
+            (Clause::In { codes: a, .. }, Clause::In { codes: b, .. }) => {
+                let n = a.intersection(b).count();
+                (n > 0).then(|| set_fraction(n, domain))
             }
-            // Mismatched clause/domain kinds: treat as unconstrained.
-            _ => 1.0,
+            _ => None,
         }
     }
 
@@ -179,6 +178,34 @@ impl Clause {
             (Clause::In { .. }, Clause::In { .. }) => true,
             _ => false,
         }
+    }
+}
+
+/// [`Clause::fraction`] of the range `[lo, hi)`. A range over a
+/// discrete domain (mismatched kinds) counts as unconstrained.
+fn range_fraction(lo: f64, hi: f64, domain: &AttrDomain) -> f64 {
+    let AttrDomain::Continuous { lo: dl, hi: dh } = domain else { return 1.0 };
+    let span = dh - dl;
+    if span <= 0.0 {
+        // Degenerate domain: all or nothing, by the range's emptiness.
+        if lo >= hi {
+            0.0
+        } else {
+            1.0
+        }
+    } else {
+        ((hi.min(*dh) - lo.max(*dl)) / span).clamp(0.0, 1.0)
+    }
+}
+
+/// [`Clause::fraction`] of a value set of `n` codes. A set over a
+/// continuous domain (mismatched kinds) counts as unconstrained.
+fn set_fraction(n: usize, domain: &AttrDomain) -> f64 {
+    let AttrDomain::Discrete { cardinality } = domain else { return 1.0 };
+    if *cardinality == 0 {
+        0.0
+    } else {
+        (n as f64 / *cardinality as f64).clamp(0.0, 1.0)
     }
 }
 

@@ -291,6 +291,41 @@ impl Predicate {
         self.clauses.values().map(|c| c.fraction(&domains[c.attr()])).product()
     }
 
+    /// The volume fraction of `self ∩ other`, or `None` when the boxes
+    /// are disjoint: exactly `self.intersect(other).map(|p|
+    /// p.volume_fraction(domains))`, computed without building the
+    /// intersection. Both clause maps are walked in attribute order and
+    /// each attribute's fraction is multiplied in with the same
+    /// [`Clause::fraction`] arithmetic, so the result is bit-identical.
+    /// As for [`Predicate::volume_fraction`], `domains` must cover every
+    /// attribute either side constrains.
+    pub fn intersect_volume_fraction(
+        &self,
+        other: &Predicate,
+        domains: &[AttrDomain],
+    ) -> Option<f64> {
+        let mut mine = self.clauses.values().peekable();
+        let mut vol = 1.0;
+        for oc in other.clauses.values() {
+            // `other`'s clauses are conjoined into a copy of `self`: an
+            // empty one makes the conjunction unsatisfiable.
+            if oc.is_empty() {
+                return None;
+            }
+            while let Some(sc) = mine.next_if(|sc| sc.attr() < oc.attr()) {
+                vol *= sc.fraction(&domains[sc.attr()]);
+            }
+            vol *= match mine.next_if(|sc| sc.attr() == oc.attr()) {
+                Some(sc) => sc.intersect_fraction(oc, &domains[sc.attr()])?,
+                None => oc.fraction(&domains[oc.attr()]),
+            };
+        }
+        for sc in mine {
+            vol *= sc.fraction(&domains[sc.attr()]);
+        }
+        Some(vol)
+    }
+
     /// Whether two boxes touch or overlap in every constrained dimension,
     /// so their hull introduces no gap. `eps_frac` is the allowed gap as a
     /// fraction of each attribute's domain span.
@@ -559,6 +594,57 @@ mod tests {
         .unwrap();
         assert!((p.volume_fraction(&d) - 0.5 * 0.4).abs() < 1e-12);
         assert_eq!(Predicate::all().volume_fraction(&d), 1.0);
+    }
+
+    /// `a.intersect_volume_fraction(b)`, checked bit for bit against its
+    /// definition.
+    fn inter_vol(a: &Predicate, b: &Predicate, d: &[AttrDomain]) -> Option<f64> {
+        let direct = a.intersect_volume_fraction(b, d);
+        let built = a.intersect(b).map(|p| p.volume_fraction(d));
+        assert_eq!(direct.map(f64::to_bits), built.map(f64::to_bits), "{a:?} ∩ {b:?}");
+        direct
+    }
+
+    #[test]
+    fn intersect_volume_fraction_matches_built_intersection() {
+        let t = table();
+        let d = domains(&t); // x: [1,9], y: [10,35], s card 3
+        let x = |lo, hi| Clause::range(0, lo, hi);
+        let s = |codes: &[u32]| Clause::in_set(2, codes.iter().copied());
+        let p = |clauses: Vec<Clause>| Predicate::conjunction(clauses).unwrap();
+
+        // Set clauses: overlapping, then disjoint.
+        let ab = p(vec![s(&[0, 1])]);
+        assert_eq!(inter_vol(&ab, &p(vec![s(&[1, 2])]), &d), Some(1.0 / 3.0));
+        assert_eq!(inter_vol(&ab, &p(vec![s(&[2])]), &d), None);
+
+        // An attribute constrained on one side only, for either side.
+        let xy = p(vec![x(1.0, 5.0), Clause::range(1, 10.0, 20.0)]);
+        let xs = p(vec![x(3.0, 9.0), s(&[0])]);
+        for (a, b) in [(&xy, &xs), (&xs, &xy)] {
+            let v = inter_vol(a, b, &d).expect("the boxes overlap on x");
+            assert!((v - 0.25 * 0.4 / 3.0).abs() < 1e-12, "{v}");
+        }
+        // Disjoint on the shared attribute, whatever else overlaps; ranges
+        // that only touch are disjoint too (half-open bounds).
+        assert_eq!(inter_vol(&xy, &p(vec![x(6.0, 9.0), s(&[0])]), &d), None);
+        assert_eq!(inter_vol(&xy, &p(vec![x(5.0, 9.0)]), &d), None);
+
+        // An empty clause on `other` makes the conjunction unsatisfiable,
+        // on a shared attribute or not; on `self`, it only has no volume.
+        let empty_x = Predicate::all().with_clause(x(4.0, 4.0));
+        let empty_s = Predicate::all().with_clause(s(&[]));
+        assert_eq!(inter_vol(&xy, &empty_x, &d), None);
+        assert_eq!(inter_vol(&xy, &empty_s, &d), None);
+        assert_eq!(inter_vol(&empty_s, &xy, &d), Some(0.0));
+
+        // The always-true predicate is the identity, on either side.
+        let all = Predicate::all();
+        assert_eq!(inter_vol(&all, &all, &d), Some(1.0));
+        for q in [&ab, &xy, &xs] {
+            assert_eq!(inter_vol(&all, q, &d), Some(q.volume_fraction(&d)));
+            assert_eq!(inter_vol(q, &all, &d), Some(q.volume_fraction(&d)));
+        }
     }
 
     #[test]

@@ -279,3 +279,86 @@ fn naive_rerun_at_same_c_is_pure_cache() {
     );
     assert_eq!(second.diagnostics.cache_hits, second.diagnostics.candidates);
 }
+
+/// The DT slider walk's exact output on the `server_dashboard` table
+/// shape (SYNTH-2D-Easy, seed 21, 200 tuples per group: ≈285 partitions,
+/// so each cached-tuple merge runs hundreds of §6.3 estimates). Cold at
+/// `c = 0.5`, then 0.25 (warm-started), 0.8 (a merge from scratch), a
+/// revisit of 0.5, and 0.65. The expected top-3 predicates and
+/// influences are the ones the row-at-a-time partition statistics and
+/// predicate-building merge estimates produced; the masked walk and the
+/// direct intersection volumes must reproduce them exactly.
+#[test]
+fn dt_slider_walk_output_is_fixed() {
+    use scorpion::data::synth::{generate, SynthConfig};
+
+    let ds = generate(SynthConfig::easy(2).with_tuples_per_group(200).with_seed(21));
+    let b = Scorpion::on(ds.table.clone()).sql("SELECT avg(Av) FROM synth GROUP BY Ad").unwrap();
+    let key = |g: &usize| b.index_of_key(&format!("g{g}")).unwrap();
+    let outliers: Vec<(usize, f64)> = ds.outlier_groups.iter().map(|g| (key(g), 1.0)).collect();
+    let holdouts: Vec<usize> = ds.holdout_groups.iter().map(key).collect();
+    let req = b
+        .outliers(outliers)
+        .holdouts(holdouts)
+        .params(0.5, 0.5)
+        .algorithm(Algorithm::DecisionTree(DtConfig::default()))
+        .build()
+        .unwrap();
+    let session = ScorpionSession::new(req).unwrap();
+    let box_at = |a1: &str, a2: &str| format!("A1 in [{a1}) AND A2 in [{a2})");
+    let walk: [(f64, [(String, f64); 3]); 5] = [
+        (
+            0.5,
+            [
+                (box_at("2.1985, 40.0135", "32.0966, 83.9709"), 0.6015889509899883),
+                (box_at("12.7980, 40.0135", "33.4460, 83.9709"), 0.5454537021645998),
+                (box_at("40.0405, 51.3414", "35.2653, 83.9709"), 0.2938138419803861),
+            ],
+        ),
+        (
+            0.25,
+            [
+                (box_at("0.0040, 40.0135", "32.0966, 83.9709"), 1.5529891606433273),
+                (box_at("40.0405, 51.3414", "35.2653, 83.9709"), 0.5456040844670669),
+                (box_at("59.0434, 60.6396", "68.0647, 72.2024"), 0.0003084653280559735),
+            ],
+        ),
+        (
+            0.8,
+            [
+                (box_at("21.7486, 40.0135", "43.1501, 67.3342"), 0.21975262359883285),
+                (box_at("9.3521, 40.0135", "32.0966, 83.9709"), 0.1915479166749552),
+                (box_at("12.7980, 40.0135", "33.4460, 83.9709"), 0.18940750908004683),
+            ],
+        ),
+        (
+            0.5,
+            [
+                (box_at("2.1985, 40.0135", "32.0966, 83.9709"), 0.6015889509899883),
+                (box_at("40.0405, 51.3414", "35.2653, 83.9709"), 0.2938138419803861),
+                (box_at("59.0434, 60.6396", "68.0647, 72.2024"), 0.0003084653280559735),
+            ],
+        ),
+        (
+            0.65,
+            [
+                (box_at("2.1985, 40.0135", "32.0966, 83.9709"), 0.34220803528907706),
+                (box_at("40.1347, 49.4291", "40.7794, 71.2316"), 0.20711613929424907),
+                (box_at("40.2276, 52.1293", "34.8986, 83.9709"), 0.189885107652839),
+            ],
+        ),
+    ];
+    for (step, (c, want)) in walk.iter().enumerate() {
+        let ex = session.run_with_c(*c).unwrap();
+        assert!(ex.diagnostics.partitions > 250, "{}", ex.diagnostics.partitions);
+        for (i, (pred, inf)) in want.iter().enumerate() {
+            let got = &ex.predicates[i];
+            assert_eq!(&got.predicate.display(&ds.table), pred, "step {step} (c = {c}) #{i}");
+            assert!(
+                (got.influence - inf).abs() <= 1e-12 * inf.abs(),
+                "step {step} (c = {c}) #{i}: influence {} vs {inf}",
+                got.influence
+            );
+        }
+    }
+}

@@ -112,7 +112,8 @@ proptest! {
     }
 
     /// Predicate algebra laws hold on randomized boxes: intersection
-    /// implies both operands; both operands imply the hull.
+    /// implies both operands; both operands imply the hull; the
+    /// intersection's volume matches its definition bit for bit.
     #[test]
     fn algebra_laws(
         a_lo in 0.0f64..80.0, a_w in 1.0f64..40.0,
@@ -131,6 +132,20 @@ proptest! {
         let h = a.hull(&b);
         prop_assert!(a.implies(&h));
         prop_assert!(b.implies(&h));
+        // The intersection's volume, computed without building the
+        // intersection, has the definition's exact bits in both argument
+        // orders (`None` for disjoint boxes). Boxes may overhang the
+        // domain, so the clamping is exercised too.
+        let d = [
+            AttrDomain::Discrete { cardinality: 2 },
+            AttrDomain::Continuous { lo: 0.0, hi: 100.0 },
+            AttrDomain::Continuous { lo: 0.0, hi: 100.0 },
+        ];
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            let direct = x.intersect_volume_fraction(y, &d).map(f64::to_bits);
+            let built = x.intersect(y).map(|i| i.volume_fraction(&d).to_bits());
+            prop_assert_eq!(direct, built);
+        }
     }
 
     /// Carving a box by another yields pieces that partition the
