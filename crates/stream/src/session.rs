@@ -54,6 +54,7 @@ use crate::window::SlidingWindow;
 use parking_lot::Mutex;
 use scorpion_core::engine::PreparedPlan;
 use scorpion_core::{Algorithm, DtConfig, ExplainRequest, Explanation, InfluenceParams};
+use scorpion_obs::Phases;
 use scorpion_table::{Grouping, Table};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -189,7 +190,8 @@ impl ContinuousSession {
             return Ok(None);
         };
         let start = Instant::now();
-        let (table, grouping) = window.materialize()?;
+        let phases = Phases::new();
+        let (table, grouping) = phases.time("stream.materialize", || window.materialize())?;
         let (table, grouping) = (Arc::new(table), Arc::new(grouping));
 
         // Map detected keys to result indices of the materialized
@@ -258,9 +260,11 @@ impl ContinuousSession {
         // server stamps into `x-scorpion-trace-id`, so a slide's flight
         // recorder event is correlatable with HTTP-side telemetry.
         explanation.diagnostics.trace_id = scorpion_obs::next_trace_id();
-        // Window-maintenance attribution and residency gauges: drain the
+        // Session and window-maintenance attribution and residency
+        // gauges: add this slide's `stream.materialize` time and drain the
         // window's accumulated `window.compact` time into this
-        // explanation's phase table and report what the window holds.
+        // explanation's phase table, and report what the window holds.
+        scorpion_obs::merge_phases(&mut explanation.diagnostics.phases, phases.take());
         scorpion_obs::merge_phases(&mut explanation.diagnostics.phases, window.phases().take());
         explanation.diagnostics.resident_rows = window.resident_rows() as u64;
         explanation.diagnostics.resident_bytes = window.resident_bytes();
@@ -439,6 +443,37 @@ mod tests {
         let rendered = second.explanation.best().predicate.display(&second.table);
         assert!(rendered.contains("s3"), "predicate was: {rendered}");
         assert_eq!(s.stats(), SessionStats { warm_runs: 1, cold_runs: 1 });
+        // Each explained slide, cold or warm, attributes one
+        // materialization.
+        for ex in [&first, &second] {
+            let materialize: Vec<_> = ex
+                .explanation
+                .diagnostics
+                .phases
+                .iter()
+                .filter(|p| p.name == "stream.materialize")
+                .collect();
+            assert_eq!(materialize.len(), 1, "one stream.materialize entry");
+            assert_eq!(materialize[0].count, 1, "one materialization per slide");
+        }
+    }
+
+    #[test]
+    fn wrong_typed_explain_cell_is_rejected_at_push() {
+        // A number in the discrete `sensor` column must be rejected at
+        // push: accepted, it would make every later explanation fail
+        // with a type mismatch until its chunk was evicted.
+        let mut w = build_window(12, 8..10);
+        let s = session();
+        let before = (w.n_chunks(), w.rows_ingested(), w.series());
+        let mut bad = hour_chunk(12, false);
+        bad[5][1] = Value::Num(3.0);
+        let err = w.push_chunk(bad).unwrap_err();
+        assert!(matches!(err, StreamError::BadRow(ref m) if m.contains("sensor")), "{err}");
+        assert_eq!((w.n_chunks(), w.rows_ingested(), w.series()), before);
+        let ex = s.explain(&w).unwrap().expect("detection");
+        let rendered = ex.explanation.best().predicate.display(&ex.table);
+        assert!(rendered.contains("s3"), "predicate was: {rendered}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   constant-size partials for the touched groups — still never
 //!   re-reading rows;
 //! * black-box aggregates (MEDIAN) fall back to recomputing from the
-//!   buffered rows at read time.
+//!   chunks' buffered per-group values at read time.
 //!
 //! ## Sketch mode
 //!
@@ -30,28 +30,39 @@
 //! documented error bound; exact `compute` remains the oracle whenever
 //! sketch mode is off.
 //!
-//! ## Compaction tier
+//! ## Columnar chunks and the compaction tier
 //!
-//! Raw rows are buffered because explanation needs the full relation:
-//! [`SlidingWindow::materialize`] rebuilds a [`Table`] + provenance
-//! [`Grouping`] for the engine. [`StreamConfig::with_compaction`] bounds
-//! that buffer: once a chunk ages past the `keep_recent` newest chunks
-//! and no flagged group ever touched it
-//! ([`SlidingWindow::mark_flagged`]), the compaction tier drops its raw
-//! rows and retains only the per-group partials, sketches, and a
-//! per-group [`RowMask`] of the chunk-local row positions. Series
-//! maintenance is unaffected (it never re-reads rows); materialization
-//! and the warm-reuse signature ([`SlidingWindow::chunks_of`]) simply
-//! skip compacted chunks, so resident memory is O(groups · chunks)
-//! instead of O(rows) on quiet streams while flagged chunks stay fully
+//! Explanation needs the full relation, so each chunk keeps its rows,
+//! converted once at [`SlidingWindow::push_chunk`] into columns: a
+//! `Vec<f64>` per continuous attribute and a `Vec<u32>` per discrete
+//! one. The codes index one window-wide dictionary per discrete
+//! attribute. A dictionary slot is freed once no resident row uses it,
+//! and the next new value reuses it, so each dictionary holds no more
+//! slots than the most distinct values the resident chunks ever held at
+//! once. [`SlidingWindow::materialize`] concatenates the resident
+//! chunks' columns into a [`Table`] + provenance [`Grouping`] for the
+//! engine.
+//!
+//! [`StreamConfig::with_compaction`] bounds the resident columns: once a
+//! chunk ages past the `keep_recent` newest chunks and no flagged group
+//! ever touched it ([`SlidingWindow::mark_flagged`]), the compaction
+//! tier builds a per-group [`RowMask`] of the chunk-local row positions
+//! from the chunk's group codes, then drops its columns, retaining only
+//! the per-group partials, sketches, and masks. Series maintenance is
+//! unaffected (it never re-reads rows); materialization and the
+//! warm-reuse signature ([`SlidingWindow::chunks_of`]) simply skip
+//! compacted chunks, so resident memory is O(groups · chunks) instead of
+//! O(rows) on quiet streams while flagged chunks stay fully
 //! re-explainable.
 
 use crate::error::{Result, StreamError};
 use scorpion_agg::{AggState, Aggregate, SketchAggregate};
 use scorpion_obs::Phases;
 use scorpion_sketch::{HeavyHitter, SketchPartial, SpaceSaving};
-use scorpion_table::{group_by, AttrType, Grouping, RowMask, Schema, Table, TableBuilder, Value};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use scorpion_table::{
+    group_by, AttrType, CatColumn, Column, Grouping, RowMask, Schema, Table, Value,
+};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -129,11 +140,17 @@ impl StreamConfig {
     }
 }
 
-/// One ingested batch: buffered rows plus the per-group partial states
-/// summarizing its aggregate-attribute values.
+/// One ingested batch: its rows as columns plus the per-group partial
+/// states summarizing its aggregate-attribute values.
 struct Chunk {
     id: u64,
-    rows: Vec<Vec<Value>>,
+    /// Per attribute: the rows' numbers (continuous attributes only;
+    /// empty once compacted).
+    nums: Vec<Vec<f64>>,
+    /// Per attribute: the rows' codes into the attribute's
+    /// [`WindowDict`] (discrete attributes only; empty once compacted).
+    /// Each code counts as one resident row of its dictionary slot.
+    codes: Vec<Vec<u32>>,
     /// Per group key: (partial state, row count). The state is unused
     /// (empty) when the aggregate is not mergeable.
     groups: BTreeMap<String, (AggState, usize)>,
@@ -146,13 +163,150 @@ struct Chunk {
     sketches: BTreeMap<String, SketchPartial>,
     /// Per group key: mask of the chunk-local row positions the group
     /// occupied. Built when the chunk is compacted — the only
-    /// row-membership record that survives the raw rows.
+    /// row-membership record that survives the columns.
     masks: BTreeMap<String, RowMask>,
-    /// Raw rows dropped by the compaction tier.
+    /// Columns dropped by the compaction tier.
     compacted: bool,
     /// A flagged group's rows live here; exempt from compaction so warm
     /// re-explanation keeps its evidence.
     flagged: bool,
+}
+
+impl Chunk {
+    /// Drops the chunk's columns, releasing its codes' dictionary slots.
+    fn drop_columns(&mut self, dicts: &mut [WindowDict]) {
+        for (dict, codes) in dicts.iter_mut().zip(&mut self.codes) {
+            dict.release(codes);
+            *codes = Vec::new();
+        }
+        self.nums.iter_mut().for_each(|v| *v = Vec::new());
+    }
+}
+
+/// The window-wide dictionary of one discrete attribute; chunk columns
+/// hold codes into it. A slot is freed once no resident row uses it,
+/// and the next new value reuses it.
+#[derive(Default)]
+struct WindowDict {
+    /// Code → value; a free slot holds an empty string.
+    values: Vec<String>,
+    /// Code → resident rows holding it; 0 marks a free slot.
+    rows: Vec<usize>,
+    index: HashMap<String, u32>,
+    free: Vec<u32>,
+}
+
+impl WindowDict {
+    /// Codes one batch column's cells, counting each as a resident row.
+    /// A cell equal to the one before reuses its code without hashing.
+    fn encode<'a>(&mut self, cells: impl ExactSizeIterator<Item = &'a str>) -> Vec<u32> {
+        let mut codes = Vec::with_capacity(cells.len());
+        let mut prev: Option<(&str, u32)> = None;
+        for cell in cells {
+            let code = match prev {
+                Some((p, code)) if p == cell => code,
+                _ => self.intern(cell),
+            };
+            prev = Some((cell, code));
+            self.rows[code as usize] += 1;
+            codes.push(code);
+        }
+        codes
+    }
+
+    fn intern(&mut self, value: &str) -> u32 {
+        if let Some(&code) = self.index.get(value) {
+            return code;
+        }
+        let code = match self.free.pop() {
+            Some(code) => {
+                self.values[code as usize] = value.to_owned();
+                code
+            }
+            None => {
+                let code = u32::try_from(self.values.len())
+                    .expect("a window dictionary holds fewer than 2^32 values");
+                self.values.push(value.to_owned());
+                self.rows.push(0);
+                code
+            }
+        };
+        self.index.insert(value.to_owned(), code);
+        code
+    }
+
+    /// Drops one resident row per code, freeing the slots no row holds.
+    fn release(&mut self, codes: &[u32]) {
+        for &code in codes {
+            let rows = &mut self.rows[code as usize];
+            *rows -= 1;
+            if *rows == 0 {
+                let value = std::mem::take(&mut self.values[code as usize]);
+                self.index.remove(&value);
+                self.free.push(code);
+            }
+        }
+    }
+
+    /// Slots, free ones included.
+    fn slots(&self) -> usize {
+        self.values.len()
+    }
+
+    fn value(&self, code: u32) -> &str {
+        &self.values[code as usize]
+    }
+
+    /// Concatenates chunk code columns into one table column. Table codes
+    /// go through one dense window-code → table-code array, assigned in
+    /// first-appearance order, so the column equals pushing the same
+    /// strings one row at a time: same codes, same dictionary order, and
+    /// only the values some row uses.
+    fn concat<'a>(
+        &self,
+        parts: impl Iterator<Item = &'a [u32]>,
+        n_rows: usize,
+    ) -> scorpion_table::Result<CatColumn> {
+        const UNMAPPED: u32 = u32::MAX;
+        let mut table_code = vec![UNMAPPED; self.slots()];
+        let mut dict: Vec<String> = Vec::new();
+        let mut codes = Vec::with_capacity(n_rows);
+        for part in parts {
+            for &code in part {
+                let t = &mut table_code[code as usize];
+                if *t == UNMAPPED {
+                    *t = u32::try_from(dict.len()).expect("table codes number at most the slots");
+                    dict.push(self.values[code as usize].clone());
+                }
+                codes.push(*t);
+            }
+        }
+        CatColumn::from_parts(codes, dict)
+    }
+
+    /// Approximate bytes: each value is held twice (slot and index),
+    /// plus a row count and an index code.
+    fn approx_bytes(&self) -> u64 {
+        self.values.iter().map(|v| 2 * (v.len() as u64 + 24) + 12).sum()
+    }
+}
+
+/// Buckets rows by code, numbering buckets by first appearance through
+/// a dense code → bucket array over `slots` codes: calls `f(bucket, row)`
+/// for every row and returns each bucket's code.
+fn bucket_rows(codes: &[u32], slots: usize, mut f: impl FnMut(usize, usize)) -> Vec<u32> {
+    const UNSEEN: usize = usize::MAX;
+    let mut bucket_of = vec![UNSEEN; slots];
+    let mut keys = Vec::new();
+    for (row, &code) in codes.iter().enumerate() {
+        let b = &mut bucket_of[code as usize];
+        if *b == UNSEEN {
+            *b = keys.len();
+            keys.push(code);
+        }
+        f(*b, row);
+    }
+    keys
 }
 
 /// Running per-group totals over the live window.
@@ -204,6 +358,9 @@ pub struct SlidingWindow {
     cfg: StreamConfig,
     agg: Arc<dyn Aggregate>,
     chunks: VecDeque<Chunk>,
+    /// Per attribute: the dictionary its chunk codes index (unused for
+    /// continuous attributes).
+    dicts: Vec<WindowDict>,
     totals: BTreeMap<String, GroupTotal>,
     next_chunk_id: u64,
     rows_ingested: u64,
@@ -220,10 +377,12 @@ pub struct SlidingWindow {
 impl SlidingWindow {
     /// Creates an empty window for the given continuous query.
     pub fn new(cfg: StreamConfig, agg: Arc<dyn Aggregate>) -> Self {
+        let dicts = cfg.schema.iter().map(|_| WindowDict::default()).collect();
         SlidingWindow {
             cfg,
             agg,
             chunks: VecDeque::new(),
+            dicts,
             totals: BTreeMap::new(),
             next_chunk_id: 0,
             rows_ingested: 0,
@@ -258,29 +417,28 @@ impl SlidingWindow {
         self.chunks.len()
     }
 
-    /// Number of raw rows resident in the window. With compaction this
-    /// counts only retained rows; see [`Self::series`]'s per-group
+    /// Number of rows resident in the window's columns. With compaction
+    /// this counts only retained rows; see [`Self::series`]'s per-group
     /// `rows` for the logical count.
     pub fn n_rows(&self) -> usize {
-        self.chunks.iter().map(|c| c.rows.len()).sum()
+        // The group attribute is discrete: its codes count resident rows.
+        self.chunks.iter().map(|c| c.codes[self.cfg.group_attr].len()).sum()
     }
 
-    /// Raw rows resident (alias of [`Self::n_rows`], the gauge exported
-    /// to diagnostics).
+    /// Rows resident (alias of [`Self::n_rows`], the gauge exported to
+    /// diagnostics).
     pub fn resident_rows(&self) -> usize {
         self.n_rows()
     }
 
-    /// Approximate bytes resident in the window: buffered rows and
-    /// value vectors plus per-group partials, sketches, and masks.
+    /// Approximate bytes resident in the window: the chunks' columns
+    /// (8 bytes per number, 4 per code), the window dictionaries, and
+    /// the per-group value vectors, partials, sketches, and masks.
     pub fn resident_bytes(&self) -> u64 {
-        // A Value is a tagged enum (≥ 16 bytes); strings add heap. Use a
-        // flat 32 bytes/value — the gauge tracks growth, not the
-        // allocator.
-        let mut bytes = 0u64;
-        let per_value = 32 * self.cfg.schema.len() as u64;
+        let mut bytes: u64 = self.dicts.iter().map(WindowDict::approx_bytes).sum();
         for c in &self.chunks {
-            bytes += c.rows.len() as u64 * per_value;
+            bytes += c.nums.iter().map(|v| 8 * v.len() as u64).sum::<u64>();
+            bytes += c.codes.iter().map(|v| 4 * v.len() as u64).sum::<u64>();
             for (key, vs) in &c.values {
                 bytes += key.len() as u64 + 8 * vs.len() as u64;
             }
@@ -303,7 +461,14 @@ impl SlidingWindow {
         bytes + self.heavy.approx_bytes() as u64
     }
 
-    /// Chunks whose raw rows the compaction tier has dropped (live).
+    /// Slots of the window dictionary of attribute `attr`, free ones
+    /// included (0 for a continuous attribute). Never more than the most
+    /// distinct values of `attr` the resident chunks held at once.
+    pub fn dictionary_slots(&self, attr: usize) -> usize {
+        self.dicts.get(attr).map_or(0, WindowDict::slots)
+    }
+
+    /// Chunks whose columns the compaction tier has dropped (live).
     pub fn n_compacted_chunks(&self) -> usize {
         self.chunks.iter().filter(|c| c.compacted).count()
     }
@@ -375,32 +540,37 @@ impl SlidingWindow {
 
     /// Ingests one batch as a new chunk, evicting the oldest chunk when
     /// the window is at capacity and compacting aged never-flagged
-    /// chunks when the compaction tier is enabled.
+    /// chunks when the compaction tier is enabled. Every cell is checked
+    /// against the schema first: a bad batch is rejected with
+    /// [`StreamError::BadRow`] and leaves the window unchanged.
     pub fn push_chunk(&mut self, rows: Vec<Vec<Value>>) -> Result<ChunkReceipt> {
+        self.check_rows(&rows)?;
+        // Evict and compact before the batch interns its values, so the
+        // dictionaries reuse the slots that left the resident set.
+        let evicted = if self.chunks.len() >= self.cfg.window_chunks {
+            let mut old = self.chunks.pop_front().expect("a full window has chunks");
+            old.drop_columns(&mut self.dicts);
+            Some(old)
+        } else {
+            None
+        };
+        self.compact();
+
+        let (nums, codes) = self.encode(&rows);
+        let group = &self.dicts[self.cfg.group_attr];
+        let agg_values = &nums[self.cfg.agg_attr];
+        let mut by_group: Vec<Vec<f64>> = Vec::new();
+        let keys = bucket_rows(&codes[self.cfg.group_attr], group.slots(), |b, row| {
+            if b == by_group.len() {
+                by_group.push(Vec::new());
+            }
+            by_group[b].push(agg_values[row]);
+        });
+        let values: BTreeMap<String, Vec<f64>> =
+            keys.iter().map(|&k| group.value(k).to_owned()).zip(by_group).collect();
+
         let mergeable = self.agg.mergeable();
         let mut groups: BTreeMap<String, (AggState, usize)> = BTreeMap::new();
-        let mut values: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-        for (i, row) in rows.iter().enumerate() {
-            if row.len() != self.cfg.schema.len() {
-                return Err(StreamError::BadRow(format!(
-                    "row {i} has {} values, schema has {}",
-                    row.len(),
-                    self.cfg.schema.len()
-                )));
-            }
-            let key = match &row[self.cfg.group_attr] {
-                Value::Str(s) => s.clone(),
-                other => {
-                    return Err(StreamError::BadRow(format!(
-                        "row {i}: group attribute must be a string, got {other:?}"
-                    )))
-                }
-            };
-            let v = row[self.cfg.agg_attr].as_num().ok_or_else(|| {
-                StreamError::BadRow(format!("row {i}: aggregate attribute must be numeric"))
-            })?;
-            values.entry(key).or_default().push(v);
-        }
         for (key, vals) in &values {
             let (state, n) = match mergeable {
                 Some(m) => (m.partial_of(vals), vals.len()),
@@ -462,10 +632,10 @@ impl SlidingWindow {
         let chunk_id = self.next_chunk_id;
         self.next_chunk_id += 1;
         self.rows_ingested += rows.len() as u64;
-        let n_rows = rows.len();
         self.chunks.push_back(Chunk {
             id: chunk_id,
-            rows,
+            nums,
+            codes,
             groups,
             values,
             sketches,
@@ -474,15 +644,62 @@ impl SlidingWindow {
             flagged: false,
         });
 
-        let evicted = if self.chunks.len() > self.cfg.window_chunks {
-            let old = self.chunks.pop_front().expect("non-empty window");
-            self.retract(&old)?;
-            Some(old.id)
-        } else {
-            None
-        };
-        self.compact();
-        Ok(ChunkReceipt { chunk_id, rows: n_rows, evicted })
+        // Retract after merging the new chunk: the totals' float sums
+        // depend on the order, and re-merges must see the new chunk.
+        if let Some(old) = &evicted {
+            self.retract(old)?;
+        }
+        Ok(ChunkReceipt { chunk_id, rows: rows.len(), evicted: evicted.map(|old| old.id) })
+    }
+
+    /// Checks every cell against the schema before the window changes.
+    fn check_rows(&self, rows: &[Vec<Value>]) -> Result<()> {
+        let schema = &self.cfg.schema;
+        for (i, row) in rows.iter().enumerate() {
+            if row.len() != schema.len() {
+                return Err(StreamError::BadRow(format!(
+                    "row {i} has {} values, schema has {}",
+                    row.len(),
+                    schema.len()
+                )));
+            }
+            for (field, cell) in schema.iter().zip(row) {
+                let expected = match (field.ty(), cell) {
+                    (AttrType::Continuous, Value::Num(_)) | (AttrType::Discrete, Value::Str(_)) => {
+                        continue
+                    }
+                    (AttrType::Continuous, _) => "a number",
+                    (AttrType::Discrete, _) => "a string",
+                };
+                return Err(StreamError::BadRow(format!(
+                    "row {i}: attribute `{}` must be {expected}, got {cell:?}",
+                    field.name()
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Converts a checked batch into per-attribute columns, interning
+    /// discrete cells into the window dictionaries.
+    fn encode(&mut self, rows: &[Vec<Value>]) -> (Vec<Vec<f64>>, Vec<Vec<u32>>) {
+        let mut nums = Vec::with_capacity(self.cfg.schema.len());
+        let mut codes = Vec::with_capacity(self.cfg.schema.len());
+        for (a, field) in self.cfg.schema.iter().enumerate() {
+            match field.ty() {
+                AttrType::Continuous => {
+                    let cells = rows.iter().map(|row| row[a].as_num().expect("cells were checked"));
+                    nums.push(cells.collect());
+                    codes.push(Vec::new());
+                }
+                AttrType::Discrete => {
+                    nums.push(Vec::new());
+                    let cells = rows.iter().map(|row| row[a].as_str().expect("cells were checked"));
+                    codes.push(self.dicts[a].encode(cells));
+                }
+            }
+        }
+        (nums, codes)
     }
 
     /// Removes an evicted chunk's contribution from the running totals.
@@ -569,37 +786,39 @@ impl SlidingWindow {
         Ok(acc)
     }
 
-    /// Strips raw rows from chunks older than the `keep_recent` newest
+    /// Strips the columns from chunks older than the `keep_recent` newest
     /// that no flagged group ever touched, leaving partials + sketches +
-    /// per-group row masks. Requires a row-free read path: a mergeable
-    /// partial or an active sketch tier. Timed as `window.compact`.
+    /// per-group row masks built from the group codes. Runs before the
+    /// incoming chunk joins the window, so that chunk counts toward the
+    /// newest. Requires a row-free read path: a mergeable partial or an
+    /// active sketch tier. Timed as `window.compact`.
     fn compact(&mut self) {
         let Some(keep) = self.cfg.compact_keep_recent else { return };
         if self.agg.mergeable().is_none() && self.sketch_tier().is_none() {
             return; // black-box reads need the buffered values
         }
-        if self.chunks.len() <= keep {
+        let eligible = (self.chunks.len() + 1).saturating_sub(keep);
+        if eligible == 0 {
             return;
         }
         let start = Instant::now();
         let group_attr = self.cfg.group_attr;
         let mut did = 0u64;
-        let eligible = self.chunks.len() - keep;
         for c in self.chunks.iter_mut().take(eligible) {
             if c.compacted || c.flagged {
                 continue;
             }
-            let mut masks: BTreeMap<String, RowMask> = BTreeMap::new();
-            for (i, row) in c.rows.iter().enumerate() {
-                if let Value::Str(key) = &row[group_attr] {
-                    masks
-                        .entry(key.clone())
-                        .or_insert_with(|| RowMask::empty(c.rows.len()))
-                        .insert(i as u32);
+            let group = &self.dicts[group_attr];
+            let codes = &c.codes[group_attr];
+            let mut masks: Vec<RowMask> = Vec::new();
+            let keys = bucket_rows(codes, group.slots(), |b, row| {
+                if b == masks.len() {
+                    masks.push(RowMask::empty(codes.len()));
                 }
-            }
-            c.masks = masks;
-            c.rows = Vec::new();
+                masks[b].insert(row as u32);
+            });
+            c.masks = keys.iter().map(|&k| group.value(k).to_owned()).zip(masks).collect();
+            c.drop_columns(&mut self.dicts);
             c.values = BTreeMap::new();
             c.compacted = true;
             did += 1;
@@ -656,21 +875,36 @@ impl SlidingWindow {
     }
 
     /// Materializes the live window as a relation plus provenance — the
-    /// substrate the explanation engine runs on. Rows appear in chunk
-    /// arrival order, so the result is deterministic. Compacted chunks
-    /// contribute nothing (their rows are gone); [`Self::chunks_of`]
+    /// substrate the explanation engine runs on. The resident chunks'
+    /// columns are concatenated in arrival order: numbers slice to
+    /// slice, codes through one dense window-code → table-code array
+    /// per discrete attribute that assigns table codes by first
+    /// appearance. The table therefore equals pushing the same rows one
+    /// at a time: same codes, same dictionary order, only the values
+    /// some resident row holds, same `f64` bits. Compacted chunks
+    /// contribute nothing (their columns are gone); [`Self::chunks_of`]
     /// skips them symmetrically so warm-reuse signatures stay consistent
     /// with this relation.
     pub fn materialize(&self) -> Result<(Table, Grouping)> {
-        let mut b = TableBuilder::new(self.cfg.schema.clone());
-        b.reserve(self.n_rows());
-        for c in &self.chunks {
-            for row in &c.rows {
-                b.push_row(row.iter().cloned()).map_err(StreamError::Table)?;
-            }
+        let n_rows = self.n_rows();
+        let mut columns = Vec::with_capacity(self.cfg.schema.len());
+        for (a, field) in self.cfg.schema.iter().enumerate() {
+            columns.push(match field.ty() {
+                AttrType::Continuous => {
+                    let mut v = Vec::with_capacity(n_rows);
+                    for c in &self.chunks {
+                        v.extend_from_slice(&c.nums[a]);
+                    }
+                    Column::Num(v)
+                }
+                AttrType::Discrete => Column::Cat(
+                    self.dicts[a]
+                        .concat(self.chunks.iter().map(|c| c.codes[a].as_slice()), n_rows)?,
+                ),
+            });
         }
-        let table = b.build();
-        let grouping = group_by(&table, &[self.cfg.group_attr]).map_err(StreamError::Table)?;
+        let table = Table::from_columns(self.cfg.schema.clone(), columns)?;
+        let grouping = group_by(&table, &[self.cfg.group_attr])?;
         Ok((table, grouping))
     }
 }

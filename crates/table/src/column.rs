@@ -24,6 +24,27 @@ impl CatColumn {
         CatColumn::default()
     }
 
+    /// Builds a column from per-row `codes` and the dictionary they
+    /// index (code `i` stands for `dict[i]`). Errors when a code has no
+    /// dictionary entry or the dictionary holds a value twice; entries
+    /// no row uses are allowed, as after [`CatColumn::intern`].
+    pub fn from_parts(codes: Vec<u32>, dict: Vec<String>) -> Result<CatColumn> {
+        let n = u32::try_from(dict.len())
+            .map_err(|_| TableError::InvalidColumn("dictionary exceeds u32 codes".to_owned()))?;
+        if let Some(&c) = codes.iter().find(|&&c| c >= n) {
+            return Err(TableError::InvalidColumn(format!(
+                "code {c} has no entry in a {n}-value dictionary"
+            )));
+        }
+        let mut index = HashMap::with_capacity(dict.len());
+        for (code, value) in (0..n).zip(&dict) {
+            if index.insert(value.clone(), code).is_some() {
+                return Err(TableError::InvalidColumn(format!("dictionary holds `{value}` twice")));
+            }
+        }
+        Ok(CatColumn { codes, dict, index })
+    }
+
     /// Interns `value` (if new) and returns its code without appending a row.
     pub fn intern(&mut self, value: &str) -> u32 {
         if let Some(&c) = self.index.get(value) {
@@ -194,6 +215,21 @@ mod tests {
         let e = c.gather(&[]);
         assert!(e.is_empty());
         assert_eq!(e.cardinality(), 0);
+    }
+
+    #[test]
+    fn from_parts_validates_codes_and_dictionary() {
+        let c = CatColumn::from_parts(vec![1, 0, 1], vec!["NY".into(), "DC".into()]).unwrap();
+        assert_eq!(c.codes(), &[1, 0, 1]);
+        assert_eq!(c.code_of("DC"), Some(1));
+        assert_eq!(c.value_of(0), "NY");
+        // An entry no row uses is allowed, as after `intern`.
+        let unused = CatColumn::from_parts(vec![], vec!["x".into()]).unwrap();
+        assert_eq!((unused.len(), unused.cardinality()), (0, 1));
+        let bad = CatColumn::from_parts(vec![0, 2], vec!["a".into(), "b".into()]);
+        assert!(matches!(bad, Err(TableError::InvalidColumn(_))));
+        let twice = CatColumn::from_parts(vec![0], vec!["a".into(), "a".into()]);
+        assert!(matches!(twice, Err(TableError::InvalidColumn(_))));
     }
 
     #[test]

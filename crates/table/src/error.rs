@@ -46,6 +46,10 @@ pub enum TableError {
         /// The attribute claimed by two roles.
         attr: String,
     },
+    /// Whole columns handed to a columnar constructor are inconsistent
+    /// (unequal lengths, a code outside its dictionary, a repeated
+    /// dictionary value).
+    InvalidColumn(String),
 }
 
 impl fmt::Display for TableError {
@@ -71,6 +75,7 @@ impl fmt::Display for TableError {
             TableError::ConflictingRoles { attr } => {
                 write!(f, "attribute `{attr}` used in conflicting query roles")
             }
+            TableError::InvalidColumn(msg) => write!(f, "invalid column: {msg}"),
         }
     }
 }

@@ -5,6 +5,7 @@
 //! exactly the provenance the paper's Provenance component must supply:
 //! the input group `g_αᵢ` of every result tuple `αᵢ`.
 
+use crate::column::Column;
 use crate::error::{Result, TableError};
 use crate::rowmask::RowMask;
 use crate::table::Table;
@@ -132,32 +133,49 @@ impl Grouping {
 
 /// Groups `table` by the given attributes, preserving first-appearance
 /// order of keys (so results are deterministic).
+///
+/// Grouping by one discrete attribute maps its codes through a dense
+/// code → group array; any other key is looked up through one reused
+/// key buffer, cloned only when it starts a new group.
 pub fn group_by(table: &Table, attrs: &[usize]) -> Result<Grouping> {
     if attrs.is_empty() {
         return Err(TableError::Empty("group-by attribute list"));
     }
-    for &a in attrs {
-        table.column(a)?;
-    }
-    let mut index: HashMap<GroupKey, usize> = HashMap::new();
+    let columns = attrs.iter().map(|&a| table.column(a)).collect::<Result<Vec<_>>>()?;
     let mut keys: Vec<GroupKey> = Vec::new();
     let mut groups: Vec<Vec<u32>> = Vec::new();
-    for row in 0..table.len() {
-        let mut parts = Vec::with_capacity(attrs.len());
-        for &a in attrs {
-            let part = match table.column(a)? {
-                crate::column::Column::Num(v) => KeyPart::Num(OrdF64(v[row])),
-                crate::column::Column::Cat(c) => KeyPart::Code(c.codes()[row]),
-            };
-            parts.push(part);
+    if let [Column::Cat(c)] = columns[..] {
+        const UNSEEN: usize = usize::MAX;
+        let mut group_of = vec![UNSEEN; c.cardinality()];
+        for (row, &code) in c.codes().iter().enumerate() {
+            let g = &mut group_of[code as usize];
+            if *g == UNSEEN {
+                *g = keys.len();
+                keys.push(GroupKey(vec![KeyPart::Code(code)]));
+                groups.push(Vec::new());
+            }
+            groups[*g].push(row as u32);
         }
-        let key = GroupKey(parts);
-        let idx = *index.entry(key.clone()).or_insert_with(|| {
-            keys.push(key);
-            groups.push(Vec::new());
-            keys.len() - 1
-        });
-        groups[idx].push(row as u32);
+    } else {
+        let mut index: HashMap<GroupKey, usize> = HashMap::new();
+        let mut key = GroupKey(Vec::with_capacity(attrs.len()));
+        for row in 0..table.len() {
+            key.0.clear();
+            key.0.extend(columns.iter().map(|column| match column {
+                Column::Num(v) => KeyPart::Num(OrdF64(v[row])),
+                Column::Cat(c) => KeyPart::Code(c.codes()[row]),
+            }));
+            let idx = match index.get(&key) {
+                Some(&idx) => idx,
+                None => {
+                    index.insert(key.clone(), keys.len());
+                    keys.push(key.clone());
+                    groups.push(Vec::new());
+                    keys.len() - 1
+                }
+            };
+            groups[idx].push(row as u32);
+        }
     }
     Ok(Grouping { group_attrs: attrs.to_vec(), keys, groups, shared: OnceLock::new() })
 }

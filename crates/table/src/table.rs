@@ -20,6 +20,35 @@ pub struct Table {
 }
 
 impl Table {
+    /// Builds a table from whole columns, one per schema attribute and
+    /// in schema order. Errors when the column count or a column's type
+    /// disagrees with the schema, or the columns differ in length.
+    pub fn from_columns(schema: Schema, columns: Vec<Column>) -> Result<Table> {
+        if columns.len() != schema.len() {
+            return Err(TableError::ArityMismatch { expected: schema.len(), got: columns.len() });
+        }
+        let len = columns.first().map_or(0, Column::len);
+        for (field, column) in schema.iter().zip(&columns) {
+            match (field.ty(), column) {
+                (AttrType::Continuous, Column::Num(_)) | (AttrType::Discrete, Column::Cat(_)) => {}
+                (ty, _) => {
+                    return Err(TableError::TypeMismatch {
+                        attr: field.name().to_owned(),
+                        expected: type_name(ty),
+                    })
+                }
+            }
+            if column.len() != len {
+                return Err(TableError::InvalidColumn(format!(
+                    "column `{}` has {} rows, the first column has {len}",
+                    field.name(),
+                    column.len()
+                )));
+            }
+        }
+        Ok(Table { schema, columns, len })
+    }
+
     /// The table's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -170,10 +199,7 @@ impl TableBuilder {
             if !ok {
                 return Err(TableError::TypeMismatch {
                     attr: field.name().to_owned(),
-                    expected: match field.ty() {
-                        AttrType::Continuous => "continuous",
-                        AttrType::Discrete => "discrete",
-                    },
+                    expected: type_name(field.ty()),
                 });
             }
         }
@@ -201,6 +227,14 @@ impl TableBuilder {
     /// Finalizes the table.
     pub fn build(self) -> Table {
         Table { schema: self.schema, columns: self.columns, len: self.len }
+    }
+}
+
+/// The name a type-mismatch error gives the expected attribute type.
+fn type_name(ty: AttrType) -> &'static str {
+    match ty {
+        AttrType::Continuous => "continuous",
+        AttrType::Discrete => "discrete",
     }
 }
 
@@ -252,6 +286,40 @@ mod tests {
         // A valid push still works afterwards.
         b.push_row(vec![Value::from("ok"), Value::from(2.0)]).unwrap();
         assert_eq!(b.len(), 1);
+    }
+
+    #[test]
+    fn from_columns_matches_the_row_builder() {
+        let cat = CatColumn::from_parts(vec![0, 1, 0], vec!["s1".into(), "s2".into()]).unwrap();
+        let t = Table::from_columns(
+            schema(),
+            vec![Column::Cat(cat), Column::Num(vec![34.0, 35.0, 100.0])],
+        )
+        .unwrap();
+        let want = sample();
+        assert_eq!(t.len(), want.len());
+        assert_eq!(t.num(1).unwrap(), want.num(1).unwrap());
+        assert_eq!(t.cat(0).unwrap().codes(), want.cat(0).unwrap().codes());
+        assert_eq!(t.value(1, 0).unwrap(), Value::Str("s2".into()));
+    }
+
+    #[test]
+    fn from_columns_rejects_inconsistent_columns() {
+        let cat = || Column::Cat(CatColumn::from_parts(vec![0], vec!["s1".into()]).unwrap());
+        assert!(matches!(
+            Table::from_columns(schema(), vec![cat()]),
+            Err(TableError::ArityMismatch { expected: 2, got: 1 })
+        ));
+        assert!(matches!(
+            Table::from_columns(schema(), vec![Column::Num(vec![1.0]), Column::Num(vec![2.0])]),
+            Err(TableError::TypeMismatch { expected: "discrete", .. })
+        ));
+        assert!(matches!(
+            Table::from_columns(schema(), vec![cat(), Column::Num(vec![1.0, 2.0])]),
+            Err(TableError::InvalidColumn(_))
+        ));
+        let empty = Table::from_columns(Schema::new(vec![]).unwrap(), vec![]).unwrap();
+        assert!(empty.is_empty());
     }
 
     #[test]
