@@ -29,24 +29,17 @@ impl Aggregate for Sum {
     fn incremental(&self) -> Option<&dyn IncrementalAggregate> {
         Some(self)
     }
-
-    fn mergeable(&self) -> Option<&dyn crate::MergeableAggregate> {
-        Some(self)
-    }
 }
 
 impl IncrementalAggregate for Sum {
-    fn state_len(&self) -> usize {
-        1
+    fn empty(&self) -> AggState {
+        AggState::zero(1)
     }
     fn state_one(&self, v: f64) -> AggState {
         AggState::new(&[v])
     }
     fn recover(&self, m: &AggState) -> f64 {
         m[0]
-    }
-    fn state_from_count_sum(&self, _n: f64, sum: f64) -> Option<AggState> {
-        Some(AggState::new(&[sum]))
     }
     fn delta_from_count_sum(
         &self,
@@ -55,8 +48,7 @@ impl IncrementalAggregate for Sum {
         _n: f64,
         sum: f64,
     ) -> Option<f64> {
-        // Bit-identical to the default composition, minus the two heap
-        // states: removed state is `[full[0] − sum]`.
+        // The remaining state is `[full[0] − sum]`.
         Some(full_value - (full[0] - sum))
     }
 }
@@ -86,26 +78,17 @@ impl Aggregate for Count {
     fn incremental(&self) -> Option<&dyn IncrementalAggregate> {
         Some(self)
     }
-
-    fn mergeable(&self) -> Option<&dyn crate::MergeableAggregate> {
-        Some(self)
-    }
 }
 
 impl IncrementalAggregate for Count {
-    fn state_len(&self) -> usize {
-        1
+    fn empty(&self) -> AggState {
+        AggState::zero(1)
     }
     fn state_one(&self, _v: f64) -> AggState {
         AggState::new(&[1.0])
     }
     fn recover(&self, m: &AggState) -> f64 {
         m[0]
-    }
-    fn state_from_count_sum(&self, n: f64, _sum: f64) -> Option<AggState> {
-        // COUNT ignores values entirely, so the interval collapses to a
-        // point: Δ is exact whenever `n` is.
-        Some(AggState::new(&[n]))
     }
     fn delta_from_count_sum(
         &self,
@@ -114,6 +97,8 @@ impl IncrementalAggregate for Count {
         n: f64,
         _sum: f64,
     ) -> Option<f64> {
+        // COUNT ignores values entirely, so the interval collapses to a
+        // point: Δ is exact whenever `n` is.
         Some(full_value - (full[0] - n))
     }
 }
@@ -144,15 +129,11 @@ impl Aggregate for Avg {
     fn incremental(&self) -> Option<&dyn IncrementalAggregate> {
         Some(self)
     }
-
-    fn mergeable(&self) -> Option<&dyn crate::MergeableAggregate> {
-        Some(self)
-    }
 }
 
 impl IncrementalAggregate for Avg {
-    fn state_len(&self) -> usize {
-        2
+    fn empty(&self) -> AggState {
+        AggState::zero(2)
     }
     fn state_one(&self, v: f64) -> AggState {
         AggState::new(&[v, 1.0])
@@ -165,9 +146,6 @@ impl IncrementalAggregate for Avg {
         } else {
             m[0] / m[1]
         }
-    }
-    fn state_from_count_sum(&self, n: f64, sum: f64) -> Option<AggState> {
-        Some(AggState::new(&[sum, n]))
     }
     fn delta_from_count_sum(
         &self,
@@ -257,9 +235,10 @@ mod tests {
     }
 
     #[test]
-    fn update_combines_disjoint_subsets() {
+    fn merge_combines_disjoint_subsets() {
         let avg = Avg;
-        let m = avg.update(&[avg.state_of(&[1.0, 2.0]), avg.state_of(&[3.0])]);
+        let mut m = avg.state_of(&[1.0, 2.0]);
+        avg.merge(&mut m, &avg.state_of(&[3.0]));
         assert_eq!(avg.recover(&m), 2.0);
     }
 }

@@ -5,47 +5,55 @@
 //! influence search —
 //!
 //! * **incrementally removable** (§5.1): [`IncrementalAggregate`]'s
-//!   `state` / `update` / `remove` / `recover` decomposition lets the
-//!   Scorer evaluate a predicate's influence by reading only the deleted
+//!   `state` / `merge` / `remove` / `recover` algebra lets the Scorer
+//!   evaluate a predicate's influence by reading only the deleted
 //!   tuples;
 //! * **independent** (§5.2): declared via
 //!   [`AggProperties::independent`], enables the DT partitioner;
 //! * **anti-monotonic Δ** (§5.3): declared via the data-dependent
 //!   [`Aggregate::anti_monotonic_check`], enables MC's pruning.
 //!
-//! A fourth capability extends the framework to continuous ingestion:
-//! **mergeable partials** ([`MergeableAggregate`], via
-//! [`Aggregate::mergeable`]) — the TimescaleDB-toolkit-style two-phase
-//! decomposition that lets `scorpion-stream` combine per-chunk partial
-//! states instead of re-reading rows. SUM/COUNT/AVG/STDDEV/VARIANCE are
-//! retractable-mergeable; MIN/MAX are mergeable only; MEDIAN is neither.
+//! [`IncrementalAggregate`], reached through
+//! [`Aggregate::incremental`], is the one exact state algebra. The same
+//! constant-size state serves the Scorer's deletions and a streaming
+//! window's per-chunk summaries, which `scorpion-stream` merges instead
+//! of re-reading rows. SUM/COUNT/AVG/STDDEV/VARIANCE are removable
+//! ([`IncrementalAggregate::removable`]); MIN/MAX keep a merge-only
+//! `[extremum, n]` state; MEDIAN has none.
 //!
-//! A fifth, approximate capability covers the operators with no exact
-//! partial: **sketch tiers** ([`SketchAggregate`], via
-//! [`Aggregate::sketch`]) — MEDIAN and the [`Percentile`] family ride a
-//! retractable quantile sketch, [`CountDistinct`] a merge-only HLL++,
-//! each within a runtime-queryable error bound. Exact `compute` stays
-//! the oracle; sketches engage only where a caller opts in.
+//! An approximate capability covers operators with no exact state:
+//! **sketch tiers** ([`SketchAggregate`], via [`Aggregate::sketch`]) —
+//! MEDIAN and the [`Percentile`] family ride a retractable quantile
+//! sketch, [`CountDistinct`] a merge-only HLL++, each partial reporting
+//! its own error bound. Exact `compute` stays the oracle; sketches
+//! engage only where a caller opts in.
 //!
 //! Shipped operators: [`Sum`], [`Count`], [`Avg`], [`StdDev`],
 //! [`Variance`] (incrementally removable + independent), [`Min`],
-//! [`Max`], [`Median`] (black-box), and the sketch-tier family
-//! ([`Percentile`], [`CountDistinct`]).
+//! [`Max`] (merge-only), [`Median`] (black-box), and the sketch-tier
+//! family ([`Percentile`], [`CountDistinct`]). [`BlackBox`] hides an
+//! operator's exact state, for ablations of the §5.1 fast path.
 //!
 //! ```
-//! use scorpion_agg::{Avg, Aggregate, IncrementalAggregate};
+//! use scorpion_agg::{Avg, Aggregate, IncrementalAggregate, Max};
 //!
 //! let avg = Avg;
 //! let m = avg.state_of(&[35.0, 35.0, 100.0]);
 //! // Remove the 100° reading without re-reading the kept tuples:
 //! let m2 = avg.remove(&m, &avg.state_one(100.0));
 //! assert_eq!(avg.recover(&m2), 35.0);
+//!
+//! // MAX merges per-chunk states but cannot remove one.
+//! let max = Max.incremental().unwrap();
+//! let mut total = max.state_of(&[3.0, 9.0]);
+//! max.merge(&mut total, &max.state_of(&[5.0]));
+//! assert_eq!(max.recover(&total), 9.0);
+//! assert!(!max.removable());
 //! ```
 
 #![warn(missing_docs)]
 
 mod arithmetic;
-mod merge;
 mod order;
 mod registry;
 mod sketch;
@@ -54,10 +62,9 @@ mod state;
 mod traits;
 
 pub use arithmetic::{Avg, Count, Sum};
-pub use merge::MergeableAggregate;
 pub use order::{Max, Median, Min};
 pub use registry::{aggregate_by_name, registered_names};
 pub use sketch::{CountDistinct, Percentile, SketchAggregate};
 pub use spread::{StdDev, Variance};
 pub use state::{AggState, MAX_STATE};
-pub use traits::{AggProperties, Aggregate, IncrementalAggregate};
+pub use traits::{AggProperties, Aggregate, BlackBox, IncrementalAggregate};

@@ -3,9 +3,9 @@
 //!
 //! Recognized names (case-insensitive):
 //!
-//! * exact, incrementally removable: `sum`, `count`, `avg` (alias
-//!   `mean`), `stddev` (alias `std`), `variance` (alias `var`);
-//! * exact, mergeable-only: `min`, `max`;
+//! * exact state, removable: `sum`, `count`, `avg` (alias `mean`),
+//!   `stddev` (alias `std`), `variance` (alias `var`);
+//! * exact state, merge-only: `min`, `max`;
 //! * exact compute with a sketch tier: `median`, `count_distinct`
 //!   (alias `distinct`), and the percentile family — the shorthands
 //!   `p10`/`p25`/`p50`/`p75`/`p90`/`p95`/`p99`/`p999`/`p100`, any
@@ -135,11 +135,17 @@ mod tests {
         // incrementally removable; MAX/MIN/MEDIAN are not.
         for name in ["sum", "count", "avg", "stddev", "variance"] {
             assert!(
-                aggregate_by_name(name).unwrap().incremental().is_some(),
+                aggregate_by_name(name).unwrap().incremental().is_some_and(|i| i.removable()),
                 "{name} should be incrementally removable"
             );
         }
-        for name in ["min", "max", "median", "p90", "count_distinct"] {
+        for name in ["min", "max"] {
+            assert!(
+                !aggregate_by_name(name).unwrap().incremental().unwrap().removable(),
+                "{name} should not be incrementally removable"
+            );
+        }
+        for name in ["median", "p90", "count_distinct"] {
             assert!(
                 aggregate_by_name(name).unwrap().incremental().is_none(),
                 "{name} should not be incrementally removable"

@@ -15,44 +15,36 @@
 //!
 //! The exact `compute` path remains the oracle everywhere: sketches are
 //! only consulted when a streaming window is explicitly configured for
-//! them, and every estimate can report its current [`ErrorBound`].
+//! them, and every partial reports its current error bound
+//! ([`SketchPartial::error_bound`]).
 
 use crate::traits::Aggregate;
-use scorpion_sketch::{ErrorBound, HyperLogLog, QuantileSketch, SketchPartial};
+use scorpion_sketch::{HyperLogLog, QuantileSketch, SketchPartial};
 
-/// The sketch-partial decomposition of an aggregate: a third capability
-/// alongside [`crate::IncrementalAggregate`] (exact removal) and
-/// [`crate::MergeableAggregate`] (exact merge), reached through
-/// [`Aggregate::sketch`].
+/// The sketch-partial decomposition of an aggregate, reached through
+/// [`Aggregate::sketch`]: an approximate tier beside the exact
+/// [`crate::IncrementalAggregate`] algebra.
 ///
-/// Unlike `AggState` partials (a fixed four-float register file), a
-/// [`SketchPartial`] owns heap state; inserting, merging, and
-/// retracting go through the partial itself — the operator contributes
-/// the empty partial, the finalizer, and the capability flags.
+/// Unlike an `AggState`, a [`SketchPartial`] owns heap state and
+/// carries its own algebra: inserting, merging and retracting go
+/// through the partial, which also answers whether it can retract
+/// ([`SketchPartial::retractable`]) and how far off it may be right now
+/// ([`SketchPartial::error_bound`]). The operator contributes the empty
+/// partial and the finalizer.
 ///
 /// Laws (verified in `tests/` and the sketch crate's property tests):
 ///
-/// 1. `sketch_finalize(p)` is within `sketch_error_bound(p)` of
-///    `compute(D)` for the bag `D` inserted into `p`;
+/// 1. `sketch_finalize(p)` is within `p.error_bound()` of `compute(D)`
+///    for the bag `D` inserted into `p`;
 /// 2. partial merge ≡ single-stream insertion (bit-exact);
-/// 3. when [`SketchAggregate::sketch_retractable`], retracting a merged
-///    partial restores the pre-merge partial bit-exactly.
+/// 3. when `p.retractable()`, retracting a merged partial restores the
+///    pre-merge partial bit-exactly.
 pub trait SketchAggregate: Aggregate {
     /// A fresh, empty sketch partial for this operator.
     fn sketch_empty(&self) -> SketchPartial;
 
     /// Recovers the (approximate) aggregate value from a partial.
     fn sketch_finalize(&self, partial: &SketchPartial) -> f64;
-
-    /// The guarantee on [`SketchAggregate::sketch_finalize`] for this
-    /// partial, *right now* (bounds can widen as sketches compact).
-    fn sketch_error_bound(&self, partial: &SketchPartial) -> ErrorBound {
-        partial.error_bound()
-    }
-
-    /// True when the partial algebra is a group: an expired chunk's
-    /// partial can be subtracted instead of re-merging survivors.
-    fn sketch_retractable(&self) -> bool;
 }
 
 /// `PERCENTILE(x, p)` — exact rank statistic with a sketch-backed
@@ -138,10 +130,6 @@ impl SketchAggregate for Percentile {
             _ => 0.0,
         }
     }
-
-    fn sketch_retractable(&self) -> bool {
-        true
-    }
 }
 
 impl SketchAggregate for crate::order::Median {
@@ -154,10 +142,6 @@ impl SketchAggregate for crate::order::Median {
             SketchPartial::Quantile(s) => s.quantile(0.5),
             _ => 0.0,
         }
-    }
-
-    fn sketch_retractable(&self) -> bool {
-        true
     }
 }
 
@@ -213,10 +197,6 @@ impl SketchAggregate for CountDistinct {
             _ => 0.0,
         }
     }
-
-    fn sketch_retractable(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
@@ -263,7 +243,7 @@ mod tests {
     fn percentile_sketch_tier_is_retractable_and_accurate() {
         let p90 = Percentile::new(0.9).unwrap();
         let s = p90.sketch().expect("percentile has a sketch tier");
-        assert!(s.sketch_retractable());
+        assert!(s.sketch_empty().retractable());
         let mut partial = s.sketch_empty();
         let vals: Vec<f64> = (1..=1000).map(|i| i as f64).collect();
         for &v in &vals {
@@ -271,7 +251,7 @@ mod tests {
         }
         let est = s.sketch_finalize(&partial);
         let exact = p90.compute(&vals);
-        let bound = s.sketch_error_bound(&partial).magnitude();
+        let bound = partial.error_bound().magnitude();
         assert!((est - exact).abs() <= bound * exact + 1e-9, "est {est} exact {exact}");
     }
 
@@ -284,7 +264,7 @@ mod tests {
         }
         let est = s.sketch_finalize(&partial);
         let exact = Median.compute(&(1..=101).map(|i| i as f64).collect::<Vec<_>>());
-        let bound = s.sketch_error_bound(&partial).magnitude();
+        let bound = partial.error_bound().magnitude();
         assert!((est - exact).abs() <= bound * exact + 1e-9);
     }
 
@@ -295,7 +275,7 @@ mod tests {
         assert_eq!(cd.compute(&[1.0, 1.0, 2.0, 2.0, 3.0]), 3.0);
         assert_eq!(cd.compute(&[0.0, -0.0]), 1.0, "signed zeros are one value");
         let s = cd.sketch().expect("count_distinct has a sketch tier");
-        assert!(!s.sketch_retractable());
+        assert!(!s.sketch_empty().retractable());
         let mut partial = s.sketch_empty();
         for i in 0..500 {
             partial.insert(i as f64);

@@ -20,8 +20,14 @@ fn recover_variance(m: &AggState) -> f64 {
     }
     let n = m[2];
     let mean = m[0] / n;
-    // Cancellation can push the moment formula fractionally negative.
-    (m[1] / n - mean * mean).max(0.0)
+    let var = m[1] / n - mean * mean;
+    // Cancellation can push the moment formula fractionally negative;
+    // clamp that, but let a NaN (from a NaN or ±∞ input) through.
+    if var < 0.0 {
+        0.0
+    } else {
+        var
+    }
 }
 
 /// Population `STDDEV(x)`: incrementally removable (state
@@ -45,15 +51,11 @@ impl Aggregate for StdDev {
     fn incremental(&self) -> Option<&dyn IncrementalAggregate> {
         Some(self)
     }
-
-    fn mergeable(&self) -> Option<&dyn crate::MergeableAggregate> {
-        Some(self)
-    }
 }
 
 impl IncrementalAggregate for StdDev {
-    fn state_len(&self) -> usize {
-        3
+    fn empty(&self) -> AggState {
+        AggState::zero(3)
     }
     fn state_one(&self, v: f64) -> AggState {
         AggState::new(&[v, v * v, 1.0])
@@ -84,15 +86,11 @@ impl Aggregate for Variance {
     fn incremental(&self) -> Option<&dyn IncrementalAggregate> {
         Some(self)
     }
-
-    fn mergeable(&self) -> Option<&dyn crate::MergeableAggregate> {
-        Some(self)
-    }
 }
 
 impl IncrementalAggregate for Variance {
-    fn state_len(&self) -> usize {
-        3
+    fn empty(&self) -> AggState {
+        AggState::zero(3)
     }
     fn state_one(&self, v: f64) -> AggState {
         AggState::new(&[v, v * v, 1.0])

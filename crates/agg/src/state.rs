@@ -3,9 +3,11 @@
 //! §5.1 requires incrementally removable aggregates to summarize a dataset
 //! in a *constant-sized tuple*. [`AggState`] is that tuple: an inline,
 //! fixed-capacity vector of up to four `f64` components (enough for
-//! COUNT `[n]`, SUM `[s]`, AVG `[s, n]`, and STDDEV/VARIANCE
-//! `[s, s², n]`), copyable and allocation-free so Scorer hot loops never
-//! touch the heap.
+//! COUNT `[n]`, SUM `[s]`, AVG `[s, n]`, STDDEV/VARIANCE `[s, s², n]`,
+//! and the merge-only MIN/MAX `[extremum, n]`), copyable and
+//! allocation-free so Scorer hot loops never touch the heap. The
+//! componentwise operations below are the additive algebras' `merge`,
+//! `remove`, and the §6.3 scaling.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -31,7 +33,7 @@ impl AggState {
     }
 
     /// The all-zero state with `len` components — the identity for
-    /// additive state algebras (`update(zero, m) == m`).
+    /// additive state algebras (`merge(zero, m) == m`).
     pub fn zero(len: usize) -> Self {
         assert!(len <= MAX_STATE);
         AggState { vals: [0.0; MAX_STATE], len: len as u8 }
@@ -52,7 +54,7 @@ impl AggState {
         &self.vals[..self.len as usize]
     }
 
-    /// Componentwise sum (the `update` of additive state algebras).
+    /// Componentwise sum (the `merge` of additive state algebras).
     #[inline]
     pub fn add(&self, other: &AggState) -> AggState {
         debug_assert_eq!(self.len, other.len);
@@ -77,7 +79,8 @@ impl AggState {
     /// Componentwise scaling: the state of `n` copies of the summarized
     /// tuples, for additive algebras. This is the fast path behind the
     /// Merger's cached-tuple approximation (§6.3), where the paper writes
-    /// `update(m_t, ..., m_t)` with `N` copies.
+    /// `update(m_t, ..., m_t)` with `N` copies. `n` may be fractional:
+    /// the approximation estimates partial overlap contributions.
     #[inline]
     pub fn scale(&self, n: f64) -> AggState {
         let mut out = *self;

@@ -4,9 +4,10 @@
 //! declared properties unlock its efficient algorithms:
 //!
 //! 1. **Incrementally removable** (§5.1) — the aggregate decomposes into
-//!    `state` / `update` / `remove` / `recover`, so the result of deleting
+//!    `state` / `merge` / `remove` / `recover`, so the result of deleting
 //!    a subset can be computed reading only the deleted tuples. Modeled by
-//!    [`IncrementalAggregate`].
+//!    [`IncrementalAggregate`] with [`IncrementalAggregate::removable`]
+//!    set.
 //! 2. **Independent** (§5.2) — input tuples influence the result
 //!    independently of one another, enabling the DT partitioner's
 //!    per-tuple-influence regression trees. Declared via
@@ -53,24 +54,18 @@ pub trait Aggregate: Send + Sync {
         false
     }
 
-    /// The incrementally removable decomposition, when the operator has
-    /// one. `None` forces black-box evaluation.
+    /// The exact constant-size state algebra, when the operator has one:
+    /// removable for SUM/COUNT/AVG/STDDEV/VARIANCE, merge-only for
+    /// MIN/MAX (see [`IncrementalAggregate::removable`]). MEDIAN has
+    /// none. `None` forces black-box evaluation, and a streaming window
+    /// then keeps raw values.
     fn incremental(&self) -> Option<&dyn IncrementalAggregate> {
-        None
-    }
-
-    /// The two-phase mergeable-partial decomposition, when the operator
-    /// has one (see [`crate::MergeableAggregate`]). Distinct from
-    /// [`Aggregate::incremental`]: MIN/MAX are mergeable but not
-    /// removable; MEDIAN is neither. `None` forces a streaming window to
-    /// recompute from raw rows.
-    fn mergeable(&self) -> Option<&dyn crate::MergeableAggregate> {
         None
     }
 
     /// The sketch-partial decomposition, when the operator has an
     /// approximate tier (see [`crate::SketchAggregate`]). Orthogonal to
-    /// the exact capabilities: MEDIAN/PERCENTILE have no exact partial
+    /// the exact algebra: MEDIAN/PERCENTILE have no exact state
     /// but a retractable quantile sketch; COUNT DISTINCT has a
     /// merge-only HLL++. `None` means exact-only. Sketch answers carry
     /// a runtime-queryable error bound and are only used where a caller
@@ -80,89 +75,113 @@ pub trait Aggregate: Send + Sync {
     }
 }
 
-/// §5.1: the `state`/`update`/`remove`/`recover` decomposition.
+/// §5.1: the exact state algebra — `state` / `merge` / `remove` /
+/// `recover` over a constant-size [`AggState`].
 ///
-/// All aggregates shipped with this crate have *additive* state algebras,
-/// so `update`, `remove`, and the `scale` extension have canonical
-/// componentwise default implementations; implementors only provide
-/// [`IncrementalAggregate::state_one`], the state arity, and
-/// [`IncrementalAggregate::recover`].
+/// Laws (verified by the property tests in `tests/prop.rs`):
+///
+/// 1. `recover(state_of(D)) == compute(D)`, up to float round-off;
+/// 2. `merge` is associative and commutative with identity `empty()`,
+///    so merging the states of a partition of `D` recovers `compute(D)`
+///    (up to round-off; bit for bit for MIN/MAX);
+/// 3. when [`IncrementalAggregate::removable`],
+///    `recover(remove(state_of(D), state_of(S))) == compute(D − S)` for
+///    every sub-bag `S`.
+///
+/// Removable algebras are *additive*: `merge` is componentwise `+` and
+/// `remove` componentwise `−` (the defaults), and the state of `n`
+/// copies of a tuple is [`AggState::scale`]. The Scorer's masked fold
+/// and the Merger's cached-tuple estimate (§6.3) rely on that. MIN/MAX
+/// are merge-only: their `[extremum, n]` state cannot forget the
+/// extremum without the runner-up.
 pub trait IncrementalAggregate: Aggregate {
-    /// Number of components in this operator's state tuple.
-    fn state_len(&self) -> usize;
+    /// The identity of `merge`: the state of the empty bag.
+    fn empty(&self) -> AggState;
 
     /// `state({v})`: the state of a single tuple.
     fn state_one(&self, v: f64) -> AggState;
 
     /// `state(D)`: the state summarizing `vals`.
     fn state_of(&self, vals: &[f64]) -> AggState {
-        let mut acc = AggState::zero(self.state_len());
+        let mut acc = self.empty();
         for &v in vals {
-            acc.accumulate(&self.state_one(v));
+            self.merge(&mut acc, &self.state_one(v));
         }
         acc
     }
 
-    /// `update(m₁, ..., mₙ)`: combines disjoint sub-states.
-    fn update(&self, states: &[AggState]) -> AggState {
-        let mut acc = AggState::zero(self.state_len());
-        for s in states {
-            acc.accumulate(s);
-        }
-        acc
+    /// Combines the state of a disjoint bag into `into`.
+    fn merge(&self, into: &mut AggState, other: &AggState) {
+        into.accumulate(other);
     }
 
-    /// `remove(m_D, m_S)`: the state of `D − S`.
+    /// True when [`IncrementalAggregate::remove`] is exact (§5.1's
+    /// incrementally removable). MIN/MAX clear it.
+    fn removable(&self) -> bool {
+        true
+    }
+
+    /// `remove(m_D, m_S)`: the state of `D − S`. Defined only when
+    /// [`IncrementalAggregate::removable`].
     fn remove(&self, d: &AggState, s: &AggState) -> AggState {
+        debug_assert!(self.removable(), "{} states are merge-only", self.name());
         d.sub(s)
-    }
-
-    /// The state of `n` copies of the tuples `m` summarizes. Semantically
-    /// `update(m, ..., m)` with `n` operands (used by the Merger's
-    /// cached-tuple approximation, §6.3); `n` may be fractional because the
-    /// approximation estimates partial overlap contributions.
-    fn scale(&self, m: &AggState, n: f64) -> AggState {
-        m.scale(n)
     }
 
     /// `recover(m)`: the aggregate value summarized by `m`.
     fn recover(&self, m: &AggState) -> f64;
 
-    /// The state of `n` removed tuples whose value-sum is `sum`, when
-    /// that pair fully determines the state (SUM → `[sum]`, COUNT →
-    /// `[n]`, AVG → `[sum, n]`).
+    /// `Δ = recover(full) − recover(remove(full, state_of(S)))` for any
+    /// bag `S` of `n` tuples whose values add up to `sum`, when that
+    /// pair determines the removed state (SUM, COUNT, AVG). `full_value`
+    /// must equal `recover(full)`.
     ///
     /// This is the hook the approximate influence search's closed-form
     /// interval bounds rest on: if the removed subset's value-sum is
-    /// only known to lie in `[lo, hi]`, evaluating
-    /// `recover(remove(m_D, state_from_count_sum(n, ·)))` at both
-    /// endpoints brackets the true Δ, *provided* `recover` is monotone
-    /// in the sum component for fixed count — true for every aggregate
-    /// that implements this. Aggregates whose state needs more than
-    /// `(count, sum)` (e.g. STDDEV's sum of squares) return `None` and
-    /// fall back to exact scoring under approximate mode.
-    fn state_from_count_sum(&self, _n: f64, _sum: f64) -> Option<AggState> {
-        None
-    }
-
-    /// `Δ = recover(m_D) − recover(remove(m_D, state_from_count_sum(n, sum)))`
-    /// in one call, where `full_value` must equal `recover(full)`.
-    ///
-    /// Semantically identical to composing the three hooks, but the
-    /// approximate search's interval pass evaluates it three times per
-    /// candidate per group, so the arithmetic operators override the
-    /// default (which materializes two intermediate states on the heap)
-    /// with allocation-free closed forms. Returns `None` exactly when
-    /// [`IncrementalAggregate::state_from_count_sum`] does.
+    /// only known to lie in `[lo, hi]`, evaluating the hook at both
+    /// endpoints brackets the true Δ, because it is monotone in `sum`
+    /// for fixed `n` for every aggregate that implements it. It runs
+    /// three times per candidate per group, so implementations are
+    /// allocation-free closed forms. Aggregates whose state needs more
+    /// than `(n, sum)` (e.g. STDDEV's sum of squares) keep the default
+    /// `None` and are scored exactly under approximate mode.
     fn delta_from_count_sum(
         &self,
-        full: &AggState,
-        full_value: f64,
-        n: f64,
-        sum: f64,
+        _full: &AggState,
+        _full_value: f64,
+        _n: f64,
+        _sum: f64,
     ) -> Option<f64> {
-        let sub = self.state_from_count_sum(n, sum)?;
-        Some(full_value - self.recover(&self.remove(full, &sub)))
+        None
+    }
+}
+
+/// An aggregate evaluated as a black box: it forwards everything to the
+/// wrapped operator except its exact state algebra, so the Scorer
+/// re-aggregates the surviving tuples and a streaming window keeps raw
+/// values. For ablations and parity checks of the §5.1 fast path.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BlackBox<A>(pub A);
+
+impl<A: Aggregate> Aggregate for BlackBox<A> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn compute(&self, vals: &[f64]) -> f64 {
+        self.0.compute(vals)
+    }
+
+    fn properties(&self) -> AggProperties {
+        self.0.properties()
+    }
+
+    fn anti_monotonic_check(&self, vals: &[f64]) -> bool {
+        self.0.anti_monotonic_check(vals)
+    }
+
+    fn sketch(&self) -> Option<&dyn crate::SketchAggregate> {
+        self.0.sketch()
     }
 }
 
@@ -190,6 +209,17 @@ mod tests {
     }
 
     #[test]
+    fn blackbox_hides_only_the_exact_state() {
+        let b = BlackBox(crate::Sum);
+        assert!(b.incremental().is_none());
+        assert_eq!(b.name(), "sum");
+        assert_eq!(b.compute(&[1.0, 2.5]), 3.5);
+        assert!(b.properties().independent);
+        assert!(b.anti_monotonic_check(&[0.0]) && !b.anti_monotonic_check(&[-1.0]));
+        assert!(BlackBox(crate::Median).sketch().is_some());
+    }
+
+    #[test]
     fn default_state_of_accumulates_state_one() {
         struct Summish;
         impl Aggregate for Summish {
@@ -201,8 +231,8 @@ mod tests {
             }
         }
         impl IncrementalAggregate for Summish {
-            fn state_len(&self) -> usize {
-                1
+            fn empty(&self) -> AggState {
+                AggState::zero(1)
             }
             fn state_one(&self, v: f64) -> AggState {
                 AggState::new(&[v])
@@ -214,10 +244,11 @@ mod tests {
         let s = Summish;
         let st = s.state_of(&[1.0, 2.0, 3.0]);
         assert_eq!(s.recover(&st), 6.0);
-        let merged = s.update(&[s.state_of(&[1.0]), s.state_of(&[2.0, 3.0])]);
+        let mut merged = s.state_of(&[1.0]);
+        s.merge(&mut merged, &s.state_of(&[2.0, 3.0]));
         assert_eq!(merged, st);
         let removed = s.remove(&st, &s.state_of(&[2.0]));
         assert_eq!(s.recover(&removed), 4.0);
-        assert_eq!(s.recover(&s.scale(&s.state_one(2.0), 3.0)), 6.0);
+        assert_eq!(s.recover(&s.state_one(2.0).scale(3.0)), 6.0);
     }
 }

@@ -3,7 +3,11 @@
 use proptest::prelude::*;
 use scorpion_agg::{aggregate_by_name, Aggregate, Sum};
 
+/// The removable algebras.
 const INCREMENTAL: &[&str] = &["sum", "count", "avg", "stddev", "variance"];
+
+/// Every exact algebra: the removable ones plus merge-only MIN/MAX.
+const EXACT: &[&str] = &["sum", "count", "avg", "stddev", "variance", "min", "max"];
 
 /// Absolute tolerance for comparing two evaluations of `name` over data
 /// whose magnitude is bounded by `scale`. STDDEV needs a wider band: the
@@ -14,6 +18,16 @@ fn tol(name: &str, scale: f64) -> f64 {
     match name {
         "stddev" => 1e-4 * scale,
         _ => 1e-7 * scale,
+    }
+}
+
+/// `v`, or a non-finite value picked by `pick` when `pick < 3`.
+fn special(v: f64, pick: u32) -> f64 {
+    match pick {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        _ => v,
     }
 }
 
@@ -50,7 +64,8 @@ proptest! {
         }
     }
 
-    /// `update` over any partition of D equals `state(D)` up to recover.
+    /// `merge` over any partition of D equals `state(D)` up to recover —
+    /// bit for bit for MIN/MAX, whose merge only picks.
     #[test]
     fn update_is_partition_invariant(
         data in prop::collection::vec(-1e3f64..1e3, 1..100),
@@ -58,28 +73,81 @@ proptest! {
     ) {
         let cut = split % data.len();
         let (a, b) = data.split_at(cut);
-        for name in INCREMENTAL {
+        for name in EXACT {
             let agg = aggregate_by_name(name).unwrap();
             let inc = agg.incremental().unwrap();
-            let merged = inc.update(&[inc.state_of(a), inc.state_of(b)]);
+            let mut merged = inc.state_of(a);
+            inc.merge(&mut merged, &inc.state_of(b));
             let direct = inc.state_of(&data);
             let (got, want) = (inc.recover(&merged), inc.recover(&direct));
-            prop_assert!((got - want).abs() <= tol(name, 1e3), "{name}");
+            if inc.removable() {
+                prop_assert!((got - want).abs() <= tol(name, 1e3), "{name}");
+            } else {
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "{}", name);
+                prop_assert_eq!(got.to_bits(), agg.compute(&data).to_bits(), "{}", name);
+            }
         }
     }
 
-    /// `scale(state_one(v), n)` recovers the same value as a bag of n
+    /// `state_one(v).scale(n)` recovers the same value as a bag of n
     /// copies of v.
     #[test]
     fn scale_equals_replication(v in -1e3f64..1e3, n in 1usize..50) {
         for name in INCREMENTAL {
             let agg = aggregate_by_name(name).unwrap();
             let inc = agg.incremental().unwrap();
-            let scaled = inc.scale(&inc.state_one(v), n as f64);
+            let scaled = inc.state_one(v).scale(n as f64);
             let copies = vec![v; n];
             let got = inc.recover(&scaled);
             let want = agg.compute(&copies);
             prop_assert!((got - want).abs() <= tol(name, v.abs()), "{name}");
+        }
+    }
+
+    /// The approximate search's closed form: for SUM/COUNT/AVG,
+    /// `delta_from_count_sum(full, recover(full), |S|, ΣS)` is bitwise
+    /// `recover(full) − recover(remove(full, state_of(S)))`, with `ΣS`
+    /// added left to right from 0.0. Every other exact algebra declines.
+    #[test]
+    fn delta_from_count_sum_is_the_composed_delta(
+        data in prop::collection::vec(-1e6f64..1e6, 1..100),
+        mask in prop::collection::vec(any::<bool>(), 1..100),
+    ) {
+        let removed: Vec<f64> = data
+            .iter()
+            .zip(mask.iter().cycle())
+            .filter(|(_, &m)| m)
+            .map(|(&v, _)| v)
+            .collect();
+        let n = removed.len() as f64;
+        let sum = removed.iter().fold(0.0, |acc, &v| acc + v);
+        for name in EXACT {
+            let agg = aggregate_by_name(name).unwrap();
+            let inc = agg.incremental().unwrap();
+            let full = inc.state_of(&data);
+            let full_value = inc.recover(&full);
+            let got = inc.delta_from_count_sum(&full, full_value, n, sum);
+            if ["sum", "count", "avg"].contains(name) {
+                let want = full_value - inc.recover(&inc.remove(&full, &inc.state_of(&removed)));
+                prop_assert_eq!(got.map(f64::to_bits), Some(want.to_bits()), "{}", name);
+            } else {
+                prop_assert!(got.is_none(), "{name} state is not determined by (n, sum)");
+            }
+        }
+    }
+
+    /// A NaN or ±∞ input makes `recover(state_of(D))` NaN exactly when
+    /// `compute(D)` is NaN.
+    #[test]
+    fn recover_and_compute_agree_on_nan(
+        data in prop::collection::vec((-1e3f64..1e3, 0u32..12), 0..20),
+    ) {
+        let vals: Vec<f64> = data.iter().map(|&(v, pick)| special(v, pick)).collect();
+        for name in INCREMENTAL {
+            let agg = aggregate_by_name(name).unwrap();
+            let inc = agg.incremental().unwrap();
+            let (got, want) = (inc.recover(&inc.state_of(&vals)), agg.compute(&vals));
+            prop_assert_eq!(got.is_nan(), want.is_nan(), "{}: {} vs {} on {:?}", name, got, want, vals);
         }
     }
 

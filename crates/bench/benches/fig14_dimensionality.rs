@@ -19,7 +19,7 @@ fn bench(c: &mut Criterion) {
     for dims in [2usize, 3, 4] {
         let fx = BenchSynth::easy(dims, BENCH_TUPLES_PER_GROUP);
         for c_param in [0.1f64, 0.4] {
-            let scorer = fx.scorer(c_param, false);
+            let scorer = fx.scorer(c_param);
             g.bench_with_input(BenchmarkId::new(format!("dt/c={c_param}"), dims), &dims, |b, _| {
                 b.iter(|| {
                     let dt = DtPartitioner::new(
@@ -40,7 +40,7 @@ fn bench(c: &mut Criterion) {
         }
         // NAIVE with a short anytime budget (its full cost is the point of
         // the figure; we cap it so the bench terminates).
-        let scorer = fx.scorer(0.1, false);
+        let scorer = fx.scorer(0.1);
         let cfg =
             NaiveConfig { time_budget: Some(Duration::from_millis(250)), ..NaiveConfig::default() };
         g.bench_with_input(BenchmarkId::new("naive/budget=250ms/c=0.1", dims), &dims, |b, _| {

@@ -16,7 +16,7 @@ fn bench(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(500));
     for n in [500usize, 1000, 2500, 5000] {
         let fx = BenchSynth::easy(2, n);
-        let scorer = fx.scorer(0.1, false);
+        let scorer = fx.scorer(0.1);
         g.throughput(Throughput::Elements(fx.rows() as u64));
         g.bench_with_input(BenchmarkId::new("dt", n), &n, |b, _| {
             b.iter(|| {

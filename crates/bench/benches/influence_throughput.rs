@@ -86,7 +86,7 @@ fn bench_influence(c: &mut Criterion) {
         .throughput(Throughput::Elements(preds.len() as u64));
 
     // Pre-refactor baseline: row-at-a-time matcher per candidate.
-    let s = fx.scorer(0.5, false);
+    let s = fx.scorer(0.5);
     g.bench_with_input(BenchmarkId::new("rowwise", fx.rows()), &preds, |b, preds| {
         b.iter(|| {
             let mut acc = 0.0;
@@ -101,14 +101,14 @@ fn bench_influence(c: &mut Criterion) {
     // (its construction is excluded from the timed region).
     g.bench_with_input(BenchmarkId::new("mask_cold", fx.rows()), &preds, |b, preds| {
         b.iter_batched(
-            || fx.scorer(0.5, false),
+            || fx.scorer(0.5),
             |s| score_batch(&s, preds),
             criterion::BatchSize::LargeInput,
         );
     });
 
     // Mask path, clause cache warm: the steady state of a DT/MC level.
-    let warm = fx.scorer(0.5, false);
+    let warm = fx.scorer(0.5);
     score_batch(&warm, &preds);
     g.bench_with_input(BenchmarkId::new("mask_warm", fx.rows()), &preds, |b, preds| {
         b.iter(|| score_batch(&warm, preds));
@@ -132,14 +132,14 @@ fn bench_influence(c: &mut Criterion) {
     let lpreds = level_candidates(&lfx);
 
     // The denominator of the speedup claim: mask_warm on this fixture.
-    let lexact = lfx.scorer(0.5, false);
+    let lexact = lfx.scorer(0.5);
     score_batch(&lexact, &lpreds);
     g.bench_with_input(BenchmarkId::new("exact_lownoise", lfx.rows()), &lpreds, |b, preds| {
         b.iter(|| score_batch(&lexact, preds));
     });
 
     let approx = lfx
-        .scorer(0.5, false)
+        .scorer(0.5)
         .with_approx(ApproxConfig::default())
         .expect("SUM admits the closed-form interval");
     approx.influence_batch_pruned(&lpreds, 1, APPROX_TOP_K);
@@ -157,7 +157,7 @@ fn bench_influence(c: &mut Criterion) {
     let state = approx.approx_state().expect("approx attached").clone();
     g.bench_with_input(BenchmarkId::new("approx_cold", lfx.rows()), &lpreds, |b, preds| {
         b.iter_batched(
-            || lfx.scorer(0.5, false).with_approx_state(state.clone()),
+            || lfx.scorer(0.5).with_approx_state(state.clone()),
             |s| {
                 let batch = s.influence_batch_pruned(preds, 1, APPROX_TOP_K);
                 let mut acc = 0.0;

@@ -15,7 +15,7 @@ fn bench(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(4))
         .warm_up_time(Duration::from_millis(500));
     let fx = BenchSynth::easy(2, BENCH_TUPLES_PER_GROUP);
-    let scorer = fx.scorer(0.3, false);
+    let scorer = fx.scorer(0.3);
     // Produce the partitions once; every merger variant consumes clones.
     let dt =
         DtPartitioner::new(&scorer, fx.ds.dim_attrs(), fx.domains.clone(), DtConfig::default());

@@ -16,7 +16,7 @@ fn bench(c: &mut Criterion) {
 
     // DT sampling: use large groups so sampling engages.
     let fx = BenchSynth::easy(2, 8000);
-    let scorer = fx.scorer(0.2, false);
+    let scorer = fx.scorer(0.2);
     for (name, sampling) in [
         ("dt/sampled", Some(SamplingConfig { min_rows_to_sample: 2000, ..Default::default() })),
         ("dt/unsampled", None),
@@ -33,7 +33,7 @@ fn bench(c: &mut Criterion) {
 
     // MC pruning on a 3-D workload where the candidate space matters.
     let fx3 = BenchSynth::easy(3, 1000);
-    let scorer3 = fx3.scorer(0.5, false);
+    let scorer3 = fx3.scorer(0.5);
     for (name, disable_pruning) in [("mc/pruned", false), ("mc/unpruned", true)] {
         let cfg = McConfig { disable_pruning, ..McConfig::default() };
         g.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {

@@ -4,7 +4,9 @@
 //! reads only deleted tuples; the black-box path re-reads everything).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use scorpion_agg::{Aggregate, BlackBox, Sum};
 use scorpion_bench::{BenchSynth, BENCH_TUPLES_PER_GROUP};
+use scorpion_core::{GroupSpec, InfluenceParams, Scorer};
 use scorpion_table::{Clause, Predicate};
 use std::time::Duration;
 
@@ -24,9 +26,19 @@ fn bench(c: &mut Criterion) {
                 .unwrap(),
         ),
     ];
-    for force_blackbox in [false, true] {
-        let scorer = fx.scorer(0.5, force_blackbox);
-        let label = if force_blackbox { "blackbox" } else { "incremental" };
+    let holdouts: Vec<GroupSpec> = fx
+        .ds
+        .holdout_groups
+        .iter()
+        .map(|&g| GroupSpec { rows: fx.grouping.rows(g).to_vec(), error: 1.0 })
+        .collect();
+    let params = InfluenceParams { lambda: 0.5, c: 0.5 };
+    // The same SUM, with and without its exact state.
+    let aggs: [(&str, &dyn Aggregate); 2] = [("incremental", &Sum), ("blackbox", &BlackBox(Sum))];
+    for (label, agg) in aggs {
+        let (table, attr) = (&fx.ds.table, fx.ds.agg_attr());
+        let scorer = Scorer::new(table, agg, attr, fx.outlier_specs(), holdouts.clone(), params)
+            .expect("scorer");
         for (sel, pred) in &preds {
             g.bench_with_input(BenchmarkId::new(label, sel), pred, |b, p| {
                 b.iter(|| scorer.influence(p).expect("influence"));

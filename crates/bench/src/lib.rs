@@ -60,21 +60,12 @@ impl BenchSynth {
             .expect("bench request")
     }
 
-    /// A scorer at the given `c` (λ = 0.5). `force_blackbox` disables the
-    /// §5.1 fast path for the Scorer ablation.
-    pub fn scorer(&self, c: f64, force_blackbox: bool) -> Scorer<'_> {
+    /// A SUM scorer at the given `c` (λ = 0.5).
+    pub fn scorer(&self, c: f64) -> Scorer<'_> {
         let (outliers, holdouts) = (self.outlier_specs(), self.specs(&self.ds.holdout_groups));
         let params = InfluenceParams { lambda: 0.5, c };
-        Scorer::new(
-            &self.ds.table,
-            &Sum,
-            self.ds.agg_attr(),
-            outliers,
-            holdouts,
-            params,
-            force_blackbox,
-        )
-        .expect("scorer")
+        Scorer::new(&self.ds.table, &Sum, self.ds.agg_attr(), outliers, holdouts, params)
+            .expect("scorer")
     }
 
     /// Level-of-detail hint: total rows.
@@ -103,8 +94,8 @@ mod tests {
     fn fixture_builds_and_scores() {
         let fx = BenchSynth::easy(2, 100);
         assert_eq!(fx.rows(), 1000);
-        let s = fx.scorer(0.5, false);
-        assert!(s.is_incremental());
+        let s = fx.scorer(0.5);
+        assert!(s.incremental_agg().is_some());
         let p = scorpion_table::Predicate::all();
         assert!(s.influence(&p).unwrap().is_finite());
         assert_eq!(fx.outlier_specs().len(), 5);

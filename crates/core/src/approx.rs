@@ -18,8 +18,8 @@
 //!    precomputes as prefix sums of the sorted unsampled values. This is
 //!    the lineage-style closed-form bound of Afrati et al., applied to
 //!    the deleted-tuple state of §5.1.
-//! 2. The removed-sum interval maps through the aggregate's
-//!    `state_from_count_sum` hook to a Δ interval, and through the
+//! 2. The removed-sum interval maps through the aggregate's closed-form
+//!    `delta_from_count_sum` hook to a Δ interval, and through the
 //!    influence arithmetic (§3.2) to an influence interval per candidate.
 //!    Candidates whose upper bound cannot reach the running top-k lower
 //!    bound are pruned; survivors are scored exactly.

@@ -846,7 +846,6 @@ mod tests {
             vec![GroupSpec { rows: g.rows(0).to_vec(), error: 1.0 }],
             vec![GroupSpec { rows: g.rows(1).to_vec(), error: 1.0 }],
             InfluenceParams { lambda: 0.5, c: 0.2 },
-            false,
         )
         .unwrap()
     }
@@ -1010,7 +1009,6 @@ mod tests {
             vec![GroupSpec { rows: g.rows(0).to_vec(), error: 1.0 }],
             vec![GroupSpec { rows: g.rows(1).to_vec(), error: 1.0 }],
             InfluenceParams { lambda: 0.5, c: 0.2 },
-            false,
         )
         .unwrap();
         let d = domains_of(&t).unwrap();
@@ -1034,7 +1032,6 @@ mod tests {
             vec![GroupSpec { rows: g.rows(0).to_vec(), error: 1.0 }],
             vec![],
             InfluenceParams::default(),
-            false,
         )
         .unwrap();
         let d = domains_of(&t).unwrap();

@@ -164,7 +164,6 @@ mod tests {
             vec![GroupSpec { rows: g.rows(0).to_vec(), error: 1.0 }],
             vec![],
             InfluenceParams::default(),
-            false,
         )
         .unwrap()
     }

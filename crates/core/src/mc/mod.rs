@@ -344,7 +344,6 @@ mod tests {
             vec![GroupSpec { rows: g.rows(0).to_vec(), error: 1.0 }],
             vec![GroupSpec { rows: g.rows(1).to_vec(), error: 1.0 }],
             InfluenceParams { lambda: 0.5, c },
-            false,
         )
         .unwrap()
     }
@@ -448,7 +447,6 @@ mod tests {
             vec![GroupSpec { rows: g.rows(0).to_vec(), error: 1.0 }],
             vec![GroupSpec { rows: g.rows(1).to_vec(), error: 1.0 }],
             InfluenceParams { lambda: 0.5, c: 0.5 },
-            false,
         )
         .unwrap();
         let d = domains_of(&t).unwrap();

@@ -78,7 +78,7 @@ impl<'s, 'a> Merger<'s, 'a> {
         items.sort_by(|a, b| b.influence.total_cmp(&a.influence));
 
         let approx_ok = self.cfg.use_cached_tuples
-            && self.scorer.is_incremental()
+            && self.scorer.incremental_agg().is_some()
             && items.iter().all(|i| i.stats.is_some());
         // Built only for the cached-tuple path, so exact merges pay
         // nothing for it.
@@ -212,8 +212,8 @@ impl<'s, 'a> Merger<'s, 'a> {
         let inc = self.scorer.incremental_agg().expect("approx requires incremental");
         let n_out = self.scorer.n_outliers();
         let n_hold = self.scorer.n_holdouts();
-        let mut out: Vec<(f64, AggState)> = vec![(0.0, AggState::zero(inc.state_len())); n_out];
-        let mut hold: Vec<(f64, AggState)> = vec![(0.0, AggState::zero(inc.state_len())); n_hold];
+        let mut out: Vec<(f64, AggState)> = vec![(0.0, inc.empty()); n_out];
+        let mut hold: Vec<(f64, AggState)> = vec![(0.0, inc.empty()); n_hold];
         // Accumulators for the merged partition's own stats (weighted mean
         // of representative values).
         let mut rep_out = vec![0.0f64; n_out];
@@ -235,7 +235,7 @@ impl<'s, 'a> Merger<'s, 'a> {
                 let n_i = st.n * frac;
                 if n_i > 0.0 {
                     out[g].0 += n_i;
-                    out[g].1.accumulate(&inc.scale(one, n_i));
+                    out[g].1.accumulate(&one.scale(n_i));
                     rep_out[g] += st.rep_value * n_i;
                 }
             }
@@ -243,7 +243,7 @@ impl<'s, 'a> Merger<'s, 'a> {
                 let n_i = st.n * frac;
                 if n_i > 0.0 {
                     hold[g].0 += n_i;
-                    hold[g].1.accumulate(&inc.scale(one, n_i));
+                    hold[g].1.accumulate(&one.scale(n_i));
                     rep_hold[g] += st.rep_value * n_i;
                 }
             }
@@ -321,7 +321,6 @@ mod tests {
             vec![GroupSpec { rows: g.rows(0).to_vec(), error: 1.0 }],
             vec![GroupSpec { rows: g.rows(1).to_vec(), error: 1.0 }],
             InfluenceParams { lambda: 0.8, c: 0.0 },
-            false,
         )
         .unwrap()
     }

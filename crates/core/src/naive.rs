@@ -325,7 +325,6 @@ mod tests {
             vec![GroupSpec { rows: g.rows(0).to_vec(), error: 1.0 }],
             vec![GroupSpec { rows: g.rows(1).to_vec(), error: 1.0 }],
             InfluenceParams { lambda: 0.5, c },
-            false,
         )
         .unwrap()
     }
@@ -416,7 +415,6 @@ mod tests {
             vec![GroupSpec { rows: g.rows(0).to_vec(), error: 1.0 }],
             vec![GroupSpec { rows: g.rows(1).to_vec(), error: 1.0 }],
             InfluenceParams { lambda: 0.5, c: 0.2 },
-            false,
         )
         .unwrap();
         let domains = domains_of(&t).unwrap();

@@ -71,7 +71,6 @@ pub struct ExplainRequest {
     pub(crate) algorithm: Algorithm,
     pub(crate) explain_attrs: Option<Vec<usize>>,
     pub(crate) max_explain_attrs: Option<usize>,
-    pub(crate) force_blackbox: bool,
     pub(crate) influence_cache_entries: usize,
     pub(crate) approx: Option<ApproxConfig>,
 }
@@ -102,7 +101,6 @@ impl ExplainRequest {
             algorithm: Algorithm::Auto,
             explain_attrs: None,
             max_explain_attrs: None,
-            force_blackbox: false,
             influence_cache_entries: 0,
             approx: None,
         };
@@ -274,7 +272,6 @@ impl ExplainRequest {
             self.outliers.iter().map(|&(i, e)| handle(i, e)).collect(),
             self.holdouts.iter().map(|&i| handle(i, 1.0)).collect(),
             params,
-            self.force_blackbox,
         )
     }
 
@@ -424,7 +421,6 @@ struct RequestOpts {
     algorithm: Algorithm,
     explain_attrs: Option<Vec<usize>>,
     max_explain_attrs: Option<usize>,
-    force_blackbox: bool,
     influence_cache_entries: usize,
     approx: Option<ApproxConfig>,
 }
@@ -438,7 +434,6 @@ impl Default for RequestOpts {
             algorithm: Algorithm::Auto,
             explain_attrs: None,
             max_explain_attrs: None,
-            force_blackbox: false,
             influence_cache_entries: 0,
             approx: None,
         }
@@ -567,14 +562,6 @@ impl RequestBuilder {
         self
     }
 
-    /// Forces black-box aggregate evaluation even when an incremental
-    /// decomposition exists (ablation).
-    #[must_use]
-    pub fn force_blackbox(mut self, on: bool) -> Self {
-        self.request.force_blackbox = on;
-        self
-    }
-
     /// Bounds the prepared plan's influence cache to `entries`
     /// predicates, evicting LRU past that (`0` = the default bound).
     #[must_use]
@@ -607,7 +594,6 @@ impl RequestBuilder {
             algorithm: self.request.algorithm,
             explain_attrs: self.request.explain_attrs,
             max_explain_attrs: self.request.max_explain_attrs,
-            force_blackbox: self.request.force_blackbox,
             influence_cache_entries: self.request.influence_cache_entries,
             approx: self.request.approx,
         };

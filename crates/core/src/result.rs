@@ -99,7 +99,7 @@ pub struct Diagnostics {
     /// quiet streams while logical rows grow with the window.
     pub resident_rows: u64,
     /// Approximate bytes resident in the producing sliding window
-    /// (rows + partials + sketches + masks; 0 for offline runs).
+    /// (rows + per-group summaries + masks; 0 for offline runs).
     pub resident_bytes: u64,
     /// Per-phase wall-clock attribution of `runtime` (prepare-side
     /// phases are charged to the first run, like `scorer_calls`).

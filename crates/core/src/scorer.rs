@@ -330,10 +330,9 @@ pub struct Scorer<'a> {
 }
 
 impl<'a> Scorer<'a> {
-    /// Builds a Scorer.
-    ///
-    /// `force_blackbox` disables the incremental fast path even when the
-    /// aggregate supports it (used by the Scorer ablation benchmarks).
+    /// Builds a Scorer. It takes the §5.1 fast path exactly when the
+    /// aggregate's state algebra is removable; wrap the aggregate in
+    /// [`scorpion_agg::BlackBox`] to score it as a black box.
     pub fn new(
         table: &'a Table,
         agg: &'a dyn Aggregate,
@@ -341,7 +340,6 @@ impl<'a> Scorer<'a> {
         outliers: Vec<GroupSpec>,
         holdouts: Vec<GroupSpec>,
         params: InfluenceParams,
-        force_blackbox: bool,
     ) -> Result<Self> {
         let handle = |spec: GroupSpec| -> GroupHandle {
             let mut rows = spec.rows;
@@ -357,7 +355,6 @@ impl<'a> Scorer<'a> {
             outliers.into_iter().map(handle).collect(),
             holdouts.into_iter().map(handle).collect(),
             params,
-            force_blackbox,
         )
     }
 
@@ -372,13 +369,12 @@ impl<'a> Scorer<'a> {
         outliers: Vec<GroupHandle>,
         holdouts: Vec<GroupHandle>,
         params: InfluenceParams,
-        force_blackbox: bool,
     ) -> Result<Self> {
         if outliers.is_empty() {
             return Err(ScorpionError::NoOutliers);
         }
         params.validate()?;
-        let inc = if force_blackbox { None } else { agg.incremental() };
+        let inc = agg.incremental().filter(|inc| inc.removable());
         let vals = table.num(agg_attr)?;
         let build = |h: GroupHandle, default_error: Option<f64>| -> GroupCtx {
             let values: Vec<f64> = h.rows.iter().map(|&r| vals[r as usize]).collect();
@@ -509,7 +505,6 @@ impl<'a> Scorer<'a> {
             handles(&self.outliers),
             handles(&self.holdouts),
             params,
-            self.inc.is_none() && self.agg.incremental().is_some(),
         )?;
         s.cache = self.cache.clone();
         s.masks = self.masks.clone();
@@ -536,9 +531,9 @@ impl<'a> Scorer<'a> {
         let _scope = self.phases.enter("sampler.build");
         let fallback = match self.inc {
             None => Some("aggregate is not incrementally removable; scored exactly"),
-            // Probe the closed-form hook once: the empty removal is
-            // representable iff any (count, sum) pair is.
-            Some(inc) if inc.state_from_count_sum(0.0, 0.0).is_none() => {
+            // Probe the closed-form hook once, on the empty removal from
+            // the empty state: it answers for every (count, sum) or none.
+            Some(inc) if inc.delta_from_count_sum(&inc.empty(), 0.0, 0.0, 0.0).is_none() => {
                 Some("aggregate state is not determined by (count, sum); scored exactly")
             }
             Some(_) => None,
@@ -590,11 +585,6 @@ impl<'a> Scorer<'a> {
     /// every score returned so far is then exact.
     pub fn approx_error_bound(&self) -> f64 {
         f64::from_bits(self.bound_bits.load(Ordering::Relaxed))
-    }
-
-    /// True when the incremental (§5.1) fast path is active.
-    pub fn is_incremental(&self) -> bool {
-        self.inc.is_some()
     }
 
     /// Number of outlier groups.
@@ -678,7 +668,7 @@ impl<'a> Scorer<'a> {
         let pw = pm.words();
         match (self.inc, &ctx.full_state) {
             (Some(inc), Some(full)) => {
-                let mut sub = AggState::zero(inc.state_len());
+                let mut sub = inc.empty();
                 let mut n = 0usize;
                 // Chunked word-zip: AND and popcount 8 words at a time
                 // (branch-free, auto-vectorizable), then bit-walk only
@@ -780,7 +770,7 @@ impl<'a> Scorer<'a> {
     fn delta_ctx_rowwise(&self, ctx: &GroupCtx, m: &PredicateMatcher) -> (f64, usize) {
         match (self.inc, &ctx.full_state) {
             (Some(inc), Some(full)) => {
-                let mut sub = AggState::zero(inc.state_len());
+                let mut sub = inc.empty();
                 let mut n = 0usize;
                 for (i, &row) in ctx.rows.iter().enumerate() {
                     if m.matches(row) {
@@ -1088,7 +1078,8 @@ impl<'a> Scorer<'a> {
         Ok(self.params.lambda * out - (1.0 - self.params.lambda) * hold)
     }
 
-    /// The incremental decomposition, if active.
+    /// The removable state algebra when the §5.1 fast path is active;
+    /// `None` when the Scorer evaluates the aggregate as a black box.
     pub fn incremental_agg(&self) -> Option<&'a dyn IncrementalAggregate> {
         self.inc
     }
@@ -1511,7 +1502,7 @@ pub struct PrunedBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scorpion_agg::{Avg, Sum};
+    use scorpion_agg::{Avg, BlackBox, Sum};
     use scorpion_table::{group_by, Clause, Field, Schema, TableBuilder};
 
     /// Builds the paper's running example (Tables 1 & 2).
@@ -1555,7 +1546,6 @@ mod tests {
             ],
             vec![GroupSpec { rows: g.rows(0).to_vec(), error: 1.0 }],
             InfluenceParams { lambda: 0.5, c: 1.0 },
-            false,
         )
         .unwrap()
     }
@@ -1586,7 +1576,6 @@ mod tests {
             vec![GroupSpec { rows: g.rows(1).to_vec(), error: -1.0 }],
             vec![],
             InfluenceParams { lambda: 1.0, c: 1.0 },
-            false,
         )
         .unwrap();
         let infs = s.outlier_tuple_influences(0);
@@ -1642,7 +1631,6 @@ mod tests {
                 vec![GroupSpec { rows: g.rows(1).to_vec(), error: 1.0 }],
                 vec![],
                 InfluenceParams { lambda: 1.0, c },
-                false,
             )
             .unwrap();
             let two_rows = Predicate::conjunction([Clause::range(3, 34.9, 35.1)]).unwrap();
@@ -1665,10 +1653,10 @@ mod tests {
     fn blackbox_matches_incremental() {
         let t = sensors();
         let g = group_by(&t, &[0]).unwrap();
-        let mk = |blackbox: bool| {
+        let mk = |agg: &'static dyn Aggregate| {
             Scorer::new(
                 &t,
-                &Avg,
+                agg,
                 3,
                 vec![
                     GroupSpec { rows: g.rows(1).to_vec(), error: 1.0 },
@@ -1676,14 +1664,13 @@ mod tests {
                 ],
                 vec![GroupSpec { rows: g.rows(0).to_vec(), error: 1.0 }],
                 InfluenceParams { lambda: 0.5, c: 0.7 },
-                blackbox,
             )
             .unwrap()
         };
-        let fast = mk(false);
-        let slow = mk(true);
-        assert!(fast.is_incremental());
-        assert!(!slow.is_incremental());
+        let fast = mk(&Avg);
+        let slow = mk(&BlackBox(Avg));
+        assert!(fast.incremental_agg().is_some());
+        assert!(slow.incremental_agg().is_none());
         for p in [
             Predicate::conjunction([Clause::range(2, 0.0, 2.4)]).unwrap(),
             Predicate::conjunction([Clause::range(3, 30.0, 90.0)]).unwrap(),
@@ -1822,7 +1809,6 @@ mod tests {
             vec![GroupSpec { rows: shuffled, error: 1.0 }],
             vec![],
             InfluenceParams { lambda: 1.0, c: 1.0 },
-            false,
         )
         .unwrap();
         assert_eq!(s.outlier_rows(0), g.rows(1), "rows normalize ascending");
@@ -1897,14 +1883,14 @@ mod tests {
         let t = sensors();
         let g = group_by(&t, &[0]).unwrap();
         assert!(matches!(
-            Scorer::new(&t, &Avg, 3, vec![], vec![], InfluenceParams::default(), false),
+            Scorer::new(&t, &Avg, 3, vec![], vec![], InfluenceParams::default()),
             Err(ScorpionError::NoOutliers)
         ));
         let spec = vec![GroupSpec { rows: g.rows(0).to_vec(), error: 1.0 }];
         let bad = [(2.0, 1.0), (f64::NAN, 1.0), (0.5, -1.0), (0.5, f64::NAN), (0.5, f64::INFINITY)];
         for (lambda, c) in bad {
             let params = InfluenceParams { lambda, c };
-            let built = Scorer::new(&t, &Avg, 3, spec.clone(), vec![], params, false);
+            let built = Scorer::new(&t, &Avg, 3, spec.clone(), vec![], params);
             assert!(matches!(built, Err(ScorpionError::BadConfig(_))), "{params:?}");
         }
     }

@@ -12,7 +12,7 @@ pub enum StreamError {
     Table(scorpion_table::TableError),
     /// Propagated from the explanation engine.
     Engine(scorpion_core::ScorpionError),
-    /// Propagated from the sketch tier (corrupt or incompatible
+    /// Propagated from the sketch tier (corrupt or incompatible sketch
     /// partials).
     Sketch(scorpion_sketch::SketchError),
     /// A configuration value is out of range or inconsistent.

@@ -1,34 +1,33 @@
-//! Chunked sliding window over a row stream, maintained with mergeable
-//! partial aggregates.
+//! Chunked sliding window over a row stream, maintained with per-chunk
+//! summaries.
 //!
 //! Each ingested batch becomes an immutable *chunk*. On arrival the
-//! chunk's rows are summarized once into per-group partial states
-//! ([`scorpion_agg::MergeableAggregate::partial_of`]); the window's
-//! group-by series is
-//! maintained by merging those partials into running totals. When a
-//! chunk expires:
+//! chunk's aggregate-attribute values are summarized once per group,
+//! and the summaries are merged into per-group running totals, which
+//! serve [`SlidingWindow::value_of`] and [`SlidingWindow::series`].
+//! A window keeps one kind of summary for its whole life, by this
+//! precedence:
 //!
-//! * retractable aggregates (SUM/COUNT/AVG/STDDEV/VARIANCE) subtract the
-//!   chunk's partials in O(groups-in-chunk) — §5.1 `remove` applied to
-//!   the time dimension;
-//! * mergeable-only aggregates (MIN/MAX) re-merge the surviving chunks'
-//!   constant-size partials for the touched groups — still never
-//!   re-reading rows;
-//! * black-box aggregates (MEDIAN) fall back to recomputing from the
-//!   chunks' buffered per-group values at read time.
+//! * a [`SketchPartial`] when [`StreamConfig::with_sketches`] is on and
+//!   the aggregate has a [`scorpion_agg::SketchAggregate`] tier (MEDIAN,
+//!   PERCENTILE, COUNT DISTINCT). The answer is approximate, within the
+//!   sketch's documented error bound; exact `compute` remains the oracle
+//!   whenever sketch mode is off;
+//! * otherwise the aggregate's exact state
+//!   ([`scorpion_agg::IncrementalAggregate`]), when it has one;
+//! * otherwise the raw values, which the black-box `compute` (MEDIAN)
+//!   reads at query time.
 //!
-//! ## Sketch mode
-//!
-//! [`StreamConfig::with_sketches`] lets aggregates that expose a
-//! [`scorpion_agg::SketchAggregate`] tier (MEDIAN, PERCENTILE,
-//! COUNT DISTINCT) serve [`SlidingWindow::value_of`] and
-//! [`SlidingWindow::series`] from per-group [`SketchPartial`]s instead
-//! of buffered raw values: each chunk is summarized once into per-group
-//! sketches, totals are maintained by merge, and eviction either
-//! retracts exactly (quantile sketches form a group under merge) or
-//! re-merges the survivors (HLL). The answer carries the sketch's
-//! documented error bound; exact `compute` remains the oracle whenever
-//! sketch mode is off.
+//! When a chunk expires, its summaries leave the running totals in
+//! O(groups-in-chunk): removable states (SUM/COUNT/AVG/STDDEV/VARIANCE)
+//! are subtracted — §5.1 `remove` applied to the time dimension —
+//! quantile sketches retract exactly, and a raw-value total drops its
+//! prefix, the expired chunk's values. Where that cannot be exact, the total is re-merged from the
+//! surviving chunks' summaries, never re-reading rows: MIN/MAX states,
+//! which cannot forget an extremum, HLL sketches, and a subtraction
+//! that may have lost the survivors — the evicted state dwarfs what
+//! remains (float absorption), or either holds a NaN or ±∞, which
+//! subtraction cannot take back out.
 //!
 //! ## Columnar chunks and the compaction tier
 //!
@@ -48,15 +47,15 @@
 //! ever touched it ([`SlidingWindow::mark_flagged`]), the compaction
 //! tier builds a per-group [`RowMask`] of the chunk-local row positions
 //! from the chunk's group codes, then drops its columns, retaining only
-//! the per-group partials, sketches, and masks. Series maintenance is
-//! unaffected (it never re-reads rows); materialization and the
-//! warm-reuse signature ([`SlidingWindow::chunks_of`]) simply skip
-//! compacted chunks, so resident memory is O(groups · chunks) instead of
-//! O(rows) on quiet streams while flagged chunks stay fully
-//! re-explainable.
+//! the per-group summaries and masks. Raw-value windows never compact.
+//! Series maintenance is unaffected (it never re-reads rows);
+//! materialization and the warm-reuse signature
+//! ([`SlidingWindow::chunks_of`]) simply skip compacted chunks, so
+//! resident memory is O(groups · chunks) instead of O(rows) on quiet
+//! streams while flagged chunks stay fully re-explainable.
 
 use crate::error::{Result, StreamError};
-use scorpion_agg::{AggState, Aggregate, SketchAggregate};
+use scorpion_agg::{AggState, Aggregate, IncrementalAggregate, SketchAggregate};
 use scorpion_obs::Phases;
 use scorpion_sketch::{HeavyHitter, SketchPartial, SpaceSaving};
 use scorpion_table::{
@@ -140,8 +139,8 @@ impl StreamConfig {
     }
 }
 
-/// One ingested batch: its rows as columns plus the per-group partial
-/// states summarizing its aggregate-attribute values.
+/// One ingested batch: its rows as columns plus one summary per group of
+/// its aggregate-attribute values.
 struct Chunk {
     id: u64,
     /// Per attribute: the rows' numbers (continuous attributes only;
@@ -151,16 +150,8 @@ struct Chunk {
     /// [`WindowDict`] (discrete attributes only; empty once compacted).
     /// Each code counts as one resident row of its dictionary slot.
     codes: Vec<Vec<u32>>,
-    /// Per group key: (partial state, row count). The state is unused
-    /// (empty) when the aggregate is not mergeable.
-    groups: BTreeMap<String, (AggState, usize)>,
-    /// Per group key: the aggregate-attribute values, kept only for
-    /// black-box aggregates so [`SlidingWindow::series`] recomputes in
-    /// O(rows-of-group) instead of rescanning every buffered row.
-    values: BTreeMap<String, Vec<f64>>,
-    /// Per group key: sketch summary of the aggregate attribute
-    /// (sketch mode only).
-    sketches: BTreeMap<String, SketchPartial>,
+    /// Per group key: (summary, row count).
+    groups: BTreeMap<String, (Summary, usize)>,
     /// Per group key: mask of the chunk-local row positions the group
     /// occupied. Built when the chunk is compacted — the only
     /// row-membership record that survives the columns.
@@ -309,26 +300,149 @@ fn bucket_rows(codes: &[u32], slots: usize, mut f: impl FnMut(usize, usize)) -> 
     keys
 }
 
-/// Running per-group totals over the live window.
-struct GroupTotal {
-    partial: AggState,
-    rows: usize,
-    /// Merged sketch over the group's live chunks (sketch mode only).
-    sketch: Option<SketchPartial>,
+/// What a window keeps of one group's aggregate-attribute values, per
+/// chunk and per running total.
+#[derive(Clone)]
+enum Summary {
+    /// The aggregate's exact state.
+    Exact(AggState),
+    /// A sketch partial.
+    Sketch(SketchPartial),
+    /// The raw values, in arrival order.
+    Values(Vec<f64>),
 }
 
-/// True when subtracting `removed` may have destroyed the precision of
-/// `remaining`: some component of the removed partial is ≥ 2²⁰ (~10⁶)
-/// times the magnitude of what is left, i.e. at least 20 of the
-/// result's 53 mantissa bits were cancelled away. False positives only
-/// cost a cheap re-merge.
+impl Summary {
+    /// Approximate bytes: an exact state's own size, a sketch's
+    /// footprint, or 8 per raw value.
+    fn approx_bytes(&self) -> u64 {
+        match self {
+            Summary::Exact(state) => std::mem::size_of_val(state) as u64,
+            Summary::Sketch(partial) => partial.approx_bytes() as u64,
+            Summary::Values(vals) => 8 * vals.len() as u64,
+        }
+    }
+}
+
+/// The aggregate's side of a window's summaries: which [`Summary`] the
+/// window keeps, and the operator that builds, merges and reads it.
+/// Fixed at construction, since it depends only on the aggregate and
+/// [`StreamConfig::sketch_mode`].
+#[derive(Clone, Copy)]
+enum Tier<'a> {
+    Sketch(&'a dyn SketchAggregate),
+    Exact(&'a dyn IncrementalAggregate),
+    Values(&'a dyn Aggregate),
+}
+
+impl<'a> Tier<'a> {
+    /// A sketch when sketch mode is on and the aggregate has one;
+    /// otherwise the exact state; otherwise raw values.
+    fn of(agg: &'a dyn Aggregate, sketch_mode: bool) -> Self {
+        match (agg.sketch().filter(|_| sketch_mode), agg.incremental()) {
+            (Some(sketch), _) => Tier::Sketch(sketch),
+            (None, Some(exact)) => Tier::Exact(exact),
+            (None, None) => Tier::Values(agg),
+        }
+    }
+
+    /// Summarizes one chunk's values of one group.
+    fn summarize(self, vals: Vec<f64>) -> Summary {
+        match self {
+            Tier::Sketch(sketch) => {
+                let mut partial = sketch.sketch_empty();
+                for &v in &vals {
+                    partial.insert(v);
+                }
+                Summary::Sketch(partial)
+            }
+            Tier::Exact(exact) => Summary::Exact(exact.state_of(&vals)),
+            Tier::Values(_) => Summary::Values(vals),
+        }
+    }
+
+    /// Merges a chunk's summary into a running total.
+    fn merge(self, total: &mut Summary, part: &Summary) -> Result<()> {
+        match (self, total, part) {
+            (Tier::Exact(exact), Summary::Exact(t), Summary::Exact(p)) => exact.merge(t, p),
+            (_, Summary::Sketch(t), Summary::Sketch(p)) => {
+                t.merge(p).map_err(StreamError::Sketch)?
+            }
+            (_, Summary::Values(t), Summary::Values(p)) => t.extend_from_slice(p),
+            _ => unreachable!("a window keeps one kind of summary"),
+        }
+        Ok(())
+    }
+
+    /// Takes the oldest chunk's summary out of a running total. Returns
+    /// false when that cannot be done exactly: the caller then re-merges
+    /// the total from the surviving chunks ([`remerge`]).
+    fn retract(self, total: &mut Summary, part: &Summary) -> Result<bool> {
+        Ok(match (self, total, part) {
+            (Tier::Exact(exact), Summary::Exact(t), Summary::Exact(p)) if exact.removable() => {
+                // O(1) retraction (§5.1 `remove` on the time axis) — but
+                // floating-point subtraction is lossy when the evicted
+                // state dwarfs what remains (absorption: 1e16 + 1 − 1e16
+                // == 0), and cannot take a NaN or ±∞ back out. The error
+                // would persist for the group's lifetime, so guard it.
+                *t = exact.remove(t, p);
+                !cancellation_suspect(p, t)
+            }
+            // MIN/MAX: the extremum may have left with the chunk.
+            (Tier::Exact(_), ..) => false,
+            // Quantile sketches retract exactly; HLL answers false.
+            (_, Summary::Sketch(t), Summary::Sketch(p)) => {
+                t.retract(p).map_err(StreamError::Sketch)?
+            }
+            // The oldest chunk's values are the total's prefix.
+            (_, Summary::Values(t), Summary::Values(p)) => {
+                t.drain(..p.len());
+                true
+            }
+            _ => unreachable!("a window keeps one kind of summary"),
+        })
+    }
+
+    /// The aggregate value a running total summarizes.
+    fn value(self, total: &Summary) -> f64 {
+        match (self, total) {
+            (Tier::Sketch(sketch), Summary::Sketch(p)) => sketch.sketch_finalize(p),
+            (Tier::Exact(exact), Summary::Exact(m)) => exact.recover(m),
+            (Tier::Values(agg), Summary::Values(vals)) => agg.compute(vals),
+            _ => unreachable!("a window keeps one kind of summary"),
+        }
+    }
+}
+
+/// A group's running total over the live window.
+struct GroupTotal {
+    /// The merge of the group's live chunk summaries.
+    summary: Summary,
+    rows: usize,
+}
+
+/// Rebuilds one group's running total by merging the surviving chunks'
+/// summaries, oldest first — no row is re-read.
+fn remerge(tier: Tier<'_>, chunks: &VecDeque<Chunk>, key: &str) -> Result<Summary> {
+    let mut parts = chunks.iter().filter_map(|c| c.groups.get(key)).map(|(part, _)| part);
+    let mut total = parts.next().expect("a live group has rows in a live chunk").clone();
+    for part in parts {
+        tier.merge(&mut total, part)?;
+    }
+    Ok(total)
+}
+
+/// True when subtracting `removed` may have destroyed `remaining`:
+/// either holds a NaN or ±∞ (subtraction cannot take one back out), or
+/// some component of the removed state is ≥ 2²⁰ (~10⁶) times the
+/// magnitude of what is left, i.e. at least 20 of the result's 53
+/// mantissa bits were cancelled away. False positives only cost a cheap
+/// re-merge.
 fn cancellation_suspect(removed: &AggState, remaining: &AggState) -> bool {
     const RATIO: f64 = (1u64 << 20) as f64;
-    removed
-        .as_slice()
-        .iter()
-        .zip(remaining.as_slice())
-        .any(|(r, keep)| r.abs() > RATIO * keep.abs().max(f64::MIN_POSITIVE))
+    removed.as_slice().iter().zip(remaining.as_slice()).any(|(r, keep)| {
+        !r.is_finite() || !keep.is_finite() || r.abs() > RATIO * keep.abs().max(f64::MIN_POSITIVE)
+    })
 }
 
 /// Receipt returned by [`SlidingWindow::push_chunk`].
@@ -405,11 +519,15 @@ impl SlidingWindow {
     /// The active sketch tier: `Some` only when sketch mode is on *and*
     /// the aggregate exposes one.
     pub fn sketch_tier(&self) -> Option<&dyn SketchAggregate> {
-        if self.cfg.sketch_mode {
-            self.agg.sketch()
-        } else {
-            None
+        match self.tier() {
+            Tier::Sketch(sketch) => Some(sketch),
+            _ => None,
         }
+    }
+
+    /// The window's [`Tier`].
+    fn tier(&self) -> Tier<'_> {
+        Tier::of(self.agg.as_ref(), self.cfg.sketch_mode)
     }
 
     /// Number of live chunks.
@@ -433,30 +551,21 @@ impl SlidingWindow {
 
     /// Approximate bytes resident in the window: the chunks' columns
     /// (8 bytes per number, 4 per code), the window dictionaries, and
-    /// the per-group value vectors, partials, sketches, and masks.
+    /// the per-group summaries and masks.
     pub fn resident_bytes(&self) -> u64 {
         let mut bytes: u64 = self.dicts.iter().map(WindowDict::approx_bytes).sum();
         for c in &self.chunks {
             bytes += c.nums.iter().map(|v| 8 * v.len() as u64).sum::<u64>();
             bytes += c.codes.iter().map(|v| 4 * v.len() as u64).sum::<u64>();
-            for (key, vs) in &c.values {
-                bytes += key.len() as u64 + 8 * vs.len() as u64;
-            }
-            for (key, (state, _)) in c.groups.iter() {
-                bytes += key.len() as u64 + std::mem::size_of_val(state) as u64 + 16;
-            }
-            for (key, s) in &c.sketches {
-                bytes += key.len() as u64 + s.approx_bytes() as u64;
+            for (key, (summary, _)) in &c.groups {
+                bytes += key.len() as u64 + summary.approx_bytes() + 16;
             }
             for (key, m) in &c.masks {
                 bytes += key.len() as u64 + 8 * m.words().len() as u64;
             }
         }
         for (key, t) in &self.totals {
-            bytes += key.len() as u64 + std::mem::size_of_val(&t.partial) as u64 + 24;
-            if let Some(s) = &t.sketch {
-                bytes += s.approx_bytes() as u64;
-            }
+            bytes += key.len() as u64 + t.summary.approx_bytes() + 24;
         }
         bytes + self.heavy.approx_bytes() as u64
     }
@@ -566,66 +675,28 @@ impl SlidingWindow {
             }
             by_group[b].push(agg_values[row]);
         });
-        let values: BTreeMap<String, Vec<f64>> =
-            keys.iter().map(|&k| group.value(k).to_owned()).zip(by_group).collect();
+        let tier = Tier::of(self.agg.as_ref(), self.cfg.sketch_mode);
+        let groups: BTreeMap<String, (Summary, usize)> = keys
+            .iter()
+            .zip(by_group)
+            .map(|(&k, vals)| {
+                let n = vals.len();
+                (group.value(k).to_owned(), (tier.summarize(vals), n))
+            })
+            .collect();
 
-        let mergeable = self.agg.mergeable();
-        let mut groups: BTreeMap<String, (AggState, usize)> = BTreeMap::new();
-        for (key, vals) in &values {
-            let (state, n) = match mergeable {
-                Some(m) => (m.partial_of(vals), vals.len()),
-                None => (AggState::zero(0), vals.len()),
-            };
-            groups.insert(key.clone(), (state, n));
-        }
-
-        // Sketch tier: summarize each group's values once per chunk.
-        let mut sketches: BTreeMap<String, SketchPartial> = BTreeMap::new();
-        if let Some(sk) = self.sketch_tier() {
-            for (key, vals) in &values {
-                let mut partial = sk.sketch_empty();
-                for &v in vals {
-                    partial.insert(v);
+        // Merge the new chunk's summaries into the running totals.
+        for (key, (part, n)) in &groups {
+            match self.totals.get_mut(key) {
+                Some(total) => {
+                    tier.merge(&mut total.summary, part)?;
+                    total.rows += n;
                 }
-                sketches.insert(key.clone(), partial);
+                None => {
+                    let total = GroupTotal { summary: part.clone(), rows: *n };
+                    self.totals.insert(key.clone(), total);
+                }
             }
-        }
-
-        // Black-box aggregates need the raw values at read time; for
-        // mergeable operators the partials subsume them, and in sketch
-        // mode the sketches do.
-        let values =
-            if mergeable.is_none() && sketches.is_empty() { values } else { BTreeMap::new() };
-
-        // Merge the new chunk's partials into the running totals.
-        if let Some(m) = mergeable {
-            for (key, (state, n)) in &groups {
-                let total = self.totals.entry(key.clone()).or_insert_with(|| GroupTotal {
-                    partial: m.empty_partial(),
-                    rows: 0,
-                    sketch: None,
-                });
-                m.merge(&mut total.partial, state);
-                total.rows += n;
-            }
-        } else {
-            for (key, (_, n)) in &groups {
-                let total = self.totals.entry(key.clone()).or_insert_with(|| GroupTotal {
-                    partial: AggState::zero(0),
-                    rows: 0,
-                    sketch: None,
-                });
-                total.rows += n;
-            }
-        }
-        for (key, partial) in &sketches {
-            let total = self.totals.get_mut(key).expect("sketched group has a total");
-            match &mut total.sketch {
-                Some(s) => s.merge(partial).map_err(StreamError::Sketch)?,
-                none => *none = Some(partial.clone()),
-            }
-        }
-        for (key, (_, n)) in &groups {
             self.heavy.insert(key, *n as u64);
         }
 
@@ -637,8 +708,6 @@ impl SlidingWindow {
             nums,
             codes,
             groups,
-            values,
-            sketches,
             masks: BTreeMap::new(),
             compacted: false,
             flagged: false,
@@ -704,98 +773,32 @@ impl SlidingWindow {
 
     /// Removes an evicted chunk's contribution from the running totals.
     fn retract(&mut self, old: &Chunk) -> Result<()> {
-        let mergeable = self.agg.mergeable();
-        for (key, (state, n)) in &old.groups {
+        let tier = Tier::of(self.agg.as_ref(), self.cfg.sketch_mode);
+        for (key, (part, n)) in &old.groups {
             let Some(total) = self.totals.get_mut(key) else { continue };
             total.rows -= (*n).min(total.rows);
             if total.rows == 0 {
                 self.totals.remove(key);
                 continue;
             }
-            match mergeable {
-                Some(m) if m.retractable() => {
-                    // O(1) retraction (§5.1 `remove` on the time axis) —
-                    // but floating-point subtraction is lossy when the
-                    // evicted partial dwarfs what remains (absorption:
-                    // 1e16 + 1 − 1e16 == 0), and the error would persist
-                    // for the group's lifetime. Guard the conditioning
-                    // and fall back to re-merging the surviving chunks'
-                    // partials, which is still row-free and only
-                    // O(window chunks).
-                    m.unmerge(&mut total.partial, state);
-                    if cancellation_suspect(state, &total.partial) {
-                        total.partial = Self::remerge(&self.chunks, m, key);
-                    }
-                }
-                Some(m) => {
-                    // MIN/MAX: the extremum may have left with the
-                    // chunk; recover the runner-up from the surviving
-                    // chunks' partials.
-                    total.partial = Self::remerge(&self.chunks, m, key);
-                }
-                None => {}
-            }
-            // Sketch totals: quantile sketches retract exactly (bucket
-            // counts form a group under merge); HLL cannot, so re-merge
-            // the survivors' per-chunk sketches — row-free either way.
-            if let Some(evicted_sketch) = old.sketches.get(key) {
-                if let Some(total_sketch) = &mut total.sketch {
-                    let retracted =
-                        total_sketch.retract(evicted_sketch).map_err(StreamError::Sketch)?;
-                    if !retracted {
-                        total.sketch =
-                            Self::remerge_sketch(&self.chunks, key).map_err(StreamError::Sketch)?;
-                    }
-                }
+            if !tier.retract(&mut total.summary, part)? {
+                total.summary = remerge(tier, &self.chunks, key)?;
             }
         }
         Ok(())
     }
 
-    /// Rebuilds one group's partial by merging the surviving chunks'
-    /// per-chunk partials (no row re-reads).
-    fn remerge(
-        chunks: &VecDeque<Chunk>,
-        m: &dyn scorpion_agg::MergeableAggregate,
-        key: &str,
-    ) -> AggState {
-        let mut acc = m.empty_partial();
-        for c in chunks {
-            if let Some((s, _)) = c.groups.get(key) {
-                m.merge(&mut acc, s);
-            }
-        }
-        acc
-    }
-
-    /// Rebuilds one group's sketch total by merging the surviving
-    /// chunks' per-chunk sketches.
-    fn remerge_sketch(
-        chunks: &VecDeque<Chunk>,
-        key: &str,
-    ) -> scorpion_sketch::Result<Option<SketchPartial>> {
-        let mut acc: Option<SketchPartial> = None;
-        for c in chunks {
-            if let Some(s) = c.sketches.get(key) {
-                match &mut acc {
-                    Some(a) => a.merge(s)?,
-                    none => *none = Some(s.clone()),
-                }
-            }
-        }
-        Ok(acc)
-    }
-
     /// Strips the columns from chunks older than the `keep_recent` newest
-    /// that no flagged group ever touched, leaving partials + sketches +
-    /// per-group row masks built from the group codes. Runs before the
-    /// incoming chunk joins the window, so that chunk counts toward the
-    /// newest. Requires a row-free read path: a mergeable partial or an
-    /// active sketch tier. Timed as `window.compact`.
+    /// that no flagged group ever touched, leaving the per-group
+    /// summaries and row masks built from the group codes. Runs before
+    /// the incoming chunk joins the window, so that chunk counts toward
+    /// the newest. Skipped for raw-value windows: their summaries keep
+    /// every value, so dropping the columns would not make them
+    /// row-free. Timed as `window.compact`.
     fn compact(&mut self) {
         let Some(keep) = self.cfg.compact_keep_recent else { return };
-        if self.agg.mergeable().is_none() && self.sketch_tier().is_none() {
-            return; // black-box reads need the buffered values
+        if let Tier::Values(_) = self.tier() {
+            return;
         }
         let eligible = (self.chunks.len() + 1).saturating_sub(keep);
         if eligible == 0 {
@@ -819,7 +822,6 @@ impl SlidingWindow {
             });
             c.masks = keys.iter().map(|&k| group.value(k).to_owned()).zip(masks).collect();
             c.drop_columns(&mut self.dicts);
-            c.values = BTreeMap::new();
             c.compacted = true;
             did += 1;
         }
@@ -833,45 +835,20 @@ impl SlidingWindow {
     /// live.
     pub fn value_of(&self, key: &str) -> Option<f64> {
         let total = self.totals.get(key)?;
-        if let Some(sk) = self.sketch_tier() {
-            if let Some(sketch) = &total.sketch {
-                return Some(sk.sketch_finalize(sketch));
-            }
-        }
-        match self.agg.mergeable() {
-            Some(m) => Some(m.finalize(&total.partial)),
-            None => Some(self.agg.compute(&self.raw_values(key))),
-        }
+        Some(self.tier().value(&total.summary))
     }
 
     /// The live group-by result series, sorted by group key.
     pub fn series(&self) -> Vec<GroupAggregate> {
-        let tier = self.sketch_tier();
+        let tier = self.tier();
         self.totals
             .iter()
-            .map(|(key, total)| {
-                let value = match (tier, &total.sketch) {
-                    (Some(sk), Some(sketch)) => sk.sketch_finalize(sketch),
-                    _ => match self.agg.mergeable() {
-                        Some(m) => m.finalize(&total.partial),
-                        None => self.agg.compute(&self.raw_values(key)),
-                    },
-                };
-                GroupAggregate { key: key.clone(), value, rows: total.rows }
+            .map(|(key, total)| GroupAggregate {
+                key: key.clone(),
+                value: tier.value(&total.summary),
+                rows: total.rows,
             })
             .collect()
-    }
-
-    /// Collects `key`'s aggregate-attribute values from the live chunks'
-    /// per-group buffers (black-box fallback path).
-    fn raw_values(&self, key: &str) -> Vec<f64> {
-        let mut out = Vec::new();
-        for c in &self.chunks {
-            if let Some(vs) = c.values.get(key) {
-                out.extend_from_slice(vs);
-            }
-        }
-        out
     }
 
     /// Materializes the live window as a relation plus provenance — the
@@ -967,6 +944,24 @@ mod tests {
             assert_eq!(r.evicted, Some(0));
             let got = w.value_of("a").unwrap();
             assert!((got - want).abs() < 1e-9, "{agg}: {got} != {want}");
+        }
+    }
+
+    #[test]
+    fn evicting_a_non_finite_reading_does_not_poison_the_group() {
+        // NaN − NaN is NaN, and a NaN fails every comparison of the
+        // absorption guard: a non-finite state must count as suspect,
+        // so the survivors are re-merged.
+        for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for agg in ["sum", "count", "avg", "stddev", "variance", "min", "max", "median"] {
+                let mut w = window(agg, 2);
+                w.push_chunk(chunk(&[("a", special)])).unwrap();
+                w.push_chunk(chunk(&[("a", 1.0)])).unwrap();
+                let r = w.push_chunk(chunk(&[("a", 2.0)])).unwrap();
+                assert_eq!(r.evicted, Some(0));
+                let want = w.aggregate().compute(&[1.0, 2.0]);
+                assert_eq!(w.value_of("a"), Some(want), "{agg} after evicting {special}");
+            }
         }
     }
 

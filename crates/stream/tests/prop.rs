@@ -1,7 +1,7 @@
-//! Stream/batch equivalence: a sliding window maintained with partial
+//! Stream/batch equivalence: a sliding window maintained with summary
 //! merges and incremental retraction must agree with recomputing every
 //! window state from scratch, for every aggregate and every
-//! (chunk-stream, capacity) combination. The window's columnar
+//! (chunk-stream, capacity, compaction) combination. The window's columnar
 //! materialization must equal a row-by-row rebuild of its resident rows,
 //! and its dictionaries must stay bounded by what is resident.
 
@@ -11,8 +11,8 @@ use scorpion_stream::{SlidingWindow, StreamConfig};
 use scorpion_table::{group_by, AttrType, CatColumn, Field, Schema, Table, TableBuilder, Value};
 use std::collections::{BTreeMap, VecDeque};
 
-/// All registry aggregates: mergeable-retractable, mergeable-only
-/// (min/max), and the black-box fallback (median).
+/// All registry aggregates: removable exact states, merge-only exact
+/// states (min/max), and the raw-value fallback (median).
 const AGGS: &[&str] = &["sum", "count", "avg", "stddev", "variance", "min", "max", "median"];
 
 /// Absolute tolerance for FP-reordered evaluation, where `scale` is the
@@ -66,7 +66,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// After every push, the incrementally maintained series is ε-equal
-    /// to a from-scratch recomputation of the same window.
+    /// to a from-scratch recomputation of the same window, with the
+    /// compaction tier on or off: re-merges after an eviction read the
+    /// summaries compacted chunks keep.
     #[test]
     fn sliding_window_matches_batch_recompute(
         chunks in prop::collection::vec(
@@ -74,9 +76,16 @@ proptest! {
             1..14,
         ),
         capacity in 1usize..6,
+        compact in any::<bool>(),
+        keep in 0usize..6,
     ) {
+        // With compaction on, `keep_recent` is drawn from 1..=capacity.
+        let keep = 1 + keep % capacity;
         for name in AGGS {
-            let cfg = StreamConfig::new(schema(), 0, 1, capacity).unwrap();
+            let mut cfg = StreamConfig::new(schema(), 0, 1, capacity).unwrap();
+            if compact {
+                cfg = cfg.with_compaction(keep).unwrap();
+            }
             let mut w = SlidingWindow::new(cfg, aggregate_by_name(name).unwrap());
             let mut live: VecDeque<&RawChunk> = VecDeque::new();
             for chunk in &chunks {

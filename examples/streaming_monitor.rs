@@ -1,6 +1,6 @@
 //! Continuous monitoring demo: ingest a live sensor feed, maintain a
-//! sliding-window `STDDEV(temp) GROUP BY hour` series with mergeable
-//! partial aggregates, auto-flag an injected dropout episode, and
+//! sliding-window `STDDEV(temp) GROUP BY hour` series from per-chunk
+//! exact states, auto-flag an injected dropout episode, and
 //! re-explain it incrementally as the window slides.
 //!
 //! ```text

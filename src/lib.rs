@@ -63,7 +63,7 @@
 //! | [`sketch`] | Probabilistic sketches: retractable quantiles, HLL++, SpaceSaving |
 //! | [`core`] | Scorer + influence cache, `ExplainRequest` builder (the one entry point), prepared plans (NAIVE/DT/MC), Merger, sessions (§3–§7) |
 //! | [`data`] | SYNTH / INTEL / EXPENSE workload generators + streaming sensor feed (§8.1) |
-//! | [`stream`] | Continuous sliding-window engine: mergeable partials, auto-labeling, warm re-explanation |
+//! | [`stream`] | Continuous sliding-window engine: per-chunk summaries, auto-labeling, warm re-explanation |
 //! | [`server`] | HTTP explanation service: table registry, plan cache, bounded worker pool |
 //! | [`eval`] | Accuracy metrics + per-figure experiment runners (§8) |
 

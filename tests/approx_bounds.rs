@@ -57,7 +57,6 @@ fn scorer_for<'t>(t: &'t Table, g: &Grouping, agg: &'t dyn Aggregate) -> Scorer<
         vec![GroupSpec { rows: g.rows(o_idx).to_vec(), error: 1.0 }],
         vec![GroupSpec { rows: g.rows(h_idx).to_vec(), error: 1.0 }],
         InfluenceParams { lambda: 0.7, c: 0.5 },
-        false,
     )
     .unwrap()
 }

@@ -1,6 +1,7 @@
 //! End-to-end tests across crates: all three evaluation workloads,
 //! algorithm equivalences, and the caching session.
 
+use scorpion::agg::BlackBox;
 use scorpion::data::expense::{self, ExpenseConfig};
 use scorpion::data::intel::{self, IntelConfig};
 use scorpion::data::synth::{self, SynthConfig};
@@ -79,19 +80,18 @@ fn auto_selection_picks_mc_for_synth() {
 fn blackbox_and_incremental_agree_end_to_end() {
     let ds = synth::generate(SynthConfig::easy(2).with_tuples_per_group(150));
     let grouping = group_by(&ds.table, &[0]).unwrap();
-    let run = |blackbox: bool| {
-        synth_request(&ds, Arc::new(Sum))
+    let run = |agg: Arc<dyn Aggregate>| {
+        synth_request(&ds, agg)
             .params(0.5, 0.2)
             .algorithm(Algorithm::DecisionTree(DtConfig { sampling: None, ..DtConfig::default() }))
             .explain_attrs(ds.dim_attrs())
-            .force_blackbox(blackbox)
             .build()
             .unwrap()
             .explain()
             .unwrap()
     };
-    let fast = run(false);
-    let slow = run(true);
+    let fast = run(Arc::new(Sum));
+    let slow = run(Arc::new(BlackBox(Sum)));
     // The two paths may break floating-point ties differently at split
     // boundaries, so require equivalent results rather than identical
     // trees: near-equal influence and heavily overlapping selections.

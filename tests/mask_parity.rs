@@ -116,7 +116,6 @@ proptest! {
                 vec![GroupSpec { rows: g.rows(o_idx).to_vec(), error: 1.0 }],
                 vec![GroupSpec { rows: g.rows(h_idx).to_vec(), error: 1.0 }],
                 InfluenceParams { lambda, c },
-                false,
             ).unwrap();
             let masked = s.influence(&p).unwrap();
             let oracle = s.influence_rowwise(&p).unwrap();

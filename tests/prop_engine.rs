@@ -37,7 +37,6 @@ proptest! {
             vec![GroupSpec { rows: g.rows(0).to_vec(), error: 1.0 }],
             vec![],
             InfluenceParams { lambda: 1.0, c: 1.0 },
-            false,
         ).unwrap();
         let pred = Predicate::conjunction([Clause::range(1, lo, lo + width)]).unwrap();
         let inf = scorer.influence(&pred).unwrap();
@@ -71,7 +70,6 @@ proptest! {
             vec![],
             // c = 0 makes influence equal Δ (λ = 1).
             InfluenceParams { lambda: 1.0, c: 0.0 },
-            false,
         ).unwrap();
         let narrow = Predicate::conjunction([Clause::range(1, lo, lo + w1)]).unwrap();
         let wide = Predicate::conjunction([Clause::range(1, lo, lo + w1 + extra)]).unwrap();
@@ -103,7 +101,6 @@ proptest! {
             vec![GroupSpec { rows: g.rows(o_idx).to_vec(), error: 1.0 }],
             vec![GroupSpec { rows: g.rows(h_idx).to_vec(), error: 1.0 }],
             InfluenceParams { lambda: 0.5, c: 0.5 },
-            false,
         ).unwrap();
         let pred = Predicate::conjunction([Clause::range(1, lo, lo + width)]).unwrap();
         let with_h = scorer.influence(&pred).unwrap();

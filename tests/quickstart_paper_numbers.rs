@@ -53,7 +53,6 @@ fn section32_tuple_influences() {
         vec![GroupSpec { rows: g.rows(1).to_vec(), error: 1.0 }],
         vec![],
         InfluenceParams { lambda: 1.0, c: 1.0 },
-        false,
     )
     .unwrap();
     let infs = scorer.outlier_tuple_influences(0);

@@ -104,7 +104,7 @@ proptest! {
         chunk in prop::collection::vec(0.1f64..1e4f64, 1..200),
     ) {
         let tier = Median.sketch().unwrap();
-        prop_assert!(tier.sketch_retractable());
+        prop_assert!(tier.sketch_empty().retractable());
         let mut acc = sketch_of(tier, &base);
         let before = tier.sketch_finalize(&acc);
         let delta = sketch_of(tier, &chunk);
@@ -121,7 +121,7 @@ proptest! {
 #[test]
 fn count_distinct_declares_no_retraction() {
     let tier = CountDistinct.sketch().unwrap();
-    assert!(!tier.sketch_retractable());
+    assert!(!tier.sketch_empty().retractable());
     let mut p = tier.sketch_empty();
     p.insert(1.0);
     let d = tier.sketch_empty();
