@@ -15,6 +15,9 @@ use crate::error::Result;
 use crate::result::Diagnostics;
 use scorpion_obs::{CacheHit, Telemetry, TelemetryEvent};
 use scorpion_table::csv::parse_csv_with_schema;
+/// Renders any table as CSV — the `GET /debug/telemetry?format=csv`
+/// body and the format `scorpion audit --telemetry-csv` reads back.
+pub use scorpion_table::csv::table_csv;
 use scorpion_table::{Field, Schema, Table, TableBuilder, Value};
 use std::collections::BTreeSet;
 
@@ -136,43 +139,6 @@ impl TelemetryTable for Telemetry {
     }
 }
 
-/// Renders any table as CSV (header row, `""`-escaped quoting) —
-/// the `GET /debug/telemetry?format=csv` body and the format
-/// `scorpion audit --telemetry-csv` reads back.
-pub fn table_csv(table: &Table) -> Result<String> {
-    fn cell(out: &mut String, s: &str) {
-        if s.contains(',') || s.contains('"') || s.contains('\n') {
-            out.push('"');
-            out.push_str(&s.replace('"', "\"\""));
-            out.push('"');
-        } else {
-            out.push_str(s);
-        }
-    }
-    let schema = table.schema();
-    let mut out = String::new();
-    for (i, f) in schema.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        cell(&mut out, f.name());
-    }
-    out.push('\n');
-    for row in 0..table.len() {
-        for attr in 0..schema.len() {
-            if attr > 0 {
-                out.push(',');
-            }
-            match table.value(row, attr)? {
-                Value::Num(v) => out.push_str(&format!("{v}")),
-                Value::Str(s) => cell(&mut out, &s),
-            }
-        }
-        out.push('\n');
-    }
-    Ok(out)
-}
-
 /// Parses a telemetry CSV dump back into the [`events_to_table`] shape,
 /// deriving each column's type from its name via [`is_numeric_column`]
 /// (type inference alone would misread `status` — `"200"` — and
@@ -242,6 +208,19 @@ mod tests {
                 assert_eq!(back.value(row, attr).unwrap(), t.value(row, attr).unwrap());
             }
         }
+    }
+
+    #[test]
+    fn table_names_with_newlines_and_commas_round_trip() {
+        let name = "two\nlines, one comma";
+        let mut e = event(1, "dt", 2);
+        e.table = name.into();
+        let t = events_to_table(&[e, event(2, "naive", 80)]).unwrap();
+        let csv = table_csv(&t).unwrap();
+        let back = telemetry_table_from_csv(&csv).unwrap();
+        assert_eq!(back.value(0, back.attr("table").unwrap()).unwrap().as_str(), Some(name));
+        // The writer is exact, so equal text means equal tables.
+        assert_eq!(table_csv(&back).unwrap(), csv);
     }
 
     #[test]

@@ -212,6 +212,41 @@ fn error_paths_are_clean_json() {
     handle.stop();
 }
 
+/// `POST /tables` with CSV the reader rejects: each is a 400 whose
+/// error starts "CSV rejected:", the keep-alive connection keeps
+/// serving, and the registry is unchanged. Quoted commas, `""` escapes
+/// and quoted newlines load.
+#[test]
+fn hostile_csv_uploads_are_rejected_cleanly() {
+    let handle = serve();
+    let mut c = client::Client::connect(handle.addr()).unwrap();
+    c.post("/tables", &table_body("t", 20)).unwrap();
+    let (_, before) = c.get("/tables").unwrap();
+    let hostile = [
+        ("unterminated quote", "g,x,v\no,1,2\nh,\"3,4\n"),
+        ("ragged record", "g,x,v\no,1,2\nh,3\n"),
+        ("bad number", "g,x,v\no,1,2\nh,three,4\n"),
+        ("header only", "g,x,v\n"),
+        ("empty", ""),
+    ];
+    for (case, csv) in hostile {
+        let body = Json::obj([("name", Json::from("t")), ("csv", Json::from(csv))]);
+        let (status, err) = c.post("/tables", &body).unwrap();
+        assert_eq!(status, 400, "{case}: {err:?}");
+        let msg = err.get("error").and_then(Json::as_str).unwrap();
+        assert!(msg.starts_with("CSV rejected:"), "{case}: {msg}");
+        let (status, after) = c.get("/tables").unwrap();
+        assert_eq!(status, 200, "{case}");
+        assert_eq!(after, before, "{case} left the registry unchanged");
+    }
+    let csv = "g,x,v\n\"GMMB, INC.\",1,2\n\"say \"\"hi\"\"\",3,4\n\"two\nlines\",5,6\n";
+    let body = Json::obj([("name", Json::from("quoted")), ("csv", Json::from(csv))]);
+    let (status, loaded) = c.post("/tables", &body).unwrap();
+    assert_eq!(status, 200, "{loaded:?}");
+    assert_eq!(loaded.get("rows").and_then(Json::as_f64), Some(3.0));
+    handle.stop();
+}
+
 /// Out-of-range approximate-search knobs are a 400 whose body names the
 /// valid range; a valid opt-in runs and reports `approx_error_bound`
 /// and `candidates_pruned` in diagnostics.

@@ -2,6 +2,7 @@
 //! categorical columns.
 
 use crate::error::{Result, TableError};
+use crate::schema::AttrType;
 use crate::value::Value;
 use std::collections::HashMap;
 
@@ -125,6 +126,14 @@ pub enum Column {
 }
 
 impl Column {
+    /// An empty column of the storage `ty` uses.
+    pub(crate) fn empty(ty: AttrType) -> Column {
+        match ty {
+            AttrType::Continuous => Column::Num(Vec::new()),
+            AttrType::Discrete => Column::Cat(CatColumn::new()),
+        }
+    }
+
     /// Number of rows in the column.
     pub fn len(&self) -> usize {
         match self {

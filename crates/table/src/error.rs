@@ -50,6 +50,10 @@ pub enum TableError {
     /// (unequal lengths, a code outside its dictionary, a repeated
     /// dictionary value).
     InvalidColumn(String),
+    /// CSV text (or the file holding it) cannot be read as a table: an
+    /// unterminated quote, a header that does not match the schema, or
+    /// a failed file read.
+    Csv(String),
 }
 
 impl fmt::Display for TableError {
@@ -76,6 +80,7 @@ impl fmt::Display for TableError {
                 write!(f, "attribute `{attr}` used in conflicting query roles")
             }
             TableError::InvalidColumn(msg) => write!(f, "invalid column: {msg}"),
+            TableError::Csv(msg) => write!(f, "bad CSV: {msg}"),
         }
     }
 }

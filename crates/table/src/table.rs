@@ -162,13 +162,7 @@ pub struct TableBuilder {
 impl TableBuilder {
     /// Creates a builder for the given schema.
     pub fn new(schema: Schema) -> Self {
-        let columns = schema
-            .iter()
-            .map(|f| match f.ty() {
-                AttrType::Continuous => Column::Num(Vec::new()),
-                AttrType::Discrete => Column::Cat(CatColumn::new()),
-            })
-            .collect();
+        let columns = schema.iter().map(|f| Column::empty(f.ty())).collect();
         TableBuilder { schema, columns, len: 0 }
     }
 
