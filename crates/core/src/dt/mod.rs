@@ -232,11 +232,12 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
             .map(|g| {
                 let pos: Vec<u32> = (0..g.rows.len() as u32).collect();
                 let rate = self.initial_rate(pos.len());
-                let sample = if rate >= 1.0 {
-                    pos.clone()
-                } else {
-                    draw(&pos, ((rate * pos.len() as f64).ceil() as usize).max(1), rng)
-                };
+                let mut sample = pos.clone();
+                if rate < 1.0 {
+                    let k = ((rate * pos.len() as f64).ceil() as usize).max(1);
+                    let k = draw_front(&mut sample, k, rng);
+                    sample.truncate(k);
+                }
                 total += pos.len();
                 sampled += sample.len();
                 Slice { pos, sample }
@@ -361,40 +362,10 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
                     }
                 }
                 Col::Cat(codes) => {
-                    // Order codes by pooled mean influence, try prefix
-                    // splits.
-                    let allowed = self.allowed_codes(node, *attr);
-                    let mut acc: Vec<(u32, f64, f64)> = Vec::new(); // (code, sum, n)
-                    for (g, slice) in node.slices.iter().enumerate() {
-                        for &p in &slice.sample {
-                            let code = codes[side.groups[g].rows[p as usize] as usize];
-                            if let Some(c) = &allowed {
-                                if !c.contains(&code) {
-                                    continue;
-                                }
-                            }
-                            match acc.iter_mut().find(|(k, _, _)| *k == code) {
-                                Some(e) => {
-                                    e.1 += side.groups[g].infs[p as usize];
-                                    e.2 += 1.0;
-                                }
-                                None => acc.push((code, side.groups[g].infs[p as usize], 1.0)),
-                            }
-                        }
-                    }
-                    if acc.len() < 2 {
-                        continue;
-                    }
-                    acc.sort_by(|a, b| (b.1 / b.2).total_cmp(&(a.1 / a.2)));
-                    let max_j = (acc.len() - 1).min(self.cfg.max_discrete_splits);
-                    let mut left: BTreeSet<u32> = BTreeSet::new();
-                    for item in acc.iter().take(max_j) {
-                        left.insert(item.0);
-                        let (ok, metric) = combined_metric(side, node, |g, p| {
-                            left.contains(&codes[side.groups[g].rows[p as usize] as usize])
-                        });
-                        if ok && metric < parent && best.as_ref().is_none_or(|(m, _)| metric < *m) {
-                            best = Some((metric, Split::Disc { attr: *attr, left: left.clone() }));
+                    let found = self.disc_split(side, node, *attr, codes, parent);
+                    if let Some((metric, split)) = found {
+                        if best.as_ref().is_none_or(|(m, _)| metric < *m) {
+                            best = Some((metric, split));
                         }
                     }
                 }
@@ -403,25 +374,80 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
         best.map(|(_, s)| s)
     }
 
-    /// The codes the node's predicate admits on `attr` (`None` =
-    /// unconstrained).
-    fn allowed_codes(&self, node: &Node, attr: usize) -> Option<BTreeSet<u32>> {
-        match node.pred.clause(attr) {
-            Some(Clause::In { codes, .. }) => Some(codes.clone()),
+    /// The best prefix split of discrete `attr` whose metric is below
+    /// `parent`, with its metric: the admitted codes are ordered by
+    /// pooled mean influence, and the first prefix of least metric wins.
+    ///
+    /// Per-code `(sum, n)` accumulate through a code→slot table, in the
+    /// order codes first appear in the node's sample, and membership in
+    /// the admitted and left sets is a code-indexed table lookup. Each
+    /// code's sum adds its rows in sample order, and the mean-influence
+    /// sort is stable over first-appearance order.
+    fn disc_split(
+        &self,
+        side: &SideData,
+        node: &Node,
+        attr: usize,
+        codes: &[u32],
+        parent: f64,
+    ) -> Option<(f64, Split)> {
+        let allowed = match node.pred.clause(attr) {
+            Some(Clause::In { codes, .. }) => Some(code_table(codes)),
             _ => None,
+        };
+        const NO_SLOT: u32 = u32::MAX;
+        let mut slot: Vec<u32> = Vec::new();
+        let mut acc: Vec<(u32, f64, f64)> = Vec::new(); // (code, sum, n)
+        for (slice, group) in node.slices.iter().zip(&side.groups) {
+            for &p in &slice.sample {
+                let code = codes[group.rows[p as usize] as usize];
+                if allowed.as_ref().is_some_and(|a| !in_table(a, code)) {
+                    continue;
+                }
+                let c = code as usize;
+                if c >= slot.len() {
+                    slot.resize(c + 1, NO_SLOT);
+                }
+                let inf = group.infs[p as usize];
+                match slot[c] {
+                    NO_SLOT => {
+                        slot[c] = acc.len() as u32;
+                        acc.push((code, inf, 1.0));
+                    }
+                    i => {
+                        let e = &mut acc[i as usize];
+                        e.1 += inf;
+                        e.2 += 1.0;
+                    }
+                }
+            }
         }
+        if acc.len() < 2 {
+            return None;
+        }
+        acc.sort_by(|a, b| (b.1 / b.2).total_cmp(&(a.1 / a.2)));
+        let max_j = (acc.len() - 1).min(self.cfg.max_discrete_splits);
+        let mut left = vec![false; slot.len()];
+        let mut best: Option<(f64, usize)> = None;
+        for (j, item) in acc.iter().take(max_j).enumerate() {
+            left[item.0 as usize] = true;
+            let (ok, metric) = combined_metric(side, node, |g, p| {
+                in_table(&left, codes[side.groups[g].rows[p as usize] as usize])
+            });
+            if ok && metric < parent && best.is_none_or(|(m, _)| metric < m) {
+                best = Some((metric, j));
+            }
+        }
+        best.map(|(metric, j)| {
+            (metric, Split::Disc { attr, left: acc[..=j].iter().map(|e| e.0).collect() })
+        })
     }
 
     /// Splits `node`, partitioning full and sampled positions and applying
     /// the §6.1.2 stratified resampling to the children.
     ///
-    /// For nodes spanning enough rows, the chosen split is compiled
-    /// once into a left-side [`scorpion_table::RowMask`] via the clause
-    /// kernels (`[−∞, x)` for continuous splits, the left code set for
-    /// discrete ones) and row routing is a bit test. Small nodes of
-    /// large tables skip the full-column kernel pass and route through
-    /// direct value compares instead — the kernel touches every table
-    /// row, which would dwarf the node's own work deep in the tree.
+    /// Each row is routed by its own value ([`Router`]), so a split
+    /// costs in proportion to the node's rows, not the table's.
     fn apply_split(
         &self,
         side: &SideData,
@@ -430,44 +456,14 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
         split: &Split,
         rng: &mut StdRng,
     ) -> (Node, Node) {
-        let table = self.scorer.table();
-        let node_rows: usize = node.slices.iter().map(|s| s.pos.len()).sum();
-        let left_mask = if node_rows >= table.len() / 64 {
-            let left_clause = match split {
-                Split::Cont { attr, x } => Clause::range(*attr, f64::NEG_INFINITY, *x),
-                Split::Disc { attr, left } => Clause::in_set(*attr, left.iter().copied()),
-            };
-            table.column(left_clause.attr()).ok().and_then(|col| left_clause.eval_mask(col))
-        } else {
-            None
-        };
-        let table_col = |attr: usize| {
-            cols.iter().find(|(a, _)| *a == attr).map(|(_, c)| c).expect("split attr is bound")
-        };
-        let goes_left = |g: usize, p: u32| -> bool {
-            let row = side.groups[g].rows[p as usize];
-            if let Some(m) = &left_mask {
-                return m.contains(row);
-            }
-            match split {
-                Split::Cont { attr, x } => match table_col(*attr) {
-                    Col::Num(vals) => vals[row as usize] < *x,
-                    Col::Cat(_) => false,
-                },
-                Split::Disc { attr, left } => match table_col(*attr) {
-                    Col::Cat(codes) => left.contains(&codes[row as usize]),
-                    Col::Num(_) => false,
-                },
-            }
-        };
-
+        let router = Router::new(cols, split);
         let (lp, rp) = self.child_predicates(&node.pred, split);
         let mut lslices = Vec::with_capacity(node.slices.len());
         let mut rslices = Vec::with_capacity(node.slices.len());
-        for (g, slice) in node.slices.into_iter().enumerate() {
+        for (slice, group) in node.slices.into_iter().zip(&side.groups) {
             let (mut pos_l, mut pos_r) = (Vec::new(), Vec::new());
             for p in slice.pos {
-                if goes_left(g, p) {
+                if router.goes_left(group.rows[p as usize]) {
                     pos_l.push(p);
                 } else {
                     pos_r.push(p);
@@ -476,8 +472,8 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
             let (mut sample_l, mut sample_r) = (Vec::new(), Vec::new());
             let (mut mass_l, mut mass_r) = (0.0f64, 0.0f64);
             for p in slice.sample {
-                let inf = side.groups[g].infs[p as usize].abs();
-                if goes_left(g, p) {
+                let inf = group.infs[p as usize].abs();
+                if router.goes_left(group.rows[p as usize]) {
                     sample_l.push(p);
                     mass_l += inf;
                 } else {
@@ -576,15 +572,20 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
     /// Scores each partition exactly and attaches the per-group statistics
     /// (cardinality + mean-influence representative tuple, §6.3).
     ///
-    /// Partition membership is read from the Scorer's predicate masks,
-    /// so sibling partitions sharing clauses (children of the same
-    /// carve) reuse cached clause masks instead of re-walking rows. The
-    /// tuple influences are computed once per call. Each group's
-    /// statistics then come from one walk over the set bits of
-    /// `group mask ∧ partition mask` ([`Scorer::for_each_selected`]),
-    /// which visits the selected rows in ascending order, as a row-by-row
-    /// scan would: the influence sum and the first-closest representative
-    /// are the same.
+    /// Each partition's mask is built once, through the Scorer's clause
+    /// mask cache, so sibling partitions sharing clauses (children of
+    /// the same carve) reuse cached clause masks instead of re-walking
+    /// rows. The same mask then feeds the statistics and the exact score
+    /// ([`Scorer::influence_of`]). The tuple influences are computed
+    /// once per call. Each group's statistics come from one walk over
+    /// the set bits of `group mask ∧ partition mask`
+    /// ([`Scorer::for_each_selected`]), which visits the selected rows in
+    /// ascending order, as a row-by-row scan would: the influence sum and
+    /// the first-closest representative are the same.
+    ///
+    /// Each partition's mask build is timed as phase `dt.finalize.mask`
+    /// and its statistics walks as `dt.finalize.stats`; its score is
+    /// `scorer.mask`.
     fn finalize(&self, preds: Vec<Predicate>) -> Result<Vec<ScoredPredicate>> {
         let s = self.scorer;
         let out_infs: Vec<Vec<f64>> =
@@ -598,15 +599,16 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
             if !seen.insert(pred.clone()) {
                 continue;
             }
-            let pm = s.predicate_mask(&pred)?;
-            let mut stats = PartitionStats::default();
-            for (g, infs) in out_infs.iter().enumerate() {
-                stats.outlier.push(self.group_stat(true, g, &pm, infs, &mut pos));
-            }
-            for (g, infs) in hold_infs.iter().enumerate() {
-                stats.holdout.push(self.group_stat(false, g, &pm, infs, &mut pos));
-            }
-            let influence = s.influence(&pred)?;
+            let pm = s.phases().time("dt.finalize.mask", || s.predicate_mask(&pred))?;
+            let stats = s.phases().time("dt.finalize.stats", || PartitionStats {
+                outlier: (out_infs.iter().enumerate())
+                    .map(|(g, infs)| self.group_stat(true, g, &pm, infs, &mut pos))
+                    .collect(),
+                holdout: (hold_infs.iter().enumerate())
+                    .map(|(g, infs)| self.group_stat(false, g, &pm, infs, &mut pos))
+                    .collect(),
+            });
+            let influence = s.influence_of(&pred, Some(pm))?;
             out.push(ScoredPredicate { predicate: pred, influence, stats: Some(stats) });
         }
         out.sort_by(|a, b| b.influence.total_cmp(&a.influence));
@@ -775,22 +777,26 @@ fn combined_metric(
     (tot_l > 0 && tot_r > 0, metric)
 }
 
-/// Draws `k` distinct elements uniformly from `pool` (partial
-/// Fisher–Yates over a scratch copy).
-fn draw(pool: &[u32], k: usize, rng: &mut StdRng) -> Vec<u32> {
+/// Moves `k` elements drawn uniformly without replacement from `pool`
+/// to its front (a partial Fisher–Yates in place) and returns how many
+/// it moved: `k`, or the pool's size if that is smaller.
+fn draw_front(pool: &mut [u32], k: usize, rng: &mut StdRng) -> usize {
     let k = k.min(pool.len());
-    let mut scratch = pool.to_vec();
     for i in 0..k {
-        let j = rng.random_range(i..scratch.len());
-        scratch.swap(i, j);
+        let j = rng.random_range(i..pool.len());
+        pool.swap(i, j);
     }
-    scratch.truncate(k);
-    scratch
+    k
 }
 
 /// Ensures `sample` reaches the stratified target size
 /// `max(target_n, min_rate·|pos|)` by drawing additional positions from
 /// `pos` that are not yet sampled (§6.1.2).
+///
+/// `pos` is ascending (the root's positions are `0..n`, and routing
+/// keeps their order), so the unsampled positions come from one merge
+/// walk of `pos` against a sorted copy of `sample`, in `pos` order, and
+/// the extra positions are drawn from them in place.
 fn top_up(sample: &mut Vec<u32>, pos: &[u32], target_n: f64, min_rate: f64, rng: &mut StdRng) {
     if pos.is_empty() {
         return;
@@ -799,10 +805,71 @@ fn top_up(sample: &mut Vec<u32>, pos: &[u32], target_n: f64, min_rate: f64, rng:
     if sample.len() >= target {
         return;
     }
-    let have: std::collections::HashSet<u32> = sample.iter().copied().collect();
-    let unsampled: Vec<u32> = pos.iter().copied().filter(|p| !have.contains(p)).collect();
-    let extra = draw(&unsampled, target - sample.len(), rng);
-    sample.extend(extra);
+    let mut taken = sample.clone();
+    taken.sort_unstable();
+    let mut unsampled = Vec::with_capacity(pos.len().saturating_sub(taken.len()));
+    let mut t = 0;
+    for &p in pos {
+        while t < taken.len() && taken[t] < p {
+            t += 1;
+        }
+        if t == taken.len() || taken[t] != p {
+            unsampled.push(p);
+        }
+    }
+    let k = draw_front(&mut unsampled, target - sample.len(), rng);
+    sample.extend_from_slice(&unsampled[..k]);
+}
+
+/// A code-indexed membership table of `codes`: entry `c` is true iff
+/// `c` is in the set. Codes past its end are not members.
+fn code_table(codes: &BTreeSet<u32>) -> Vec<bool> {
+    let mut table = vec![false; codes.last().map_or(0, |&c| c as usize + 1)];
+    for &c in codes {
+        table[c as usize] = true;
+    }
+    table
+}
+
+/// Whether `code` is a member of a [`code_table`].
+#[inline]
+fn in_table(table: &[bool], code: u32) -> bool {
+    table.get(code as usize).copied().unwrap_or(false)
+}
+
+/// Which child a split sends a row to, resolved once per split: a
+/// continuous split's rows go left when `v < x`, exactly the rows
+/// `Clause::range(attr, −∞, x)` selects (NaN goes right; −∞ goes left
+/// of any `x` above it), and a discrete split's rows go left when
+/// their code is in its left set.
+enum Router<'t> {
+    Below { vals: &'t [f64], x: f64 },
+    InLeft { codes: &'t [u32], left: Vec<bool> },
+}
+
+impl<'t> Router<'t> {
+    fn new(cols: &[(usize, Col<'t>)], split: &Split) -> Self {
+        let attr = match split {
+            Split::Cont { attr, .. } | Split::Disc { attr, .. } => *attr,
+        };
+        let col =
+            cols.iter().find(|(a, _)| *a == attr).map(|(_, c)| c).expect("split attr is bound");
+        match (split, col) {
+            (Split::Cont { x, .. }, Col::Num(vals)) => Router::Below { vals, x: *x },
+            (Split::Disc { left, .. }, Col::Cat(codes)) => {
+                Router::InLeft { codes, left: code_table(left) }
+            }
+            _ => unreachable!("a split is chosen on its own column's kind"),
+        }
+    }
+
+    #[inline]
+    fn goes_left(&self, row: u32) -> bool {
+        match self {
+            Router::Below { vals, x } => vals[row as usize] < *x,
+            Router::InLeft { codes, left } => in_table(left, codes[row as usize]),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1045,5 +1112,228 @@ mod tests {
     fn threshold_curve_is_exported() {
         let c = ThresholdCurve::new(0.05, 0.25, 0.5, 0.0, 1.0);
         assert!(c.omega(1.0) < c.omega(0.0));
+    }
+
+    /// A uniform draw from `0..n`.
+    fn below(rng: &mut StdRng, n: usize) -> usize {
+        rng.random_range(0..n)
+    }
+
+    /// A random subset of `pool` in random order, about `share` of it.
+    fn shuffled_subset(rng: &mut StdRng, pool: &[u32], share: usize) -> Vec<u32> {
+        let mut out: Vec<u32> = pool.iter().copied().filter(|_| below(rng, 10) < share).collect();
+        for i in (1..out.len()).rev() {
+            out.swap(i, below(rng, i + 1));
+        }
+        out
+    }
+
+    #[test]
+    fn router_sends_left_exactly_what_the_clause_kernels_select() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0, 1e300, -1e-300];
+        for _ in 0..300 {
+            let n = 1 + below(&mut rng, 200);
+            let vals: Vec<f64> = (0..n)
+                .map(|_| match below(&mut rng, 4) {
+                    0 => special[below(&mut rng, special.len())],
+                    // Few distinct values, so thresholds tie with rows.
+                    _ => below(&mut rng, 12) as f64 * 0.5 - 3.0,
+                })
+                .collect();
+            let n_codes = 1 + below(&mut rng, 100);
+            let codes: Vec<u32> = (0..n).map(|_| below(&mut rng, n_codes) as u32).collect();
+            let x = if below(&mut rng, 4) == 0 {
+                special[below(&mut rng, special.len())]
+            } else {
+                vals[below(&mut rng, n)]
+            };
+            // Left sets below the top code, so larger codes occur.
+            let top = 1 + below(&mut rng, n_codes);
+            let left: BTreeSet<u32> = (0..top as u32).filter(|_| below(&mut rng, 3) == 0).collect();
+            let cols = [(0, Col::Num(&vals)), (1, Col::Cat(&codes))];
+            let num = Column::Num(vals.clone());
+            let dict = (0..n_codes).map(|c| format!("c{c}")).collect();
+            let cat =
+                Column::Cat(scorpion_table::CatColumn::from_parts(codes.clone(), dict).unwrap());
+            let cases = [
+                (
+                    Split::Cont { attr: 0, x },
+                    Clause::range(0, f64::NEG_INFINITY, x).eval_mask(&num),
+                ),
+                (
+                    Split::Disc { attr: 1, left: left.clone() },
+                    Clause::in_set(1, left.iter().copied()).eval_mask(&cat),
+                ),
+            ];
+            for (split, mask) in cases {
+                let (router, mask) = (Router::new(&cols, &split), mask.unwrap());
+                for row in 0..n as u32 {
+                    assert_eq!(router.goes_left(row), mask.contains(row), "row {row}, x {x:?}");
+                }
+            }
+        }
+    }
+
+    /// The retired `draw`: a partial Fisher–Yates over a copy of `pool`.
+    fn draw_from_copy(pool: &[u32], k: usize, rng: &mut StdRng) -> Vec<u32> {
+        let k = k.min(pool.len());
+        let mut scratch = pool.to_vec();
+        for i in 0..k {
+            let j = rng.random_range(i..scratch.len());
+            scratch.swap(i, j);
+        }
+        scratch.truncate(k);
+        scratch
+    }
+
+    /// The retired `top_up`: the unsampled positions are `pos` filtered
+    /// through a `HashSet` of the sample.
+    fn top_up_hashed(
+        sample: &mut Vec<u32>,
+        pos: &[u32],
+        target_n: f64,
+        min_rate: f64,
+        rng: &mut StdRng,
+    ) {
+        if pos.is_empty() {
+            return;
+        }
+        let target = (target_n.max(min_rate * pos.len() as f64).ceil() as usize).min(pos.len());
+        if sample.len() >= target {
+            return;
+        }
+        let have: std::collections::HashSet<u32> = sample.iter().copied().collect();
+        let unsampled: Vec<u32> = pos.iter().copied().filter(|p| !have.contains(p)).collect();
+        let extra = draw_from_copy(&unsampled, target - sample.len(), rng);
+        sample.extend(extra);
+    }
+
+    #[test]
+    fn top_up_draws_what_the_hashed_top_up_drew() {
+        use rand::RngCore;
+        let mut gen = StdRng::seed_from_u64(11);
+        let mut drew = 0;
+        for case in 0..500u64 {
+            let universe: Vec<u32> = (0..below(&mut gen, 400) as u32).collect();
+            let pos: Vec<u32> =
+                universe.iter().copied().filter(|_| below(&mut gen, 10) < 6).collect();
+            let share = below(&mut gen, 11);
+            let sample = shuffled_subset(&mut gen, &pos, share);
+            let target_n = below(&mut gen, pos.len() + 20) as f64 * 1.1;
+            let min_rate = [0.0, 0.05, 0.3, 1.0][below(&mut gen, 4)];
+            let (mut new, mut old) = (sample.clone(), sample.clone());
+            let mut rng_new = StdRng::seed_from_u64(case);
+            let mut rng_old = rng_new.clone();
+            top_up(&mut new, &pos, target_n, min_rate, &mut rng_new);
+            top_up_hashed(&mut old, &pos, target_n, min_rate, &mut rng_old);
+            assert_eq!(new, old, "case {case}");
+            assert_eq!(rng_new.next_u64(), rng_old.next_u64(), "case {case}: RNG diverged");
+            drew += usize::from(new.len() > sample.len());
+        }
+        assert!(drew > 100, "only {drew} cases drew");
+    }
+
+    /// The retired discrete split search: codes found by linear search,
+    /// membership tested in `BTreeSet`s.
+    fn disc_split_linear(
+        dt: &DtPartitioner<'_, '_>,
+        side: &SideData,
+        node: &Node,
+        attr: usize,
+        codes: &[u32],
+        parent: f64,
+    ) -> Option<(f64, Split)> {
+        let allowed = match node.pred.clause(attr) {
+            Some(Clause::In { codes, .. }) => Some(codes.clone()),
+            _ => None,
+        };
+        let mut acc: Vec<(u32, f64, f64)> = Vec::new();
+        for (g, slice) in node.slices.iter().enumerate() {
+            for &p in &slice.sample {
+                let code = codes[side.groups[g].rows[p as usize] as usize];
+                if let Some(c) = &allowed {
+                    if !c.contains(&code) {
+                        continue;
+                    }
+                }
+                match acc.iter_mut().find(|(k, _, _)| *k == code) {
+                    Some(e) => {
+                        e.1 += side.groups[g].infs[p as usize];
+                        e.2 += 1.0;
+                    }
+                    None => acc.push((code, side.groups[g].infs[p as usize], 1.0)),
+                }
+            }
+        }
+        if acc.len() < 2 {
+            return None;
+        }
+        acc.sort_by(|a, b| (b.1 / b.2).total_cmp(&(a.1 / a.2)));
+        let max_j = (acc.len() - 1).min(dt.cfg.max_discrete_splits);
+        let mut left: BTreeSet<u32> = BTreeSet::new();
+        let mut best: Option<(f64, Split)> = None;
+        for item in acc.iter().take(max_j) {
+            left.insert(item.0);
+            let (ok, metric) = combined_metric(side, node, |g, p| {
+                left.contains(&codes[side.groups[g].rows[p as usize] as usize])
+            });
+            if ok && metric < parent && best.as_ref().is_none_or(|(m, _)| metric < *m) {
+                best = Some((metric, Split::Disc { attr, left: left.clone() }));
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn dense_discrete_search_picks_the_linear_search_split() {
+        let t = planted_2d(10);
+        let s = scorer(&t);
+        let d = domains_of(&t).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut found = 0;
+        for case in 0..400 {
+            let cfg = DtConfig { max_discrete_splits: 1 + below(&mut rng, 20), ..dt_cfg() };
+            let dt = DtPartitioner::new(&s, vec![], d.clone(), cfg);
+            let n_rows = 1 + below(&mut rng, 300);
+            let n_codes = 1 + below(&mut rng, 90);
+            let codes: Vec<u32> = (0..n_rows).map(|_| below(&mut rng, n_codes) as u32).collect();
+            let all_rows: Vec<u32> = (0..n_rows as u32).collect();
+            let (mut groups, mut slices) = (Vec::new(), Vec::new());
+            for _ in 0..1 + below(&mut rng, 3) {
+                let rows = shuffled_subset(&mut rng, &all_rows, 7);
+                // Few distinct influences, so code means tie.
+                let infs: Vec<f64> =
+                    rows.iter().map(|_| below(&mut rng, 5) as f64 * 0.25 - 0.5).collect();
+                let pos: Vec<u32> = (0..rows.len() as u32).collect();
+                slices.push(Slice { sample: shuffled_subset(&mut rng, &pos, 8), pos });
+                groups.push(SideGroup { rows, infs });
+            }
+            let side = SideData { groups, curve: ThresholdCurve::new(0.05, 0.25, 0.5, 0.0, 1.0) };
+            let pred = if below(&mut rng, 2) == 0 {
+                Predicate::all()
+            } else {
+                let admitted: BTreeSet<u32> =
+                    (0..n_codes as u32).filter(|_| below(&mut rng, 3) > 0).collect();
+                Predicate::all().with_clause(Clause::In { attr: 1, codes: admitted })
+            };
+            let node = Node { pred, slices, depth: 0 };
+            let parent = combined_metric(&side, &node, |_, _| true).1;
+            let dense = dt.disc_split(&side, &node, 1, &codes, parent);
+            let linear = disc_split_linear(&dt, &side, &node, 1, &codes, parent);
+            match (dense, linear) {
+                (None, None) => {}
+                (
+                    Some((m1, Split::Disc { left: l1, .. })),
+                    Some((m2, Split::Disc { left: l2, .. })),
+                ) => {
+                    assert_eq!(m1.to_bits(), m2.to_bits(), "case {case}");
+                    assert_eq!(l1, l2, "case {case}");
+                    found += 1;
+                }
+                _ => panic!("case {case}: the searches disagree on whether to split"),
+            }
+        }
+        assert!(found > 100, "only {found} cases split");
     }
 }

@@ -13,10 +13,17 @@
 //!    results are re-scored exactly.
 //!
 //!    Each estimate visits every input partition once and allocates
-//!    nothing per partition. A partition's volume and the aggregate
-//!    states of its representative tuples are computed once per
-//!    [`Merger::merge`] call, and only when this path is active. The
-//!    volume of its intersection with the merged box is computed
+//!    nothing per partition. A partition's volume, its `[lo, hi)` bounds
+//!    on each attribute, and the aggregate states of its representative
+//!    tuples are computed once per [`Merger::merge`] call, and only when
+//!    this path is active. A partition whose range on some attribute is
+//!    disjoint from the merged box's (`!(max(lo, lo′) < min(hi, hi′))`)
+//!    is skipped from those flat bounds alone. That is the test the
+//!    exact intersection makes of two range clauses, so a skipped
+//!    partition is one whose intersection is empty and which
+//!    contributed nothing before. DT partitions tile the space, so most
+//!    partitions are skipped this way. For the rest, the volume of the
+//!    intersection is computed
 //!    directly from the two boxes' clauses
 //!    ([`Predicate::intersect_volume_fraction`]); the intersection
 //!    predicate is never built.
@@ -35,7 +42,7 @@ use crate::result::{GroupStat, PartitionStats, ScoredPredicate};
 use crate::scorer::Scorer;
 use scorpion_agg::AggState;
 use scorpion_obs::span;
-use scorpion_table::{AttrDomain, Predicate};
+use scorpion_table::{AttrDomain, Clause, Predicate};
 use std::collections::HashSet;
 
 /// Greedy bounding-box merger over scored predicates.
@@ -189,6 +196,7 @@ impl<'s, 'a> Merger<'s, 'a> {
                 let stats = item.stats.as_ref().expect("approx requires stats on every item");
                 CachedTuple {
                     volume: item.predicate.volume_fraction(self.domains),
+                    bounds: range_bounds(&item.predicate, self.domains.len()),
                     outlier: states(&stats.outlier),
                     holdout: states(&stats.holdout),
                 }
@@ -201,8 +209,10 @@ impl<'s, 'a> Merger<'s, 'a> {
     /// item's share is `V(item ∩ merged) / V(item)`; the intersection's
     /// volume is computed directly from the two boxes
     /// ([`Predicate::intersect_volume_fraction`]), and the intersection
-    /// predicate is never built. `tuples` are the items' cached
-    /// volumes and representative states ([`Merger::cached_tuples`]).
+    /// predicate is never built, and an item disjoint from `merged` on
+    /// one of its ranges is skipped before that ([`disjoint`]).
+    /// `tuples` are the items' cached volumes, bounds and
+    /// representative states ([`Merger::cached_tuples`]).
     fn estimate_from_stats(
         &self,
         merged: &Predicate,
@@ -219,9 +229,10 @@ impl<'s, 'a> Merger<'s, 'a> {
         let mut rep_out = vec![0.0f64; n_out];
         let mut rep_hold = vec![0.0f64; n_hold];
 
+        let checks = range_checks(merged);
         for (item, tuple) in items.iter().zip(tuples) {
             let Some(stats) = &item.stats else { continue };
-            if tuple.volume <= 0.0 {
+            if tuple.volume <= 0.0 || disjoint(&tuple.bounds, &checks) {
                 continue;
             }
             let Some(inter) = item.predicate.intersect_volume_fraction(merged, self.domains) else {
@@ -272,12 +283,52 @@ impl<'s, 'a> Merger<'s, 'a> {
 }
 
 /// What the cached-tuple estimate needs of one input partition,
-/// whatever the merged box: its volume fraction and, per labeled group,
-/// the aggregate state of its representative tuple.
+/// whatever the merged box: its volume fraction, its bounds
+/// ([`range_bounds`]) and, per labeled group, the aggregate state of
+/// its representative tuple.
 struct CachedTuple {
     volume: f64,
+    bounds: Box<[(f64, f64)]>,
     outlier: Vec<AggState>,
     holdout: Vec<AggState>,
+}
+
+/// `pred`'s `[lo, hi)` on each of the first `n_attrs` attributes, as
+/// flat pairs: its range clause's bounds, or `(−∞, +∞)` where it has no
+/// range clause on the attribute.
+fn range_bounds(pred: &Predicate, n_attrs: usize) -> Box<[(f64, f64)]> {
+    let bounds = |a| match pred.clause(a) {
+        Some(&Clause::Range { lo, hi, .. }) => (lo, hi),
+        _ => (f64::NEG_INFINITY, f64::INFINITY),
+    };
+    (0..n_attrs).map(bounds).collect()
+}
+
+/// The ranges of `merged` that [`disjoint`] tests an item against:
+/// `(attr, lo, hi)` for each of its range clauses whose bounds are not
+/// NaN.
+fn range_checks(merged: &Predicate) -> Vec<(usize, f64, f64)> {
+    let check = |c: &Clause| match *c {
+        Clause::Range { attr, lo, hi } if !lo.is_nan() && !hi.is_nan() => Some((attr, lo, hi)),
+        _ => None,
+    };
+    merged.clauses().filter_map(check).collect()
+}
+
+/// Whether an item with bounds `bounds` ([`range_bounds`]) is disjoint
+/// from the merged box on one of its `checks` ([`range_checks`]). When
+/// it is, `intersect_volume_fraction` of the two is `None`. Where the
+/// item has a range clause, the test is the one [`Clause`]
+/// intersection makes of two ranges, with the same operands. Where it
+/// has none, its `(−∞, +∞)` reduces the test to the merged range being
+/// empty; NaN-free bounds make that exact, and an empty clause of the
+/// merged box makes the intersection `None`.
+fn disjoint(bounds: &[(f64, f64)], checks: &[(usize, f64, f64)]) -> bool {
+    let overlaps = |&(attr, lo, hi): &(usize, f64, f64)| {
+        let (item_lo, item_hi) = bounds[attr];
+        item_lo.max(lo) < item_hi.min(hi)
+    };
+    !checks.iter().all(overlaps)
 }
 
 /// Removes duplicate predicates, keeping the first (highest-scored after
@@ -509,5 +560,47 @@ mod tests {
         .unwrap();
         let preds: HashSet<_> = out.iter().map(|sp| sp.predicate.clone()).collect();
         assert_eq!(preds.len(), out.len());
+    }
+
+    #[test]
+    fn prefilter_skips_only_boxes_with_no_intersection() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let domains = [
+            AttrDomain::Continuous { lo: 0.0, hi: 10.0 },
+            AttrDomain::Discrete { cardinality: 6 },
+            AttrDomain::Continuous { lo: -5.0, hi: 5.0 },
+        ];
+        // Few bounds, so ranges are often empty, touching or nested.
+        let edges = [f64::NEG_INFINITY, -5.0, -0.0, 0.0, 2.0, 5.0, 10.0, f64::INFINITY, f64::NAN];
+        let mut rng = StdRng::seed_from_u64(9);
+        let random_box = |rng: &mut StdRng| {
+            let mut p = Predicate::all();
+            for attr in 0..3 {
+                let clause = match rng.random_range(0..5u32) {
+                    0 => continue,
+                    // An `In` clause, on any attribute.
+                    1 => Clause::in_set(attr, (0..6u32).filter(|_| rng.random_range(0..2u32) == 0)),
+                    _ => {
+                        let lo = edges[rng.random_range(0..edges.len())];
+                        let hi = edges[rng.random_range(0..edges.len())];
+                        Clause::range(attr, lo, hi)
+                    }
+                };
+                p = p.with_clause(clause);
+            }
+            p
+        };
+        let (mut skipped, mut none) = (0, 0);
+        for case in 0..20_000 {
+            let (item, merged) = (random_box(&mut rng), random_box(&mut rng));
+            let exact = item.intersect_volume_fraction(&merged, &domains);
+            none += usize::from(exact.is_none());
+            if disjoint(&range_bounds(&item, domains.len()), &range_checks(&merged)) {
+                skipped += 1;
+                assert_eq!(exact, None, "case {case}: skipped {item:?} against {merged:?}");
+            }
+        }
+        assert!(skipped > none / 3, "the prefilter skipped {skipped} of {none} disjoint pairs");
     }
 }

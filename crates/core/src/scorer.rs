@@ -913,29 +913,42 @@ impl<'a> Scorer<'a> {
     /// direct computation at the current parameters. Without a cache the
     /// terms are folded directly from the predicate's mask.
     pub fn influence(&self, p: &Predicate) -> Result<f64> {
+        self.influence_of(p, None)
+    }
+
+    /// [`Scorer::influence`] of `p`, given `p`'s mask when the caller
+    /// already built it ([`Scorer::predicate_mask`]): an evaluation then
+    /// scores that mask instead of building it again. Counters, phases
+    /// and the result are the same either way.
+    pub(crate) fn influence_of(&self, p: &Predicate, mask: Option<PredicateMask>) -> Result<f64> {
         let Some(cache) = &self.cache else {
             self.calls.fetch_add(1, Ordering::Relaxed);
             let _scope = self.phases.enter("scorer.mask");
-            let pm = self.predicate_mask(p)?;
+            let pm = mask.map_or_else(|| self.predicate_mask(p), Ok)?;
             return Ok(
                 self.combine_terms(self.outlier_term_direct(&pm), self.holdout_term_direct(&pm))
             );
         };
-        let g = self.cached_pairs(cache, p)?;
+        let g = self.cached_pairs(cache, p, mask)?;
         Ok(self.combine_terms(self.outlier_term_from(&g.0), self.holdout_term_from(&g.1)))
     }
 
     /// `p`'s `(n, Δ)` pairs over every labeled group, through `cache`. A
-    /// miss is one uncached evaluation, timed as `scorer.mask` and
-    /// stored.
-    fn cached_pairs(&self, cache: &InfluenceCache, p: &Predicate) -> Result<Arc<GroupPairs>> {
+    /// miss is one uncached evaluation of `mask` (see
+    /// [`Scorer::influence_of`]), timed as `scorer.mask` and stored.
+    fn cached_pairs(
+        &self,
+        cache: &InfluenceCache,
+        p: &Predicate,
+        mask: Option<PredicateMask>,
+    ) -> Result<Arc<GroupPairs>> {
         if let Some(CachedEval { groups: Some(g), .. }) = cache.get(p) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(g);
         }
         self.calls.fetch_add(1, Ordering::Relaxed);
         let scope = self.phases.enter("scorer.mask");
-        let pm = self.predicate_mask(p)?;
+        let pm = mask.map_or_else(|| self.predicate_mask(p), Ok)?;
         let pairs = Arc::new((self.outlier_pairs(&pm), self.holdout_pairs(&pm)));
         drop(scope);
         let evicted = cache.store_groups(p, pairs.clone());
@@ -956,7 +969,7 @@ impl<'a> Scorer<'a> {
             let pm = self.predicate_mask(p)?;
             return Ok(self.params.lambda * self.outlier_term_direct(&pm));
         };
-        let g = self.cached_pairs(cache, p)?;
+        let g = self.cached_pairs(cache, p, None)?;
         Ok(self.params.lambda * self.outlier_term_from(&g.0))
     }
 

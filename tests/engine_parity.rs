@@ -362,3 +362,166 @@ fn dt_slider_walk_output_is_fixed() {
         }
     }
 }
+
+/// The top-3 predicates (as displayed over `table`) and influences of
+/// each step of a slider walk on one session; the first step prepares
+/// the plan, so it is the cold run.
+fn walk_tops(session: &ScorpionSession, table: &Table, cs: &[f64]) -> Vec<Vec<(String, f64)>> {
+    cs.iter()
+        .map(|&c| {
+            let ex = session.run_with_c(c).unwrap();
+            ex.predicates
+                .iter()
+                .take(3)
+                .map(|p| (p.predicate.display(table), p.influence))
+                .collect()
+        })
+        .collect()
+}
+
+/// Asserts a walk's tops equal `want` exactly: same predicates, same
+/// influence bits.
+fn assert_walk(got: &[Vec<(String, f64)>], want: &[(f64, [(&str, f64); 3])]) {
+    assert_eq!(got.len(), want.len());
+    for (step, (tops, (c, want))) in got.iter().zip(want).enumerate() {
+        assert_eq!(tops.len(), 3, "step {step} (c = {c})");
+        for (i, ((pred, inf), (want_pred, want_inf))) in tops.iter().zip(want).enumerate() {
+            assert_eq!(pred, want_pred, "step {step} (c = {c}) #{i}");
+            assert_eq!(inf.to_bits(), want_inf.to_bits(), "step {step} (c = {c}) #{i}: {inf}");
+        }
+    }
+}
+
+/// The DT slider walk's exact output on the `analyst_slider` table
+/// shape: SYNTH-2D-Easy seed 4 at 5,000 tuples per group (50k rows).
+/// The groups exceed §6.1.2's `min_rows_to_sample`, so the root samples
+/// and every split tops its children's samples up; nodes range from the
+/// root down to a few hundred rows. Cold at `c = 0.5`, then 0.05, 0.95
+/// (a merge from scratch) and a revisit of 0.5.
+#[test]
+fn dt_sampled_walk_output_is_fixed() {
+    use scorpion::data::synth::{generate, SynthConfig};
+
+    let ds = generate(SynthConfig::easy(2).with_tuples_per_group(5_000).with_seed(4));
+    let b = Scorpion::on(ds.table.clone()).sql("SELECT avg(Av) FROM synth GROUP BY Ad").unwrap();
+    let key = |g: &usize| b.index_of_key(&format!("g{g}")).unwrap();
+    let outliers: Vec<(usize, f64)> = ds.outlier_groups.iter().map(|g| (key(g), 1.0)).collect();
+    let holdouts: Vec<usize> = ds.holdout_groups.iter().map(key).collect();
+    let req = b
+        .outliers(outliers)
+        .holdouts(holdouts)
+        .params(0.5, 0.5)
+        .algorithm(Algorithm::DecisionTree(DtConfig::default()))
+        .build()
+        .unwrap();
+    let session = ScorpionSession::new(req).unwrap();
+    let got = walk_tops(&session, &ds.table, &[0.5, 0.05, 0.95, 0.5]);
+    let box_at = |a1: &str, a2: &str| format!("A1 in [{a1}) AND A2 in [{a2})");
+    let (hot, wide) = (
+        box_at("13.0842, 51.9296", "21.5730, 74.6424"),
+        box_at("12.7936, 65.4666", "21.5730, 74.6424"),
+    );
+    let (sliver, corner) = (
+        box_at("71.6271, 75.1502", "24.5341, 24.5675"),
+        box_at("93.7019, 95.9527", "24.5675, 24.6813"),
+    );
+    let want: [(f64, [(&str, f64); 3]); 4] = [
+        (
+            0.5,
+            [
+                (&hot, 0.1150075143180587),
+                (&box_at("51.9582, 62.9507", "21.5730, 71.4774"), 0.06139135032185766),
+                (&sliver, 0.0),
+            ],
+        ),
+        (0.05, [(&wide, 3.682471582829601), (&sliver, 0.0), (&corner, 0.0)]),
+        (
+            0.95,
+            [
+                (&box_at("35.8658, 51.9296", "45.2674, 71.4774"), 0.00781547550931368),
+                (&box_at("41.1373, 47.6510", "47.0434, 67.0398"), 0.007209391708121068),
+                (&box_at("52.4319, 58.6390", "46.6136, 71.4774"), 0.007124960346602324),
+            ],
+        ),
+        (
+            0.5,
+            [
+                (&box_at("13.0842, 62.9507", "21.5730, 74.6424"), 0.14525218205385626),
+                (&sliver, 0.0),
+                (&corner, 0.0),
+            ],
+        ),
+    ];
+    assert_walk(&got, &want);
+}
+
+/// The DT slider walk's exact output on a `stream_monitor`-shaped
+/// window: 24 hourly chunks of a 100-sensor feed, so `sensorid` is a
+/// discrete explanation attribute with 100 codes beside `voltage` and
+/// `light`. A dropout and a drift episode make five hours outliers.
+/// Cold at `c = 0.5`, then 0.2 and 0.9.
+#[test]
+fn dt_discrete_walk_output_is_fixed() {
+    use scorpion::data::stream::{feed_schema, tick_key};
+    use scorpion::data::{Episode, EpisodeKind, FeedConfig, SensorFeed};
+
+    let mut feed = SensorFeed::new(FeedConfig {
+        n_sensors: 100,
+        readings_per_tick: 10,
+        episodes: vec![
+            Episode { sensor: 37, start: 14, duration: 4, kind: EpisodeKind::Drift },
+            Episode { sensor: 81, start: 17, duration: 2, kind: EpisodeKind::Dropout },
+        ],
+        seed: 0xFEED,
+    });
+    let mut tb = TableBuilder::new(feed_schema());
+    for _ in 0..24 {
+        for row in feed.next_chunk().rows {
+            tb.push_row(row).unwrap();
+        }
+    }
+    let table = tb.build();
+    let b = Scorpion::on(table.clone()).sql("SELECT stddev(temp) FROM feed GROUP BY hour").unwrap();
+    let key = |t: usize| b.index_of_key(&tick_key(t)).unwrap();
+    let outliers: Vec<(usize, f64)> = (14..19).map(|t| (key(t), 1.0)).collect();
+    let holdouts = [2, 5, 8, 11, 21].map(key);
+    let req = b
+        .outliers(outliers)
+        .holdouts(holdouts)
+        .params(0.5, 0.5)
+        .algorithm(Algorithm::DecisionTree(DtConfig::default()))
+        .build()
+        .unwrap();
+    let session = ScorpionSession::new(req).unwrap();
+    let got = walk_tops(&session, &table, &[0.5, 0.2, 0.9]);
+    let pair = "sensorid in ('s03', 's81') AND voltage in [2.2757, 2.6946)";
+    let s03 = "sensorid in ('s03') AND voltage in [2.7030, 2.7603) AND light in ";
+    let (dark, bright) = (format!("{s03}[18.5293, 29.7933)"), format!("{s03}[518.5896, 599.9809)"));
+    let want: [(f64, [(&str, f64); 3]); 3] = [
+        (
+            0.5,
+            [
+                (pair, 0.30853047021123703),
+                ("sensorid in ('s81', 's93')", 0.2886284678670035),
+                (&dark, 0.0),
+            ],
+        ),
+        (
+            0.2,
+            [
+                (pair, 0.7296562306728018),
+                ("sensorid in ('s81', 's93')", 0.7090031467382293),
+                (&dark, 0.0),
+            ],
+        ),
+        (
+            0.9,
+            [
+                ("sensorid in ('s81')", 0.16376578269193967),
+                (&dark, 0.0),
+                (&bright, -0.00016348921599507182),
+            ],
+        ),
+    ];
+    assert_walk(&got, &want);
+}
