@@ -65,8 +65,8 @@ fn level_candidates(fx: &BenchSynth) -> Vec<Predicate> {
 
 fn score_batch(s: &Scorer<'_>, preds: &[Predicate]) -> f64 {
     let mut acc = 0.0;
-    for r in s.influence_batch(preds, 1) {
-        acc += r.expect("scoring succeeds");
+    for p in preds {
+        acc += s.influence(p).expect("scoring succeeds");
     }
     acc
 }
@@ -142,10 +142,10 @@ fn bench_influence(c: &mut Criterion) {
         .scorer(0.5)
         .with_approx(ApproxConfig::default())
         .expect("SUM admits the closed-form interval");
-    approx.influence_batch_pruned(&lpreds, 1, APPROX_TOP_K);
+    approx.influence_batch_pruned(&lpreds, APPROX_TOP_K);
     g.bench_with_input(BenchmarkId::new("approx_warm", lfx.rows()), &lpreds, |b, preds| {
         b.iter(|| {
-            let batch = approx.influence_batch_pruned(preds, 1, APPROX_TOP_K);
+            let batch = approx.influence_batch_pruned(preds, APPROX_TOP_K);
             let mut acc = 0.0;
             for r in batch.scores {
                 acc += r.expect("scoring succeeds");
@@ -159,7 +159,7 @@ fn bench_influence(c: &mut Criterion) {
         b.iter_batched(
             || lfx.scorer(0.5).with_approx_state(state.clone()),
             |s| {
-                let batch = s.influence_batch_pruned(preds, 1, APPROX_TOP_K);
+                let batch = s.influence_batch_pruned(preds, APPROX_TOP_K);
                 let mut acc = 0.0;
                 for r in batch.scores {
                     acc += r.expect("scoring succeeds");
@@ -173,7 +173,7 @@ fn bench_influence(c: &mut Criterion) {
     // Deterministic acceptance checks, outside the timed loops: the
     // interval pass prunes most of the level, reports a finite bound,
     // and agrees with the exact scorer on the best candidate.
-    let check = approx.influence_batch_pruned(&lpreds, 1, APPROX_TOP_K);
+    let check = approx.influence_batch_pruned(&lpreds, APPROX_TOP_K);
     assert!(
         check.pruned as usize >= lpreds.len() / 2,
         "interval pass should prune most of the level, pruned {}/{}",
@@ -184,8 +184,7 @@ fn bench_influence(c: &mut Criterion) {
     let argmax = |scores: &[f64]| {
         scores.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i).unwrap()
     };
-    let exact_scores: Vec<f64> =
-        lexact.influence_batch(&lpreds, 1).into_iter().map(|r| r.unwrap()).collect();
+    let exact_scores: Vec<f64> = lpreds.iter().map(|p| lexact.influence(p).unwrap()).collect();
     let approx_scores: Vec<f64> = check.scores.into_iter().map(|r| r.unwrap()).collect();
     assert_eq!(argmax(&exact_scores), argmax(&approx_scores), "top-1 parity under pruning");
 

@@ -200,10 +200,6 @@ pub struct DtConfig {
     /// estimate visits every partition once, at about 50 ns per
     /// partition and with no allocation on a 2-vCPU x86-64 host).
     pub max_partitions: usize,
-    /// Worker threads for batched influence re-scoring
-    /// ([`crate::Scorer::influence_batch`]) in the engine's warm path.
-    /// `0` = auto-detect from the host's available parallelism.
-    pub score_threads: usize,
     /// Merger settings for the DT pipeline.
     pub merger: MergerConfig,
 }
@@ -222,7 +218,6 @@ impl Default for DtConfig {
             max_carve_pieces: 64,
             max_leaves: 512,
             max_partitions: 1024,
-            score_threads: 0,
             merger: MergerConfig { use_cached_tuples: true, ..MergerConfig::default() },
         }
     }
@@ -251,10 +246,6 @@ pub struct McConfig {
     /// (`McDiag::budget_exhausted` reports the early exit). `None` (the
     /// default) runs to convergence.
     pub time_budget: Option<Duration>,
-    /// Worker threads for batched candidate scoring
-    /// ([`crate::Scorer::influence_batch`]) at each level. `0` =
-    /// auto-detect from the host's available parallelism.
-    pub score_threads: usize,
     /// Merger settings for the MC pipeline (exact scoring; the
     /// cached-tuple approximation is a DT-specific optimization).
     pub merger: MergerConfig,
@@ -269,7 +260,6 @@ impl Default for McConfig {
             max_dims: 0,
             disable_pruning: false,
             time_budget: None,
-            score_threads: 0,
             merger: MergerConfig {
                 use_cached_tuples: false,
                 require_same_attrs: true,

@@ -35,7 +35,7 @@ use crate::merger::Merger;
 use crate::naive::{naive_candidates, naive_search_prepared, NaiveCandidates};
 use crate::request::ExplainRequest;
 use crate::result::{Diagnostics, Explanation, ScoredPredicate};
-use crate::scorer::{resolve_threads, InfluenceCache, Scorer};
+use crate::scorer::{InfluenceCache, Scorer};
 use parking_lot::Mutex;
 use scorpion_obs::{merge_phases, span, PhaseTiming, Phases};
 use scorpion_table::{domains_of, AttrDomain, ClauseMaskCache, OrdF64, Predicate};
@@ -231,6 +231,7 @@ impl PlanCore {
             scorer_calls: scorer.scorer_calls() + prep.calls,
             cache_hits: scorer.cache_hits(),
             cache_evictions: scorer.cache_evictions(),
+            mask_cache_lookups: scorer.mask_cache_lookups(),
             mask_cache_hits: scorer.mask_cache_hits(),
             mask_cache_entries: scorer.mask_cache_entries(),
             candidates: out.candidates,
@@ -364,17 +365,14 @@ impl PreparedPlan for DtPlan {
         _budget: Option<Duration>,
     ) -> Result<Explanation> {
         self.core.run(self.algorithm(), params, |scorer| {
-            // Re-score the cached partitions — batched across workers,
-            // and free of mask work for every cache hit. Under
-            // approximate mode the batch is interval-pruned first; the
-            // Merger re-scores its top results exactly, so reported
-            // predicates stay exact.
+            // Re-score the cached partitions as one batch, free of mask
+            // work for every cache hit. Under approximate mode the batch
+            // is interval-pruned first; the Merger re-scores its top
+            // results exactly, so reported predicates stay exact.
             let input = scorer.phases().time("run.score", || -> Result<_> {
                 let mut input = self.partitions.clone();
                 let preds: Vec<Predicate> = input.iter().map(|sp| sp.predicate.clone()).collect();
-                let threads = resolve_threads(self.cfg.score_threads);
-                let batch =
-                    scorer.influence_batch_pruned(&preds, threads, self.cfg.merger.max_results);
+                let batch = scorer.influence_batch_pruned(&preds, self.cfg.merger.max_results);
                 for (sp, inf) in input.iter_mut().zip(batch.scores) {
                     sp.influence = inf?;
                 }
@@ -725,6 +723,39 @@ mod tests {
                     mask_matches_calls(&later);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn mask_cache_flag_is_off_for_a_rerun_at_a_known_c() {
+        use crate::telemetry::apply_diagnostics;
+        use scorpion_obs::{CacheHit, TelemetryEvent};
+        let flag = |ex: &Explanation| {
+            apply_diagnostics(TelemetryEvent::blank(0, "explain"), &ex.diagnostics).mask_cache
+        };
+        for algorithm in [
+            Algorithm::DecisionTree(DtConfig { sampling: None, ..DtConfig::default() }),
+            Algorithm::BottomUp(McConfig::default()),
+            Algorithm::Naive(NaiveConfig::default()),
+        ] {
+            let req = request(algorithm, 0.5);
+            let plan = req.prepare().unwrap();
+            let cold = plan.run(&req.params()).unwrap();
+            let d = &cold.diagnostics;
+            assert!(d.mask_cache_lookups > 0, "{}: cold run looked up no mask", d.algorithm);
+            assert!(d.mask_cache_hits <= d.mask_cache_lookups);
+            assert_ne!(flag(&cold), CacheHit::Off, "{}", d.algorithm);
+            // DT's first rerun warm-starts its merge from the cold
+            // merge and may score a few new merged predicates; the
+            // flag then still reads `hit` or `miss`.
+            let first = plan.run(&req.params()).unwrap();
+            let looked = first.diagnostics.mask_cache_lookups > 0;
+            assert_eq!(flag(&first) != CacheHit::Off, looked, "{:?}", first.diagnostics);
+            // From then on every predicate of a rerun at the same `c`
+            // is in the influence cache: no clause mask is looked up.
+            let rerun = plan.run(&req.params()).unwrap();
+            assert_eq!(rerun.diagnostics.mask_cache_lookups, 0, "{:?}", rerun.diagnostics);
+            assert_eq!(flag(&rerun), CacheHit::Off, "{}", d.algorithm);
         }
     }
 

@@ -54,7 +54,7 @@ pub use error::{Result, ScorpionError};
 pub use prepared::PreparedQuery;
 pub use request::{label_extremes, ExplainRequest, RequestBuilder, Scorpion};
 pub use result::{Diagnostics, Explanation, GroupStat, PartitionStats, ScoredPredicate};
-pub use scorer::{resolve_threads, GroupSpec, InfluenceCache, PrunedBatch, Scorer};
+pub use scorer::{GroupSpec, InfluenceCache, PrunedBatch, Scorer};
 pub use scorpion_obs::PhaseTiming;
 pub use session::ScorpionSession;
 pub use telemetry::{

@@ -74,7 +74,6 @@ pub fn mc_search_units(
 ) -> Result<(Vec<ScoredPredicate>, McDiag)> {
     let mut diag = McDiag::default();
     let merger = Merger::new(scorer, domains, cfg.merger.clone());
-    let threads = crate::scorer::resolve_threads(cfg.score_threads);
     let phases = scorer.phases();
     // Anytime budget: checked between whole level phases (score, prune,
     // merge, intersect are each uninterruptible) — level granularity is
@@ -87,7 +86,7 @@ pub fn mc_search_units(
     diag.initial_units = units.len();
     let top_k = cfg.merger.max_results;
     let mut scored =
-        phases.time("mc.level_score", || score_all(scorer, units, threads, top_k, &mut diag))?;
+        phases.time("mc.level_score", || score_all(scorer, units, top_k, &mut diag))?;
     if scored.is_empty() {
         return Ok((vec![ScoredPredicate::new(Predicate::all(), 0.0)], diag));
     }
@@ -155,7 +154,7 @@ pub fn mc_search_units(
             break;
         }
         let mut next_scored =
-            phases.time("mc.level_score", || score_all(scorer, next, threads, top_k, &mut diag))?;
+            phases.time("mc.level_score", || score_all(scorer, next, top_k, &mut diag))?;
         // Bound the frontier by hold-out-free influence.
         if next_scored.len() > cfg.max_candidates_per_level {
             let mut keyed: Vec<(f64, ScoredPredicate)> = next_scored
@@ -231,23 +230,21 @@ pub(crate) fn initial_units(
     Ok(units)
 }
 
-/// Scores a deduplicated candidate batch, fanning out across `threads`
-/// scoped workers (§8.3.2's parallelism extension, via
-/// [`Scorer::influence_batch_pruned`]). When the scorer carries an
+/// Scores a deduplicated candidate batch through
+/// [`Scorer::influence_batch_pruned`]. When the scorer carries an
 /// approximate state, candidates whose influence interval cannot reach
 /// the batch's top-`top_k` lower bound are skipped and reported at their
 /// interval estimate; without one the batch is scored exactly.
 fn score_all(
     scorer: &Scorer<'_>,
     preds: impl IntoIterator<Item = Predicate>,
-    threads: usize,
     top_k: usize,
     diag: &mut McDiag,
 ) -> Result<Vec<ScoredPredicate>> {
     let mut seen = HashSet::new();
     let preds: Vec<Predicate> = preds.into_iter().filter(|p| seen.insert(p.clone())).collect();
     diag.scored += preds.len() as u64;
-    let batch = scorer.influence_batch_pruned(&preds, threads, top_k);
+    let batch = scorer.influence_batch_pruned(&preds, top_k);
     preds.into_iter().zip(batch.scores).map(|(p, inf)| Ok(ScoredPredicate::new(p, inf?))).collect()
 }
 

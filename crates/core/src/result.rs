@@ -67,9 +67,12 @@ pub struct Diagnostics {
     /// shared [`crate::scorer::InfluenceCache`] — attribution stays
     /// per-run even when concurrent runs share the cache.
     pub cache_evictions: u64,
-    /// Clause-mask lookups this run answered from the plan's shared
-    /// [`scorpion_table::ClauseMaskCache`] — each hit skips one
-    /// full-column kernel pass.
+    /// Clause-mask lookups this run made in the plan's shared
+    /// [`scorpion_table::ClauseMaskCache`]: none when the influence cache
+    /// answered every predicate.
+    pub mask_cache_lookups: u64,
+    /// The lookups the cache answered — each hit skips one full-column
+    /// kernel pass.
     pub mask_cache_hits: u64,
     /// Distinct clause masks resident in the plan's cache after the
     /// run.

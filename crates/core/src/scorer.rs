@@ -65,16 +65,6 @@ struct BoundScratch {
     lead: HashMap<(usize, usize), Vec<u64>>,
 }
 
-/// Resolves a configured worker-thread count: `0` means "use the host's
-/// available parallelism".
-pub fn resolve_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        requested
-    }
-}
-
 /// One labeled result: the rows of its input group and, for outliers, the
 /// user's error-vector component `v_o` (+1 = "too high", −1 = "too low";
 /// any magnitude is accepted and treated as a weight).
@@ -165,8 +155,8 @@ type CacheShard = LruShard<Predicate, CachedEval>;
 /// set warm). Evictions are counted and surface per run in
 /// [`crate::Diagnostics::cache_evictions`].
 pub struct InfluenceCache {
-    /// Sharded by predicate hash so concurrent scoring workers
-    /// ([`Scorer::influence_batch`]) do not serialize on one lock.
+    /// Sharded by predicate hash so server workers running one shared
+    /// plan at once do not serialize on one lock.
     shards: Vec<Mutex<CacheShard>>,
     /// Total capacity across shards (0 = the default cap).
     cap: usize,
@@ -310,9 +300,11 @@ pub struct Scorer<'a> {
     /// Per-clause mask memo: every distinct clause is evaluated against
     /// the table once per cache lifetime, shared by all candidates.
     masks: Arc<ClauseMaskCache>,
-    /// Clause-mask lookups *this Scorer* answered from the cache —
-    /// attribution stays per-run even when concurrent runs share one
-    /// cache (mirrors the per-Scorer `cache_hits` counter).
+    /// Clause-mask lookups *this Scorer* made, and how many of them the
+    /// cache answered — attribution stays per-run even when concurrent
+    /// runs share one cache (mirrors the per-Scorer `cache_hits`
+    /// counter).
+    mask_lookups: AtomicU64,
     mask_hits: AtomicU64,
     /// The phase list this Scorer's timed scopes record into (see
     /// [`Scorer::phases`]).
@@ -409,6 +401,7 @@ impl<'a> Scorer<'a> {
             cache_evictions: AtomicU64::new(0),
             cache: None,
             masks: Arc::new(ClauseMaskCache::new()),
+            mask_lookups: AtomicU64::new(0),
             mask_hits: AtomicU64::new(0),
             phases: Arc::default(),
             approx: None,
@@ -459,9 +452,16 @@ impl<'a> Scorer<'a> {
         &self.masks
     }
 
-    /// Clause-mask lookups this Scorer answered from its cache. Only
-    /// this Scorer's own lookups count, so attribution stays correct
-    /// when concurrent runs share one cache.
+    /// Clause-mask lookups this Scorer made. A predicate answered from
+    /// the influence cache makes none. Only this Scorer's own lookups
+    /// count, so attribution stays correct when concurrent runs share
+    /// one cache.
+    pub fn mask_cache_lookups(&self) -> u64 {
+        self.mask_lookups.load(Ordering::Relaxed)
+    }
+
+    /// Clause-mask lookups this Scorer answered from its cache (a subset
+    /// of [`Scorer::mask_cache_lookups`]).
     pub fn mask_cache_hits(&self) -> u64 {
         self.mask_hits.load(Ordering::Relaxed)
     }
@@ -646,6 +646,7 @@ impl<'a> Scorer<'a> {
     /// clause-mask cache (hits attributed to this Scorer).
     pub(crate) fn predicate_mask(&self, p: &Predicate) -> Result<PredicateMask> {
         let (mask, hits) = p.mask_with_hits(self.table, &self.masks)?;
+        self.mask_lookups.fetch_add(p.num_clauses() as u64, Ordering::Relaxed);
         if hits > 0 {
             self.mask_hits.fetch_add(hits, Ordering::Relaxed);
         }
@@ -662,8 +663,8 @@ impl<'a> Scorer<'a> {
     /// Rows are visited in ascending order, which is exactly the order
     /// the row-at-a-time oracle visits them (group rows are normalized
     /// ascending), so the floating-point accumulation is bit-identical
-    /// to [`Scorer::influence_rowwise`].
-    fn delta_ctx(&self, ctx: &GroupCtx, pm: &RowMask) -> (f64, usize) {
+    /// to [`Scorer::influence_rowwise`]. Returns `(n, Δ)`.
+    fn delta_ctx(&self, ctx: &GroupCtx, pm: &RowMask) -> (f64, f64) {
         let gw = ctx.mask.words();
         let pw = pm.words();
         match (self.inc, &ctx.full_state) {
@@ -709,9 +710,9 @@ impl<'a> Scorer<'a> {
                     }
                 }
                 if n == 0 {
-                    return (0.0, 0);
+                    return (0.0, 0.0);
                 }
-                (ctx.full_value - inc.recover(&inc.remove(full, &sub)), n)
+                (n as f64, ctx.full_value - inc.recover(&inc.remove(full, &sub)))
             }
             _ => {
                 let mut kept = Vec::with_capacity(ctx.rows.len());
@@ -727,9 +728,9 @@ impl<'a> Scorer<'a> {
                     }
                 }
                 if n == 0 {
-                    return (0.0, 0);
+                    return (0.0, 0.0);
                 }
-                (ctx.full_value - self.agg.compute(&kept), n)
+                (n as f64, ctx.full_value - self.agg.compute(&kept))
             }
         }
     }
@@ -765,9 +766,9 @@ impl<'a> Scorer<'a> {
         }
     }
 
-    /// Row-at-a-time `Δ` and match count — the reference oracle the
-    /// masked fold is parity-tested against.
-    fn delta_ctx_rowwise(&self, ctx: &GroupCtx, m: &PredicateMatcher) -> (f64, usize) {
+    /// Row-at-a-time `(n, Δ)` — the reference oracle the masked fold is
+    /// parity-tested against.
+    fn delta_ctx_rowwise(&self, ctx: &GroupCtx, m: &PredicateMatcher) -> (f64, f64) {
         match (self.inc, &ctx.full_state) {
             (Some(inc), Some(full)) => {
                 let mut sub = inc.empty();
@@ -779,9 +780,9 @@ impl<'a> Scorer<'a> {
                     }
                 }
                 if n == 0 {
-                    return (0.0, 0);
+                    return (0.0, 0.0);
                 }
-                (ctx.full_value - inc.recover(&inc.remove(full, &sub)), n)
+                (n as f64, ctx.full_value - inc.recover(&inc.remove(full, &sub)))
             }
             _ => {
                 let mut kept = Vec::with_capacity(ctx.rows.len());
@@ -792,9 +793,9 @@ impl<'a> Scorer<'a> {
                 }
                 let n = ctx.rows.len() - kept.len();
                 if n == 0 {
-                    return (0.0, 0);
+                    return (0.0, 0.0);
                 }
-                (ctx.full_value - self.agg.compute(&kept), n)
+                (n as f64, ctx.full_value - self.agg.compute(&kept))
             }
         }
     }
@@ -806,18 +807,10 @@ impl<'a> Scorer<'a> {
     /// caches are consulted, no counters advance, and nothing is timed.
     pub fn influence_rowwise(&self, p: &Predicate) -> Result<f64> {
         let m = p.matcher(self.table)?;
-        let mut sum = 0.0;
-        for ctx in &self.outliers {
-            let (d, n) = self.delta_ctx_rowwise(ctx, &m);
-            sum += self.inf_from_delta(d, n as f64, ctx.error);
-        }
-        let out = sum / self.outliers.len() as f64;
-        let mut hold = 0.0f64;
-        for ctx in &self.holdouts {
-            let (d, n) = self.delta_ctx_rowwise(ctx, &m);
-            hold = hold.max(self.inf_from_delta(d, n as f64, 1.0).abs());
-        }
-        Ok(self.combine_terms(out, hold))
+        Ok(self.fold(
+            self.outliers.iter().map(|ctx| self.delta_ctx_rowwise(ctx, &m)),
+            self.holdouts.iter().map(|ctx| self.delta_ctx_rowwise(ctx, &m)),
+        ))
     }
 
     /// `inf = v · Δ / n^c`, with the empty selection defined as zero.
@@ -830,77 +823,35 @@ impl<'a> Scorer<'a> {
         }
     }
 
-    /// `(n, Δ)` of `p` over every outlier group, in Scorer order.
-    fn outlier_pairs(&self, pm: &RowMask) -> Box<[(f64, f64)]> {
-        self.outliers
-            .iter()
-            .map(|ctx| {
-                let (d, n) = self.delta_ctx(ctx, pm);
-                (n as f64, d)
-            })
-            .collect()
+    /// `(n, Δ)` of a predicate's mask over each of `groups`, in Scorer
+    /// order.
+    fn mask_pairs<'s>(
+        &'s self,
+        groups: &'s [GroupCtx],
+        pm: &'s RowMask,
+    ) -> impl Iterator<Item = (f64, f64)> + 's {
+        groups.iter().map(move |ctx| self.delta_ctx(ctx, pm))
     }
 
-    /// `(n, Δ)` of `p` over every hold-out group, in Scorer order.
-    fn holdout_pairs(&self, pm: &RowMask) -> Box<[(f64, f64)]> {
-        self.holdouts
-            .iter()
-            .map(|ctx| {
-                let (d, n) = self.delta_ctx(ctx, pm);
-                (n as f64, d)
-            })
-            .collect()
-    }
-
-    /// `λ·(1/|O|)·Σ_o inf(o,p,v_o)` from per-group `(n, Δ)` pairs.
-    fn outlier_term_from(&self, pairs: &[(f64, f64)]) -> f64 {
-        debug_assert_eq!(
-            pairs.len(),
-            self.outliers.len(),
-            "cached pairs belong to a different labeled query"
-        );
+    /// The §3.2 fold `λ·avg_o(v_o·Δ_o/n_o^c) − (1−λ)·max_h|Δ_h/n_h^c|`
+    /// over each labeled group's `(n, Δ)`, outliers in Scorer order —
+    /// the one arithmetic behind every exact, cached, row-at-a-time and
+    /// cached-tuple influence, so all of them agree bit for bit on equal
+    /// pairs. An empty `holdouts` gives the hold-out-free influence.
+    fn fold(
+        &self,
+        outliers: impl IntoIterator<Item = (f64, f64)>,
+        holdouts: impl IntoIterator<Item = (f64, f64)>,
+    ) -> f64 {
         let mut sum = 0.0;
-        for (ctx, &(n, d)) in self.outliers.iter().zip(pairs) {
+        for (ctx, (n, d)) in self.outliers.iter().zip(outliers) {
             sum += self.inf_from_delta(d, n, ctx.error);
         }
-        sum / self.outliers.len() as f64
-    }
-
-    /// `max_h |inf(h,p)|` from per-group `(n, Δ)` pairs.
-    fn holdout_term_from(&self, pairs: &[(f64, f64)]) -> f64 {
-        debug_assert_eq!(
-            pairs.len(),
-            self.holdouts.len(),
-            "cached pairs belong to a different labeled query"
-        );
-        let mut max = 0.0f64;
-        for &(n, d) in pairs {
-            max = max.max(self.inf_from_delta(d, n, 1.0).abs());
+        let out = sum / self.outliers.len() as f64;
+        let mut hold = 0.0f64;
+        for (n, d) in holdouts {
+            hold = hold.max(self.inf_from_delta(d, n, 1.0).abs());
         }
-        max
-    }
-
-    /// Streaming (allocation-free) outlier term, for the uncached path.
-    fn outlier_term_direct(&self, pm: &RowMask) -> f64 {
-        let mut sum = 0.0;
-        for ctx in &self.outliers {
-            let (d, n) = self.delta_ctx(ctx, pm);
-            sum += self.inf_from_delta(d, n as f64, ctx.error);
-        }
-        sum / self.outliers.len() as f64
-    }
-
-    /// Streaming (allocation-free) hold-out term, for the uncached path.
-    fn holdout_term_direct(&self, pm: &RowMask) -> f64 {
-        let mut max = 0.0f64;
-        for ctx in &self.holdouts {
-            let (d, n) = self.delta_ctx(ctx, pm);
-            max = max.max(self.inf_from_delta(d, n as f64, 1.0).abs());
-        }
-        max
-    }
-
-    fn combine_terms(&self, out: f64, hold: f64) -> f64 {
         self.params.lambda * out - (1.0 - self.params.lambda) * hold
     }
 
@@ -925,12 +876,11 @@ impl<'a> Scorer<'a> {
             self.calls.fetch_add(1, Ordering::Relaxed);
             let _scope = self.phases.enter("scorer.mask");
             let pm = mask.map_or_else(|| self.predicate_mask(p), Ok)?;
-            return Ok(
-                self.combine_terms(self.outlier_term_direct(&pm), self.holdout_term_direct(&pm))
-            );
+            return Ok(self
+                .fold(self.mask_pairs(&self.outliers, &pm), self.mask_pairs(&self.holdouts, &pm)));
         };
         let g = self.cached_pairs(cache, p, mask)?;
-        Ok(self.combine_terms(self.outlier_term_from(&g.0), self.holdout_term_from(&g.1)))
+        Ok(self.fold(g.0.iter().copied(), g.1.iter().copied()))
     }
 
     /// `p`'s `(n, Δ)` pairs over every labeled group, through `cache`. A
@@ -943,13 +893,21 @@ impl<'a> Scorer<'a> {
         mask: Option<PredicateMask>,
     ) -> Result<Arc<GroupPairs>> {
         if let Some(CachedEval { groups: Some(g), .. }) = cache.get(p) {
+            debug_assert_eq!(
+                (g.0.len(), g.1.len()),
+                (self.outliers.len(), self.holdouts.len()),
+                "cached pairs belong to a different labeled query"
+            );
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(g);
         }
         self.calls.fetch_add(1, Ordering::Relaxed);
         let scope = self.phases.enter("scorer.mask");
         let pm = mask.map_or_else(|| self.predicate_mask(p), Ok)?;
-        let pairs = Arc::new((self.outlier_pairs(&pm), self.holdout_pairs(&pm)));
+        let pairs = Arc::new((
+            self.mask_pairs(&self.outliers, &pm).collect(),
+            self.mask_pairs(&self.holdouts, &pm).collect(),
+        ));
         drop(scope);
         let evicted = cache.store_groups(p, pairs.clone());
         self.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
@@ -967,10 +925,10 @@ impl<'a> Scorer<'a> {
             self.calls.fetch_add(1, Ordering::Relaxed);
             let _scope = self.phases.enter("scorer.mask");
             let pm = self.predicate_mask(p)?;
-            return Ok(self.params.lambda * self.outlier_term_direct(&pm));
+            return Ok(self.fold(self.mask_pairs(&self.outliers, &pm), []));
         };
         let g = self.cached_pairs(cache, p, None)?;
-        Ok(self.params.lambda * self.outlier_term_from(&g.0))
+        Ok(self.fold(g.0.iter().copied(), []))
     }
 
     /// Per-tuple deltas of outlier group `g`, aligned with its rows.
@@ -1071,70 +1029,24 @@ impl<'a> Scorer<'a> {
         })?;
         debug_assert_eq!(outlier_removed.len(), self.outliers.len());
         debug_assert_eq!(holdout_removed.len(), self.holdouts.len());
-        let term = |ctx: &GroupCtx, n: f64, sub: &AggState, error: f64| -> f64 {
-            if n <= 0.0 {
-                return 0.0;
+        // A non-positive estimated count removes nothing: `(0, 0)`.
+        let pair = |(ctx, (n, sub)): (&GroupCtx, &(f64, AggState))| -> (f64, f64) {
+            if *n <= 0.0 {
+                return (0.0, 0.0);
             }
             let full = ctx.full_state.as_ref().expect("incremental scorer has states");
-            let delta = ctx.full_value - inc.recover(&inc.remove(full, sub));
-            error * delta / n.powf(self.params.c)
+            (*n, ctx.full_value - inc.recover(&inc.remove(full, sub)))
         };
-        let mut out = 0.0;
-        for (ctx, (n, sub)) in self.outliers.iter().zip(outlier_removed) {
-            out += term(ctx, *n, sub, ctx.error);
-        }
-        out /= self.outliers.len() as f64;
-        let mut hold = 0.0f64;
-        for (ctx, (n, sub)) in self.holdouts.iter().zip(holdout_removed) {
-            hold = hold.max(term(ctx, *n, sub, 1.0).abs());
-        }
-        Ok(self.params.lambda * out - (1.0 - self.params.lambda) * hold)
+        Ok(self.fold(
+            self.outliers.iter().zip(outlier_removed).map(pair),
+            self.holdouts.iter().zip(holdout_removed).map(pair),
+        ))
     }
 
     /// The removable state algebra when the §5.1 fast path is active;
     /// `None` when the Scorer evaluates the aggregate as a black box.
     pub fn incremental_agg(&self) -> Option<&'a dyn IncrementalAggregate> {
         self.inc
-    }
-
-    /// Scores a batch of predicates, optionally in parallel.
-    ///
-    /// §8.3.2 leaves parallelism to future work; this is that extension.
-    /// The batch is chunked across `threads` scoped workers, each
-    /// evaluating the same shared group state read-only. With
-    /// `threads <= 1` the batch is scored sequentially. Results are in
-    /// input order; scoring errors surface per predicate.
-    ///
-    /// Candidates at one DT/MC level share most of their clauses; the
-    /// attached [`ClauseMaskCache`] evaluates each *distinct* clause
-    /// against the table once for the whole batch. Before fanning out,
-    /// the cache is pre-warmed serially so workers never race to build
-    /// the same clause mask.
-    pub fn influence_batch(&self, preds: &[Predicate], threads: usize) -> Vec<Result<f64>> {
-        if threads <= 1 || preds.len() < 2 {
-            return preds.iter().map(|p| self.influence(p)).collect();
-        }
-        for p in preds {
-            // Errors resurface per predicate during scoring.
-            if let Ok(hits) = p.warm_masks(self.table, &self.masks) {
-                self.mask_hits.fetch_add(hits, Ordering::Relaxed);
-            }
-        }
-        let threads = threads.min(preds.len());
-        let chunk = preds.len().div_ceil(threads);
-        let mut out: Vec<Result<f64>> = Vec::with_capacity(preds.len());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = preds
-                .chunks(chunk)
-                .map(|chunk| {
-                    s.spawn(move || chunk.iter().map(|p| self.influence(p)).collect::<Vec<_>>())
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("scoring worker panicked"));
-            }
-        });
-        out
     }
 
     /// The candidate's per-slot `(k, s)` — matched *sampled* row count
@@ -1170,6 +1082,7 @@ impl<'a> Scorer<'a> {
                     })
                 })
                 .ok()?;
+            self.mask_lookups.fetch_add(1, Ordering::Relaxed);
             if hit {
                 self.mask_hits.fetch_add(1, Ordering::Relaxed);
             }
@@ -1366,29 +1279,26 @@ impl<'a> Scorer<'a> {
     }
 
     /// Two-stage batch scoring: interval-prune, then score survivors
-    /// exactly ([`Scorer::influence_batch`] semantics and threading).
+    /// exactly ([`Scorer::influence`]). Scores come back in input order.
     ///
     /// With attached sampler state, every candidate first gets a cheap
-    /// influence interval; the pruning threshold `L` is the `top_k`-th
-    /// largest interval *lower* bound, and candidates whose *upper*
-    /// bound falls below `L` are dropped (their reported score is the
-    /// interval's point estimate). Survivors are then scored exactly in
-    /// descending-estimate order, with `L` refined to the `top_k`-th
+    /// influence interval; the pruning threshold `L` starts at the
+    /// `top_k`-th largest interval *lower* bound, and candidates whose
+    /// *upper* bound falls below `L` are dropped (their reported score is
+    /// the interval's point estimate). Survivors are then scored exactly
+    /// in descending-estimate order, with `L` refined to the `top_k`-th
     /// largest *exact* score seen so far, pruning borderline survivors
-    /// the static pass could not. Either way a pruned candidate's true
+    /// the first pass could not. Either way a pruned candidate's true
     /// influence sits below its upper bound, hence below the threshold
     /// in force, hence below at least `top_k` exact scores — so the
     /// returned top-`top_k` scores, and in particular the best
-    /// predicate, are always exact.
+    /// predicate, are always exact. The batch runs on the caller's
+    /// thread, so which candidates are pruned depends only on the
+    /// batch, the sampler state and the cache, never on the host.
     ///
-    /// Without sampler state (or with a fallback state) this is exactly
-    /// [`Scorer::influence_batch`] with zero pruning.
-    pub fn influence_batch_pruned(
-        &self,
-        preds: &[Predicate],
-        threads: usize,
-        top_k: usize,
-    ) -> PrunedBatch {
+    /// Without sampler state (or with a fallback state) every candidate
+    /// is scored exactly and nothing is pruned.
+    pub fn influence_batch_pruned(&self, preds: &[Predicate], top_k: usize) -> PrunedBatch {
         let top_k = top_k.max(1);
         let exact_only = match &self.approx {
             None => true,
@@ -1396,16 +1306,13 @@ impl<'a> Scorer<'a> {
         };
         if exact_only {
             return PrunedBatch {
-                scores: self.influence_batch(preds, threads),
+                scores: preds.iter().map(|p| self.influence(p)).collect(),
                 pruned: 0,
                 error_bound: 0.0,
             };
         }
         let st = self.approx.as_ref().expect("checked above").clone();
         let bound_pass = self.phases.enter("sampler.bound");
-        // No cache pre-warm pass: `sampled_stats` evaluates (and counts
-        // hits for) each distinct clause itself, and the survivor batch
-        // re-warms serially before any fan-out.
         let mut scratch = BoundScratch::default();
         let intervals: Vec<Option<InfluenceInterval>> =
             preds.iter().map(|p| self.influence_interval(p, &st, &mut scratch)).collect();
@@ -1431,59 +1338,49 @@ impl<'a> Scorer<'a> {
         let mut error_bound = 0.0f64;
         let mut pruned = 0u64;
         let mut scores: Vec<Result<f64>> = preds.iter().map(|_| Ok(f64::NAN)).collect();
-        if threads <= 1 || order.len() < 2 {
-            // Dynamic threshold refinement (threshold-algorithm style):
-            // survivors are visited in descending order of their interval
-            // estimate, so the strongest candidates are scored exactly
-            // first and the pruning threshold is raised to the `top_k`-th
-            // largest *exact* score seen so far. A later survivor whose
-            // upper bound falls below that refined threshold is provably
-            // outside the exact top-`top_k` and is pruned without exact
-            // scoring — the same invariant as the static pass, with a
-            // tighter `L`. Candidates without an interval (mask errors)
-            // sort first and are always scored exactly.
-            order.sort_unstable_by(|&a, &b| {
-                let ea = intervals[a].map(|iv| iv.est).unwrap_or(f64::INFINITY);
-                let eb = intervals[b].map(|iv| iv.est).unwrap_or(f64::INFINITY);
-                eb.total_cmp(&ea)
-            });
-            let mut thr = threshold;
-            // The `top_k` largest exact scores so far, ascending.
-            let mut exact_top: Vec<f64> = Vec::with_capacity(top_k);
-            for &i in &order {
-                if exact_top.len() == top_k {
-                    if let Some(iv) = intervals[i] {
-                        if iv.hi < thr {
-                            error_bound = error_bound.max(iv.error_bound());
-                            scores[i] = Ok(iv.est);
-                            pruned += 1;
-                            continue;
-                        }
+        // Dynamic threshold refinement (threshold-algorithm style):
+        // survivors are visited in descending order of their interval
+        // estimate, so the strongest candidates are scored exactly
+        // first and the pruning threshold is raised to the `top_k`-th
+        // largest *exact* score seen so far. A later survivor whose
+        // upper bound falls below that refined threshold is provably
+        // outside the exact top-`top_k` and is pruned without exact
+        // scoring — the same invariant as the interval pass, with a
+        // tighter `L`. Candidates without an interval (mask errors)
+        // sort first and are always scored exactly.
+        order.sort_unstable_by(|&a, &b| {
+            let ea = intervals[a].map(|iv| iv.est).unwrap_or(f64::INFINITY);
+            let eb = intervals[b].map(|iv| iv.est).unwrap_or(f64::INFINITY);
+            eb.total_cmp(&ea)
+        });
+        let mut thr = threshold;
+        // The `top_k` largest exact scores so far, ascending.
+        let mut exact_top: Vec<f64> = Vec::with_capacity(top_k);
+        for &i in &order {
+            if exact_top.len() == top_k {
+                if let Some(iv) = intervals[i] {
+                    if iv.hi < thr {
+                        error_bound = error_bound.max(iv.error_bound());
+                        scores[i] = Ok(iv.est);
+                        pruned += 1;
+                        continue;
                     }
                 }
-                let sc = self.influence(&preds[i]);
-                if let Ok(v) = sc {
-                    if !v.is_nan() {
-                        let pos = exact_top.partition_point(|&x| x < v);
-                        exact_top.insert(pos, v);
-                        if exact_top.len() > top_k {
-                            exact_top.remove(0);
-                        }
-                        if exact_top.len() == top_k {
-                            thr = thr.max(exact_top[0]);
-                        }
+            }
+            let sc = self.influence(&preds[i]);
+            if let Ok(v) = sc {
+                if !v.is_nan() {
+                    let pos = exact_top.partition_point(|&x| x < v);
+                    exact_top.insert(pos, v);
+                    if exact_top.len() > top_k {
+                        exact_top.remove(0);
+                    }
+                    if exact_top.len() == top_k {
+                        thr = thr.max(exact_top[0]);
                     }
                 }
-                scores[i] = sc;
             }
-        } else {
-            // Parallel survivor scoring keeps the static threshold: the
-            // workers would serialize on a shared dynamic one.
-            let survivors: Vec<Predicate> = order.iter().map(|&i| preds[i].clone()).collect();
-            let exact = self.influence_batch(&survivors, threads);
-            for (&i, sc) in order.iter().zip(exact) {
-                scores[i] = sc;
-            }
+            scores[i] = sc;
         }
         for (i, iv) in intervals.iter().enumerate() {
             if !survives[i] {
@@ -1736,26 +1633,6 @@ mod tests {
     }
 
     #[test]
-    fn influence_batch_matches_sequential() {
-        let t = sensors();
-        let s = paper_scorer(&t, 1.0);
-        let preds: Vec<Predicate> = (0..20)
-            .map(|i| {
-                let lo = 2.0 + i as f64 * 0.05;
-                Predicate::conjunction([Clause::range(2, lo, lo + 0.3)]).unwrap()
-            })
-            .collect();
-        let serial: Vec<f64> =
-            s.influence_batch(&preds, 1).into_iter().map(|r| r.unwrap()).collect();
-        let parallel: Vec<f64> =
-            s.influence_batch(&preds, 4).into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
-    }
-
-    #[test]
     fn mask_path_matches_rowwise_oracle_bit_exactly() {
         let t = sensors();
         for c in [0.0, 0.3, 1.0] {
@@ -1795,15 +1672,15 @@ mod tests {
                 temps.iter().map(|t| Predicate::conjunction([v.clone(), t.clone()]).unwrap())
             })
             .collect();
-        for r in s.influence_batch(&preds, 4) {
-            r.unwrap();
+        for p in &preds {
+            s.influence(p).unwrap();
         }
         assert_eq!(s.mask_cache_entries(), 6, "one mask per distinct clause");
         let hits = s.mask_cache_hits();
         assert!(hits > 0, "shared clauses must hit the cache");
         // Re-scoring the same batch is pure cache traffic.
-        for r in s.influence_batch(&preds, 1) {
-            r.unwrap();
+        for p in &preds {
+            s.influence(p).unwrap();
         }
         assert_eq!(s.mask_cache_entries(), 6);
         assert!(s.mask_cache_hits() > hits);

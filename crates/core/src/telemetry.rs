@@ -67,14 +67,19 @@ pub fn is_numeric_column(name: &str) -> bool {
 }
 
 /// Copies a run's engine-side facts into a flight-recorder event: the
-/// resolved algorithm, influence/mask-cache observations, per-phase
+/// resolved algorithm, influence/mask-cache observations (the mask
+/// cache reads `off` for a run that looked up no clause mask), per-phase
 /// microseconds, window residency, and (if the event has none yet) the
 /// trace id. Surface-side fields — endpoint, table, status, queue wait,
 /// total latency — stay whatever the caller put there.
 pub fn apply_diagnostics(mut event: TelemetryEvent, d: &Diagnostics) -> TelemetryEvent {
     event.algorithm = d.algorithm.to_owned();
     event.influence_cache = CacheHit::from_flag(d.cache_hits > 0);
-    event.mask_cache = CacheHit::from_flag(d.mask_cache_hits > 0);
+    event.mask_cache = if d.mask_cache_lookups == 0 {
+        CacheHit::Off
+    } else {
+        CacheHit::from_flag(d.mask_cache_hits > 0)
+    };
     event.resident_bytes = d.resident_bytes;
     event.phases_us = d.phases.iter().map(|p| (p.name, p.nanos / 1_000)).collect();
     if event.trace_id == 0 {
@@ -229,6 +234,7 @@ mod tests {
             algorithm: "mc",
             trace_id: 7,
             cache_hits: 3,
+            mask_cache_lookups: 2,
             mask_cache_hits: 0,
             resident_bytes: 1024,
             phases: vec![PhaseTiming { name: "mc.units", nanos: 5_000, count: 1 }],
@@ -245,6 +251,18 @@ mod tests {
         let mut pre = TelemetryEvent::blank(9, "explain");
         pre = apply_diagnostics(pre, &d);
         assert_eq!(pre.trace_id, 9);
+        // Any hit reads `hit`; a run that looked up no clause mask reads
+        // `off`, not `miss`.
+        let hit = Diagnostics { mask_cache_hits: 1, ..d.clone() };
+        assert_eq!(
+            apply_diagnostics(TelemetryEvent::blank(0, "x"), &hit).mask_cache,
+            CacheHit::Hit
+        );
+        let none = Diagnostics { mask_cache_lookups: 0, ..d };
+        assert_eq!(
+            apply_diagnostics(TelemetryEvent::blank(0, "x"), &none).mask_cache,
+            CacheHit::Off
+        );
     }
 
     // The ring is process-global; serialize tests that touch it.

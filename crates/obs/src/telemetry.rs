@@ -30,7 +30,8 @@ pub enum CacheHit {
     /// The cache was consulted and missed.
     Miss,
     /// The path has no such cache (e.g. a one-shot CLI run has no plan
-    /// cache).
+    /// cache), or never consulted it (a run whose every predicate the
+    /// influence cache answered looks up no clause mask).
     Off,
 }
 

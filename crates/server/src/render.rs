@@ -54,6 +54,7 @@ pub fn diagnostics_json(d: &Diagnostics) -> Json {
         ("scorer_calls", Json::from(d.scorer_calls)),
         ("cache_hits", Json::from(d.cache_hits)),
         ("cache_evictions", Json::from(d.cache_evictions)),
+        ("mask_cache_lookups", Json::from(d.mask_cache_lookups)),
         ("mask_cache_hits", Json::from(d.mask_cache_hits)),
         ("mask_cache_entries", Json::from(d.mask_cache_entries)),
         ("candidates", Json::from(d.candidates)),
@@ -95,6 +96,7 @@ mod tests {
             algorithm: "dt",
             trace_id: 42,
             scorer_calls: 7,
+            mask_cache_lookups: 5,
             mask_cache_hits: 3,
             mask_cache_entries: 2,
             phases: vec![scorpion_core::PhaseTiming {
@@ -109,6 +111,7 @@ mod tests {
         assert_eq!(j.get("approx_error_bound"), Some(&Json::Null), "exact runs render null");
         assert_eq!(j.get("candidates_pruned").and_then(Json::as_f64), Some(0.0));
         assert_eq!(j.get("scorer_calls").and_then(Json::as_f64), Some(7.0));
+        assert_eq!(j.get("mask_cache_lookups").and_then(Json::as_f64), Some(5.0));
         assert_eq!(j.get("mask_cache_hits").and_then(Json::as_f64), Some(3.0));
         assert_eq!(j.get("mask_cache_entries").and_then(Json::as_f64), Some(2.0));
         let phases = j.get("phases").and_then(Json::as_array).unwrap();

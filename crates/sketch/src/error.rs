@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-/// Errors produced by sketch construction and the partial codec.
+/// Errors produced by sketch construction and combination.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SketchError {
     /// A construction parameter is out of its documented range.
     BadConfig(&'static str),
-    /// A serialized partial failed to decode.
-    Corrupt(String),
     /// Two partials from incompatible configurations (different α
     /// family, register count, or capacity) were combined.
     Incompatible(&'static str),
@@ -18,7 +16,6 @@ impl fmt::Display for SketchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SketchError::BadConfig(msg) => write!(f, "bad sketch configuration: {msg}"),
-            SketchError::Corrupt(msg) => write!(f, "corrupt sketch partial: {msg}"),
             SketchError::Incompatible(msg) => write!(f, "incompatible sketch partials: {msg}"),
         }
     }

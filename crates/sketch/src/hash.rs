@@ -13,17 +13,6 @@ pub fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over bytes, finished through [`splitmix64`] for avalanche.
-#[inline]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    splitmix64(h)
-}
-
 /// Canonical bit pattern of an `f64` for hashing: `-0.0` folds onto
 /// `0.0` and every NaN folds onto one canonical NaN, so values that
 /// compare equal (or are equally "missing") hash equal.
@@ -50,12 +39,6 @@ mod tests {
         let a = splitmix64(100);
         let b = splitmix64(101);
         assert!((a ^ b).count_ones() > 10);
-    }
-
-    #[test]
-    fn fnv_distinguishes_strings() {
-        assert_ne!(fnv1a64(b"abc"), fnv1a64(b"abd"));
-        assert_eq!(fnv1a64(b""), fnv1a64(b""));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! rebuild eviction by re-merging the surviving chunk partials, the
 //! same path the exact MIN/MAX aggregates already take.
 
-use crate::codec::{ByteReader, ByteWriter};
 use crate::error::{ErrorBound, SketchError};
 use crate::hash::{canonical_f64_bits, splitmix64};
 use crate::Result;
@@ -76,11 +75,6 @@ impl HyperLogLog {
         self.insert_hash(splitmix64(canonical_f64_bits(v)));
     }
 
-    /// Offer raw bytes (e.g. a group key).
-    pub fn insert_bytes(&mut self, bytes: &[u8]) {
-        self.insert_hash(crate::hash::fnv1a64(bytes));
-    }
-
     /// Estimate the number of distinct values offered so far.
     pub fn estimate(&self) -> f64 {
         let m = self.registers.len() as f64;
@@ -124,35 +118,6 @@ impl HyperLogLog {
             }
         }
         Ok(())
-    }
-
-    /// Serialize to the pinned little-endian wire form.
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_u8(self.precision);
-        w.put_bytes(&self.registers);
-    }
-
-    /// Decode from the wire form produced by [`Self::encode_into`].
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self> {
-        let precision = r.get_u8()?;
-        let mut s = Self::new(precision)?;
-        let regs = r.get_bytes()?;
-        if regs.len() != s.registers.len() {
-            return Err(SketchError::Corrupt(format!(
-                "register payload is {} bytes, precision {} implies {}",
-                regs.len(),
-                precision,
-                s.registers.len()
-            )));
-        }
-        let max_rho = 64 - precision as u32 + 1;
-        for (slot, &b) in s.registers.iter_mut().zip(regs) {
-            if b as u32 > max_rho {
-                return Err(SketchError::Corrupt(format!("register value {b} out of range")));
-            }
-            *slot = b;
-        }
-        Ok(s)
     }
 
     /// Approximate heap footprint in bytes.
@@ -218,23 +183,6 @@ mod tests {
         let mut a = HyperLogLog::new(10).unwrap();
         let b = HyperLogLog::new(12).unwrap();
         assert!(a.merge(&b).is_err());
-    }
-
-    #[test]
-    fn codec_round_trip_and_validation() {
-        let mut s = HyperLogLog::new(8).unwrap();
-        for i in 0..1000 {
-            s.insert_f64(i as f64);
-        }
-        let mut w = ByteWriter::new();
-        s.encode_into(&mut w);
-        let bytes = w.into_bytes();
-        let d = HyperLogLog::decode_from(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(d, s);
-
-        let mut bad = bytes.clone();
-        bad[7] = 200; // register value way out of range
-        assert!(HyperLogLog::decode_from(&mut ByteReader::new(&bad)).is_err());
     }
 
     #[test]

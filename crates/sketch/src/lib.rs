@@ -22,18 +22,16 @@
 //!   classic guarantee `true ≤ count ≤ true + n/k` and a lossless-ish
 //!   mergeable form (counts add, error bounds add).
 //!
-//! [`SketchPartial`] packages the value-sketches behind one enum with a
-//! portable byte codec, so aggregate operators can treat "a sketch
-//! partial" uniformly (the shape `scorpion-agg` exposes through its
-//! `SketchAggregate` trait).
+//! [`SketchPartial`] packages the value-sketches behind one enum, so
+//! aggregate operators can treat "a sketch partial" uniformly (the shape
+//! `scorpion-agg` exposes through its `SketchAggregate` trait).
 //!
 //! Everything here is deterministic: fixed hash functions, no RNG, no
 //! time — two processes that ingest the same values produce bit-equal
-//! sketches, which is what makes partials safe to ship and diff.
+//! sketches.
 
 #![warn(missing_docs)]
 
-mod codec;
 mod error;
 mod hash;
 mod hll;
@@ -41,9 +39,8 @@ mod partial;
 mod quantile;
 mod spacesaving;
 
-pub use codec::{ByteReader, ByteWriter};
 pub use error::{ErrorBound, SketchError};
-pub use hash::{fnv1a64, splitmix64};
+pub use hash::splitmix64;
 pub use hll::HyperLogLog;
 pub use partial::SketchPartial;
 pub use quantile::QuantileSketch;

@@ -1,17 +1,11 @@
 //! [`SketchPartial`] — the uniform per-chunk sketch state the aggregate
 //! layer carries alongside its fixed-size `AggState` partials. One
-//! variant per value-sketch family, with a tagged byte codec so
-//! partials can be shipped or persisted without knowing the variant
-//! up front.
+//! variant per value-sketch family.
 
-use crate::codec::{ByteReader, ByteWriter};
 use crate::error::{ErrorBound, SketchError};
 use crate::hll::HyperLogLog;
 use crate::quantile::QuantileSketch;
 use crate::Result;
-
-const TAG_QUANTILE: u8 = 1;
-const TAG_DISTINCT: u8 = 2;
 
 /// A per-partition sketch state for one group's values.
 ///
@@ -83,32 +77,6 @@ impl SketchPartial {
         }
     }
 
-    /// Serialize with a variant tag.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        match self {
-            SketchPartial::Quantile(s) => {
-                w.put_u8(TAG_QUANTILE);
-                s.encode_into(&mut w);
-            }
-            SketchPartial::Distinct(s) => {
-                w.put_u8(TAG_DISTINCT);
-                s.encode_into(&mut w);
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decode a tagged partial produced by [`Self::encode`].
-    pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut r = ByteReader::new(bytes);
-        match r.get_u8()? {
-            TAG_QUANTILE => Ok(SketchPartial::Quantile(QuantileSketch::decode_from(&mut r)?)),
-            TAG_DISTINCT => Ok(SketchPartial::Distinct(HyperLogLog::decode_from(&mut r)?)),
-            tag => Err(SketchError::Corrupt(format!("unknown sketch partial tag {tag}"))),
-        }
-    }
-
     /// Approximate heap footprint in bytes (for resident accounting).
     pub fn approx_bytes(&self) -> usize {
         match self {
@@ -123,27 +91,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quantile_partial_round_trip() {
+    fn quantile_partial_is_retractable() {
         let mut p = SketchPartial::Quantile(QuantileSketch::default_sketch());
         for i in 0..100 {
             p.insert(i as f64);
         }
-        let bytes = p.encode();
-        assert_eq!(SketchPartial::decode(&bytes).unwrap(), p);
         assert!(p.retractable());
     }
 
     #[test]
-    fn distinct_partial_round_trip_and_merge_only() {
+    fn distinct_partial_is_merge_only() {
         let mut p = SketchPartial::Distinct(HyperLogLog::new(8).unwrap());
         for i in 0..100 {
             p.insert(i as f64);
         }
-        let bytes = p.encode();
-        let d = SketchPartial::decode(&bytes).unwrap();
-        assert_eq!(d, p);
         assert!(!p.retractable());
-        let other = d.clone();
+        let other = p.clone();
         let mut p2 = p.clone();
         assert!(!p2.retract(&other).unwrap());
     }
@@ -154,11 +117,5 @@ mod tests {
         let d = SketchPartial::Distinct(HyperLogLog::new(8).unwrap());
         assert!(q.merge(&d).is_err());
         assert!(q.retract(&d).is_err());
-    }
-
-    #[test]
-    fn unknown_tag_rejected() {
-        assert!(SketchPartial::decode(&[99, 0, 0]).is_err());
-        assert!(SketchPartial::decode(&[]).is_err());
     }
 }

@@ -17,7 +17,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::codec::{ByteReader, ByteWriter};
 use crate::error::{ErrorBound, SketchError};
 use crate::Result;
 
@@ -272,61 +271,6 @@ impl QuantileSketch {
         }
     }
 
-    /// Serialize to the pinned little-endian wire form.
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_f64(self.alpha0);
-        w.put_u32(self.max_buckets as u32);
-        w.put_u32(self.compactions);
-        w.put_u64(self.zero);
-        w.put_u64(self.n);
-        for store in [&self.pos, &self.neg] {
-            w.put_u32(store.len() as u32);
-            for (&i, &c) in store {
-                w.put_i64(i);
-                w.put_u64(c);
-            }
-        }
-    }
-
-    /// Decode from the wire form produced by [`Self::encode_into`].
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self> {
-        let alpha0 = r.get_f64()?;
-        let max_buckets = r.get_u32()? as usize;
-        let compactions = r.get_u32()?;
-        if compactions > MAX_COMPACTIONS {
-            return Err(SketchError::Corrupt(format!(
-                "compaction level {compactions} exceeds maximum {MAX_COMPACTIONS}"
-            )));
-        }
-        let mut s = Self::new(alpha0, max_buckets)?;
-        s.zero = r.get_u64()?;
-        s.n = r.get_u64()?;
-        for _ in 0..compactions {
-            s.compactions += 1;
-            s.ln_gamma *= 2.0;
-        }
-        for store_ix in 0..2 {
-            let len = r.get_u32()? as usize;
-            let store = if store_ix == 0 { &mut s.pos } else { &mut s.neg };
-            for _ in 0..len {
-                let i = r.get_i64()?;
-                let c = r.get_u64()?;
-                if c == 0 {
-                    return Err(SketchError::Corrupt("zero bucket count".into()));
-                }
-                store.insert(i, c);
-            }
-        }
-        let total: u64 = s.pos.values().chain(s.neg.values()).sum::<u64>() + s.zero;
-        if total != s.n {
-            return Err(SketchError::Corrupt(format!(
-                "bucket counts sum to {total}, header says {}",
-                s.n
-            )));
-        }
-        Ok(s)
-    }
-
     /// Approximate heap footprint in bytes (for resident accounting).
     pub fn approx_bytes(&self) -> usize {
         // BTreeMap nodes are heavier than 16 bytes/entry; 48 is a fair
@@ -471,30 +415,5 @@ mod tests {
         let mut a = QuantileSketch::new(0.01, 64).unwrap();
         let b = QuantileSketch::new(0.02, 64).unwrap();
         assert!(matches!(a.merge(&b), Err(SketchError::Incompatible(_))));
-    }
-
-    #[test]
-    fn codec_round_trip() {
-        let mut s = QuantileSketch::default_sketch();
-        for i in 0..200 {
-            s.insert((i as f64 - 100.0) * 1.37);
-        }
-        let mut w = ByteWriter::new();
-        s.encode_into(&mut w);
-        let bytes = w.into_bytes();
-        let decoded = QuantileSketch::decode_from(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(decoded, s);
-    }
-
-    #[test]
-    fn decode_rejects_mismatched_totals() {
-        let mut s = QuantileSketch::default_sketch();
-        s.insert(1.0);
-        let mut w = ByteWriter::new();
-        s.encode_into(&mut w);
-        let mut bytes = w.into_bytes();
-        // Corrupt the total-count header (offset: f64 + u32 + u32 + u64 = 24).
-        bytes[24] ^= 0xFF;
-        assert!(QuantileSketch::decode_from(&mut ByteReader::new(&bytes)).is_err());
     }
 }

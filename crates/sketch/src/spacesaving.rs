@@ -10,7 +10,6 @@
 
 use std::collections::HashMap;
 
-use crate::codec::{ByteReader, ByteWriter};
 use crate::error::{ErrorBound, SketchError};
 use crate::Result;
 
@@ -138,47 +137,6 @@ impl SpaceSaving {
         out
     }
 
-    /// Keys whose *guaranteed* count (`count − err`) meets `threshold`.
-    pub fn guaranteed_above(&self, threshold: u64) -> Vec<HeavyHitter> {
-        self.heavy_hitters().into_iter().filter(|h| h.count - h.err >= threshold).collect()
-    }
-
-    /// Serialize to the pinned little-endian wire form.
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_u32(self.capacity as u32);
-        w.put_u64(self.n);
-        let hitters = self.heavy_hitters(); // deterministic order
-        w.put_u32(hitters.len() as u32);
-        for h in hitters {
-            w.put_bytes(h.key.as_bytes());
-            w.put_u64(h.count);
-            w.put_u64(h.err);
-        }
-    }
-
-    /// Decode from the wire form produced by [`Self::encode_into`].
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self> {
-        let capacity = r.get_u32()? as usize;
-        let mut s = Self::new(capacity)?;
-        s.n = r.get_u64()?;
-        let len = r.get_u32()? as usize;
-        if len > capacity {
-            return Err(SketchError::Corrupt(format!("{len} entries exceed capacity {capacity}")));
-        }
-        for _ in 0..len {
-            let key = std::str::from_utf8(r.get_bytes()?)
-                .map_err(|_| SketchError::Corrupt("non-UTF-8 key".into()))?
-                .to_string();
-            let count = r.get_u64()?;
-            let err = r.get_u64()?;
-            if err > count {
-                return Err(SketchError::Corrupt("error bound exceeds count".into()));
-            }
-            s.entries.insert(key, (count, err));
-        }
-        Ok(s)
-    }
-
     /// Approximate heap footprint in bytes.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.entries.keys().map(|k| k.len() + 48).sum::<usize>()
@@ -257,20 +215,6 @@ mod tests {
                 assert!(a.get(key).is_some(), "very frequent key {key} missing after merge");
             }
         }
-    }
-
-    #[test]
-    fn codec_round_trip() {
-        let mut s = SpaceSaving::new(4).unwrap();
-        for (i, k) in ["x", "y", "z", "w", "v"].iter().enumerate() {
-            s.insert(k, i as u64 + 1);
-        }
-        let mut w = ByteWriter::new();
-        s.encode_into(&mut w);
-        let bytes = w.into_bytes();
-        let d = SpaceSaving::decode_from(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(d.heavy_hitters(), s.heavy_hitters());
-        assert_eq!(d.total(), s.total());
     }
 
     #[test]

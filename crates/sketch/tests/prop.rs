@@ -8,7 +8,7 @@
 //!   partial restores the pre-merge state bit-for-bit.
 
 use proptest::prelude::*;
-use scorpion_sketch::{HyperLogLog, QuantileSketch, SketchPartial, SpaceSaving};
+use scorpion_sketch::{HyperLogLog, QuantileSketch, SpaceSaving};
 use std::collections::HashMap;
 
 /// Exact quantile under the sketch's rank convention:
@@ -112,20 +112,6 @@ proptest! {
         total.merge(&part).unwrap();
         total.retract(&part).unwrap();
         prop_assert_eq!(total, before);
-    }
-
-    /// Codec round trip is lossless for arbitrary sketch contents.
-    #[test]
-    fn quantile_codec_round_trip(
-        values in prop::collection::vec(-1e8f64..1e8f64, 0..200),
-    ) {
-        let mut s = QuantileSketch::default_sketch();
-        for &v in &values {
-            s.insert(v);
-        }
-        let p = SketchPartial::Quantile(s);
-        let decoded = SketchPartial::decode(&p.encode()).unwrap();
-        prop_assert_eq!(decoded, p);
     }
 
     /// HLL++ estimate lands within 4σ of the true distinct count (the

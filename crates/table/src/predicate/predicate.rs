@@ -169,19 +169,6 @@ impl Predicate {
         Ok((mask, hits))
     }
 
-    /// Ensures each of the predicate's clause masks is resident in
-    /// `cache` without doing any conjunction work — batch scorers call
-    /// this once per candidate list before fanning out across workers,
-    /// so shared clauses are built exactly once instead of raced on.
-    /// Returns how many clause lookups were already cached.
-    pub fn warm_masks(&self, table: &Table, cache: &ClauseMaskCache) -> Result<u64> {
-        let mut hits = 0u64;
-        for clause in self.clauses.values() {
-            hits += Predicate::clause_mask(table, cache, clause)?.1 as u64;
-        }
-        Ok(hits)
-    }
-
     /// Evaluates the predicate as a bitmap without a clause cache — for
     /// one-shot consumers (CLI previews, selection helpers) where
     /// memoization has nothing to amortize.

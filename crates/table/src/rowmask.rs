@@ -289,11 +289,12 @@ struct MaskEntries {
 /// Keyed by [`Clause`] (bit-exact equality), so any candidate predicate
 /// sharing a clause with an earlier one reuses its mask. The cache is
 /// table-specific by construction — attach one cache per table snapshot
-/// and drop it when the table changes. Thread-safe: scoring workers
-/// share one cache behind a mutex (the held section is a hash probe;
-/// kernels run outside the lock). Bounded: past the capacity, inserting
-/// a new clause evicts the least-recently-used one, so long-lived plans
-/// hold at most `capacity × table_len / 8` bytes of masks.
+/// and drop it when the table changes. Thread-safe: server workers
+/// running one shared plan share its cache behind a mutex (the held
+/// section is a hash probe; kernels run outside the lock). Bounded: past
+/// the capacity, inserting a new clause evicts the least-recently-used
+/// one, so long-lived plans hold at most `capacity × table_len / 8`
+/// bytes of masks.
 pub struct ClauseMaskCache {
     entries: Mutex<MaskEntries>,
     hits: AtomicU64,

@@ -67,15 +67,15 @@ fn run_seed(seed: u64, agg: &dyn Aggregate) -> (Vec<f64>, PrunedBatch) {
     let preds = candidates();
 
     let exact_scorer = scorer_for(&t, &g, agg);
-    let exact: Vec<f64> = exact_scorer
-        .influence_batch(&preds, 1)
-        .into_iter()
+    let exact: Vec<f64> = preds
+        .iter()
+        .map(|p| exact_scorer.influence(p))
         .collect::<Result<_, _>>()
         .expect("exact batch");
 
     let cfg = ApproxConfig { sample_rate: 0.2, min_rows: 16, seed, ..ApproxConfig::default() };
     let approx_scorer = scorer_for(&t, &g, agg).with_approx(cfg).expect("approx state");
-    let batch = approx_scorer.influence_batch_pruned(&preds, 1, 2);
+    let batch = approx_scorer.influence_batch_pruned(&preds, 2);
     (exact, batch)
 }
 
@@ -142,14 +142,12 @@ fn median_falls_back_to_exact() {
     let g = group_by(&t, &[0]).unwrap();
     let preds = candidates();
 
-    let exact: Vec<f64> = scorer_for(&t, &g, &Median)
-        .influence_batch(&preds, 1)
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .unwrap();
+    let exact_scorer = scorer_for(&t, &g, &Median);
+    let exact: Vec<f64> =
+        preds.iter().map(|p| exact_scorer.influence(p)).collect::<Result<_, _>>().unwrap();
     let approx_scorer = scorer_for(&t, &g, &Median).with_approx(ApproxConfig::default()).unwrap();
     assert!(approx_scorer.approx_state().unwrap().fallback().is_some(), "median must fall back");
-    let batch = approx_scorer.influence_batch_pruned(&preds, 1, 2);
+    let batch = approx_scorer.influence_batch_pruned(&preds, 2);
     assert_eq!(batch.pruned, 0);
     assert_eq!(batch.error_bound, 0.0);
     let scores: Vec<f64> = batch.scores.into_iter().collect::<Result<_, _>>().unwrap();

@@ -525,3 +525,82 @@ fn dt_discrete_walk_output_is_fixed() {
     ];
     assert_walk(&got, &want);
 }
+
+/// One approximate-mode explanation at `c = 0.5` over SYNTH-`dims`D-Easy
+/// seed 4: its top-3 predicates (as displayed) with their influences,
+/// and the candidates interval pruning skipped.
+fn approx_explanation(
+    algorithm: Algorithm,
+    sql: &str,
+    dims: usize,
+    tuples_per_group: usize,
+) -> (Vec<(String, f64)>, u64) {
+    use scorpion::data::synth::{generate, SynthConfig};
+
+    let ds = generate(SynthConfig::easy(dims).with_tuples_per_group(tuples_per_group).with_seed(4));
+    let b = Scorpion::on(ds.table.clone()).sql(sql).unwrap();
+    let key = |g: &usize| b.index_of_key(&format!("g{g}")).unwrap();
+    let outliers: Vec<(usize, f64)> = ds.outlier_groups.iter().map(|g| (key(g), 1.0)).collect();
+    let holdouts: Vec<usize> = ds.holdout_groups.iter().map(key).collect();
+    let ex = b
+        .outliers(outliers)
+        .holdouts(holdouts)
+        .params(0.5, 0.5)
+        .algorithm(algorithm)
+        .approx(ApproxConfig::default())
+        .build()
+        .unwrap()
+        .explain()
+        .unwrap();
+    assert!(ex.diagnostics.approx_fallback.is_none(), "{:?}", ex.diagnostics);
+    let tops = ex
+        .predicates
+        .iter()
+        .take(3)
+        .map(|p| (p.predicate.display(&ds.table), p.influence))
+        .collect();
+    (tops, ex.diagnostics.candidates_pruned)
+}
+
+/// DT's approximate-mode output on SYNTH-2D-Easy at 1,000 tuples per
+/// group: every group exceeds `ApproxConfig::min_rows` (256), so the
+/// partition re-score batch is interval-pruned from 10% samples. The
+/// survivors are scored on one thread with the dynamic threshold, so the
+/// pruned count is a function of the question, not of the host's cores.
+#[test]
+fn dt_approx_output_is_fixed() {
+    let (tops, pruned) = approx_explanation(
+        Algorithm::DecisionTree(DtConfig::default()),
+        "SELECT avg(Av) FROM synth GROUP BY Ad",
+        2,
+        1_000,
+    );
+    let box_at = |a1: &str, a2: &str| format!("A1 in [{a1}) AND A2 in [{a2})");
+    let want = [
+        (&box_at("32.2037, 63.1902", "22.3695, 72.0276"), 0.25797932190342815),
+        (&box_at("36.0262, 64.6773", "24.4570, 72.6352"), 0.2311729001971397),
+        (&box_at("13.0138, 32.1135", "22.5987, 72.0276"), 0.11889073720312107),
+    ];
+    assert_walk(&[tops], &[(0.5, want.map(|(p, inf)| (p.as_str(), inf)))]);
+    assert_eq!(pruned, 217);
+}
+
+/// MC's approximate-mode output on SYNTH-3D-Easy at 500 tuples per
+/// group (`sum`, an anti-monotone aggregate): the tops and the count of
+/// candidates the level batches' dynamic threshold skipped.
+#[test]
+fn mc_approx_output_is_fixed() {
+    let (tops, pruned) = approx_explanation(
+        Algorithm::BottomUp(McConfig::default()),
+        "SELECT sum(Av) FROM synth GROUP BY Ad",
+        3,
+        500,
+    );
+    let want = [
+        ("A1 in [13.3779, 73.3163)", 151.47711417467525),
+        ("A2 in [13.3400, 79.9991)", 149.3840788707311),
+        ("A3 in [6.6842, 73.3377)", 144.79477781752064),
+    ];
+    assert_walk(&[tops], &[(0.5, want)]);
+    assert_eq!(pruned, 42);
+}
