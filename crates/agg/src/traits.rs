@@ -89,11 +89,12 @@ pub trait Aggregate: Send + Sync {
 ///    every sub-bag `S`.
 ///
 /// Removable algebras are *additive*: `merge` is componentwise `+` and
-/// `remove` componentwise `−` (the defaults), and the state of `n`
-/// copies of a tuple is [`AggState::scale`]. The Scorer's masked fold
-/// and the Merger's cached-tuple estimate (§6.3) rely on that. MIN/MAX
-/// are merge-only: their `[extremum, n]` state cannot forget the
-/// extremum without the runner-up.
+/// `remove` componentwise `−` (the defaults), `state_of` merges the
+/// values' single-tuple states in the order given (the default), and
+/// the state of `n` copies of a tuple is [`AggState::scale`]. The
+/// Scorer's masked fold and the Merger's cached-tuple estimate (§6.3)
+/// rely on that. MIN/MAX are merge-only: their `[extremum, n]` state
+/// cannot forget the extremum without the runner-up.
 pub trait IncrementalAggregate: Aggregate {
     /// The identity of `merge`: the state of the empty bag.
     fn empty(&self) -> AggState;

@@ -28,6 +28,17 @@
 //!    ([`Predicate::intersect_volume_fraction`]); the intersection
 //!    predicate is never built.
 //!
+//! Each [`Merger::merge`] call scores a merged box once. Seeds, steps
+//! and candidates often meet the same hull again, so the call keeps a
+//! memo from each box it has scored to its `(influence, stats)`, keyed by
+//! the [`Predicate`] (whose clauses compare and hash their bounds by
+//! bit pattern), and dropped when the call returns. The memo is exact:
+//! within one call a cached-tuple estimate depends only on the box
+//! (the items and their cached tuples are fixed), and an exact score is
+//! the box's [`Scorer::influence`], which returns the same bits on every
+//! call. A memo hit skips the estimate, the Scorer and its
+//! [`crate::scorer::InfluenceCache`] alike.
+//!
 //! Deviation note: the paper's contribution formula divides by `V_{p*}`;
 //! we use the standard uniform-density estimate
 //! `n_i = N_i · V(p_i ∩ p*) / V(p_i)` (the count of `p_i`'s tuples that
@@ -43,7 +54,7 @@ use crate::scorer::Scorer;
 use scorpion_agg::AggState;
 use scorpion_obs::span;
 use scorpion_table::{AttrDomain, Clause, Predicate};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Greedy bounding-box merger over scored predicates.
 pub struct Merger<'s, 'a> {
@@ -60,9 +71,11 @@ pub struct MergeDiag {
     /// Number of accepted merge steps.
     pub merges: usize,
     /// Number of influence estimates served by the cached-tuple
-    /// approximation (zero when the optimization is off).
+    /// approximation (zero when the optimization is off). A box the
+    /// call's memo answers is not estimated again, and not counted.
     pub approx_estimates: u64,
-    /// Number of exact Scorer evaluations during expansion.
+    /// Number of exact Scorer evaluations during expansion, memo hits
+    /// excluded as for `approx_estimates`.
     pub exact_estimates: u64,
 }
 
@@ -96,6 +109,9 @@ impl<'s, 'a> Merger<'s, 'a> {
 
         let mut consumed = vec![false; items.len()];
         let mut results: Vec<ScoredPredicate> = Vec::new();
+        // The estimate of every merged box this call has scored (see the
+        // module doc's memo note).
+        let mut memo: HashMap<Predicate, (f64, Option<PartitionStats>)> = HashMap::new();
 
         for seed in 0..n_seeds {
             if consumed[seed] {
@@ -106,7 +122,7 @@ impl<'s, 'a> Merger<'s, 'a> {
             let _span = span!("merge.pass");
             let mut cur = items[seed].clone();
             for _ in 0..self.cfg.max_expansions {
-                let mut best: Option<(usize, ScoredPredicate)> = None;
+                let mut best: Option<(usize, Predicate, f64)> = None;
                 for (j, cand) in items.iter().enumerate() {
                     if consumed[j]
                         || !cur.predicate.is_adjacent(
@@ -129,32 +145,33 @@ impl<'s, 'a> Merger<'s, 'a> {
                         consumed[j] = true;
                         continue;
                     }
-                    let est = if approx_ok {
-                        diag.approx_estimates += 1;
-                        self.estimate_from_stats(&merged_pred, &items, &tuples)?
-                    } else {
-                        diag.exact_estimates += 1;
-                        let inf = self.scorer.influence(&merged_pred)?;
-                        (inf, None)
+                    let influence = match memo.get(&merged_pred) {
+                        Some(&(influence, _)) => influence,
+                        None => {
+                            let est = if approx_ok {
+                                diag.approx_estimates += 1;
+                                self.estimate_from_stats(&merged_pred, &items, &tuples)?
+                            } else {
+                                diag.exact_estimates += 1;
+                                (self.scorer.influence(&merged_pred)?, None)
+                            };
+                            let influence = est.0;
+                            memo.insert(merged_pred.clone(), est);
+                            influence
+                        }
                     };
-                    if est.0 > cur.influence
-                        && best.as_ref().is_none_or(|(_, b)| est.0 > b.influence)
+                    if influence > cur.influence
+                        && best.as_ref().is_none_or(|&(_, _, b)| influence > b)
                     {
-                        best = Some((
-                            j,
-                            ScoredPredicate {
-                                predicate: merged_pred,
-                                influence: est.0,
-                                stats: est.1,
-                            },
-                        ));
+                        best = Some((j, merged_pred, influence));
                     }
                 }
                 match best {
-                    Some((j, merged)) => {
+                    Some((j, predicate, influence)) => {
                         consumed[j] = true;
                         diag.merges += 1;
-                        cur = merged;
+                        let stats = memo[&predicate].1.clone();
+                        cur = ScoredPredicate { predicate, influence, stats };
                     }
                     None => break,
                 }
@@ -560,6 +577,225 @@ mod tests {
         .unwrap();
         let preds: HashSet<_> = out.iter().map(|sp| sp.predicate.clone()).collect();
         assert_eq!(preds.len(), out.len());
+    }
+
+    /// The retired memo-free `merge`: every candidate hull is estimated
+    /// or scored afresh, however often it recurs.
+    fn merge_unmemoized(
+        m: &Merger<'_, '_>,
+        input: Vec<ScoredPredicate>,
+    ) -> Result<(Vec<ScoredPredicate>, MergeDiag)> {
+        let mut diag = MergeDiag::default();
+        if input.is_empty() {
+            return Ok((Vec::new(), diag));
+        }
+        let mut items = dedup_by_predicate(input);
+        items.sort_by(|a, b| b.influence.total_cmp(&a.influence));
+        let approx_ok = m.cfg.use_cached_tuples
+            && m.scorer.incremental_agg().is_some()
+            && items.iter().all(|i| i.stats.is_some());
+        let tuples = if approx_ok { m.cached_tuples(&items) } else { Vec::new() };
+        let n_seeds =
+            if m.cfg.top_quartile_only { (items.len().div_ceil(4)).max(1) } else { items.len() };
+        let mut consumed = vec![false; items.len()];
+        let mut results: Vec<ScoredPredicate> = Vec::new();
+        for seed in 0..n_seeds {
+            if consumed[seed] {
+                continue;
+            }
+            consumed[seed] = true;
+            diag.seeds += 1;
+            let mut cur = items[seed].clone();
+            for _ in 0..m.cfg.max_expansions {
+                let mut best: Option<(usize, ScoredPredicate)> = None;
+                for (j, cand) in items.iter().enumerate() {
+                    if consumed[j]
+                        || !cur.predicate.is_adjacent(
+                            &cand.predicate,
+                            m.domains,
+                            m.cfg.adjacency_eps,
+                        )
+                    {
+                        continue;
+                    }
+                    if m.cfg.require_same_attrs && !cur.predicate.attrs().eq(cand.predicate.attrs())
+                    {
+                        continue;
+                    }
+                    let merged_pred = cur.predicate.hull(&cand.predicate);
+                    if merged_pred == cur.predicate {
+                        consumed[j] = true;
+                        continue;
+                    }
+                    let est = if approx_ok {
+                        diag.approx_estimates += 1;
+                        m.estimate_from_stats(&merged_pred, &items, &tuples)?
+                    } else {
+                        diag.exact_estimates += 1;
+                        (m.scorer.influence(&merged_pred)?, None)
+                    };
+                    if est.0 > cur.influence
+                        && best.as_ref().is_none_or(|(_, b)| est.0 > b.influence)
+                    {
+                        let (influence, stats) = est;
+                        best =
+                            Some((j, ScoredPredicate { predicate: merged_pred, influence, stats }));
+                    }
+                }
+                match best {
+                    Some((j, merged)) => {
+                        consumed[j] = true;
+                        diag.merges += 1;
+                        cur = merged;
+                    }
+                    None => break,
+                }
+            }
+            results.push(cur);
+        }
+        for (j, item) in items.into_iter().enumerate() {
+            if !consumed[j] {
+                results.push(item);
+            }
+        }
+        results.sort_by(|a, b| b.influence.total_cmp(&a.influence));
+        results.truncate(m.cfg.max_results.max(1));
+        for r in &mut results {
+            r.predicate = r.predicate.simplify(m.domains);
+            r.influence = m.scorer.influence(&r.predicate)?;
+        }
+        results.sort_by(|a, b| b.influence.total_cmp(&a.influence));
+        Ok((dedup_by_predicate(results), diag))
+    }
+
+    /// Two outlier groups and one hold-out group over `x ∈ [0, 10)`, a
+    /// five-code `s` and `y ∈ [−5, 5)`. Outlier values are high where
+    /// `x < 5` and `s` is one of its first two codes.
+    fn table_3d() -> Table {
+        let schema = Schema::new(vec![
+            Field::disc("g"),
+            Field::cont("x"),
+            Field::disc("s"),
+            Field::cont("y"),
+            Field::cont("v"),
+        ])
+        .unwrap();
+        let mut b = TableBuilder::new(schema);
+        for i in 0..300usize {
+            let x = (i * 7 % 100) as f64 * 0.1;
+            let y = (i * 13 % 100) as f64 * 0.1 - 5.0;
+            let (g, s) = (["o1", "o2", "h"][i % 3], i % 5);
+            let v = if g != "h" && x < 5.0 && s < 2 { 80.0 + y } else { 10.0 + (i % 7) as f64 };
+            let row = vec![g.into(), x.into(), format!("s{s}").into(), y.into(), v.into()];
+            b.push_row(row).unwrap();
+        }
+        b.build()
+    }
+
+    /// `sp`'s predicate, then its influence and stats as bit patterns.
+    fn bits(sp: &ScoredPredicate) -> (Predicate, u64, Option<Vec<(u64, u64)>>) {
+        let stats = sp.stats.as_ref().map(|s| {
+            s.outlier.iter().chain(&s.holdout).map(|g| (g.n.to_bits(), g.rep_value.to_bits()))
+        });
+        (sp.predicate.clone(), sp.influence.to_bits(), stats.map(Iterator::collect))
+    }
+
+    /// Random partition sets over `x`, `s` and `y`: range clauses with
+    /// ±∞ and NaN bounds, `In` clauses, and items with and without
+    /// stats, so both the cached-tuple path and the exact path run, the
+    /// latter with and without an influence cache. `merge` returns the
+    /// memo-free merge's predicates, influence and stats bits, seeds and
+    /// merges, and never estimates more.
+    #[test]
+    fn memoized_merge_matches_the_memo_free_merge() {
+        use crate::scorer::InfluenceCache;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::sync::Arc;
+        let t = table_3d();
+        let d = domains_of(&t).unwrap();
+        let g = group_by(&t, &[0]).unwrap();
+        let rows = |key: &str| {
+            let i = (0..g.len()).find(|&i| g.display_key(&t, i) == key).unwrap();
+            g.rows(i).to_vec()
+        };
+        let uncached = Scorer::new(
+            &t,
+            &Avg,
+            4,
+            vec![
+                GroupSpec { rows: rows("o1"), error: 1.0 },
+                GroupSpec { rows: rows("o2"), error: 0.5 },
+            ],
+            vec![GroupSpec { rows: rows("h"), error: 1.0 }],
+            InfluenceParams { lambda: 0.7, c: 0.5 },
+        )
+        .unwrap();
+        let cached = uncached
+            .with_params(uncached.params())
+            .unwrap()
+            .with_cache(Arc::new(InfluenceCache::new()));
+        let x_edges = [f64::NEG_INFINITY, 0.0, 2.5, 5.0, 7.5, 10.0, f64::INFINITY, f64::NAN];
+        let y_edges = [f64::NEG_INFINITY, -5.0, 0.0, 2.5, 5.0, f64::INFINITY, f64::NAN];
+        let mut rng = StdRng::seed_from_u64(21);
+        let (mut approx_sets, mut exact_sets, mut saved_sets) = (0, 0, 0);
+        for case in 0..400 {
+            let s = if rng.random_range(0..2u32) == 0 { &uncached } else { &cached };
+            let n_attrs = rng.random_range(2..4usize);
+            let stats_for_all = rng.random_range(0..3u32) > 0;
+            let mut items = Vec::new();
+            for i in 0..rng.random_range(1..25usize) {
+                let mut p = Predicate::all();
+                for attr in [1, 2, 3].into_iter().take(n_attrs) {
+                    if rng.random_range(0..5u32) == 0 {
+                        continue;
+                    }
+                    p = p.with_clause(if attr == 2 {
+                        Clause::in_set(2, (0..5u32).filter(|_| rng.random_range(0..2u32) == 0))
+                    } else {
+                        let edges: &[f64] = if attr == 1 { &x_edges } else { &y_edges };
+                        let lo = edges[rng.random_range(0..edges.len())];
+                        Clause::range(attr, lo, edges[rng.random_range(0..edges.len())])
+                    });
+                }
+                let mut stat = || GroupStat {
+                    n: rng.random_range(0..40u32) as f64,
+                    rep_value: rng.random_range(0..100u32) as f64,
+                };
+                let stats = (stats_for_all || i % 4 != 0).then(|| PartitionStats {
+                    outlier: vec![stat(), stat()],
+                    holdout: vec![stat()],
+                });
+                let influence = s.influence(&p).unwrap();
+                items.push(ScoredPredicate { predicate: p, influence, stats });
+            }
+            let cfg = MergerConfig {
+                top_quartile_only: rng.random_range(0..2u32) == 0,
+                use_cached_tuples: rng.random_range(0..4u32) > 0,
+                require_same_attrs: rng.random_range(0..4u32) == 0,
+                max_expansions: [1, 3, 64][rng.random_range(0..3usize)],
+                max_results: [1, 4, 16][rng.random_range(0..3usize)],
+                ..MergerConfig::default()
+            };
+            let merger = Merger::new(s, &d, cfg);
+            let (got, got_diag) = merger.merge(items.clone()).unwrap();
+            let (want, want_diag) = merge_unmemoized(&merger, items).unwrap();
+            let got: Vec<_> = got.iter().map(bits).collect();
+            let want: Vec<_> = want.iter().map(bits).collect();
+            assert_eq!(got, want, "case {case}");
+            assert_eq!((got_diag.seeds, got_diag.merges), (want_diag.seeds, want_diag.merges));
+            assert!(got_diag.approx_estimates <= want_diag.approx_estimates, "case {case}");
+            assert!(got_diag.exact_estimates <= want_diag.exact_estimates, "case {case}");
+            approx_sets += usize::from(got_diag.approx_estimates > 0);
+            exact_sets += usize::from(got_diag.exact_estimates > 0);
+            saved_sets += usize::from(
+                got_diag.approx_estimates + got_diag.exact_estimates
+                    < want_diag.approx_estimates + want_diag.exact_estimates,
+            );
+        }
+        println!("approx {approx_sets}, exact {exact_sets}, memo hits in {saved_sets}");
+        assert!(approx_sets > 50 && exact_sets > 50, "{approx_sets} approx, {exact_sets} exact");
+        assert!(saved_sets > 50, "the memo answered a repeat in {saved_sets} sets");
     }
 
     #[test]

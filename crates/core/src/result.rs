@@ -61,7 +61,9 @@ pub struct Diagnostics {
     /// Number of Scorer influence evaluations (cache hits excluded).
     pub scorer_calls: u64,
     /// Influence evaluations answered from a shared
-    /// [`crate::scorer::InfluenceCache`] without matcher work.
+    /// [`crate::scorer::InfluenceCache`] without matcher work. A box
+    /// one Merger call scores again is answered by that call's memo and
+    /// does not reach the cache, so it is not counted.
     pub cache_hits: u64,
     /// Predicates this run's own stores evicted (LRU) from the plan's
     /// shared [`crate::scorer::InfluenceCache`] — attribution stays

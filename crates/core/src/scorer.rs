@@ -12,8 +12,9 @@
 //! [`scorpion_table::RowMask`] (per-clause bitmap kernels, `AND`-combined,
 //! memoized per distinct clause in a shared [`ClauseMaskCache`]), and
 //! `(n, Δ)` per group falls out of a word-wise zip of the predicate mask
-//! against the group's base mask — `n` from popcount, `Δ` from a masked
-//! [`AggState`] fold that skips whole all-zero words. The row-at-a-time
+//! against the group's base mask, which skips whole all-zero words and
+//! gathers the selected values: `n` is their count, and `Δ` comes from
+//! one [`IncrementalAggregate::state_of`] fold over them. The row-at-a-time
 //! [`scorpion_table::PredicateMatcher`] survives only as the reference
 //! oracle ([`Scorer::influence_rowwise`]), parity-tested against the mask
 //! path.
@@ -655,64 +656,58 @@ impl<'a> Scorer<'a> {
 
     /// `Δ` and match count of `p` (as a mask) over one group: a
     /// word-wise zip of the predicate mask against the group's base
-    /// mask. `n` comes from popcount; `Δ` from a masked [`AggState`]
-    /// fold (incremental path) or a masked gather of the survivors
-    /// (black-box path). All-zero words — groups the predicate does not
-    /// touch — cost one `AND` per 64 rows.
+    /// mask gathers the values of the selected rows, folded by one
+    /// [`IncrementalAggregate::state_of`] call (incremental path), or of
+    /// the survivors, over which the aggregate is recomputed (black-box
+    /// path). All-zero words — groups the predicate does not touch —
+    /// cost one `AND` per 64 rows.
     ///
-    /// Rows are visited in ascending order, which is exactly the order
-    /// the row-at-a-time oracle visits them (group rows are normalized
-    /// ascending), so the floating-point accumulation is bit-identical
-    /// to [`Scorer::influence_rowwise`]. Returns `(n, Δ)`.
+    /// Rows are gathered in ascending order, the order the row-at-a-time
+    /// oracle visits them (group rows are normalized ascending), and a
+    /// removable algebra's `state_of` merges single-tuple states in that
+    /// order, so the result is bit-identical to
+    /// [`Scorer::influence_rowwise`]. Returns `(n, Δ)`.
     fn delta_ctx(&self, ctx: &GroupCtx, pm: &RowMask) -> (f64, f64) {
         let gw = ctx.mask.words();
         let pw = pm.words();
         match (self.inc, &ctx.full_state) {
             (Some(inc), Some(full)) => {
-                let mut sub = inc.empty();
-                let mut n = 0usize;
-                // Chunked word-zip: AND and popcount 8 words at a time
-                // (branch-free, auto-vectorizable), then bit-walk only
-                // the chunks that matched anything. Rows are still
-                // visited strictly ascending — the chunking reorders no
-                // accumulation, so the fold stays bit-identical to the
-                // rowwise oracle.
+                let mut removed = Vec::with_capacity(ctx.rows.len());
+                let mut gather = |wi: usize, mut w: u64| {
+                    while w != 0 {
+                        let row = ((wi as u32) << 6) | w.trailing_zeros();
+                        removed.push(self.vals[row as usize]);
+                        w &= w - 1;
+                    }
+                };
+                // Chunked word-zip: AND 8 words at a time (branch-free,
+                // auto-vectorizable), then bit-walk only the chunks that
+                // matched anything. Rows are still gathered strictly
+                // ascending.
                 let mut wi = ctx.span.start;
                 let chunk_end = ctx.span.start + (ctx.span.len() & !7);
                 while wi < chunk_end {
                     let mut anded = [0u64; 8];
                     let mut any = 0u64;
                     for (lane, a) in anded.iter_mut().enumerate() {
-                        let w = gw[wi + lane] & pw[wi + lane];
-                        *a = w;
-                        any |= w;
-                        n += w.count_ones() as usize;
+                        *a = gw[wi + lane] & pw[wi + lane];
+                        any |= *a;
                     }
                     if any != 0 {
                         for (lane, &a) in anded.iter().enumerate() {
-                            let mut w = a;
-                            while w != 0 {
-                                let row = (((wi + lane) as u32) << 6) | w.trailing_zeros();
-                                sub.accumulate(&inc.state_one(self.vals[row as usize]));
-                                w &= w - 1;
-                            }
+                            gather(wi + lane, a);
                         }
                     }
                     wi += 8;
                 }
                 for wi in chunk_end..ctx.span.end {
-                    let mut w = gw[wi] & pw[wi];
-                    n += w.count_ones() as usize;
-                    while w != 0 {
-                        let row = ((wi as u32) << 6) | w.trailing_zeros();
-                        sub.accumulate(&inc.state_one(self.vals[row as usize]));
-                        w &= w - 1;
-                    }
+                    gather(wi, gw[wi] & pw[wi]);
                 }
-                if n == 0 {
+                if removed.is_empty() {
                     return (0.0, 0.0);
                 }
-                (n as f64, ctx.full_value - inc.recover(&inc.remove(full, &sub)))
+                let sub = inc.state_of(&removed);
+                (removed.len() as f64, ctx.full_value - inc.recover(&inc.remove(full, &sub)))
             }
             _ => {
                 let mut kept = Vec::with_capacity(ctx.rows.len());
