@@ -666,13 +666,17 @@ impl<'a> Scorer<'a> {
     /// oracle visits them (group rows are normalized ascending), and a
     /// removable algebra's `state_of` merges single-tuple states in that
     /// order, so the result is bit-identical to
-    /// [`Scorer::influence_rowwise`]. Returns `(n, Δ)`.
-    fn delta_ctx(&self, ctx: &GroupCtx, pm: &RowMask) -> (f64, f64) {
+    /// [`Scorer::influence_rowwise`]. The values are gathered into `buf`,
+    /// which is cleared first, so one buffer serves every group of an
+    /// evaluation ([`Scorer::mask_pairs`]). Returns `(n, Δ)`.
+    fn delta_ctx(&self, ctx: &GroupCtx, pm: &RowMask, buf: &mut Vec<f64>) -> (f64, f64) {
         let gw = ctx.mask.words();
         let pw = pm.words();
+        buf.clear();
+        buf.reserve(ctx.rows.len());
         match (self.inc, &ctx.full_state) {
             (Some(inc), Some(full)) => {
-                let mut removed = Vec::with_capacity(ctx.rows.len());
+                let removed = buf;
                 let mut gather = |wi: usize, mut w: u64| {
                     while w != 0 {
                         let row = ((wi as u32) << 6) | w.trailing_zeros();
@@ -706,11 +710,11 @@ impl<'a> Scorer<'a> {
                 if removed.is_empty() {
                     return (0.0, 0.0);
                 }
-                let sub = inc.state_of(&removed);
+                let sub = inc.state_of(removed);
                 (removed.len() as f64, ctx.full_value - inc.recover(&inc.remove(full, &sub)))
             }
             _ => {
-                let mut kept = Vec::with_capacity(ctx.rows.len());
+                let kept = buf;
                 let mut n = 0usize;
                 for wi in ctx.span.clone() {
                     let g = gw[wi];
@@ -725,7 +729,7 @@ impl<'a> Scorer<'a> {
                 if n == 0 {
                     return (0.0, 0.0);
                 }
-                (n as f64, ctx.full_value - self.agg.compute(&kept))
+                (n as f64, ctx.full_value - self.agg.compute(kept))
             }
         }
     }
@@ -819,13 +823,14 @@ impl<'a> Scorer<'a> {
     }
 
     /// `(n, Δ)` of a predicate's mask over each of `groups`, in Scorer
-    /// order.
+    /// order. The groups share one gather buffer.
     fn mask_pairs<'s>(
         &'s self,
         groups: &'s [GroupCtx],
         pm: &'s RowMask,
     ) -> impl Iterator<Item = (f64, f64)> + 's {
-        groups.iter().map(move |ctx| self.delta_ctx(ctx, pm))
+        let mut buf = Vec::new();
+        groups.iter().map(move |ctx| self.delta_ctx(ctx, pm, &mut buf))
     }
 
     /// The §3.2 fold `λ·avg_o(v_o·Δ_o/n_o^c) − (1−λ)·max_h|Δ_h/n_h^c|`

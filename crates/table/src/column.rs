@@ -73,7 +73,7 @@ impl CatColumn {
         &self.dict[code as usize]
     }
 
-    /// Per-row codes.
+    /// Per-row codes, each below [`CatColumn::cardinality`].
     pub fn codes(&self) -> &[u32] {
         &self.codes
     }

@@ -74,19 +74,28 @@ impl Clause {
     }
 
     /// Evaluates the clause against a whole column as a bitmap kernel:
-    /// bit `r` of the result is set iff row `r` satisfies the clause.
-    /// Returns `None` when the clause kind does not match the column
-    /// kind (range over discrete, set over continuous) — the columnar
-    /// equivalent of the matcher's type-mismatch error.
+    /// bit `r` of the result is set iff row `r` satisfies the clause
+    /// ([`Clause::matches_num`] / [`Clause::matches_code`]), and no bit
+    /// past the column's length is set. Returns `None` when the clause
+    /// kind does not match the column kind (range over discrete, set
+    /// over continuous) — the columnar equivalent of the matcher's
+    /// type-mismatch error.
     ///
-    /// The loops are branch-light and enum-dispatch-free: one pass over
-    /// the raw `&[f64]` / `&[u32]` storage packing 64 rows per word.
+    /// Each kernel walks the raw `&[f64]` / `&[u32]` storage in 64-row
+    /// blocks, one word per block, with no branch per row, so the block
+    /// loop vectorizes. On x86_64 hosts with AVX2 the kernels run as an
+    /// AVX2 instance chosen at runtime; every other host runs the same
+    /// bodies at the baseline ISA. Both instances give the same bits.
     pub fn eval_mask(&self, col: &Column) -> Option<RowMask> {
         match (self, col) {
-            (Clause::Range { lo, hi, .. }, Column::Num(data)) => {
-                Some(eval_range_mask(data, *lo, *hi))
-            }
-            (Clause::In { codes, .. }, Column::Cat(cat)) => Some(eval_in_mask(codes, cat.codes())),
+            (Clause::Range { lo, hi, .. }, Column::Num(data)) => Some(vectorized(
+                #[inline(always)]
+                || range_kernel(data, *lo, *hi),
+            )),
+            (Clause::In { codes, .. }, Column::Cat(cat)) => Some(vectorized(
+                #[inline(always)]
+                || set_kernel(codes, cat.codes(), cat.cardinality()),
+            )),
             _ => None,
         }
     }
@@ -209,38 +218,76 @@ fn set_fraction(n: usize, domain: &AttrDomain) -> f64 {
     }
 }
 
-/// `lo <= v < hi` over a raw continuous column, 64 rows per word.
-fn eval_range_mask(data: &[f64], lo: f64, hi: f64) -> RowMask {
-    let mut words = vec![0u64; data.len().div_ceil(64)];
-    for (word, chunk) in words.iter_mut().zip(data.chunks(64)) {
-        let mut bits = 0u64;
-        for (j, &v) in chunk.iter().enumerate() {
-            bits |= ((lo <= v && v < hi) as u64) << j;
+/// Runs a clause kernel, compiled for AVX2 where the host has it.
+///
+/// `body` is compiled twice: into `avx2`, with AVX2 enabled, and into
+/// this function at the baseline ISA. `body` and every function down to
+/// its row loop are `#[inline(always)]`, so the whole loop is inlined
+/// into both instances; a call left to the inliner's choice can stay a
+/// call to baseline code from inside the AVX2 instance.
+fn vectorized<R>(body: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2")]
+        fn avx2<R>(body: impl FnOnce() -> R) -> R {
+            body()
         }
-        *word = bits;
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: `avx2` only adds AVX2 instructions to `body`, and
+            // `is_x86_feature_detected!("avx2")` has just checked at
+            // runtime that this host executes them.
+            return unsafe { avx2(body) };
+        }
     }
-    RowMask::from_words(words, data.len())
+    body()
 }
 
-/// `code ∈ set` over a raw dictionary-code column. The admitted codes
-/// are expanded into a small bitmap first so the row loop is a pair of
-/// shifts instead of a `BTreeSet` probe.
-fn eval_in_mask(set: &BTreeSet<u32>, codes: &[u32]) -> RowMask {
-    let max = set.iter().next_back().copied().unwrap_or(0);
-    let mut lut = vec![0u64; (max as usize >> 6) + 1];
-    for &c in set {
-        lut[(c >> 6) as usize] |= 1u64 << (c & 63);
+/// Packs `hit` (0 or 1) of every value into a mask, 64 rows per word:
+/// each whole 64-row block is one branch-free fold, then the remainder
+/// fills the last word's low bits.
+#[inline(always)]
+fn pack_words<T: Copy>(values: &[T], hit: impl Fn(T) -> u64) -> RowMask {
+    let blocks = values.chunks_exact(64);
+    let tail = blocks.remainder();
+    let mut words = Vec::with_capacity(values.len().div_ceil(64));
+    for block in blocks {
+        words.push(pack(block, &hit));
     }
-    let mut words = vec![0u64; codes.len().div_ceil(64)];
-    for (word, chunk) in words.iter_mut().zip(codes.chunks(64)) {
-        let mut bits = 0u64;
-        for (j, &c) in chunk.iter().enumerate() {
-            let hit = if c <= max { (lut[(c >> 6) as usize] >> (c & 63)) & 1 } else { 0 };
-            bits |= hit << j;
-        }
-        *word = bits;
+    if !tail.is_empty() {
+        words.push(pack(tail, &hit));
     }
-    RowMask::from_words(words, codes.len())
+    RowMask::from_words(words, values.len())
+}
+
+/// One word of [`pack_words`]: bit `j` is `hit(rows[j])`.
+#[inline(always)]
+fn pack<T: Copy>(rows: &[T], hit: &impl Fn(T) -> u64) -> u64 {
+    rows.iter().enumerate().fold(0, |w, (j, &v)| w | (hit(v) << j))
+}
+
+/// `lo <= v < hi` over a raw continuous column. Both comparisons run
+/// for every row (`&`, not `&&`); either fails on a NaN value or bound,
+/// as in [`Clause::matches_num`].
+#[inline(always)]
+fn range_kernel(data: &[f64], lo: f64, hi: f64) -> RowMask {
+    pack_words(data, |v| u64::from((lo <= v) & (v < hi)))
+}
+
+/// `code ∈ set` over a raw dictionary-code column, by a branch-free
+/// lookup instead of a `BTreeSet` probe: `lut[c]` is 1 for an admitted
+/// code and 0 otherwise. The table has one entry per code up to the
+/// set's largest, but none from `cardinality` on, since no column code
+/// reaches its dictionary's size. One zero sentinel follows, and `min`
+/// clamps every larger code onto it.
+#[inline(always)]
+fn set_kernel(set: &BTreeSet<u32>, codes: &[u32], cardinality: usize) -> RowMask {
+    let dict = u32::try_from(cardinality).unwrap_or(u32::MAX);
+    let sentinel = set.last().map_or(0, |&max| max.saturating_add(1)).min(dict);
+    let mut lut = vec![0u32; sentinel as usize + 1];
+    for &c in set.range(..sentinel) {
+        lut[c as usize] = 1;
+    }
+    pack_words(codes, |c| u64::from(lut[c.min(sentinel) as usize]))
 }
 
 impl PartialEq for Clause {
@@ -281,6 +328,8 @@ impl Hash for Clause {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::CatColumn;
+    use proptest::prelude::*;
 
     #[test]
     fn range_matching_is_half_open() {
@@ -373,36 +422,130 @@ mod tests {
         assert!(Clause::in_set(1, [1]).touches(&Clause::in_set(1, [9]), 0.0));
     }
 
-    #[test]
-    fn eval_mask_matches_scalar_semantics() {
-        // 70 rows so the kernels cross a word boundary.
-        let data: Vec<f64> = (0..70).map(|i| i as f64).collect();
-        let col = Column::Num(data.clone());
-        let c = Clause::range(0, 10.0, 20.0);
-        let m = c.eval_mask(&col).unwrap();
-        for (r, &v) in data.iter().enumerate() {
-            assert_eq!(m.contains(r as u32), c.matches_num(v), "row {r}");
-        }
-        assert!(c.eval_mask(&Column::Cat(crate::column::CatColumn::new())).is_none());
+    /// SplitMix64, seeded per case.
+    struct Rng(u64);
 
-        let mut cat = crate::column::CatColumn::new();
-        for i in 0..70 {
-            cat.push(["a", "b", "c"][i % 3]);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
         }
-        let codes = cat.codes().to_vec();
-        let col = Column::Cat(cat);
-        let c = Clause::in_set(0, [0, 2]);
-        let m = c.eval_mask(&col).unwrap();
-        for (r, &code) in codes.iter().enumerate() {
-            assert_eq!(m.contains(r as u32), c.matches_code(code), "row {r}");
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
         }
-        // Codes above the set's maximum never match (guarded LUT probe).
-        let narrow = Clause::in_set(0, [0]);
-        let m = narrow.eval_mask(&col).unwrap();
-        for (r, &code) in codes.iter().enumerate() {
-            assert_eq!(m.contains(r as u32), code == 0, "row {r}");
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len())]
         }
-        assert!(narrow.eval_mask(&Column::Num(vec![1.0])).is_none());
+    }
+
+    /// Values and bounds for the range kernel: NaNs, infinities, signed
+    /// zeros, subnormals, extremes, and a few small numbers to tie with.
+    const EDGES: [f64; 16] = [
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        1.0,
+        -1.0,
+        1.5,
+        2.0,
+        -2.0,
+    ];
+
+    /// Checks `mask` row by row against `matches` over `len` rows, and
+    /// that no bit past `len` is set.
+    fn assert_rows(mask: &RowMask, len: usize, matches: impl Fn(usize) -> bool, what: &str) {
+        assert_eq!((mask.len(), mask.words().len()), (len, len.div_ceil(64)), "{what}");
+        for r in 0..len {
+            assert_eq!(mask.contains(r as u32), matches(r), "{what}: row {r} of {len}");
+        }
+        if !len.is_multiple_of(64) {
+            assert_eq!(mask.words()[len / 64] >> (len % 64), 0, "{what}: bits past {len}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Both instances of the range kernel — the plain body, run here
+        /// at the baseline ISA, and the dispatched `eval_mask` — agree
+        /// with `matches_num` on every length from 0 to 300 (every
+        /// remainder mod 64 and the multiples), with values tied to the
+        /// bounds and bounds that are NaN, infinite or `lo >= hi`.
+        #[test]
+        fn range_kernels_match_matches_num(seed in any::<u64>()) {
+            let mut rng = Rng(seed);
+            for len in 0..=300 {
+                let (mut lo, mut hi) = (rng.pick(&EDGES), rng.pick(&EDGES));
+                if rng.below(2) == 0 && hi < lo {
+                    (lo, hi) = (hi, lo);
+                }
+                let data: Vec<f64> = (0..len)
+                    .map(|_| match rng.below(4) {
+                        0 => lo,
+                        1 => hi,
+                        2 => rng.pick(&EDGES),
+                        _ => (rng.next() >> 11) as f64 / (1u64 << 51) as f64 - 2.0,
+                    })
+                    .collect();
+                let clause = Clause::range(0, lo, hi);
+                let col = Column::Num(data.clone());
+                let dispatched = clause.eval_mask(&col).expect("range over a numeric column");
+                let what = format!("[{lo}, {hi})");
+                assert_rows(&range_kernel(&data, lo, hi), len, |r| clause.matches_num(data[r]), &what);
+                assert_rows(&dispatched, len, |r| clause.matches_num(data[r]), &what);
+                assert!(Clause::in_set(0, [0]).eval_mask(&col).is_none());
+            }
+        }
+
+        /// The same for the set kernel and `matches_code`: dictionaries
+        /// of 0 to 130 values, columns that leave the top codes unused,
+        /// and sets that are empty, `{0}`, or hold codes above the
+        /// column's largest code, above the dictionary's size, or
+        /// `u32::MAX`.
+        #[test]
+        fn set_kernels_match_matches_code(seed in any::<u64>()) {
+            let mut rng = Rng(seed);
+            for len in 0..=300 {
+                let dict = if len == 0 { rng.below(3) } else { 1 + rng.below(130) };
+                let used = if dict == 0 { 0 } else { 1 + rng.below(dict) };
+                let codes: Vec<u32> = (0..len).map(|_| rng.below(used) as u32).collect();
+                let set: BTreeSet<u32> = match rng.below(4) {
+                    0 => BTreeSet::new(),
+                    1 => BTreeSet::from([0]),
+                    _ => (0..1 + rng.below(8))
+                        .map(|_| match rng.below(4) {
+                            0 => (used + rng.below(dict - used + 1)) as u32,
+                            1 => (dict + rng.below(100)) as u32,
+                            2 => u32::MAX - rng.below(2) as u32,
+                            _ => rng.below(used.max(1)) as u32,
+                        })
+                        .collect(),
+                };
+                let names = (0..dict).map(|i| format!("v{i}")).collect();
+                let cat = CatColumn::from_parts(codes.clone(), names).expect("codes below dict");
+                let clause = Clause::In { attr: 0, codes: set.clone() };
+                let plain = set_kernel(&set, cat.codes(), cat.cardinality());
+                let col = Column::Cat(cat);
+                let dispatched = clause.eval_mask(&col).expect("set over a discrete column");
+                let what = format!("{set:?} over {dict} values");
+                assert_rows(&plain, len, |r| clause.matches_code(codes[r]), &what);
+                assert_rows(&dispatched, len, |r| clause.matches_code(codes[r]), &what);
+                assert!(Clause::range(0, 0.0, 1.0).eval_mask(&col).is_none());
+            }
+        }
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //!
 //! A [`RowMask`] is a fixed-width bitmap over a table's row ids — one
 //! bit per row, packed into 64-bit words. Predicate evaluation builds
-//! one mask per *clause* with a tight columnar kernel
-//! ([`crate::Clause::eval_mask`]) and combines clauses with word-wise
-//! `AND`; consumers then read the result with `popcount` (counts), a
-//! selection-vector iterator (row ids), or word-at-a-time zips against
-//! other masks (masked aggregate folds). The [`ClauseMaskCache`] memoizes
+//! one mask per *clause* with a columnar kernel
+//! ([`crate::Clause::eval_mask`]), which fills one word per 64-row
+//! block with no branch per row and runs as an AVX2 instance on hosts
+//! that have AVX2, and combines clauses with word-wise `AND`; consumers
+//! then read the result with `popcount` (counts), a selection-vector
+//! iterator (row ids), or word-at-a-time zips against other masks
+//! (masked aggregate folds). The [`ClauseMaskCache`] memoizes
 //! per-clause masks so sibling candidate predicates that share clauses —
 //! a DT re-score level, an MC level, a NAIVE enumeration round — pay for
 //! each distinct clause once per table instead of once per candidate.
