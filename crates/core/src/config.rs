@@ -121,12 +121,6 @@ pub struct ApproxConfig {
     /// are chosen by seeded hash rank, so the sample is deterministic and
     /// identical across reruns. `1.0` degenerates to exact scoring.
     pub sample_rate: f64,
-    /// Requested confidence level for the influence intervals, in
-    /// `(0.5, 1]`. The current bounds are deterministic envelopes with
-    /// coverage 1.0, so any admissible value is met; the knob is
-    /// validated and reserved for future distribution-sensitive
-    /// tightening (Macke et al.).
-    pub confidence: f64,
     /// Groups smaller than this are never sampled (interval bounds on
     /// tiny groups cost more than exact scoring saves); their rows are
     /// scored exactly and contribute zero to the error bound.
@@ -137,29 +131,21 @@ pub struct ApproxConfig {
 
 impl Default for ApproxConfig {
     fn default() -> Self {
-        ApproxConfig { sample_rate: 0.1, confidence: 0.95, min_rows: 256, seed: 0x5C09 }
+        ApproxConfig { sample_rate: 0.1, min_rows: 256, seed: 0x5C09 }
     }
 }
 
 /// Valid range for [`ApproxConfig::sample_rate`], used in error messages.
 pub const APPROX_RATE_RANGE: &str = "(0.0, 1.0]";
-/// Valid range for [`ApproxConfig::confidence`], used in error messages.
-pub const APPROX_CONFIDENCE_RANGE: &str = "(0.5, 1.0]";
 
 impl ApproxConfig {
-    /// Validates the knobs, returning a message naming the offending
-    /// field and its valid range on failure.
+    /// Validates the sample rate, returning a message naming it and its
+    /// valid range on failure.
     pub fn validate(&self) -> std::result::Result<(), String> {
         if !(self.sample_rate > 0.0 && self.sample_rate <= 1.0) {
             return Err(format!(
                 "approx sample_rate must be in {APPROX_RATE_RANGE}, got {}",
                 self.sample_rate
-            ));
-        }
-        if !(self.confidence > 0.5 && self.confidence <= 1.0) {
-            return Err(format!(
-                "approx confidence must be in {APPROX_CONFIDENCE_RANGE}, got {}",
-                self.confidence
             ));
         }
         Ok(())
@@ -367,9 +353,6 @@ mod tests {
         let bad_rate = ApproxConfig { sample_rate: 0.0, ..ApproxConfig::default() };
         let msg = bad_rate.validate().unwrap_err();
         assert!(msg.contains("sample_rate") && msg.contains(APPROX_RATE_RANGE), "{msg}");
-        let bad_conf = ApproxConfig { confidence: 0.5, ..ApproxConfig::default() };
-        let msg = bad_conf.validate().unwrap_err();
-        assert!(msg.contains("confidence") && msg.contains(APPROX_CONFIDENCE_RANGE), "{msg}");
         let nan = ApproxConfig { sample_rate: f64::NAN, ..ApproxConfig::default() };
         assert!(nan.validate().is_err());
     }

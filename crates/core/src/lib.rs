@@ -47,7 +47,7 @@ pub mod telemetry;
 pub use approx::ApproxState;
 pub use config::{
     Algorithm, ApproxConfig, DtConfig, InfluenceParams, McConfig, MergerConfig, NaiveConfig,
-    SamplingConfig, APPROX_CONFIDENCE_RANGE, APPROX_RATE_RANGE,
+    SamplingConfig, APPROX_RATE_RANGE,
 };
 pub use engine::PreparedPlan;
 pub use error::{Result, ScorpionError};

@@ -179,13 +179,6 @@ impl ExplainRequest {
         self.influence_cache_entries
     }
 
-    /// Returns a copy whose prepared plans bound their influence cache
-    /// to `entries` predicates, evicting LRU past that (`0` = default).
-    #[must_use]
-    pub fn with_influence_cache_entries(&self, entries: usize) -> Self {
-        ExplainRequest { influence_cache_entries: entries, ..self.clone() }
-    }
-
     /// The approximate-search configuration, if any.
     pub fn approx(&self) -> Option<&ApproxConfig> {
         self.approx.as_ref()

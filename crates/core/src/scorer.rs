@@ -30,10 +30,17 @@ use scorpion_table::{
     intersect_count_words, ClauseMaskCache, Predicate, PredicateMask, PredicateMatcher, RowMask,
     Table,
 };
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+
+/// Adds `n` to one of a Scorer's counters.
+#[inline]
+fn bump(counter: &Cell<u64>, n: u64) {
+    counter.set(counter.get() + n);
+}
 
 /// `n^c` for the interval pass. `c = 0.5` (the paper's default) hits
 /// `sqrt` instead of the generic `powf`; any ulp drift against the exact
@@ -282,7 +289,9 @@ impl InfluenceCache {
     }
 }
 
-/// Influence evaluator bound to one labeled query.
+/// Influence evaluator bound to one labeled query. One thread uses a
+/// Scorer at a time, so its counters are plain cells; the caches it
+/// attaches are shared across threads.
 pub struct Scorer<'a> {
     table: &'a Table,
     agg: &'a dyn Aggregate,
@@ -294,9 +303,9 @@ pub struct Scorer<'a> {
     outliers: Vec<GroupCtx>,
     holdouts: Vec<GroupCtx>,
     params: InfluenceParams,
-    calls: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_evictions: AtomicU64,
+    calls: Cell<u64>,
+    cache_hits: Cell<u64>,
+    cache_evictions: Cell<u64>,
     cache: Option<Arc<InfluenceCache>>,
     /// Per-clause mask memo: every distinct clause is evaluated against
     /// the table once per cache lifetime, shared by all candidates.
@@ -305,8 +314,8 @@ pub struct Scorer<'a> {
     /// cache answered — attribution stays per-run even when concurrent
     /// runs share one cache (mirrors the per-Scorer `cache_hits`
     /// counter).
-    mask_lookups: AtomicU64,
-    mask_hits: AtomicU64,
+    mask_lookups: Cell<u64>,
+    mask_hits: Cell<u64>,
     /// The phase list this Scorer's timed scopes record into (see
     /// [`Scorer::phases`]).
     phases: Arc<Phases>,
@@ -315,11 +324,9 @@ pub struct Scorer<'a> {
     approx: Option<Arc<ApproxState>>,
     /// Candidates discarded by interval pruning
     /// ([`Scorer::influence_batch_pruned`]) on this Scorer.
-    pruned: AtomicU64,
-    /// Bit pattern of the largest per-batch error bound seen so far
-    /// (bounds are non-negative, so `f64` bit order equals value order
-    /// and a monotonic `fetch_max` suffices).
-    bound_bits: AtomicU64,
+    pruned: Cell<u64>,
+    /// The largest per-batch error bound seen so far.
+    error_bound: Cell<f64>,
 }
 
 impl<'a> Scorer<'a> {
@@ -397,17 +404,17 @@ impl<'a> Scorer<'a> {
             outliers: outliers.into_iter().map(|h| build(h, None)).collect(),
             holdouts: holdouts.into_iter().map(|h| build(h, Some(1.0))).collect(),
             params,
-            calls: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_evictions: AtomicU64::new(0),
+            calls: Cell::new(0),
+            cache_hits: Cell::new(0),
+            cache_evictions: Cell::new(0),
             cache: None,
             masks: Arc::new(ClauseMaskCache::new()),
-            mask_lookups: AtomicU64::new(0),
-            mask_hits: AtomicU64::new(0),
+            mask_lookups: Cell::new(0),
+            mask_hits: Cell::new(0),
             phases: Arc::default(),
             approx: None,
-            pruned: AtomicU64::new(0),
-            bound_bits: AtomicU64::new(0),
+            pruned: Cell::new(0),
+            error_bound: Cell::new(0.0),
         })
     }
 
@@ -458,13 +465,13 @@ impl<'a> Scorer<'a> {
     /// count, so attribution stays correct when concurrent runs share
     /// one cache.
     pub fn mask_cache_lookups(&self) -> u64 {
-        self.mask_lookups.load(Ordering::Relaxed)
+        self.mask_lookups.get()
     }
 
     /// Clause-mask lookups this Scorer answered from its cache (a subset
     /// of [`Scorer::mask_cache_lookups`]).
     pub fn mask_cache_hits(&self) -> u64 {
-        self.mask_hits.load(Ordering::Relaxed)
+        self.mask_hits.get()
     }
 
     /// Distinct clauses currently resident in the attached cache.
@@ -525,9 +532,7 @@ impl<'a> Scorer<'a> {
     /// batches score exactly and diagnostics carry the reason.
     pub fn build_approx(&self, cfg: ApproxConfig) -> Result<Arc<ApproxState>> {
         if cfg.validate().is_err() {
-            return Err(ScorpionError::BadConfig(
-                "approx sample_rate must be in (0.0, 1.0] and confidence in (0.5, 1.0]",
-            ));
+            return Err(ScorpionError::BadConfig("approx sample_rate must be in (0.0, 1.0]"));
         }
         let _scope = self.phases.enter("sampler.build");
         let fallback = match self.inc {
@@ -577,7 +582,7 @@ impl<'a> Scorer<'a> {
 
     /// Candidates discarded by interval pruning on this Scorer.
     pub fn candidates_pruned(&self) -> u64 {
-        self.pruned.load(Ordering::Relaxed)
+        self.pruned.get()
     }
 
     /// The largest per-batch pruning error bound this Scorer reported:
@@ -585,7 +590,7 @@ impl<'a> Scorer<'a> {
     /// influence and its interval edge. `0.0` when nothing was pruned —
     /// every score returned so far is then exact.
     pub fn approx_error_bound(&self) -> f64 {
-        f64::from_bits(self.bound_bits.load(Ordering::Relaxed))
+        self.error_bound.get()
     }
 
     /// Number of outlier groups.
@@ -619,37 +624,32 @@ impl<'a> Scorer<'a> {
         &self.holdouts[g].values
     }
 
-    /// The error-vector component of outlier group `g`.
-    pub fn outlier_error(&self, g: usize) -> f64 {
-        self.outliers[g].error
-    }
-
     /// Number of influence evaluations performed so far. Cache hits are
     /// not counted — they perform no matcher or aggregate work.
     pub fn scorer_calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
+        self.calls.get()
     }
 
     /// Number of influence evaluations answered from the attached
     /// [`InfluenceCache`].
     pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
+        self.cache_hits.get()
     }
 
     /// Number of LRU evictions *this Scorer's* stores caused in the
     /// attached [`InfluenceCache`] — attribution stays correct when
     /// several runs share one cache concurrently.
     pub fn cache_evictions(&self) -> u64 {
-        self.cache_evictions.load(Ordering::Relaxed)
+        self.cache_evictions.get()
     }
 
     /// The bitmap of `p` over this Scorer's table, through the attached
     /// clause-mask cache (hits attributed to this Scorer).
     pub(crate) fn predicate_mask(&self, p: &Predicate) -> Result<PredicateMask> {
         let (mask, hits) = p.mask_with_hits(self.table, &self.masks)?;
-        self.mask_lookups.fetch_add(p.num_clauses() as u64, Ordering::Relaxed);
+        bump(&self.mask_lookups, p.num_clauses() as u64);
         if hits > 0 {
-            self.mask_hits.fetch_add(hits, Ordering::Relaxed);
+            bump(&self.mask_hits, hits);
         }
         Ok(mask)
     }
@@ -800,10 +800,9 @@ impl<'a> Scorer<'a> {
     }
 
     /// Full influence computed entirely row-at-a-time through the
-    /// [`PredicateMatcher`] — the pre-vectorization reference
-    /// implementation, kept as the parity oracle (and the baseline the
-    /// `influence_throughput` bench measures the mask path against). No
-    /// caches are consulted, no counters advance, and nothing is timed.
+    /// [`PredicateMatcher`]: the reference oracle that the mask path's
+    /// parity tests compare against, bit for bit. No caches are
+    /// consulted, no counters advance, and nothing is timed.
     pub fn influence_rowwise(&self, p: &Predicate) -> Result<f64> {
         let m = p.matcher(self.table)?;
         Ok(self.fold(
@@ -873,7 +872,7 @@ impl<'a> Scorer<'a> {
     /// and the result are the same either way.
     pub(crate) fn influence_of(&self, p: &Predicate, mask: Option<PredicateMask>) -> Result<f64> {
         let Some(cache) = &self.cache else {
-            self.calls.fetch_add(1, Ordering::Relaxed);
+            bump(&self.calls, 1);
             let _scope = self.phases.enter("scorer.mask");
             let pm = mask.map_or_else(|| self.predicate_mask(p), Ok)?;
             return Ok(self
@@ -898,10 +897,10 @@ impl<'a> Scorer<'a> {
                 (self.outliers.len(), self.holdouts.len()),
                 "cached pairs belong to a different labeled query"
             );
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            bump(&self.cache_hits, 1);
             return Ok(g);
         }
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        bump(&self.calls, 1);
         let scope = self.phases.enter("scorer.mask");
         let pm = mask.map_or_else(|| self.predicate_mask(p), Ok)?;
         let pairs = Arc::new((
@@ -910,7 +909,7 @@ impl<'a> Scorer<'a> {
         ));
         drop(scope);
         let evicted = cache.store_groups(p, pairs.clone());
-        self.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
+        bump(&self.cache_evictions, evicted);
         Ok(pairs)
     }
 
@@ -922,7 +921,7 @@ impl<'a> Scorer<'a> {
     /// [`Scorer::influence`] calls.
     pub fn influence_outliers_only(&self, p: &Predicate) -> Result<f64> {
         let Some(cache) = &self.cache else {
-            self.calls.fetch_add(1, Ordering::Relaxed);
+            bump(&self.calls, 1);
             let _scope = self.phases.enter("scorer.mask");
             let pm = self.predicate_mask(p)?;
             return Ok(self.fold(self.mask_pairs(&self.outliers, &pm), []));
@@ -987,7 +986,7 @@ impl<'a> Scorer<'a> {
     pub fn max_tuple_influence(&self, p: &Predicate) -> Result<f64> {
         if let Some(cache) = &self.cache {
             if let Some(CachedEval { max_tuple: Some(v), .. }) = cache.get(p) {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                bump(&self.cache_hits, 1);
                 return Ok(v);
             }
         }
@@ -1006,7 +1005,7 @@ impl<'a> Scorer<'a> {
         }
         if let Some(cache) = &self.cache {
             let evicted = cache.store_max_tuple(p, best);
-            self.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
+            bump(&self.cache_evictions, evicted);
         }
         Ok(best)
     }
@@ -1082,9 +1081,9 @@ impl<'a> Scorer<'a> {
                     })
                 })
                 .ok()?;
-            self.mask_lookups.fetch_add(1, Ordering::Relaxed);
+            bump(&self.mask_lookups, 1);
             if hit {
-                self.mask_hits.fetch_add(1, Ordering::Relaxed);
+                bump(&self.mask_hits, 1);
             }
             comps.push(st.compressed_clause(clause, &full));
             clause_masks.push(full);
@@ -1390,8 +1389,8 @@ impl<'a> Scorer<'a> {
                 pruned += 1;
             }
         }
-        self.pruned.fetch_add(pruned, Ordering::Relaxed);
-        self.bound_bits.fetch_max(error_bound.to_bits(), Ordering::Relaxed);
+        bump(&self.pruned, pruned);
+        self.error_bound.set(self.error_bound.get().max(error_bound));
         PrunedBatch { scores, pruned, error_bound }
     }
 }

@@ -2,6 +2,7 @@
 //! evaluation (§8). Each `run(&Scale)` regenerates the figure's
 //! rows/series as [`Report`](crate::report::Report)s.
 
+pub mod ablations;
 pub mod expense_exp;
 pub mod fig01;
 pub mod fig04;

@@ -83,11 +83,6 @@ pub fn dt() -> Algorithm {
     Algorithm::DecisionTree(DtConfig::default())
 }
 
-/// DT without sampling (exact partitioning).
-pub fn dt_unsampled() -> Algorithm {
-    Algorithm::DecisionTree(DtConfig { sampling: None, ..DtConfig::default() })
-}
-
 /// The default MC algorithm.
 pub fn mc() -> Algorithm {
     Algorithm::BottomUp(McConfig::default())

@@ -23,9 +23,21 @@ pub use metrics::{accuracy, predicate_accuracy, Accuracy};
 pub use report::Report;
 
 /// All experiment names, in presentation order.
-pub const EXPERIMENTS: [&str; 13] = [
-    "fig01", "fig04", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-    "fig16", "intel", "expense",
+pub const EXPERIMENTS: [&str; 14] = [
+    "fig01",
+    "fig04",
+    "fig08",
+    "fig09",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "intel",
+    "expense",
+    "ablations",
 ];
 
 /// Runs one experiment by name.
@@ -44,6 +56,7 @@ pub fn run_experiment(name: &str, scale: &Scale) -> Option<Vec<Report>> {
         "fig16" => experiments::fig16::run(scale),
         "intel" => experiments::intel_exp::run(scale),
         "expense" => experiments::expense_exp::run(scale),
+        "ablations" => experiments::ablations::run(scale),
         _ => return None,
     };
     Some(reports)
@@ -62,6 +75,6 @@ mod tests {
             assert!(run_experiment(name, &Scale::quick()).is_some());
         }
         assert!(run_experiment("nope", &Scale::quick()).is_none());
-        assert_eq!(EXPERIMENTS.len(), 13);
+        assert_eq!(EXPERIMENTS.len(), 14);
     }
 }

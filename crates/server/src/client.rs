@@ -2,8 +2,9 @@
 //!
 //! Not a general client: it speaks exactly the dialect the server
 //! emits (`Content-Length` bodies, keep-alive) and parses bodies as
-//! JSON. Lives in the library so the `server_throughput` bench and the
-//! integration tests measure the same wire path real clients use.
+//! JSON. Lives in the library so perfbench's `server_dashboard`
+//! workload and the integration tests drive the same wire path real
+//! clients use.
 
 use crate::json::Json;
 use std::io::{self, BufRead, BufReader, Read, Write};

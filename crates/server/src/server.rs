@@ -699,17 +699,14 @@ fn parse_algorithm(name: &str) -> Result<Algorithm, Response> {
 }
 
 /// Reads the approximate-search knobs from an `/explain` body:
-/// `approx: true` opts in with defaults; `approx_rate`,
-/// `approx_confidence`, and `approx_seed` override fields (any of them
-/// implies opting in). Out-of-range values are a 400 whose message
+/// `approx: true` opts in with defaults; `approx_rate` and
+/// `approx_seed` override fields (either implies opting in). Out-of-range values are a 400 whose message
 /// names the valid range.
 fn parse_approx(body: &Json) -> Result<Option<ApproxConfig>, Response> {
     let rate = body.get("approx_rate").and_then(Json::as_f64);
-    let confidence = body.get("approx_confidence").and_then(Json::as_f64);
     let seed = body.get("approx_seed").and_then(Json::as_f64);
     let opted_in = body.get("approx").and_then(Json::as_bool).unwrap_or(false)
         || rate.is_some()
-        || confidence.is_some()
         || seed.is_some();
     if !opted_in {
         return Ok(None);
@@ -717,9 +714,6 @@ fn parse_approx(body: &Json) -> Result<Option<ApproxConfig>, Response> {
     let mut cfg = ApproxConfig::default();
     if let Some(r) = rate {
         cfg.sample_rate = r;
-    }
-    if let Some(cf) = confidence {
-        cfg.confidence = cf;
     }
     if let Some(s) = seed {
         cfg.seed = s as u64;
@@ -779,7 +773,7 @@ fn handle_explain(
         body.get(field).map(|v| v.encode().unwrap_or_default()).unwrap_or_default()
     };
     let approx_spec = match &approx {
-        Some(a) => format!("{}:{}:{}:{}", a.sample_rate, a.confidence, a.min_rows, a.seed),
+        Some(a) => format!("{}:{}:{}", a.sample_rate, a.min_rows, a.seed),
         None => String::new(),
     };
     let labels_spec = format!(

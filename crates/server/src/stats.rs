@@ -212,11 +212,6 @@ impl ServerStats {
         self.parked.load(Ordering::Relaxed)
     }
 
-    /// Counts a connection shed by backpressure (503 before dispatch).
-    pub fn shed_connection(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Requests/connections shed so far.
     pub fn shed_total(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)

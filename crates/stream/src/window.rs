@@ -1124,15 +1124,20 @@ mod tests {
     #[test]
     fn compaction_bounds_resident_rows() {
         let mut w = compacting_window("avg", 100, 3, false);
+        let raw_cfg = StreamConfig::new(two_col_schema(), 0, 1, 100).unwrap();
+        let mut raw = SlidingWindow::new(raw_cfg, aggregate_by_name("avg").unwrap());
         for i in 0..100 {
             let rows: Vec<(String, f64)> =
                 (0..10).map(|j| (format!("g{}", j % 4), (i * 10 + j) as f64)).collect();
             let borrowed: Vec<(&str, f64)> = rows.iter().map(|(k, v)| (k.as_str(), *v)).collect();
             w.push_chunk(chunk(&borrowed)).unwrap();
+            raw.push_chunk(chunk(&borrowed)).unwrap();
         }
         assert_eq!(w.n_chunks(), 100);
-        // Only the newest `keep` chunks hold raw rows.
+        // Only the newest `keep` chunks hold raw rows; without compaction
+        // every row stays resident.
         assert_eq!(w.resident_rows(), 3 * 10);
+        assert_eq!(raw.resident_rows(), 1000);
         assert_eq!(w.n_compacted_chunks(), 97);
         // The series is untouched: logical rows and exact totals.
         let s = w.series();

@@ -59,7 +59,7 @@ struct Args {
 
 const HELP: &str = "usage: scorpion --csv FILE --sql QUERY [--outliers k1,k2,...] \
 [--holdouts k1,k2,...] [--direction high|low] [--c F] [--lambda F] [--top N] [--json] \
-[--verbose] [--trace FILE] [--approx] [--approx-rate F] [--approx-confidence F]\n\
+[--verbose] [--trace FILE] [--approx] [--approx-rate F]\n\
        scorpion serve --csv NAME=FILE [--csv ...] [--port P] [--workers N] ...\n\
        scorpion audit --telemetry-csv FILE [--threshold Z] [--top N] [--json]\n\
 \n\
@@ -76,8 +76,7 @@ deterministic stratified sample prunes dominated candidates before\n\
 exact scoring; the reported top predicates stay exactly scored and\n\
 diagnostics gain approx_error_bound and candidates_pruned.\n\
 --approx-rate F (in (0.0, 1.0], default 0.1) sets the per-group sample\n\
-rate; --approx-confidence F (in (0.5, 1.0], default 0.95) the interval\n\
-confidence. Either flag implies --approx.\n\
+rate and implies --approx.\n\
 \n\
 `scorpion serve` runs the explanation service (see `scorpion serve\n\
 --help`). `scorpion audit` runs the engine over its own request\n\
@@ -94,7 +93,7 @@ const SERVE_HELP: &str = "usage: scorpion serve [--csv NAME=FILE]... [--port P] 
 \n\
 Serves outlier explanations over HTTP/1.1 JSON:\n\
   POST /explain   {table, sql, outliers|auto_label, holdouts, lambda, c,\n\
-                   top, algorithm, approx, approx_rate, approx_confidence}\n\
+                   top, algorithm, approx, approx_rate}\n\
                   -> ranked predicates + diagnostics\n\
   GET  /tables    registered tables (name, generation, rows)\n\
   POST /tables    {name, csv} -> load/replace a table\n\
@@ -214,10 +213,6 @@ fn parse_args(it: impl Iterator<Item = String>) -> Args {
                 // rejects below with the range-naming message.
                 let rate = val("--approx-rate").parse().unwrap_or(f64::NAN);
                 args.approx.get_or_insert_with(ApproxConfig::default).sample_rate = rate;
-            }
-            "--approx-confidence" => {
-                let conf = val("--approx-confidence").parse().unwrap_or(f64::NAN);
-                args.approx.get_or_insert_with(ApproxConfig::default).confidence = conf;
             }
             "--help" | "-h" => help(HELP),
             other => {

@@ -2,9 +2,11 @@
 //! sampler seeds, every reported score stays within the reported error
 //! bound of the exact score, and the top-1 predicate matches the exact
 //! search whenever the bound is smaller than the exact top-1/top-2 gap.
+//! On one re-score level at full SYNTH scale, pruning must also fire.
 
 use scorpion::prelude::*;
 use scorpion_core::PrunedBatch;
+use scorpion_data::synth::{self, SynthConfig};
 
 /// SplitMix64 — deterministic per-seed data without a rand dependency.
 fn mix(mut x: u64) -> u64 {
@@ -73,7 +75,7 @@ fn run_seed(seed: u64, agg: &dyn Aggregate) -> (Vec<f64>, PrunedBatch) {
         .collect::<Result<_, _>>()
         .expect("exact batch");
 
-    let cfg = ApproxConfig { sample_rate: 0.2, min_rows: 16, seed, ..ApproxConfig::default() };
+    let cfg = ApproxConfig { sample_rate: 0.2, min_rows: 16, seed };
     let approx_scorer = scorer_for(&t, &g, agg).with_approx(cfg).expect("approx state");
     let batch = approx_scorer.influence_batch_pruned(&preds, 2);
     (exact, batch)
@@ -154,4 +156,56 @@ fn median_falls_back_to_exact() {
     for (a, e) in scores.iter().zip(&exact) {
         assert_eq!(a.to_bits(), e.to_bits(), "fallback scoring must be bit-exact");
     }
+}
+
+/// One DT re-score level on low-noise SYNTH-2D-Easy: 10,000 tuples per
+/// group, background σ = 1 (cube rows keep the generator's σ = 10; the
+/// paper's §8.3.2 drops value noise for the same reason), nested cubes
+/// at 4% / 1% mass, and an 8×8 grid of two-clause candidates built from
+/// 16 distinct clauses, scored with `top_k = 1` as DT's `best_split`
+/// does. Interval pruning must discard at least half of the level,
+/// report a finite non-negative bound, and keep the exact top-1 with
+/// its exact score.
+#[test]
+fn low_noise_level_prunes_half_and_keeps_exact_top1() {
+    const SIDE: usize = 8;
+    let mut cfg = SynthConfig::easy(2).with_tuples_per_group(10_000);
+    cfg.normal_std = 1.0;
+    cfg.cubes = Some((vec![(30.0, 50.0); 2], vec![(35.0, 45.0); 2]));
+    let ds = synth::generate(cfg);
+    let grouping = group_by(&ds.table, &[ds.group_attr()]).unwrap();
+    let specs = |groups: &[usize]| -> Vec<GroupSpec> {
+        groups.iter().map(|&g| GroupSpec { rows: grouping.rows(g).to_vec(), error: 1.0 }).collect()
+    };
+    let scorer = || {
+        let (outliers, holdouts) = (specs(&ds.outlier_groups), specs(&ds.holdout_groups));
+        let params = InfluenceParams { lambda: 0.5, c: 0.5 };
+        Scorer::new(&ds.table, &Sum, ds.agg_attr(), outliers, holdouts, params).unwrap()
+    };
+    let (ax, ay) = (ds.dim_attrs()[0], ds.dim_attrs()[1]);
+    let step = 100.0 / SIDE as f64;
+    let clause =
+        |attr, i: usize| Clause::range(attr, i as f64 * step, (i + 1) as f64 * step + 20.0);
+    let preds: Vec<Predicate> = (0..SIDE)
+        .flat_map(|i| (0..SIDE).map(move |j| (i, j)))
+        .map(|(i, j)| Predicate::conjunction([clause(ax, i), clause(ay, j)]).unwrap())
+        .collect();
+
+    let exact_scorer = scorer();
+    let exact: Vec<f64> = preds.iter().map(|p| exact_scorer.influence(p).unwrap()).collect();
+    assert_eq!(exact_scorer.mask_cache_entries(), 2 * SIDE as u64, "each clause cached once");
+
+    let approx = scorer().with_approx(ApproxConfig::default()).unwrap();
+    let batch = approx.influence_batch_pruned(&preds, 1);
+    assert!(
+        batch.pruned as usize >= preds.len() / 2,
+        "the interval pass should prune at least half the level, pruned {}/{}",
+        batch.pruned,
+        preds.len()
+    );
+    assert!(batch.error_bound.is_finite() && batch.error_bound >= 0.0, "{}", batch.error_bound);
+    let scores: Vec<f64> = batch.scores.into_iter().collect::<Result<_, _>>().unwrap();
+    let top = argmax(&exact);
+    assert_eq!(argmax(&scores), top, "top-1 parity under pruning");
+    assert_eq!(scores[top].to_bits(), exact[top].to_bits(), "the top-1 is scored exactly");
 }

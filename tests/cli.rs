@@ -139,8 +139,6 @@ fn approx_flags_validate_ranges() {
         ("--approx-rate", "1.5", "(0.0, 1.0]"),
         ("--approx-rate", "0.0", "(0.0, 1.0]"),
         ("--approx-rate", "abc", "(0.0, 1.0]"),
-        ("--approx-confidence", "0.4", "(0.5, 1.0]"),
-        ("--approx-confidence", "1.2", "(0.5, 1.0]"),
         ("--c", "NaN", "c must be finite and non-negative"),
         ("--c", "-1", "c must be finite and non-negative"),
         ("--lambda", "2", "lambda must be in [0, 1]"),
