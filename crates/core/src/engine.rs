@@ -11,7 +11,9 @@
 //! * [`PreparedPlan::run`] is the cheap phase: re-score the prepared
 //!   artifacts under any [`InfluenceParams`] and merge. Every plan
 //!   carries a shared [`InfluenceCache`], so predicates scored in a
-//!   previous run (at any `c`) are re-scored without matcher work.
+//!   previous run (at any `c`) are re-scored without matcher work, and
+//!   a bounded answer memo, so a repeat of a completed run's exact
+//!   `(λ, c)` returns that run's answer without scoring anything.
 //!
 //! The three plans share one skeleton (`PlanCore`): the prepare
 //! prologue (validation, caches, scorer, attributes, sampler state,
@@ -22,8 +24,8 @@
 //! Plans can out-live one dataset snapshot: [`PreparedPlan::rebind`]
 //! transfers the `c`-agnostic geometry onto a new, compatible request
 //! (the streaming engine uses this to carry partitions across window
-//! slides), dropping the influence cache whose entries the new data
-//! invalidated.
+//! slides), dropping the influence cache and the answers whose entries
+//! the new data invalidated.
 
 use crate::approx::ApproxState;
 use crate::config::{DtConfig, InfluenceParams, McConfig, NaiveConfig, SamplingConfig};
@@ -39,7 +41,6 @@ use crate::scorer::{InfluenceCache, Scorer};
 use parking_lot::Mutex;
 use scorpion_obs::{merge_phases, span, PhaseTiming, Phases};
 use scorpion_table::{domains_of, AttrDomain, ClauseMaskCache, OrdF64, Predicate};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -53,6 +54,12 @@ pub trait PreparedPlan: Send + Sync {
     /// ranked explanation. The first run also charges the preparation's
     /// scorer calls, runtime, and phases to its diagnostics, so a
     /// prepare+run pair reports the cost of the whole explanation.
+    ///
+    /// A repeat of the exact `(λ, c)` of a completed run (one that did
+    /// not exhaust a budget) returns that run's predicates and answer
+    /// facts from the plan's memo of its last 16 such answers: no
+    /// scorer is built, and the diagnostics report zero scorer calls,
+    /// cache hits and mask lookups, and one `run.memo` phase.
     fn run(&self, params: &InfluenceParams) -> Result<Explanation> {
         self.run_with_budget(params, None)
     }
@@ -84,7 +91,9 @@ pub trait PreparedPlan: Send + Sync {
     }
 
     /// Adds externally supplied merge seeds (re-scored exactly before
-    /// use). Engines without a merge phase ignore them.
+    /// use by the next run) and clears the plan's answer memo, whose
+    /// answers did not see them. Engines without a merge phase ignore
+    /// them and keep their memo.
     fn absorb_seeds(&self, _seeds: Vec<Predicate>) {}
 }
 
@@ -100,8 +109,8 @@ struct PrepCost {
 }
 
 /// What one engine's scoring loop produced; [`PlanCore::run`] folds it
-/// into the run's [`Diagnostics`]. The loop's phases are on the run
-/// scorer's phase list.
+/// into the run's [`Answer`] and [`Diagnostics`]. The loop's phases are
+/// on the run scorer's phase list.
 struct RunOutput {
     /// Ranked predicates, best first (empty means "no explanation": the
     /// all-predicate is substituted).
@@ -109,6 +118,70 @@ struct RunOutput {
     candidates: u64,
     partitions: usize,
     budget_exhausted: bool,
+}
+
+/// A completed run's answer: what a repeat of its `(λ, c)` returns.
+struct Answer {
+    /// The scoring loop's predicates, stored before the all-predicate
+    /// substitution, so a DT warm start never merges that stand-in.
+    predicates: Vec<ScoredPredicate>,
+    candidates: u64,
+    partitions: usize,
+    candidates_pruned: u64,
+    approx_error_bound: Option<f64>,
+    approx_fallback: Option<&'static str>,
+}
+
+/// Most answers a plan keeps. A long-lived plan (one in the server's
+/// plan cache, which keys plans without `(λ, c)`) would otherwise grow
+/// by one entry per distinct `(λ, c)` a client sends.
+const MAX_ANSWERS: usize = 16;
+
+/// The memo key of `params`: the exact bits of `(λ, c)`.
+fn memo_key(params: &InfluenceParams) -> (u64, u64) {
+    (params.lambda.to_bits(), params.c.to_bits())
+}
+
+/// A plan's answers to its completed runs, by [`memo_key`]: at most
+/// [`MAX_ANSWERS`], the oldest write evicted first.
+#[derive(Default)]
+struct AnswerMemo {
+    /// Oldest write first.
+    entries: Vec<((u64, u64), Arc<Answer>)>,
+}
+
+impl AnswerMemo {
+    fn get(&self, key: (u64, u64)) -> Option<Arc<Answer>> {
+        self.entries.iter().find(|(k, _)| *k == key).map(|(_, answer)| answer.clone())
+    }
+
+    /// Stores `answer` at `key` unless the key already holds one, and
+    /// returns what the key holds: concurrent runs at one `(λ, c)` give
+    /// one answer. The entry written is the newest, so it always stays.
+    fn insert(&mut self, key: (u64, u64), answer: Answer) -> Arc<Answer> {
+        if let Some(stored) = self.get(key) {
+            return stored;
+        }
+        let answer = Arc::new(answer);
+        self.entries.push((key, answer.clone()));
+        if self.entries.len() > MAX_ANSWERS {
+            self.entries.remove(0);
+        }
+        answer
+    }
+
+    /// The predicates stored at the nearest `c' ≥ c`, at any λ (the
+    /// latest write among equal `c'`), or none: a DT warm start for `c`.
+    fn warm_start(&self, c: f64) -> Vec<ScoredPredicate> {
+        let c_of = |key: &(u64, u64)| OrdF64(f64::from_bits(key.1));
+        self.entries
+            .iter()
+            .rev()
+            .filter(|(key, _)| c_of(key) >= OrdF64(c))
+            .min_by_key(|(key, _)| c_of(key))
+            .map(|(_, answer)| answer.predicates.clone())
+            .unwrap_or_default()
+    }
 }
 
 /// The state and bookkeeping every plan shares, whatever its algorithm.
@@ -125,6 +198,8 @@ struct PlanCore {
     approx_state: Option<Arc<ApproxState>>,
     /// The prepare cost the next run still owes; taken by the first run.
     prep_cost: Mutex<Option<PrepCost>>,
+    /// Answers of this plan's completed runs.
+    memo: Mutex<AnswerMemo>,
 }
 
 impl PlanCore {
@@ -173,14 +248,16 @@ impl PlanCore {
             masks,
             approx_state,
             prep_cost: Mutex::new(Some(prep_cost)),
+            memo: Mutex::default(),
         };
         Ok((core, artifacts))
     }
 
     /// This plan's shared state moved onto a new snapshot: attributes
     /// survive; the influence cache and clause masks (both encode the
-    /// old table's rows) and the sampler state (old row ids and values)
-    /// are rebuilt. Nothing is charged to the next run.
+    /// old table's rows), the sampler state (old row ids and values) and
+    /// the answers (old data) are rebuilt empty. Nothing is charged to
+    /// the next run.
     fn rebind(&self, req: &ExplainRequest) -> Result<PlanCore> {
         req.validate()?;
         let approx_state = match req.approx() {
@@ -195,14 +272,16 @@ impl PlanCore {
             masks: Arc::new(ClauseMaskCache::new()),
             approx_state,
             prep_cost: Mutex::new(None),
+            memo: Mutex::default(),
         })
     }
 
-    /// One run: build the run scorer over the plan's caches and sampler
-    /// state, run the engine's scoring loop, and assemble the
-    /// [`Explanation`] — charging the prepare cost if this is the first
-    /// run, and substituting the all-predicate when the search produced
-    /// nothing.
+    /// One run. A repeat of a stored `(λ, c)` returns the stored answer,
+    /// timed as one `run.memo` phase, without building a scorer.
+    /// Otherwise build the run scorer over the plan's caches and sampler
+    /// state, run the engine's scoring loop, and store its answer unless
+    /// it exhausted a budget; a run whose key a concurrent run filled
+    /// first returns that answer.
     fn run(
         &self,
         algorithm: &'static str,
@@ -210,6 +289,20 @@ impl PlanCore {
         score: impl FnOnce(&Scorer<'_>) -> Result<RunOutput>,
     ) -> Result<Explanation> {
         let run = span!("run");
+        let key = memo_key(params);
+        let stored = self.memo.lock().get(key);
+        if let Some(answer) = stored {
+            let phases = Phases::new();
+            let predicates = phases.time("run.memo", || answer.predicates.clone());
+            let diagnostics = Diagnostics {
+                algorithm,
+                runtime: run.finish(),
+                mask_cache_entries: self.masks.len() as u64,
+                phases: phases.take(),
+                ..Diagnostics::default()
+            };
+            return Ok(self.explanation(diagnostics, &answer, predicates));
+        }
         let mut scorer = self
             .req
             .scorer_at(*params)?
@@ -221,38 +314,72 @@ impl PlanCore {
             scorer = scorer.with_approx_state(state.clone());
         }
         let out = score(&scorer)?;
-        let runtime = run.finish();
-        let prep = self.prep_cost.lock().take().unwrap_or_default();
-        let mut phases = prep.phases;
-        merge_phases(&mut phases, scorer.phases().take());
-        let mut diagnostics = Diagnostics {
+        let diagnostics = Diagnostics {
             algorithm,
-            runtime: runtime + prep.runtime,
-            scorer_calls: scorer.scorer_calls() + prep.calls,
+            runtime: run.finish(),
+            scorer_calls: scorer.scorer_calls(),
             cache_hits: scorer.cache_hits(),
             cache_evictions: scorer.cache_evictions(),
             mask_cache_lookups: scorer.mask_cache_lookups(),
             mask_cache_hits: scorer.mask_cache_hits(),
             mask_cache_entries: scorer.mask_cache_entries(),
+            budget_exhausted: out.budget_exhausted,
+            phases: scorer.phases().take(),
+            ..Diagnostics::default()
+        };
+        let mut answer = Answer {
+            predicates: out.predicates,
             candidates: out.candidates,
             partitions: out.partitions,
-            budget_exhausted: out.budget_exhausted,
-            phases,
-            ..Diagnostics::default()
+            candidates_pruned: 0,
+            approx_error_bound: None,
+            approx_fallback: None,
         };
         if let Some(state) = scorer.approx_state() {
             // The bound is present whenever approximate mode was
             // requested (0.0 when nothing was pruned).
-            diagnostics.candidates_pruned = scorer.candidates_pruned();
-            diagnostics.approx_error_bound = Some(scorer.approx_error_bound());
-            diagnostics.approx_fallback = state.fallback();
+            answer.candidates_pruned = scorer.candidates_pruned();
+            answer.approx_error_bound = Some(scorer.approx_error_bound());
+            answer.approx_fallback = state.fallback();
         }
-        let predicates = if out.predicates.is_empty() {
+        let answer = if out.budget_exhausted {
+            Arc::new(answer)
+        } else {
+            self.memo.lock().insert(key, answer)
+        };
+        let predicates = answer.predicates.clone();
+        Ok(self.explanation(diagnostics, &answer, predicates))
+    }
+
+    /// Completes a run's [`Explanation`]: the answer's facts go into
+    /// `diagnostics`, the first run is charged the prepare cost, and an
+    /// empty answer becomes the all-predicate.
+    fn explanation(
+        &self,
+        mut diagnostics: Diagnostics,
+        answer: &Answer,
+        predicates: Vec<ScoredPredicate>,
+    ) -> Explanation {
+        let prep = self.prep_cost.lock().take().unwrap_or_default();
+        let mut phases = prep.phases;
+        merge_phases(&mut phases, std::mem::take(&mut diagnostics.phases));
+        let diagnostics = Diagnostics {
+            runtime: diagnostics.runtime + prep.runtime,
+            scorer_calls: diagnostics.scorer_calls + prep.calls,
+            candidates: answer.candidates,
+            partitions: answer.partitions,
+            candidates_pruned: answer.candidates_pruned,
+            approx_error_bound: answer.approx_error_bound,
+            approx_fallback: answer.approx_fallback,
+            phases,
+            ..diagnostics
+        };
+        let predicates = if predicates.is_empty() {
             vec![ScoredPredicate::new(Predicate::all(), 0.0)]
         } else {
-            out.predicates
+            predicates
         };
-        Ok(Explanation { predicates, diagnostics })
+        Explanation { predicates, diagnostics }
     }
 }
 
@@ -272,8 +399,9 @@ fn clamp_budget(own: Option<Duration>, budget: Option<Duration>) -> Option<Durat
 /// The §6.1 decision-tree plan. `prepare` grows and carves the trees
 /// (the per-tuple influences driving every split are `c`-agnostic);
 /// `run` re-scores the partitions and merges, warm-starting the merge
-/// from the cached output of the nearest `c' ≥ c` (the Merger is
-/// monotone in `c`: decreasing `c` only merges further).
+/// from the answer the plan's memo holds for the nearest `c' ≥ c` (the
+/// Merger is monotone in `c`: decreasing `c` only merges further). A
+/// repeat of a stored `(λ, c)` is answered from the memo alone.
 pub(crate) struct DtPlan {
     core: PlanCore,
     cfg: DtConfig,
@@ -285,49 +413,15 @@ pub(crate) struct DtPlan {
 
 #[derive(Default)]
 struct DtPlanState {
-    /// Merged outputs keyed by `c`, each with the number of the write
-    /// that stored it — each is a valid warm start for any lower `c`
-    /// (§8.3.3). At most [`MAX_WARM_STARTS`] entries.
-    merged_by_c: BTreeMap<OrdF64, (u64, Vec<ScoredPredicate>)>,
-    /// Writes to `merged_by_c` so far.
-    writes: u64,
-    /// Most recent merged predicates, exported as successor seeds.
+    /// The most recently computed merge's top predicates, exported as
+    /// successor seeds.
     last_merged: Vec<Predicate>,
-    /// Externally absorbed seeds, consumed by the next run.
+    /// Externally absorbed seeds, consumed by the next computed run.
     extra_seeds: Vec<Predicate>,
-}
-
-impl DtPlanState {
-    /// The cached merge of the nearest `c' ≥ c`, if any.
-    fn warm_start(&self, c: f64) -> Vec<ScoredPredicate> {
-        self.merged_by_c.range(OrdF64(c)..).next().map(|(_, (_, v))| v.clone()).unwrap_or_default()
-    }
-
-    /// Stores `merged` as the warm start for `c`. Past
-    /// [`MAX_WARM_STARTS`] entries, the oldest write is evicted; the
-    /// entry just written is the newest, so it always stays.
-    fn remember(&mut self, c: f64, merged: Vec<ScoredPredicate>) {
-        self.writes += 1;
-        self.merged_by_c.insert(OrdF64(c), (self.writes, merged));
-        if self.merged_by_c.len() > MAX_WARM_STARTS {
-            let oldest = self
-                .merged_by_c
-                .iter()
-                .min_by_key(|(_, (write, _))| *write)
-                .map(|(c, _)| *c)
-                .expect("the map is over its cap, so not empty");
-            self.merged_by_c.remove(&oldest);
-        }
-    }
 }
 
 /// Number of merged predicates exported as seeds to a successor plan.
 const MAX_SEEDS: usize = 8;
-
-/// Most merged outputs a DT plan keeps as warm starts. A long-lived
-/// plan (one in the server's plan cache, which keys plans without `c`)
-/// would otherwise grow by one entry per distinct `c` a client sends.
-const MAX_WARM_STARTS: usize = 16;
 
 impl DtPlan {
     /// Prepares a DT plan: grows and carves the trees.
@@ -378,14 +472,12 @@ impl PreparedPlan for DtPlan {
                 }
                 input.sort_by(|a, b| b.influence.total_cmp(&a.influence));
 
-                // Merge, warm-started from the nearest cached c' ≥ c plus
-                // any absorbed seeds. Warm-start predicates carry stale
-                // influences and stale stats; re-score exactly, stats
-                // dropped.
-                let (warm, extra) = {
-                    let mut st = self.state.lock();
-                    (st.warm_start(params.c), std::mem::take(&mut st.extra_seeds))
-                };
+                // Merge, warm-started from the answer stored at the
+                // nearest c' ≥ c plus any absorbed seeds. Warm-start
+                // predicates carry stale influences and stale stats;
+                // re-score exactly, stats dropped.
+                let warm = self.core.memo.lock().warm_start(params.c);
+                let extra = std::mem::take(&mut self.state.lock().extra_seeds);
                 for mut sp in warm {
                     sp.influence = scorer.influence(&sp.predicate)?;
                     sp.stats = None;
@@ -400,12 +492,8 @@ impl PreparedPlan for DtPlan {
 
             let merger = Merger::new(scorer, &self.core.domains, self.cfg.merger.clone());
             let (merged, _) = scorer.phases().time("run.merge", || merger.merge(input))?;
-            {
-                let mut st = self.state.lock();
-                st.remember(params.c, merged.clone());
-                st.last_merged =
-                    merged.iter().take(MAX_SEEDS).map(|sp| sp.predicate.clone()).collect();
-            }
+            self.state.lock().last_merged =
+                merged.iter().take(MAX_SEEDS).map(|sp| sp.predicate.clone()).collect();
             let n_partitions = self.partitions.len();
             Ok(RunOutput {
                 predicates: merged,
@@ -437,6 +525,7 @@ impl PreparedPlan for DtPlan {
 
     fn absorb_seeds(&self, seeds: Vec<Predicate>) {
         self.state.lock().extra_seeds.extend(seeds);
+        *self.core.memo.lock() = AnswerMemo::default();
     }
 }
 
@@ -606,6 +695,11 @@ mod tests {
             .unwrap()
     }
 
+    /// True when `ex` was answered from its plan's memo.
+    fn from_memo(ex: &Explanation) -> bool {
+        ex.diagnostics.phases.iter().any(|p| p.name == "run.memo")
+    }
+
     #[test]
     fn dt_plan_reruns_with_cache_hits() {
         let dt = DtConfig { sampling: None, ..DtConfig::default() };
@@ -633,46 +727,85 @@ mod tests {
         // window with identical outlier chunks).
         let rebound = plan.rebind(&req).unwrap();
         let again = rebound.run(&req.params()).unwrap();
+        // The rebound plan starts with an empty memo: it merges again.
+        assert!(!from_memo(&again), "{:?}", again.diagnostics);
         assert_eq!(first.best().predicate, again.best().predicate);
         assert!((first.best().influence - again.best().influence).abs() < 1e-9);
     }
 
     #[test]
-    fn absorbed_seeds_only_help() {
+    fn absorbed_seeds_only_help_and_clear_the_memo() {
         let dt = DtConfig { sampling: None, ..DtConfig::default() };
         let req = request(Algorithm::DecisionTree(dt), 0.2);
-        let baseline = req.prepare().unwrap().run(&req.params()).unwrap();
+        let plan = req.prepare().unwrap();
+        let baseline = plan.run(&req.params()).unwrap();
         let seeded = req.prepare().unwrap();
         seeded.absorb_seeds(vec![baseline.best().predicate.clone()]);
         let run = seeded.run(&req.params()).unwrap();
         assert!(run.best().influence >= baseline.best().influence - 1e-9);
+        // Seeds absorbed after a run drop the stored answers: the next
+        // run at the same key merges again, with the seeds.
+        assert!(from_memo(&plan.run(&req.params()).unwrap()));
+        plan.absorb_seeds(vec![run.best().predicate.clone()]);
+        let rerun = plan.run(&req.params()).unwrap();
+        assert!(!from_memo(&rerun), "{:?}", rerun.diagnostics);
+        assert!(rerun.diagnostics.cache_hits > 0, "{:?}", rerun.diagnostics);
+        assert!(rerun.best().influence >= run.best().influence - 1e-9);
+        assert!(from_memo(&plan.run(&req.params()).unwrap()));
     }
 
     #[test]
-    fn dt_warm_starts_are_bounded() {
+    fn answer_memo_is_bounded() {
         let dt = DtConfig { sampling: None, ..DtConfig::default() };
         let req = request(Algorithm::DecisionTree(dt.clone()), 0.5);
         let plan = DtPlan::prepare(&req, dt).unwrap();
-        let cs: Vec<f64> = (0..MAX_WARM_STARTS + 5).map(|i| 0.05 * (i + 1) as f64).collect();
-        for &c in &cs {
-            plan.run(&InfluenceParams { lambda: 0.5, c }).unwrap();
-            assert!(plan.state.lock().merged_by_c.len() <= MAX_WARM_STARTS);
+        let keys = || -> Vec<(u64, u64)> {
+            plan.core.memo.lock().entries.iter().map(|(key, _)| *key).collect()
+        };
+        let params: Vec<InfluenceParams> = (0..MAX_ANSWERS + 4)
+            .map(|i| InfluenceParams { lambda: 0.5, c: 0.05 * (i + 1) as f64 })
+            .collect();
+        for p in &params {
+            assert!(!from_memo(&plan.run(p).unwrap()));
+            assert!(keys().len() <= MAX_ANSWERS);
         }
-        // The oldest writes went; the newest `MAX_WARM_STARTS` stayed.
-        let kept: Vec<f64> = plan.state.lock().merged_by_c.keys().map(|c| c.0).collect();
-        assert_eq!(kept, cs[cs.len() - MAX_WARM_STARTS..]);
-        // A rerun at a kept `c` starts from that `c`'s own merge, whose
-        // predicates were all scored before, and stays within the cap.
-        let kept_c = kept[0];
-        let warm = plan.state.lock().warm_start(kept_c);
-        let preds = |v: &[ScoredPredicate]| v.iter().map(|sp| sp.predicate.clone()).collect();
-        let stored: Vec<Predicate> = preds(&plan.state.lock().merged_by_c[&OrdF64(kept_c)].1);
-        assert_eq!(preds(&warm), stored);
-        let rerun = plan.run(&InfluenceParams { lambda: 0.5, c: kept_c }).unwrap();
-        let rescored = plan.partitions.len() + warm.len();
-        assert!(rerun.diagnostics.cache_hits >= rescored as u64, "{:?}", rerun.diagnostics);
-        assert!(rerun.best().influence >= warm[0].influence - 1e-9);
-        assert_eq!(plan.state.lock().merged_by_c.len(), MAX_WARM_STARTS);
+        // The oldest writes went; the newest `MAX_ANSWERS` stayed.
+        let mut want: Vec<(u64, u64)> =
+            params[params.len() - MAX_ANSWERS..].iter().map(memo_key).collect();
+        assert_eq!(keys(), want);
+        // A kept key is answered from the memo and writes nothing; an
+        // evicted one is recomputed and evicts the oldest write.
+        assert!(from_memo(&plan.run(&params[4]).unwrap()));
+        assert_eq!(keys(), want);
+        assert!(!from_memo(&plan.run(&params[0]).unwrap()));
+        want.remove(0);
+        want.push(memo_key(&params[0]));
+        assert_eq!(keys(), want);
+    }
+
+    #[test]
+    fn warm_start_is_the_nearest_higher_c() {
+        let answer = |tag: f64| Answer {
+            predicates: vec![ScoredPredicate::new(Predicate::all(), tag)],
+            candidates: 0,
+            partitions: 0,
+            candidates_pruned: 0,
+            approx_error_bound: None,
+            approx_fallback: None,
+        };
+        let key = |lambda: f64, c: f64| memo_key(&InfluenceParams { lambda, c });
+        let mut memo = AnswerMemo::default();
+        memo.insert(key(0.5, 0.4), answer(1.0));
+        memo.insert(key(0.3, 0.4), answer(2.0));
+        memo.insert(key(0.5, 0.8), answer(3.0));
+        // A filled key keeps its first answer.
+        assert_eq!(memo.insert(key(0.5, 0.8), answer(4.0)).predicates[0].influence, 3.0);
+        let warm = |c: f64| memo.warm_start(c).iter().map(|sp| sp.influence).collect::<Vec<_>>();
+        // Among equal `c'` at different λ, the latest write.
+        assert_eq!(warm(0.1), [2.0]);
+        assert_eq!(warm(0.4), [2.0]);
+        assert_eq!(warm(0.5), [3.0]);
+        assert_eq!(warm(0.9), [] as [f64; 0]);
     }
 
     #[test]
@@ -711,6 +844,8 @@ mod tests {
                     "{names:?} has zero-count phases"
                 );
                 mask_matches_calls(&first);
+                // A repeat is answered from the memo: one `run.memo`
+                // phase and no scorer call.
                 for later in [plan.run(&req.params()), plan.run_with_budget(&req.params(), budget)]
                 {
                     let later = later.unwrap();
@@ -719,7 +854,7 @@ mod tests {
                         0,
                         "{algo}/{budget:?}: prepare charged twice"
                     );
-                    assert!(!later.diagnostics.phases.is_empty(), "{algo}: warm run has no phases");
+                    assert_eq!(count(&later, "run.memo"), 1, "{algo}/{budget:?}: {later:?}");
                     mask_matches_calls(&later);
                 }
             }
@@ -745,14 +880,8 @@ mod tests {
             assert!(d.mask_cache_lookups > 0, "{}: cold run looked up no mask", d.algorithm);
             assert!(d.mask_cache_hits <= d.mask_cache_lookups);
             assert_ne!(flag(&cold), CacheHit::Off, "{}", d.algorithm);
-            // DT's first rerun warm-starts its merge from the cold
-            // merge and may score a few new merged predicates; the
-            // flag then still reads `hit` or `miss`.
-            let first = plan.run(&req.params()).unwrap();
-            let looked = first.diagnostics.mask_cache_lookups > 0;
-            assert_eq!(flag(&first) != CacheHit::Off, looked, "{:?}", first.diagnostics);
-            // From then on every predicate of a rerun at the same `c`
-            // is in the influence cache: no clause mask is looked up.
+            // A rerun at the same `(λ, c)` is answered from the memo: no
+            // clause mask is looked up.
             let rerun = plan.run(&req.params()).unwrap();
             assert_eq!(rerun.diagnostics.mask_cache_lookups, 0, "{:?}", rerun.diagnostics);
             assert_eq!(flag(&rerun), CacheHit::Off, "{}", d.algorithm);
@@ -769,10 +898,19 @@ mod tests {
             let out = plan.run_with_budget(&req.params(), Some(Duration::ZERO)).unwrap();
             assert!(out.diagnostics.budget_exhausted, "{}", out.diagnostics.algorithm);
             assert!(!out.predicates.is_empty());
+            // A truncated answer is not stored: the next unbudgeted run
+            // at the same parameters searches, completes and is stored.
+            let full = plan.run(&req.params()).unwrap();
+            let d = &full.diagnostics;
+            assert!(!from_memo(&full) && !d.budget_exhausted, "{d:?}");
+            assert!(d.scorer_calls + d.cache_hits > 0, "{d:?}");
+            assert!(from_memo(&plan.run(&req.params()).unwrap()));
             // A generous budget does not trip the anytime exit.
-            let full =
-                plan.run_with_budget(&req.params(), Some(Duration::from_secs(3600))).unwrap();
-            assert!(!full.diagnostics.budget_exhausted, "{}", full.diagnostics.algorithm);
+            let generous = plan
+                .run_with_budget(&req.params().with_c(0.3), Some(Duration::from_secs(3600)))
+                .unwrap();
+            assert!(!from_memo(&generous), "{:?}", generous.diagnostics);
+            assert!(!generous.diagnostics.budget_exhausted, "{}", generous.diagnostics.algorithm);
         }
         // DT has no anytime loop: the budget is ignored, not an error.
         let dt = DtConfig { sampling: None, ..DtConfig::default() };

@@ -9,11 +9,14 @@
 //!
 //! 1. The first run triggers [`ExplainRequest::prepare`] (lazily) and
 //!    pays the full cost.
-//! 2. Every later run, at any `(λ, c)`, re-scores through the plan's
+//! 2. Every later run at a new `(λ, c)` re-scores through the plan's
 //!    shared [`crate::InfluenceCache`] — known predicates re-score with
 //!    pure arithmetic, no matcher passes — and, for DT, warm-starts the
-//!    merge from the cached output of the nearest `c' ≥ c` (the Merger
+//!    merge from the answer stored at the nearest `c' ≥ c` (the Merger
 //!    is monotone in `c`: decreasing `c` only merges further).
+//! 3. A repeat of a `(λ, c)` the plan already answered returns that
+//!    answer from the plan's memo of its last 16 completed answers,
+//!    with no scoring at all: a question asked twice gets one answer.
 //!
 //! This is the §8.3.3 DT cache made algorithm-generic: warm cross-`c`
 //! runs now work for DT **and** MC **and** NAIVE.

@@ -700,15 +700,14 @@ fn parse_algorithm(name: &str) -> Result<Algorithm, Response> {
 
 /// Reads the approximate-search knobs from an `/explain` body:
 /// `approx: true` opts in with defaults; `approx_rate` and
-/// `approx_seed` override fields (either implies opting in). Out-of-range values are a 400 whose message
-/// names the valid range.
+/// `approx_seed` override fields (either implies opting in). A knob of
+/// the wrong type is a 400 that names the field, and an out-of-range
+/// value a 400 that names the valid range.
 fn parse_approx(body: &Json) -> Result<Option<ApproxConfig>, Response> {
-    let rate = body.get("approx_rate").and_then(Json::as_f64);
-    let seed = body.get("approx_seed").and_then(Json::as_f64);
-    let opted_in = body.get("approx").and_then(Json::as_bool).unwrap_or(false)
-        || rate.is_some()
-        || seed.is_some();
-    if !opted_in {
+    let opted_in = typed_field(body, "approx", "a boolean", Json::as_bool)?;
+    let rate = typed_field(body, "approx_rate", "a number", Json::as_f64)?;
+    let seed = typed_field(body, "approx_seed", "a number", Json::as_f64)?;
+    if !(opted_in.unwrap_or(false) || rate.is_some() || seed.is_some()) {
         return Ok(None);
     }
     let mut cfg = ApproxConfig::default();
@@ -720,6 +719,23 @@ fn parse_approx(body: &Json) -> Result<Option<ApproxConfig>, Response> {
     }
     cfg.validate().map_err(|msg| error_response(400, &msg))?;
     Ok(Some(cfg))
+}
+
+/// Field `name` of `body` as `read` takes it: `None` when absent, and a
+/// 400 naming the field and the `expected` type when present but not
+/// readable.
+fn typed_field<T>(
+    body: &Json,
+    name: &str,
+    expected: &str,
+    read: impl FnOnce(&Json) -> Option<T>,
+) -> Result<Option<T>, Response> {
+    match body.get(name) {
+        None => Ok(None),
+        Some(value) => read(value)
+            .map(Some)
+            .ok_or_else(|| error_response(400, &format!("field `{name}` must be {expected}"))),
+    }
 }
 
 /// `POST /explain`: runs (or re-scores) the plan and renders the
@@ -757,8 +773,8 @@ fn handle_explain(
         .get(&table_name)
         .ok_or_else(|| error_response(404, &format!("no table named `{table_name}`")))?;
 
-    let lambda = body.get("lambda").and_then(Json::as_f64).unwrap_or(0.5);
-    let c = body.get("c").and_then(Json::as_f64).unwrap_or(0.5);
+    let lambda = typed_field(&body, "lambda", "a number", Json::as_f64)?.unwrap_or(0.5);
+    let c = typed_field(&body, "c", "a number", Json::as_f64)?.unwrap_or(0.5);
     // Checked before the plan-cache lookup, so hits and misses answer alike.
     InfluenceParams { lambda, c }.validate().map_err(|e| error_response(400, &e.to_string()))?;
     let top = body.get("top").and_then(Json::as_f64).unwrap_or(3.0).max(1.0) as usize;

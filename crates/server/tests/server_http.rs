@@ -271,20 +271,37 @@ fn approx_knobs_validate_and_report() {
         let msg = err.get("error").and_then(Json::as_str).unwrap();
         assert!(msg.contains(range), "{field}={value}: body must name {range}, got: {msg}");
     }
+    // A knob of the wrong type is refused, not read as "exact search".
+    for (field, value) in [
+        ("approx", Json::obj([("sample_rate", Json::from(0.1))])),
+        ("approx", Json::from("yes")),
+        ("approx_rate", Json::from("0.1")),
+        ("approx_seed", Json::from(true)),
+    ] {
+        let (status, err) = c.post("/explain", &with(&[(field, value.clone())])).unwrap();
+        assert_eq!(status, 400, "{field}={value:?}: {err:?}");
+        let msg = err.get("error").and_then(Json::as_str).unwrap();
+        assert!(msg.contains(&format!("`{field}`")), "{field}={value:?}: got {msg}");
+    }
 
     // Out-of-range λ and c are client errors on a plan-cache miss here,
     // and on a hit once a valid request has cached the plan (below).
     let bad_params = |c: &mut client::Client| {
-        for (field, value, range) in [("c", -1.0, "non-negative"), ("lambda", 2.0, "[0, 1]")] {
+        for (field, value, range) in [
+            ("c", Json::from(-1.0), "non-negative"),
+            ("lambda", Json::from(2.0), "[0, 1]"),
+            ("c", Json::from("0.2"), "`c`"),
+            ("lambda", Json::from("0.5"), "`lambda`"),
+        ] {
             let mut body = explain_body("t", "dt", 0.5);
             if let Json::Obj(pairs) = &mut body {
                 pairs.retain(|(k, _)| k != field);
-                pairs.push((field.to_owned(), Json::from(value)));
+                pairs.push((field.to_owned(), value.clone()));
             }
             let (status, err) = c.post("/explain", &body).unwrap();
-            assert_eq!(status, 400, "{field}={value}: {err:?}");
+            assert_eq!(status, 400, "{field}={value:?}: {err:?}");
             let msg = err.get("error").and_then(Json::as_str).unwrap();
-            assert!(msg.contains(range), "{field}={value}: body must name {range}, got: {msg}");
+            assert!(msg.contains(range), "{field}={value:?}: body must name {range}, got: {msg}");
         }
     };
     bad_params(&mut c);
@@ -296,11 +313,14 @@ fn approx_knobs_validate_and_report() {
     assert!(diag(&resp, "candidates_pruned") >= 0.0);
 
     // `approx_confidence` is ignored like any unknown field: it is not
-    // validated and does not split the plan key.
+    // validated and does not split the plan key. The hit repeats a known
+    // `c`, so the plan's memo answers it, bound included.
     let ignored = [("approx", Json::from(true)), ("approx_confidence", Json::from(0.4))];
     let (status, resp) = c.post("/explain", &with(&ignored)).unwrap();
     assert_eq!(status, 200, "{resp:?}");
     assert_eq!(resp.get("plan_cache").and_then(Json::as_str), Some("hit"), "{resp:?}");
+    assert_eq!(diag(&resp, "scorer_calls"), 0.0, "{resp:?}");
+    assert_eq!(diag(&resp, "approx_error_bound"), bound, "{resp:?}");
 
     // Exact requests to the same table render null, not a stale bound:
     // the approx knobs are part of the plan key.
@@ -312,6 +332,11 @@ fn approx_knobs_validate_and_report() {
         "{exact:?}"
     );
     assert_eq!(exact.get("plan_cache").and_then(Json::as_str), Some("miss"));
+    // `approx: false` is the exact search: the same plan.
+    let (status, off) = c.post("/explain", &with(&[("approx", Json::from(false))])).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(off.get("plan_cache").and_then(Json::as_str), Some("hit"), "{off:?}");
+    assert_eq!(off.get("diagnostics").and_then(|d| d.get("approx_error_bound")), Some(&Json::Null));
     bad_params(&mut c);
     handle.stop();
 }

@@ -13,6 +13,10 @@
 //!    `ExplainRequest::explain` per `(algorithm, c)`. The influence
 //!    cache stores per-group `(n, Δ)` pairs and replays the exact
 //!    scoring arithmetic, so equality is to machine precision.
+//!
+//! 3. **Repeats** — a run at a `(λ, c)` the plan already answered
+//!    returns that first answer bit for bit from the plan's memo, with
+//!    no scoring work at all.
 
 use scorpion::prelude::*;
 use std::sync::Arc;
@@ -256,10 +260,9 @@ fn concurrent_shared_plan_cache_matches_fresh_explain() {
     }
 }
 
-/// The influence cache reproduces scores bit-for-bit: re-running at the
-/// *same* parameters from a warm plan returns identical results with
-/// zero additional partition re-scoring cost for NAIVE (every candidate
-/// hits the cache).
+/// Re-running a completed NAIVE enumeration at the *same* parameters
+/// returns identical results from the plan's memo: no scorer call and
+/// no influence-cache lookup.
 #[test]
 fn naive_rerun_at_same_c_is_pure_cache() {
     let t = planted(200);
@@ -275,16 +278,67 @@ fn naive_rerun_at_same_c_is_pure_cache() {
     assert_same_results("naive", &first, &second);
     assert_eq!(
         second.diagnostics.scorer_calls, 0,
-        "a completed NAIVE enumeration re-run must be answered entirely from cache"
+        "a completed NAIVE enumeration re-run must be answered entirely from the memo"
     );
-    assert_eq!(second.diagnostics.cache_hits, second.diagnostics.candidates);
+    assert_eq!(second.diagnostics.cache_hits, 0, "{:?}", second.diagnostics);
+    assert_eq!(second.diagnostics.candidates, first.diagnostics.candidates);
+}
+
+/// A seeded random `(λ, c)` walk with repeats over one plan per engine
+/// (and approx DT): every repeat returns the predicates and influence
+/// bits of the first answer at its key, with no scorer call, no
+/// influence-cache hit, no mask lookup and one `run.memo` phase.
+#[test]
+fn repeats_return_the_first_answer_from_the_memo() {
+    let t = planted(300);
+    let mut engines: Vec<(&str, ExplainRequest)> = algorithms()
+        .into_iter()
+        .map(|(name, algo, agg)| (name, request(&t, algo, agg, 0.5)))
+        .collect();
+    let dt = engines[0].1.clone();
+    engines.push(("dt-approx", dt.with_approx(Some(ApproxConfig::default()))));
+    let keys: Vec<(f64, f64)> =
+        [0.2, 0.5, 0.8].iter().flat_map(|&l| [0.1, 0.3, 0.5, 0.9].map(|c| (l, c))).collect();
+    let mut rng = scorpion::data::Rng::seeded(24);
+    for (name, req) in engines {
+        let plan = req.prepare().unwrap();
+        let mut first: std::collections::HashMap<(u64, u64), Explanation> = Default::default();
+        let mut repeats = 0;
+        for step in 0..30 {
+            let (lambda, c) = keys[rng.index(keys.len())];
+            let ex = plan.run(&InfluenceParams { lambda, c }).unwrap();
+            let d = &ex.diagnostics;
+            let memo = d.phases.iter().filter(|p| p.name == "run.memo").count();
+            let Some(want) = first.get(&(lambda.to_bits(), c.to_bits())) else {
+                assert_eq!(memo, 0, "[{name}] step {step}: first visit from the memo");
+                first.insert((lambda.to_bits(), c.to_bits()), ex);
+                continue;
+            };
+            repeats += 1;
+            let at = format!("[{name}] step {step} (λ = {lambda}, c = {c})");
+            assert_eq!(ex.predicates.len(), want.predicates.len(), "{at}");
+            for (got, want) in ex.predicates.iter().zip(&want.predicates) {
+                assert_eq!(got.predicate, want.predicate, "{at}");
+                assert_eq!(got.influence.to_bits(), want.influence.to_bits(), "{at}");
+            }
+            assert_eq!((d.scorer_calls, d.cache_hits, d.mask_cache_lookups), (0, 0, 0), "{at}");
+            assert_eq!((memo, d.phases.len()), (1, 1), "{at}: {:?}", d.phases);
+            let w = &want.diagnostics;
+            assert_eq!((d.candidates, d.partitions), (w.candidates, w.partitions), "{at}");
+            assert_eq!(d.candidates_pruned, w.candidates_pruned, "{at}");
+            assert_eq!(d.approx_error_bound, w.approx_error_bound, "{at}");
+            assert_eq!(d.approx_error_bound.is_some(), name == "dt-approx", "{at}");
+        }
+        assert!(repeats >= 10, "[{name}] the walk repeated only {repeats} keys");
+    }
 }
 
 /// The DT slider walk's exact output on the `server_dashboard` table
 /// shape (SYNTH-2D-Easy, seed 21, 200 tuples per group: ≈285 partitions,
 /// so each cached-tuple merge runs hundreds of §6.3 estimates). Cold at
 /// `c = 0.5`, then 0.25 (warm-started), 0.8 (a merge from scratch), a
-/// revisit of 0.5, and 0.65. The expected top-3 predicates and
+/// revisit of 0.5 (step 0's answer, from the plan's memo), and 0.65
+/// (warm-started from 0.8's merge). The expected top-3 predicates and
 /// influences are the ones the row-at-a-time partition statistics and
 /// predicate-building merge estimates produced; the masked walk and the
 /// direct intersection volumes must reproduce them exactly.
@@ -335,8 +389,8 @@ fn dt_slider_walk_output_is_fixed() {
             0.5,
             [
                 (box_at("2.1985, 40.0135", "32.0966, 83.9709"), 0.6015889509899883),
+                (box_at("12.7980, 40.0135", "33.4460, 83.9709"), 0.5454537021645998),
                 (box_at("40.0405, 51.3414", "35.2653, 83.9709"), 0.2938138419803861),
-                (box_at("59.0434, 60.6396", "68.0647, 72.2024"), 0.0003084653280559735),
             ],
         ),
         (
@@ -348,6 +402,7 @@ fn dt_slider_walk_output_is_fixed() {
             ],
         ),
     ];
+    let mut tops = Vec::new();
     for (step, (c, want)) in walk.iter().enumerate() {
         let ex = session.run_with_c(*c).unwrap();
         assert!(ex.diagnostics.partitions > 250, "{}", ex.diagnostics.partitions);
@@ -360,7 +415,10 @@ fn dt_slider_walk_output_is_fixed() {
                 got.influence
             );
         }
+        let top3 = ex.predicates.iter().take(3);
+        tops.push(top3.map(|p| (p.predicate.clone(), p.influence.to_bits())).collect::<Vec<_>>());
     }
+    assert_eq!(tops[3], tops[0], "the revisit must return step 0's answer bit for bit");
 }
 
 /// The top-3 predicates (as displayed over `table`) and influences of
@@ -397,7 +455,8 @@ fn assert_walk(got: &[Vec<(String, f64)>], want: &[(f64, [(&str, f64); 3])]) {
 /// The groups exceed §6.1.2's `min_rows_to_sample`, so the root samples
 /// and every split tops its children's samples up; nodes range from the
 /// root down to a few hundred rows. Cold at `c = 0.5`, then 0.05, 0.95
-/// (a merge from scratch) and a revisit of 0.5.
+/// (a merge from scratch) and a revisit of 0.5, which returns step 0's
+/// answer from the plan's memo.
 #[test]
 fn dt_sampled_walk_output_is_fixed() {
     use scorpion::data::synth::{generate, SynthConfig};
@@ -425,15 +484,13 @@ fn dt_sampled_walk_output_is_fixed() {
         box_at("71.6271, 75.1502", "24.5341, 24.5675"),
         box_at("93.7019, 95.9527", "24.5675, 24.6813"),
     );
+    let cold = [
+        (hot.as_str(), 0.1150075143180587),
+        (&box_at("51.9582, 62.9507", "21.5730, 71.4774"), 0.06139135032185766),
+        (&sliver, 0.0),
+    ];
     let want: [(f64, [(&str, f64); 3]); 4] = [
-        (
-            0.5,
-            [
-                (&hot, 0.1150075143180587),
-                (&box_at("51.9582, 62.9507", "21.5730, 71.4774"), 0.06139135032185766),
-                (&sliver, 0.0),
-            ],
-        ),
+        (0.5, cold),
         (0.05, [(&wide, 3.682471582829601), (&sliver, 0.0), (&corner, 0.0)]),
         (
             0.95,
@@ -443,14 +500,7 @@ fn dt_sampled_walk_output_is_fixed() {
                 (&box_at("52.4319, 58.6390", "46.6136, 71.4774"), 0.007124960346602324),
             ],
         ),
-        (
-            0.5,
-            [
-                (&box_at("13.0842, 62.9507", "21.5730, 74.6424"), 0.14525218205385626),
-                (&sliver, 0.0),
-                (&corner, 0.0),
-            ],
-        ),
+        (0.5, cold),
     ];
     assert_walk(&got, &want);
 }
