@@ -77,18 +77,7 @@ impl Client {
         extra_headers: &[(&str, &str)],
         body: Option<&str>,
     ) -> io::Result<RawResponse> {
-        let body = body.unwrap_or("");
-        let mut extra = String::new();
-        for (name, value) in extra_headers {
-            extra.push_str(&format!("{name}: {value}\r\n"));
-        }
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\nHost: scorpion\r\nContent-Length: {}\r\n\
-             Content-Type: application/json\r\n{extra}\r\n{body}",
-            body.len()
-        )?;
-        self.writer.flush()?;
+        self.writer.write_all(&request_bytes(method, path, extra_headers, body.unwrap_or("")))?;
         self.read_response()
     }
 
@@ -123,6 +112,26 @@ impl Client {
         let body = String::from_utf8(body).map_err(|_| bad("body is not UTF-8"))?;
         Ok(RawResponse { status, headers, body })
     }
+}
+
+/// One request as it goes on the wire, head and body in one buffer: the
+/// stream sets `TCP_NODELAY`, so each `write` call would leave as its
+/// own segment and cost the server a wake-up and a read.
+fn request_bytes(method: &str, path: &str, extra_headers: &[(&str, &str)], body: &str) -> Vec<u8> {
+    let mut message = format!(
+        "{method} {path} HTTP/1.1\r\nHost: scorpion\r\nContent-Length: {}\r\n\
+         Content-Type: application/json\r\n",
+        body.len()
+    );
+    for (name, value) in extra_headers {
+        message.push_str(name);
+        message.push_str(": ");
+        message.push_str(value);
+        message.push_str("\r\n");
+    }
+    message.push_str("\r\n");
+    message.push_str(body);
+    message.into_bytes()
 }
 
 /// A response before JSON parsing: status, lowercased headers, body
@@ -161,4 +170,48 @@ pub fn get(addr: SocketAddr, path: &str) -> io::Result<(u16, Json)> {
 /// One-shot convenience: connect, POST JSON, disconnect.
 pub fn post(addr: SocketAddr, path: &str, body: &Json) -> io::Result<(u16, Json)> {
     Client::connect(addr)?.post(path, body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::{Feed, RequestParser};
+    use std::net::TcpListener;
+
+    /// Guards the one-segment request: the bytes the `Client` puts on
+    /// the wire arrive in the server's first `read`, and one
+    /// `RequestParser::push` of them yields the whole request with
+    /// nothing left over — the framing the field-by-field rendering
+    /// produced, in one buffer.
+    #[test]
+    fn request_is_one_buffer_the_parser_takes_whole() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut buf = [0u8; 4096];
+            let n = stream.read(&mut buf).unwrap();
+            let mut parser = RequestParser::new();
+            parser.push(&buf[..n]);
+            let Feed::Request(req) = parser.next_request() else {
+                panic!("one read must hold the request: {:?}", String::from_utf8_lossy(&buf[..n]))
+            };
+            assert!(!parser.mid_request(), "nothing beyond the request");
+            stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}").unwrap();
+            (buf[..n].to_vec(), req)
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let body = Json::obj([("c", Json::from(0.5))]);
+        let resp = client.post_with_headers("/explain", &[("x-test", "1")], &body).unwrap();
+        assert_eq!(resp.status, 200);
+        let (wire, req) = server.join().unwrap();
+        assert_eq!(
+            String::from_utf8(wire).unwrap(),
+            "POST /explain HTTP/1.1\r\nHost: scorpion\r\nContent-Length: 9\r\n\
+             Content-Type: application/json\r\nx-test: 1\r\n\r\n{\"c\":0.5}"
+        );
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/explain"));
+        assert_eq!(req.header("x-test"), Some("1"));
+        assert_eq!(req.body, b"{\"c\":0.5}");
+    }
 }

@@ -158,13 +158,13 @@ fn table_rows_json(table: &Table) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::ReadOutcome;
-    use std::io::BufReader;
+    use crate::http::{Feed, RequestParser};
 
     fn get(target: &str) -> Request {
-        let raw = format!("GET {target} HTTP/1.1\r\n\r\n");
-        match crate::http::read_request(&mut BufReader::new(raw.as_bytes())).unwrap() {
-            ReadOutcome::Request(req) => req,
+        let mut parser = RequestParser::new();
+        parser.push(format!("GET {target} HTTP/1.1\r\n\r\n").as_bytes());
+        match parser.next_request() {
+            Feed::Request(req) => req,
             _ => panic!("expected request"),
         }
     }

@@ -16,7 +16,7 @@
 //! header section is rejected with 431 before it can buffer without
 //! limit.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Write};
 
 /// Largest accepted request body (tables are POSTed as CSV text).
 pub const MAX_BODY_BYTES: usize = 64 << 20;
@@ -103,22 +103,27 @@ impl Response {
     }
 
     /// Serializes the response, with `Connection: keep-alive|close`
-    /// according to `keep_alive`.
+    /// according to `keep_alive`, in one `write_all`: both ends set
+    /// `TCP_NODELAY`, so each `write` call would leave as its own segment.
     pub fn write_to(&self, w: &mut impl Write, keep_alive: bool) -> io::Result<()> {
-        write!(
-            w,
+        let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             self.reason(),
             self.content_type,
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" },
-        )?;
+        );
         for (name, value) in &self.headers {
-            write!(w, "{name}: {value}\r\n")?;
+            head.push_str(name);
+            head.push_str(": ");
+            head.push_str(value);
+            head.push_str("\r\n");
         }
-        w.write_all(b"\r\n")?;
-        w.write_all(&self.body)?;
+        head.push_str("\r\n");
+        let mut message = head.into_bytes();
+        message.extend_from_slice(&self.body);
+        w.write_all(&message)?;
         w.flush()
     }
 }
@@ -299,52 +304,6 @@ fn parse_head(head: &[u8]) -> Result<Head, Response> {
     Ok(Head { method, path, query, headers, body_len })
 }
 
-/// Outcome of reading one request off a connection.
-pub enum ReadOutcome {
-    /// A complete request.
-    Request(Request),
-    /// The peer closed the connection cleanly (or idled out) before
-    /// sending a request — not an error.
-    Closed,
-    /// The bytes on the wire are not a valid request; the given
-    /// response should be sent before closing.
-    Malformed(Response),
-}
-
-/// Reads one HTTP/1.1 request from a buffered blocking stream — the
-/// convenience wrapper over [`RequestParser`] for synchronous callers
-/// (tests, simple clients).
-pub fn read_request(r: &mut BufReader<impl Read>) -> io::Result<ReadOutcome> {
-    let mut parser = RequestParser::new();
-    read_request_into(r, &mut parser)
-}
-
-/// [`read_request`], but resuming an existing parser (which may hold
-/// pipelined bytes from a previous request on the same stream).
-pub fn read_request_into(
-    r: &mut BufReader<impl Read>,
-    parser: &mut RequestParser,
-) -> io::Result<ReadOutcome> {
-    loop {
-        match parser.next_request() {
-            Feed::Request(req) => return Ok(ReadOutcome::Request(req)),
-            Feed::Malformed(resp) => return Ok(ReadOutcome::Malformed(resp)),
-            Feed::NeedMore => {
-                let chunk = r.fill_buf()?;
-                if chunk.is_empty() {
-                    return Ok(match parser.on_eof() {
-                        Some(resp) => ReadOutcome::Malformed(resp),
-                        None => ReadOutcome::Closed,
-                    });
-                }
-                let n = chunk.len();
-                parser.push(chunk);
-                r.consume(n);
-            }
-        }
-    }
-}
-
 /// A JSON error body `{"error": msg}` with the given status.
 pub fn error_response(status: u16, msg: &str) -> Response {
     let body = crate::json::Json::obj([("error", msg)]).encode().expect("finite");
@@ -354,16 +313,23 @@ pub fn error_response(status: u16, msg: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn parse(raw: &str) -> ReadOutcome {
-        read_request(&mut BufReader::new(raw.as_bytes())).unwrap()
+    /// Pushes `raw` as one read and then ends the stream, as the poller
+    /// does: `Ok(Some)` is a request, `Ok(None)` a clean close between
+    /// requests, `Err` the response to send before closing.
+    fn parse(raw: &str) -> Result<Option<Request>, Response> {
+        let mut p = RequestParser::new();
+        p.push(raw.as_bytes());
+        match p.next_request() {
+            Feed::Request(req) => Ok(Some(req)),
+            Feed::Malformed(resp) => Err(resp),
+            Feed::NeedMore => p.on_eof().map_or(Ok(None), Err),
+        }
     }
 
     #[test]
     fn parses_get_with_query() {
-        let ReadOutcome::Request(req) = parse("GET /stats?verbose=1 HTTP/1.1\r\nHost: x\r\n\r\n")
-        else {
+        let Ok(Some(req)) = parse("GET /stats?verbose=1 HTTP/1.1\r\nHost: x\r\n\r\n") else {
             panic!("expected request")
         };
         assert_eq!(req.method, "GET");
@@ -379,7 +345,7 @@ mod tests {
     #[test]
     fn parses_post_with_body_and_close() {
         let raw = "POST /explain HTTP/1.1\r\nContent-Length: 4\r\nConnection: close\r\n\r\nbody";
-        let ReadOutcome::Request(req) = parse(raw) else { panic!("expected request") };
+        let Ok(Some(req)) = parse(raw) else { panic!("expected request") };
         assert_eq!(req.method, "POST");
         assert_eq!(req.body, b"body");
         assert!(!req.keep_alive());
@@ -387,20 +353,20 @@ mod tests {
 
     #[test]
     fn eof_is_clean_close() {
-        assert!(matches!(parse(""), ReadOutcome::Closed));
+        assert!(matches!(parse(""), Ok(None)));
     }
 
     #[test]
     fn truncated_body_is_malformed_not_hung() {
         let raw = "POST /explain HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
-        let ReadOutcome::Malformed(resp) = parse(raw) else { panic!("expected malformed") };
+        let Err(resp) = parse(raw) else { panic!("expected malformed") };
         assert_eq!(resp.status, 400);
     }
 
     #[test]
     fn oversized_content_length_rejected_before_reading() {
         let raw = format!("POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
-        let ReadOutcome::Malformed(resp) = parse(&raw) else { panic!("expected malformed") };
+        let Err(resp) = parse(&raw) else { panic!("expected malformed") };
         assert_eq!(resp.status, 413);
     }
 
@@ -409,9 +375,7 @@ mod tests {
         for raw in
             ["garbage\r\n\r\n", "GET /x SPDY/3\r\n\r\n", "GET /x HTTP/1.1\r\nnocolon\r\n\r\n"]
         {
-            let ReadOutcome::Malformed(resp) = parse(raw) else {
-                panic!("expected malformed for {raw:?}")
-            };
+            let Err(resp) = parse(raw) else { panic!("expected malformed for {raw:?}") };
             assert_eq!(resp.status, 400);
         }
     }
@@ -428,20 +392,58 @@ mod tests {
         assert!(text.ends_with("\r\n\r\n{}"));
     }
 
+    /// A writer that takes every byte it is offered and counts its
+    /// `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Guards the one-segment response: with `TCP_NODELAY` on, every
+    /// `write` call is a TCP segment of its own, so a response with a
+    /// trace-id header must reach the socket in one call, with the same
+    /// bytes as the field-by-field rendering it replaced.
+    #[test]
+    fn response_is_one_write_of_unchanged_bytes() {
+        let mut resp = Response::json(503, "{\"error\":\"busy\"}");
+        resp.headers.push(("x-scorpion-trace-id".into(), "42".into()));
+        resp.headers.push(("x-extra".into(), "a b".into()));
+        for (keep_alive, connection) in [(true, "keep-alive"), (false, "close")] {
+            let mut w = CountingWriter::default();
+            resp.write_to(&mut w, keep_alive).unwrap();
+            assert_eq!(w.writes, 1, "one write per response");
+            let expected = format!(
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+                 Content-Length: 16\r\nConnection: {connection}\r\n\
+                 x-scorpion-trace-id: 42\r\nx-extra: a b\r\n\r\n{{\"error\":\"busy\"}}"
+            );
+            assert_eq!(String::from_utf8(w.bytes).unwrap(), expected);
+        }
+    }
+
     #[test]
     fn two_requests_on_one_connection() {
-        let raw = "GET /healthz HTTP/1.1\r\n\r\nGET /stats HTTP/1.1\r\n\r\n";
-        let mut r = BufReader::new(raw.as_bytes());
-        let mut parser = RequestParser::new();
-        let ReadOutcome::Request(a) = read_request_into(&mut r, &mut parser).unwrap() else {
-            panic!()
-        };
-        let ReadOutcome::Request(b) = read_request_into(&mut r, &mut parser).unwrap() else {
-            panic!()
-        };
+        let mut p = RequestParser::new();
+        p.push(b"GET /healthz HTTP/1.1\r\n\r\nGET /stats HTTP/1.1\r\n\r\n");
+        let Feed::Request(a) = p.next_request() else { panic!("expected request") };
+        let Feed::Request(b) = p.next_request() else { panic!("expected request") };
         assert_eq!(a.path, "/healthz");
         assert_eq!(b.path, "/stats");
-        assert!(matches!(read_request_into(&mut r, &mut parser).unwrap(), ReadOutcome::Closed));
+        assert!(matches!(p.next_request(), Feed::NeedMore));
+        assert!(p.on_eof().is_none(), "EOF after the last request is a clean close");
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //! * [`pool::WorkerPool`] — a bounded worker pool with a backpressure
 //!   queue; saturation sheds *requests* with immediate 503s attributed
 //!   to the endpoint they targeted.
-//! * a readiness poller (`poll(2)` behind a dependency-free FFI
-//!   wrapper) that parks idle keep-alive connections and hands
-//!   complete parsed requests to the pool — worker occupancy tracks
-//!   in-flight requests, not open sockets, so hundreds of idle
-//!   dashboard connections cost file descriptors, never workers.
+//! * a readiness poller (`epoll(7)` behind a dependency-free FFI
+//!   wrapper, so the server builds on Linux only) that parks idle
+//!   keep-alive connections and hands complete parsed requests to the
+//!   pool — worker occupancy tracks in-flight requests, not open
+//!   sockets, so hundreds of idle dashboard connections cost file
+//!   descriptors, never workers, and no poller work per wake-up.
 //!   Slow clients are bounded by read (408) and write timeouts, and
 //!   per-request deadlines ([`server::DEADLINE_HEADER`] or
 //!   `--deadline-ms`) become anytime budgets for the MC/NAIVE engines

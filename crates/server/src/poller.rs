@@ -1,12 +1,23 @@
 //! The readiness poller: the request-grained heart of the server.
 //!
 //! One poller thread owns the (non-blocking) listener and every parked
-//! connection. It sleeps in `poll(2)` until a socket has bytes, feeds
-//! them through the connection's incremental [`RequestParser`], and
-//! hands each *complete parsed request* to the bounded [`WorkerPool`].
-//! The connection travels with the request into the worker; after the
-//! response is written, keep-alive connections come back through the
-//! [`ReturnQueue`] (a self-pipe wakes the poller) and park again.
+//! connection. It sleeps in `epoll_wait(2)` until a socket has bytes,
+//! feeds them through the connection's incremental [`RequestParser`],
+//! and hands each *complete parsed request* to the bounded
+//! [`WorkerPool`]. The connection travels with the request into the
+//! worker; after the response is written, keep-alive connections come
+//! back through the [`ReturnQueue`] (a self-pipe wakes the poller) and
+//! park again.
+//!
+//! Each accepted socket is registered once, `EPOLLIN | EPOLLONESHOT`,
+//! with its slot in the poller's slab as the token. An event disarms the
+//! registration, so a connection in a worker's hands raises none; the
+//! poller re-arms it (`EPOLL_CTL_MOD`) when it parks the connection
+//! again, and the kernel reports bytes that arrived meanwhile at once.
+//! A wake-up costs the events it reports, not a pass over every parked
+//! socket, and timeouts are swept once per tick. Only the poller thread
+//! touches registrations; closing a socket, on any thread, removes its
+//! own.
 //!
 //! Worker occupancy therefore tracks **in-flight requests, not open
 //! sockets**: a thousand idle keep-alive dashboards cost a thousand
@@ -19,6 +30,9 @@
 //! silently closed after the idle timeout, and response writes carry a
 //! write timeout (a peer that stops draining gets dropped, counted in
 //! `write_timeouts`).
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("the scorpion-server poller is built on epoll(7), which only Linux provides");
 
 use crate::http::{error_response, Feed, Request, RequestParser, Response};
 use crate::pool::{SubmitError, WorkerPool};
@@ -33,42 +47,101 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Raw `poll(2)` binding — the one readiness syscall the server needs,
+/// Raw `epoll(7)` binding — the readiness syscalls the server needs,
 /// wrapped without a libc dependency.
 mod sys {
-    use std::os::unix::io::RawFd;
+    use std::ffi::c_int;
+    use std::io;
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 
-    /// There is data to read.
-    pub const POLLIN: i16 = 0x001;
+    /// The descriptor is readable (or at end of stream).
+    pub const EPOLLIN: u32 = 0x001;
+    /// Disarm the registration after one event, until `EPOLL_CTL_MOD`.
+    pub const EPOLLONESHOT: u32 = 1 << 30;
+    const EPOLL_CLOEXEC: c_int = 0o2_000_000;
+    const EPOLL_CTL_ADD: c_int = 1;
+    const EPOLL_CTL_MOD: c_int = 3;
 
-    /// `struct pollfd` from `poll(2)`.
-    #[repr(C)]
+    /// `struct epoll_event`. The kernel packs it on x86-64 (12 bytes,
+    /// `data` at offset 4) and aligns it naturally elsewhere.
+    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
     #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: RawFd,
-        pub events: i16,
-        pub revents: i16,
+    pub struct EpollEvent {
+        pub events: u32,
+        pub data: u64,
     }
 
     extern "C" {
-        fn poll(
-            fds: *mut PollFd,
-            nfds: std::ffi::c_ulong,
-            timeout: std::ffi::c_int,
-        ) -> std::ffi::c_int;
+        fn epoll_create1(flags: c_int) -> c_int;
+        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+        fn epoll_wait(
+            epfd: c_int,
+            events: *mut EpollEvent,
+            maxevents: c_int,
+            timeout: c_int,
+        ) -> c_int;
     }
 
-    /// Polls `fds` for up to `timeout_ms` (−1 = forever), retrying on
-    /// EINTR. Returns the number of descriptors with non-zero `revents`.
-    pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
-        loop {
-            let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, timeout_ms) };
-            if rc >= 0 {
-                return Ok(rc as usize);
-            }
-            let err = std::io::Error::last_os_error();
-            if err.kind() != std::io::ErrorKind::Interrupted {
-                return Err(err);
+    fn check(rc: c_int) -> io::Result<c_int> {
+        if rc < 0 {
+            Err(io::Error::last_os_error())
+        } else {
+            Ok(rc)
+        }
+    }
+
+    /// An epoll instance, closed on drop.
+    pub struct Epoll {
+        fd: OwnedFd,
+    }
+
+    impl Epoll {
+        pub fn new() -> io::Result<Epoll> {
+            // SAFETY: epoll_create1 takes no pointers.
+            let fd = check(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+            // SAFETY: `fd` is a descriptor epoll_create1 just opened, and
+            // nothing else owns it.
+            Ok(Epoll { fd: unsafe { OwnedFd::from_raw_fd(fd) } })
+        }
+
+        /// Registers `fd` for `events`, reported with `token`.
+        pub fn add(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, fd, events, token)
+        }
+
+        /// Changes a registered `fd`'s events and token; this re-arms a
+        /// oneshot registration its last event disarmed.
+        pub fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_MOD, fd, events, token)
+        }
+
+        fn ctl(&self, op: c_int, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+            let mut event = EpollEvent { events, data: token };
+            // SAFETY: `event` is a live `struct epoll_event` in the
+            // kernel's layout for the whole call, which only reads it.
+            check(unsafe { epoll_ctl(self.fd.as_raw_fd(), op, fd, &mut event) }).map(drop)
+        }
+
+        /// Waits up to `timeout_ms` for events, retrying on EINTR, and
+        /// returns the ready ones (at most `events.len()`).
+        pub fn wait<'a>(
+            &self,
+            events: &'a mut [EpollEvent],
+            timeout_ms: c_int,
+        ) -> io::Result<&'a [EpollEvent]> {
+            let max = c_int::try_from(events.len()).unwrap_or(c_int::MAX);
+            loop {
+                // SAFETY: `events` is writable for `max` entries in the
+                // kernel's layout, and the kernel writes at most `max`.
+                let rc = unsafe {
+                    epoll_wait(self.fd.as_raw_fd(), events.as_mut_ptr(), max, timeout_ms)
+                };
+                match check(rc) {
+                    Ok(n) => return Ok(&events[..n as usize]),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(e),
+                }
             }
         }
     }
@@ -103,7 +176,7 @@ impl Drop for Conn {
 
 /// The worker → poller hand-back channel: finished keep-alive
 /// connections queue here, and a byte on the self-pipe wakes the poller
-/// out of `poll(2)` to re-park them.
+/// out of `epoll_wait(2)` to re-park them.
 pub(crate) struct ReturnQueue {
     queue: Mutex<Vec<Conn>>,
     wake: UnixStream,
@@ -120,11 +193,69 @@ impl ReturnQueue {
 /// Read chunk size for draining ready sockets.
 const READ_CHUNK: usize = 16 << 10;
 
-/// Poll tick: the upper bound on stop-flag and timeout-sweep latency.
+/// Poll tick: the upper bound on stop-flag latency, and the interval of
+/// the timeout sweep.
 const POLL_TICK_MS: i32 = 100;
+
+/// Events taken from the kernel per `epoll_wait(2)` call.
+const MAX_EVENTS: usize = 256;
+
+/// Tokens of the two registrations that are not connections; a
+/// connection's token is its slab slot.
+const LISTENER: u64 = u64::MAX;
+const WAKE: u64 = u64::MAX - 1;
 
 /// Bound on post-error drains (see [`respond_and_close`]).
 const CLOSE_DRAIN_BYTES: u64 = 256 << 10;
+
+/// The connections the poller holds, each in the slab slot its epoll
+/// token names, and the epoll instance they are registered with.
+struct Parked {
+    epoll: sys::Epoll,
+    slots: Vec<Option<Conn>>,
+    free: Vec<usize>,
+}
+
+impl Parked {
+    /// Holds `conn` and arms its oneshot registration with its slot as
+    /// the token: `fresh` registers a newly accepted socket, otherwise
+    /// the registration its last event disarmed is re-armed. A socket
+    /// the kernel will not watch is closed.
+    fn park(&mut self, conn: Conn, fresh: bool) {
+        let fd = conn.stream.as_raw_fd();
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(conn);
+                slot
+            }
+            None => {
+                self.slots.push(Some(conn));
+                self.slots.len() - 1
+            }
+        };
+        let events = sys::EPOLLIN | sys::EPOLLONESHOT;
+        let armed = if fresh {
+            self.epoll.add(fd, events, slot as u64)
+        } else {
+            self.epoll.modify(fd, events, slot as u64)
+        };
+        if armed.is_err() {
+            drop(self.take(slot));
+        }
+    }
+
+    /// Takes the connection out of `slot`, if it holds one.
+    fn take(&mut self, slot: usize) -> Option<Conn> {
+        let conn = self.slots.get_mut(slot)?.take()?;
+        self.free.push(slot);
+        Some(conn)
+    }
+
+    /// Connections held.
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+}
 
 /// The poller: accept loop + parked-connection readiness loop.
 pub(crate) struct Poller {
@@ -146,39 +277,31 @@ impl Poller {
         Poller { listener, state, pool, stop, cfg }
     }
 
-    /// Runs until the stop flag is set. Transient poll/accept errors are
+    /// Runs until the stop flag is set. Transient wait/accept errors are
     /// tolerated (EMFILE under fd pressure, ECONNABORTED races); only a
-    /// persistently failing poll is fatal.
+    /// persistently failing `epoll_wait` is fatal.
     pub fn run(mut self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let (wake_tx, mut wake_rx) = UnixStream::pair()?;
         wake_rx.set_nonblocking(true)?;
         let returns = Arc::new(ReturnQueue { queue: Mutex::new(Vec::new()), wake: wake_tx });
+        let mut parked = Parked { epoll: sys::Epoll::new()?, slots: Vec::new(), free: Vec::new() };
+        parked.epoll.add(self.listener.as_raw_fd(), sys::EPOLLIN, LISTENER)?;
+        parked.epoll.add(wake_rx.as_raw_fd(), sys::EPOLLIN, WAKE)?;
 
-        let mut conns: Vec<Conn> = Vec::new();
+        let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+        let mut next_sweep = Instant::now();
         let mut consecutive_failures = 0u32;
         loop {
             if self.stop.load(Ordering::Relaxed) {
                 self.pool.detach();
                 return Ok(());
             }
-
-            let mut fds = Vec::with_capacity(conns.len() + 2);
-            fds.push(sys::PollFd { fd: wake_rx.as_raw_fd(), events: sys::POLLIN, revents: 0 });
-            fds.push(sys::PollFd {
-                fd: self.listener.as_raw_fd(),
-                events: sys::POLLIN,
-                revents: 0,
-            });
-            for conn in &conns {
-                fds.push(sys::PollFd {
-                    fd: conn.stream.as_raw_fd(),
-                    events: sys::POLLIN,
-                    revents: 0,
-                });
-            }
-            match sys::poll_fds(&mut fds, POLL_TICK_MS) {
-                Ok(_) => consecutive_failures = 0,
+            let ready = match parked.epoll.wait(&mut events, POLL_TICK_MS) {
+                Ok(ready) => {
+                    consecutive_failures = 0;
+                    ready
+                }
                 Err(e) => {
                     consecutive_failures += 1;
                     if consecutive_failures > 100 {
@@ -187,124 +310,123 @@ impl Poller {
                     std::thread::sleep(Duration::from_millis(10));
                     continue;
                 }
-            }
+            };
 
-            // 1. Drain the self-pipe and adopt returned connections.
-            //    Adoption runs the same advance path as a readable
-            //    socket: pipelined bytes already buffered in the parser
-            //    must dispatch without waiting for new socket data.
-            if fds[0].revents != 0 {
-                let mut sink = [0u8; 64];
-                while matches!(wake_rx.read(&mut sink), Ok(n) if n > 0) {}
-            }
-            let returned: Vec<Conn> = std::mem::take(&mut *returns.queue.lock());
-            for conn in returned {
-                if let Some(conn) = self.advance(conn, &returns) {
-                    conns.push(conn);
-                }
-            }
-
-            // 2. Accept everything pending.
-            if fds[1].revents != 0 {
-                loop {
-                    match self.listener.accept() {
-                        Ok((stream, _)) => {
+            for event in ready {
+                let token = event.data;
+                match token {
+                    // Returned connections: dispatch a request their
+                    // parser already holds (no event will announce those
+                    // bytes), else park them again.
+                    WAKE => {
+                        let mut sink = [0u8; 64];
+                        while matches!(wake_rx.read(&mut sink), Ok(n) if n > 0) {}
+                        let returned: Vec<Conn> = std::mem::take(&mut *returns.queue.lock());
+                        for conn in returned {
+                            if let Some(conn) = self.serve_buffered(conn, &returns) {
+                                parked.park(conn, false);
+                            }
+                        }
+                    }
+                    LISTENER => {
+                        while let Ok((stream, _)) = self.listener.accept() {
                             self.state.stats.connection();
                             let _ = stream.set_nodelay(true);
                             let _ = stream.set_nonblocking(true);
-                            conns.push(Conn {
+                            let conn = Conn {
                                 stream,
                                 parser: RequestParser::new(),
                                 last_activity: Instant::now(),
                                 state: self.state.clone(),
-                            });
+                            };
+                            parked.park(conn, true);
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(_) => break,
+                    }
+                    slot => {
+                        if let Some(conn) = parked.take(slot as usize) {
+                            if let Some(conn) = self.advance(conn, &returns) {
+                                parked.park(conn, false);
+                            }
+                        }
                     }
                 }
             }
 
-            // 3. Advance every readable connection. Rebuilding the vec
-            //    keeps the fds↔conns index mapping intact while parked
-            //    survivors and dispatched/closed ones part ways.
-            let parked = std::mem::take(&mut conns);
-            for (i, conn) in parked.into_iter().enumerate() {
-                if fds.get(i + 2).is_some_and(|f| f.revents != 0) {
-                    if let Some(conn) = self.advance(conn, &returns) {
-                        conns.push(conn);
-                    }
-                } else {
-                    conns.push(conn);
-                }
-            }
-
-            // 4. Sweep timeouts: mid-request staleness is a slow client
-            //    (408), parked staleness is just an idle peer (silent
-            //    close).
             let now = Instant::now();
-            let mut survivors = Vec::with_capacity(conns.len());
-            for conn in conns.drain(..) {
-                let idle = now.duration_since(conn.last_activity);
-                if conn.parser.mid_request() && idle >= self.cfg.read_timeout {
-                    self.state.stats.read_timeout();
-                    self.state.stats.record(Endpoint::Other, 408, Duration::ZERO);
-                    respond_and_close(
-                        conn,
-                        error_response(408, "request not completed in time"),
-                        self.cfg.write_timeout,
-                    );
-                } else if !conn.parser.mid_request() && idle >= self.cfg.idle_timeout {
-                    drop(conn);
-                } else {
-                    survivors.push(conn);
-                }
+            if now >= next_sweep {
+                self.sweep(&mut parked, now);
+                next_sweep = now + Duration::from_millis(POLL_TICK_MS as u64);
             }
-            conns = survivors;
-            self.state.stats.set_parked(conns.len() as u64);
+            self.state.stats.set_parked(parked.len() as u64);
         }
     }
 
-    /// Pumps one connection: drains buffered/readable bytes through the
-    /// parser, dispatching at most one request (the connection moves to
-    /// the worker with it). Returns the connection if it should stay
-    /// parked, `None` if it was dispatched or closed.
+    /// Closes the parked connections that timed out: mid-request
+    /// staleness is a slow client (408), parked staleness is just an
+    /// idle peer (silent close).
+    fn sweep(&self, parked: &mut Parked, now: Instant) {
+        for slot in 0..parked.slots.len() {
+            let Some(conn) = &parked.slots[slot] else { continue };
+            let idle = now.duration_since(conn.last_activity);
+            let mid_request = conn.parser.mid_request();
+            if mid_request && idle >= self.cfg.read_timeout {
+                let conn = parked.take(slot).expect("the slot holds a connection");
+                self.state.stats.read_timeout();
+                self.state.stats.record(Endpoint::Other, 408, Duration::ZERO);
+                respond_and_close(
+                    conn,
+                    error_response(408, "request not completed in time"),
+                    self.cfg.write_timeout,
+                );
+            } else if !mid_request && idle >= self.cfg.idle_timeout {
+                drop(parked.take(slot));
+            }
+        }
+    }
+
+    /// Serves what `conn`'s parser already holds: dispatches a complete
+    /// request (the connection moves to the worker with it), or answers
+    /// malformed bytes and closes. Returns the connection when the parser
+    /// needs more bytes.
+    fn serve_buffered(&self, mut conn: Conn, returns: &Arc<ReturnQueue>) -> Option<Conn> {
+        match conn.parser.next_request() {
+            Feed::Request(req) => {
+                self.dispatch(conn, req, returns);
+                None
+            }
+            Feed::Malformed(resp) => {
+                // Unparseable framing has no endpoint to attribute.
+                self.state.stats.record(Endpoint::Other, resp.status, Duration::ZERO);
+                respond_and_close(conn, resp, self.cfg.write_timeout);
+                None
+            }
+            Feed::NeedMore => Some(conn),
+        }
+    }
+
+    /// Pumps one readable parked connection (its parser holds no
+    /// complete request): drains its socket through the parser,
+    /// dispatching at most one request. Returns the connection if it
+    /// should stay parked, `None` if it was dispatched or closed.
     fn advance(&self, mut conn: Conn, returns: &Arc<ReturnQueue>) -> Option<Conn> {
         loop {
-            match conn.parser.next_request() {
-                Feed::Request(req) => {
-                    self.dispatch(conn, req, returns);
-                    return None;
-                }
-                Feed::Malformed(resp) => {
-                    // Unparseable framing has no endpoint to attribute.
-                    self.state.stats.record(Endpoint::Other, resp.status, Duration::ZERO);
-                    respond_and_close(conn, resp, self.cfg.write_timeout);
-                    return None;
-                }
-                Feed::NeedMore => {
-                    let mut buf = [0u8; READ_CHUNK];
-                    match conn.stream.read(&mut buf) {
-                        Ok(0) => {
-                            if let Some(resp) = conn.parser.on_eof() {
-                                self.state.stats.record(
-                                    Endpoint::Other,
-                                    resp.status,
-                                    Duration::ZERO,
-                                );
-                                respond_and_close(conn, resp, self.cfg.write_timeout);
-                            }
-                            return None;
-                        }
-                        Ok(n) => {
-                            conn.parser.push(&buf[..n]);
-                            conn.last_activity = Instant::now();
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Some(conn),
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => return None, // peer reset
+            let mut buf = [0u8; READ_CHUNK];
+            match conn.stream.read(&mut buf) {
+                Ok(0) => {
+                    if let Some(resp) = conn.parser.on_eof() {
+                        self.state.stats.record(Endpoint::Other, resp.status, Duration::ZERO);
+                        respond_and_close(conn, resp, self.cfg.write_timeout);
                     }
+                    return None;
                 }
+                Ok(n) => {
+                    conn.parser.push(&buf[..n]);
+                    conn.last_activity = Instant::now();
+                    conn = self.serve_buffered(conn, returns)?;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Some(conn),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return None, // peer reset
             }
         }
     }
@@ -408,5 +530,43 @@ fn respond_and_close(mut conn: Conn, resp: Response, write_timeout: Duration) {
             Ok(0) | Err(_) => break,
             Ok(n) => drained += n as u64,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::sys::{Epoll, EpollEvent, EPOLLIN, EPOLLONESHOT};
+    use std::io::Write;
+    use std::os::unix::io::AsRawFd;
+    use std::os::unix::net::UnixStream;
+
+    fn tokens(epoll: &Epoll, timeout_ms: i32) -> Vec<u64> {
+        let mut events = [EpollEvent { events: 0, data: 0 }; 8];
+        let mut tokens: Vec<u64> =
+            epoll.wait(&mut events, timeout_ms).unwrap().iter().map(|e| e.data).collect();
+        tokens.sort_unstable();
+        tokens
+    }
+
+    /// Guards the `epoll_event` layout and the oneshot re-arm the poller
+    /// relies on: two readable sockets report their distinct tokens, and
+    /// a disarmed registration reports again only once modified. Read
+    /// with an unpacked layout on x86-64, the tokens come back garbled.
+    #[test]
+    fn epoll_reports_each_token_once_until_rearmed() {
+        let epoll = Epoll::new().unwrap();
+        let (mut a_tx, a_rx) = UnixStream::pair().unwrap();
+        let (mut b_tx, b_rx) = UnixStream::pair().unwrap();
+        // Every byte differs, so no misread offset can match.
+        let (a, b) = (0x0102_0304_0506_0708, 0x1112_1314_1516_1718);
+        epoll.add(a_rx.as_raw_fd(), EPOLLIN | EPOLLONESHOT, a).unwrap();
+        epoll.add(b_rx.as_raw_fd(), EPOLLIN | EPOLLONESHOT, b).unwrap();
+        a_tx.write_all(b"a").unwrap();
+        b_tx.write_all(b"b").unwrap();
+        assert_eq!(tokens(&epoll, 5_000), [a, b]);
+        // The bytes are still unread, but both registrations are disarmed.
+        assert_eq!(tokens(&epoll, 0), []);
+        epoll.modify(a_rx.as_raw_fd(), EPOLLIN | EPOLLONESHOT, 7).unwrap();
+        assert_eq!(tokens(&epoll, 5_000), [7]);
     }
 }

@@ -706,7 +706,10 @@ fn parse_algorithm(name: &str) -> Result<Algorithm, Response> {
 fn parse_approx(body: &Json) -> Result<Option<ApproxConfig>, Response> {
     let opted_in = typed_field(body, "approx", "a boolean", Json::as_bool)?;
     let rate = typed_field(body, "approx_rate", "a number", Json::as_f64)?;
-    let seed = typed_field(body, "approx_seed", "a number", Json::as_f64)?;
+    // Every integer in [0, 2^64) is a seed; a cast would fold others onto one.
+    let seed = typed_field(body, "approx_seed", "an integer in [0, 2^64)", |v| {
+        v.as_f64().filter(|s| s.fract() == 0.0 && (0.0..18_446_744_073_709_551_616.0).contains(s))
+    })?;
     if !(opted_in.unwrap_or(false) || rate.is_some() || seed.is_some()) {
         return Ok(None);
     }
@@ -724,11 +727,11 @@ fn parse_approx(body: &Json) -> Result<Option<ApproxConfig>, Response> {
 /// Field `name` of `body` as `read` takes it: `None` when absent, and a
 /// 400 naming the field and the `expected` type when present but not
 /// readable.
-fn typed_field<T>(
-    body: &Json,
+fn typed_field<'a, T>(
+    body: &'a Json,
     name: &str,
     expected: &str,
-    read: impl FnOnce(&Json) -> Option<T>,
+    read: impl FnOnce(&'a Json) -> Option<T>,
 ) -> Result<Option<T>, Response> {
     match body.get(name) {
         None => Ok(None),
@@ -777,8 +780,9 @@ fn handle_explain(
     let c = typed_field(&body, "c", "a number", Json::as_f64)?.unwrap_or(0.5);
     // Checked before the plan-cache lookup, so hits and misses answer alike.
     InfluenceParams { lambda, c }.validate().map_err(|e| error_response(400, &e.to_string()))?;
-    let top = body.get("top").and_then(Json::as_f64).unwrap_or(3.0).max(1.0) as usize;
-    let algorithm_name = body.get("algorithm").and_then(Json::as_str).unwrap_or("auto");
+    let top = typed_field(&body, "top", "a number", Json::as_f64)?.unwrap_or(3.0).max(1.0) as usize;
+    let algorithm_name =
+        typed_field(&body, "algorithm", "a string", Json::as_str)?.unwrap_or("auto");
     let algorithm = parse_algorithm(algorithm_name)?;
     let approx = parse_approx(&body)?;
 
@@ -929,14 +933,14 @@ fn build_plan_entry(
             _ => Err(bad(format!("bad label {v:?}: expected index or key"))),
         }
     };
-    let builder = if let Some(k) = body.get("auto_label").and_then(Json::as_f64) {
+    let builder = if let Some(k) = typed_field(body, "auto_label", "a number", Json::as_f64)? {
         builder.auto_label((k.max(1.0)) as usize)
     } else {
         let mut outliers = Vec::new();
         for v in body.get("outliers").and_then(Json::as_array).unwrap_or(&[]) {
             let (target, error) = match v {
                 Json::Obj(_) => {
-                    let error = v.get("error").and_then(Json::as_f64).unwrap_or(1.0);
+                    let error = typed_field(v, "error", "a number", Json::as_f64)?.unwrap_or(1.0);
                     let target = v
                         .get("key")
                         .or_else(|| v.get("index"))

@@ -102,6 +102,27 @@ fn malformed_request_closes_the_connection() {
     handle.stop();
 }
 
+/// Two valid requests pipelined in one write are both answered, in
+/// order. The second reaches the parser in the same read as the first,
+/// so no readiness event will ever announce it: the poller must serve
+/// it from the parser when the worker returns the connection.
+#[test]
+fn pipelined_requests_in_one_write_are_answered_in_order() {
+    let handle = serve(ServerConfig { workers: 2, ..ServerConfig::default() });
+    let mut s = TcpStream::connect(handle.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    s.write_all(
+        b"GET /healthz HTTP/1.1\r\n\r\nGET /no-such-endpoint HTTP/1.1\r\nConnection: close\r\n\r\n",
+    )
+    .unwrap();
+    let text = read_to_eof(&mut s);
+    let statuses: Vec<&str> =
+        text.match_indices("HTTP/1.1 ").map(|(i, _)| &text[i + 9..i + 12]).collect();
+    assert_eq!(statuses, ["200", "404"], "{text}");
+    assert!(text.contains("\"status\""), "healthz answered first:\n{text}");
+    handle.stop();
+}
+
 /// Hundreds of idle keep-alive connections park on the poller and
 /// consume zero workers: concurrent explains still get all of a
 /// 2-worker pool, and the parked connections stay usable afterwards.

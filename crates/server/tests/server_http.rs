@@ -206,6 +206,53 @@ fn error_paths_are_clean_json() {
         assert!(msg.contains(name), "lists {name}: {msg}");
     }
 
+    // A field of the wrong type is a 400 that names it, on a plan-cache
+    // hit as on a miss; the well-typed form answers as before.
+    let body = |fields: &[(&str, Json)]| {
+        let mut body = Json::obj([
+            ("table", Json::from("t")),
+            ("sql", Json::from("SELECT avg(v) FROM t GROUP BY g")),
+        ]);
+        if let Json::Obj(pairs) = &mut body {
+            pairs.extend(fields.iter().map(|(k, v)| ((*k).to_owned(), v.clone())));
+        }
+        body
+    };
+    let labeled = |fields: &[(&str, Json)]| {
+        let mut all = vec![("outliers", Json::arr(["o"])), ("holdouts", Json::arr(["h"]))];
+        all.extend(fields.iter().cloned());
+        body(&all)
+    };
+    let outlier_error = |error: Json| {
+        let outlier = Json::obj([("key", Json::from("o")), ("error", error)]);
+        body(&[("outliers", Json::Arr(vec![outlier]))])
+    };
+    for (field, good, bad) in [
+        ("top", labeled(&[("top", Json::from(1.0))]), labeled(&[("top", Json::from("1"))])),
+        (
+            "algorithm",
+            labeled(&[("algorithm", Json::from("auto"))]),
+            labeled(&[("algorithm", Json::from(7.0))]),
+        ),
+        (
+            "auto_label",
+            body(&[("auto_label", Json::from(1.0))]),
+            body(&[("auto_label", Json::from("1"))]),
+        ),
+        ("error", outlier_error(Json::from(2.0)), outlier_error(Json::from("high"))),
+    ] {
+        let (status, resp) = c.post("/explain", &good).unwrap();
+        assert_eq!(status, 200, "well-typed `{field}`: {resp:?}");
+        if field == "top" {
+            let explanations = resp.get("explanations").and_then(Json::as_array).unwrap();
+            assert_eq!(explanations.len(), 1, "`top: 1` asks for one explanation: {resp:?}");
+        }
+        let (status, err) = c.post("/explain", &bad).unwrap();
+        assert_eq!(status, 400, "wrong-typed `{field}`: {err:?}");
+        let msg = err.get("error").and_then(Json::as_str).unwrap();
+        assert!(msg.contains(&format!("`{field}`")), "names `{field}`: {msg}");
+    }
+
     // The connection survived every error (keep-alive).
     let (status, _) = c.get("/healthz").unwrap();
     assert_eq!(status, 200);
@@ -277,6 +324,13 @@ fn approx_knobs_validate_and_report() {
         ("approx", Json::from("yes")),
         ("approx_rate", Json::from("0.1")),
         ("approx_seed", Json::from(true)),
+        // A seed is an integer in [0, 2^64): a cast would fold these
+        // onto another seed's plan.
+        ("approx_seed", Json::from(-3.7)),
+        ("approx_seed", Json::from(-1.0)),
+        ("approx_seed", Json::from(0.5)),
+        ("approx_seed", Json::from(18_446_744_073_709_551_616.0)),
+        ("approx_seed", Json::from(1e300)),
     ] {
         let (status, err) = c.post("/explain", &with(&[(field, value.clone())])).unwrap();
         assert_eq!(status, 400, "{field}={value:?}: {err:?}");
@@ -305,6 +359,13 @@ fn approx_knobs_validate_and_report() {
         }
     };
     bad_params(&mut c);
+
+    // Integer seeds below 2^64 are accepted, the largest included.
+    for seed in [0.0, 7.0, 18_446_744_073_709_549_568.0] {
+        let (status, resp) =
+            c.post("/explain", &with(&[("approx_seed", Json::from(seed))])).unwrap();
+        assert_eq!(status, 200, "approx_seed={seed}: {resp:?}");
+    }
 
     let (status, resp) = c.post("/explain", &with(&[("approx", Json::from(true))])).unwrap();
     assert_eq!(status, 200, "{resp:?}");

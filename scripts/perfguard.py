@@ -4,9 +4,13 @@ revision and on the working tree in alternating pairs, then judge them.
 
     python3 scripts/perfguard.py --base <rev> [--pairs 2] [--out FILE] [--work DIR]
 
-The base is extracted with `git archive` into `<work>/base-src`. Each
-side is built and run by its own `perfbench/run.py`, with its own
-`CARGO_TARGET_DIR` (`<work>/base-target`, `<work>/change-target`), on
+The base is extracted with `git archive` into `<work>/base-src`, and
+the working tree's tracked and untracked-but-not-ignored files are
+copied to `<work>/change-src`: both sides build from a fresh copy
+under the same directory, and edits made while the guard runs do not
+reach the change's builds. Each side is built and run by its own
+`perfbench/run.py`, with its own `CARGO_TARGET_DIR`
+(`<work>/base-target`, `<work>/change-target`), on
 every workload of `BENCHMARK.json`, at its `run_seconds`, untraced
 (at 3 s and 8 s, `analyst_slider` and `server_dashboard` time too few
 ops to report their percentiles). Pair i of every workload uses seed
@@ -61,6 +65,21 @@ def extract(rev, dest):
     subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
     if archive.wait() != 0:
         sys.exit(f"perfguard: git archive {rev} failed")
+
+
+def copy_worktree(dest):
+    """Copies the working tree's tracked and untracked-but-not-ignored
+    files to `dest` (replacing it)."""
+    shutil.rmtree(dest, ignore_errors=True)
+    listed = subprocess.run(["git", "-C", ROOT, "ls-files", "-co", "--exclude-standard", "-z"],
+                            check=True, capture_output=True, text=True).stdout
+    for rel in filter(None, listed.split("\0")):
+        src = os.path.join(ROOT, rel)
+        if not os.path.lexists(src):
+            continue  # tracked, but deleted in the working tree
+        dst = os.path.join(dest, rel)
+        os.makedirs(os.path.dirname(dst), exist_ok=True)
+        shutil.copy2(src, dst, follow_symlinks=False)
 
 
 def run_one(side, workload, seed, seconds, log_dir):
@@ -133,11 +152,12 @@ def main():
     change = {
         "name": "change",
         "label": f"child of {base_label}",
-        "src": ROOT,
+        "src": os.path.join(work, "change-src"),
         "target": os.path.join(work, "change-target"),
         "crates_tree": worktree_crates_tree(),
     }
     extract(args.base, base["src"])
+    copy_worktree(change["src"])
 
     rows = []
     total = args.pairs * len(workloads) * 2
