@@ -35,14 +35,14 @@
 
 use crate::config::ApproxConfig;
 use parking_lot::Mutex;
+use scorpion_table::lru::LruShard;
 use scorpion_table::{Clause, RowMask};
-use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Bound on memoized compressed clause bitmaps; past it the memo is
-/// dropped wholesale (the same runaway-search guard as
-/// [`scorpion_table::ClauseMaskCache`], without its LRU bookkeeping —
-/// compressed bitmaps are two orders of magnitude cheaper to rebuild).
+/// Bound on memoized compressed clause bitmaps; past it the least
+/// recently used is evicted (the same runaway-search guard as
+/// [`scorpion_table::ClauseMaskCache`], at a larger bound: compressed
+/// bitmaps are two orders of magnitude smaller).
 const COMPRESSED_CLAUSE_CAP: usize = 4096;
 
 /// The deterministic stratified sample of one labeled group.
@@ -186,7 +186,7 @@ pub struct ApproxState {
     pub(crate) slot_ranges: Vec<std::ops::Range<usize>>,
     /// Per-clause bitmaps over the sample universe, memoized on first
     /// use (compressed from the clause's full-table mask).
-    compressed: Mutex<HashMap<Clause, Arc<Vec<u64>>>>,
+    compressed: Mutex<LruShard<Clause, Arc<Vec<u64>>>>,
     /// Why interval pruning is unavailable (`None` = available). Scoring
     /// through a fallback state is exact; the reason surfaces in
     /// [`crate::Diagnostics::approx_fallback`].
@@ -223,7 +223,7 @@ impl ApproxState {
             universe_rows,
             universe_vals,
             slot_ranges,
-            compressed: Mutex::new(HashMap::new()),
+            compressed: Mutex::default(),
             fallback,
         }
     }
@@ -237,7 +237,7 @@ impl ApproxState {
     /// derived from the clause's full-table mask on first use and
     /// memoized for the candidates (and batches) that share the clause.
     pub(crate) fn compressed_clause(&self, clause: &Clause, full: &RowMask) -> Arc<Vec<u64>> {
-        if let Some(hit) = self.compressed.lock().get(clause) {
+        if let Some(hit) = self.compressed.lock().get_mut(clause) {
             return hit.clone();
         }
         let mut words = vec![0u64; self.universe_words()];
@@ -247,11 +247,7 @@ impl ApproxState {
             }
         }
         let built = Arc::new(words);
-        let mut map = self.compressed.lock();
-        if map.len() >= COMPRESSED_CLAUSE_CAP {
-            map.clear();
-        }
-        map.insert(clause.clone(), built.clone());
+        self.compressed.lock().insert(clause, built.clone(), COMPRESSED_CLAUSE_CAP);
         built
     }
 
@@ -360,6 +356,33 @@ mod tests {
             assert!(lo <= sum + 1e-9 && sum <= hi + 1e-9, "{sum} outside [{lo}, {hi}]");
             assert!(lo <= est + 1e-9 && est <= hi + 1e-9, "estimate outside its own envelope");
         }
+    }
+
+    /// The compressed-clause memo keeps at most 4,096 bitmaps, evicting
+    /// the least recently used: a clause read since keeps its bitmap.
+    #[test]
+    fn compressed_clause_memo_evicts_least_recently_used() {
+        let rows: Vec<u32> = (0..10).collect();
+        let values: Vec<f64> = (0..10).map(f64::from).collect();
+        let sample = GroupSample::build(10, &rows, &values, &cfg(1.0, 1));
+        let st = ApproxState::assemble(cfg(1.0, 1), vec![sample], vec![], None, &values);
+        let full = RowMask::from_rows(10, &[1, 2, 7]);
+        let clause = |i: usize| Clause::range(0, i as f64, i as f64 + 1.0);
+        let built: Vec<Arc<Vec<u64>>> =
+            (0..COMPRESSED_CLAUSE_CAP).map(|i| st.compressed_clause(&clause(i), &full)).collect();
+        assert_eq!(*built[0], [0b1000_0110], "bit i is universe row i");
+        // Read 1 and 0, so 2 is the least recently used when 4,096 arrives.
+        for i in [1, 0] {
+            assert!(Arc::ptr_eq(&built[i], &st.compressed_clause(&clause(i), &full)));
+        }
+        st.compressed_clause(&clause(COMPRESSED_CLAUSE_CAP), &full);
+        assert_eq!(st.compressed.lock().len(), COMPRESSED_CLAUSE_CAP, "bound enforced");
+        for i in [0, 1, 3] {
+            assert!(Arc::ptr_eq(&built[i], &st.compressed_clause(&clause(i), &full)), "{i}");
+        }
+        let rebuilt = st.compressed_clause(&clause(2), &full);
+        assert!(!Arc::ptr_eq(&built[2], &rebuilt), "2 was evicted");
+        assert_eq!(rebuilt, built[2], "and is rebuilt with the same bits");
     }
 
     #[test]

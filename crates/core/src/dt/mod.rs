@@ -878,7 +878,9 @@ mod tests {
     use crate::config::{InfluenceParams, SamplingConfig};
     use crate::scorer::GroupSpec;
     use scorpion_agg::Avg;
-    use scorpion_table::{domains_of, group_by, Field, Schema, Table, TableBuilder, Value};
+    use scorpion_table::{
+        domains_of, group_by, ClauseMaskCache, Field, Schema, Table, TableBuilder, Value,
+    };
 
     /// 2-D planted box: outlier group has value 100 inside
     /// x ∈ [20,60) ∧ y ∈ [20,60), 10 elsewhere; hold-out group uniform 10.
@@ -933,7 +935,7 @@ mod tests {
         let best = &merged[0];
         // The best box must cover the hot region's core and exclude the
         // far corners.
-        let m = best.predicate.matcher(&t).unwrap();
+        let m = best.predicate.mask(&t, &ClauseMaskCache::new()).unwrap();
         let x = t.num(1).unwrap();
         let y = t.num(2).unwrap();
         let rows = s.outlier_rows(0);
@@ -945,13 +947,13 @@ mod tests {
                 !((15.0..65.0).contains(&x[r as usize]) && (15.0..65.0).contains(&y[r as usize]));
             if hot {
                 hot_tot += 1;
-                if m.matches(r) {
+                if m.contains(r) {
                     hot_in += 1;
                 }
             }
             if cold {
                 cold_tot += 1;
-                if m.matches(r) {
+                if m.contains(r) {
                     cold_in += 1;
                 }
             }
@@ -981,13 +983,14 @@ mod tests {
         let total: f64 = parts.iter().map(|p| p.stats.as_ref().unwrap().outlier[0].n).sum();
         assert!(total <= s.outlier_rows(0).len() as f64 + 1e-9);
 
-        // Row-at-a-time reference: match the group's rows one by one, take
-        // their mean tuple influence, and the first row closest to it. The
+        // Row-at-a-time reference: test the group's rows one by one against
+        // the predicate's mask, take their mean tuple influence, and the
+        // first row closest to it. The
         // fixture interleaves `o` and `h` rows, so neither group's rows are
         // contiguous and the mask walk's position mapping is exercised.
         let reference = |p: &Predicate, rows: &[u32], values: &[f64], infs: &[f64]| {
-            let m = p.matcher(&t).unwrap();
-            let matched: Vec<usize> = (0..rows.len()).filter(|&i| m.matches(rows[i])).collect();
+            let m = p.mask(&t, &ClauseMaskCache::new()).unwrap();
+            let matched: Vec<usize> = (0..rows.len()).filter(|&i| m.contains(rows[i])).collect();
             if matched.is_empty() {
                 return GroupStat { n: 0.0, rep_value: 0.0 };
             }
@@ -1039,7 +1042,7 @@ mod tests {
         assert!(diag.sampled_fraction < 1.0, "{diag:?}");
         assert!(diag.sampled_fraction > 0.0);
         let best = &merged[0];
-        let m = best.predicate.matcher(&t).unwrap();
+        let m = best.predicate.mask(&t, &ClauseMaskCache::new()).unwrap();
         let x = t.num(1).unwrap();
         let y = t.num(2).unwrap();
         let mut hot_in = 0;
@@ -1047,7 +1050,7 @@ mod tests {
         for &r in s.outlier_rows(0) {
             if (30.0..50.0).contains(&x[r as usize]) && (30.0..50.0).contains(&y[r as usize]) {
                 hot_tot += 1;
-                if m.matches(r) {
+                if m.contains(r) {
                     hot_in += 1;
                 }
             }

@@ -11,7 +11,7 @@
 //! * [`PreparedPlan::run`] is the cheap phase: re-score the prepared
 //!   artifacts under any [`InfluenceParams`] and merge. Every plan
 //!   carries a shared [`InfluenceCache`], so predicates scored in a
-//!   previous run (at any `c`) are re-scored without matcher work, and
+//!   previous run (at any `c`) are re-scored without mask work, and
 //!   a bounded answer memo, so a repeat of a completed run's exact
 //!   `(λ, c)` returns that run's answer without scoring anything.
 //!
@@ -144,6 +144,11 @@ fn memo_key(params: &InfluenceParams) -> (u64, u64) {
 
 /// A plan's answers to its completed runs, by [`memo_key`]: at most
 /// [`MAX_ANSWERS`], the oldest write evicted first.
+///
+/// This memo stays first-in-first-out, not least-recently-used like the
+/// clause and predicate memos ([`scorpion_table::lru::LruShard`]): DT
+/// warm-starts from the entries it holds, so an eviction order that
+/// followed reads would change which answers later runs start from.
 #[derive(Default)]
 struct AnswerMemo {
     /// Oldest write first.
@@ -603,7 +608,7 @@ impl PreparedPlan for McPlan {
 /// clause candidates (bin and value geometry — `c`-agnostic); `run`
 /// walks the anytime enumeration. With the shared cache, a completed
 /// first run makes later runs at new parameters pure arithmetic: every
-/// enumerated predicate re-scores without a matcher pass.
+/// enumerated predicate re-scores without a mask pass.
 pub(crate) struct NaivePlan {
     core: PlanCore,
     cfg: NaiveConfig,

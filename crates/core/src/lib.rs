@@ -33,7 +33,6 @@ pub mod dt;
 pub mod engine;
 mod error;
 pub mod features;
-mod lru;
 pub mod mc;
 pub mod merger;
 pub mod naive;

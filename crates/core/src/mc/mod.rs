@@ -307,7 +307,9 @@ mod tests {
     use crate::config::InfluenceParams;
     use crate::scorer::GroupSpec;
     use scorpion_agg::Sum;
-    use scorpion_table::{domains_of, group_by, Field, Schema, Table, TableBuilder, Value};
+    use scorpion_table::{
+        domains_of, group_by, ClauseMaskCache, Field, Schema, Table, TableBuilder, Value,
+    };
 
     /// SYNTH-like 2-D data for SUM: outlier group has high values inside
     /// the box x,y ∈ [20,60)²; both groups uniform elsewhere.
@@ -386,12 +388,12 @@ mod tests {
         let (results, diag) = mc_search(&s, &[1, 2], &d, &cfg()).unwrap();
         assert!(diag.levels >= 2, "{diag:?}");
         let best = &results[0];
-        let m = best.predicate.matcher(&t).unwrap();
+        let m = best.predicate.mask(&t, &ClauseMaskCache::new()).unwrap();
         let x = t.num(1).unwrap();
         let y = t.num(2).unwrap();
         let mut matched = 0;
         for &r in s.outlier_rows(0) {
-            if m.matches(r) {
+            if m.contains(r) {
                 matched += 1;
                 let (xi, yi) = (x[r as usize], y[r as usize]);
                 assert!(

@@ -2,7 +2,7 @@
 
 use scorpion_agg::Aggregate;
 use scorpion_obs::PhaseTiming;
-use scorpion_table::{Grouping, Predicate, Table};
+use scorpion_table::{ClauseMaskCache, Grouping, Predicate, Table};
 use std::time::Duration;
 
 /// Cached per-group statistics of a partition, recorded by the DT
@@ -61,7 +61,7 @@ pub struct Diagnostics {
     /// Number of Scorer influence evaluations (cache hits excluded).
     pub scorer_calls: u64,
     /// Influence evaluations answered from a shared
-    /// [`crate::scorer::InfluenceCache`] without matcher work. A box
+    /// [`crate::scorer::InfluenceCache`] without mask work. A box
     /// one Merger call scores again is answered by that call's memo and
     /// does not reach the cache, so it is not counted.
     pub cache_hits: u64,
@@ -154,7 +154,7 @@ impl Explanation {
         agg: &dyn Aggregate,
         agg_attr: usize,
     ) -> scorpion_table::Result<Vec<(f64, f64)>> {
-        let mask = self.best().predicate.mask_uncached(table)?;
+        let mask = self.best().predicate.mask(table, &ClauseMaskCache::new())?;
         let vals = table.num(agg_attr)?;
         let mut out = Vec::with_capacity(grouping.len());
         let mut scratch = Vec::new();

@@ -14,21 +14,19 @@
 //! `(n, Δ)` per group falls out of a word-wise zip of the predicate mask
 //! against the group's base mask, which skips whole all-zero words and
 //! gathers the selected values: `n` is their count, and `Δ` comes from
-//! one [`IncrementalAggregate::state_of`] fold over them. The row-at-a-time
-//! [`scorpion_table::PredicateMatcher`] survives only as the reference
-//! oracle ([`Scorer::influence_rowwise`]), parity-tested against the mask
-//! path.
+//! one [`IncrementalAggregate::state_of`] fold over them. The bitmap is the
+//! only evaluator; the row-at-a-time reference the mask path is checked
+//! against bit for bit lives in the tests (`tests/mask_parity.rs`).
 
 use crate::approx::{ApproxState, GroupSample, InfluenceInterval};
 use crate::config::{ApproxConfig, InfluenceParams};
 use crate::error::{Result, ScorpionError};
-use crate::lru::LruShard;
 use parking_lot::Mutex;
 use scorpion_agg::{AggState, Aggregate, IncrementalAggregate};
 use scorpion_obs::Phases;
+use scorpion_table::lru::LruShard;
 use scorpion_table::{
-    intersect_count_words, ClauseMaskCache, Predicate, PredicateMask, PredicateMatcher, RowMask,
-    Table,
+    intersect_count_words, ClauseMaskCache, Predicate, PredicateMask, RowMask, Table,
 };
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -128,7 +126,7 @@ pub(crate) struct GroupCtx {
 /// one level deeper for *any* predicate's influence: `Δ` and `n` per
 /// group do not depend on `c` or `λ` — only the final arithmetic
 /// `λ·avg_o(v·Δ/n^c) − (1−λ)·max_h(|Δ|/n^c)` does. Caching `(n, Δ)`
-/// therefore makes re-scoring at a new `c` free of matcher work for
+/// therefore makes re-scoring at a new `c` free of mask work for
 /// every algorithm, not just DT.
 #[derive(Debug, Clone, Default)]
 struct CachedEval {
@@ -154,7 +152,7 @@ type CacheShard = LruShard<Predicate, CachedEval>;
 /// query (same table, labels, and aggregate — the cached `(n, Δ)` pairs
 /// are only meaningful for identical inputs) via [`Scorer::with_cache`];
 /// re-scoring a known predicate under new [`InfluenceParams`] then skips
-/// the matcher entirely and reproduces the direct computation
+/// the mask pass entirely and reproduces the direct computation
 /// bit-for-bit.
 ///
 /// The cache is bounded: past its capacity, inserting a new predicate
@@ -625,7 +623,7 @@ impl<'a> Scorer<'a> {
     }
 
     /// Number of influence evaluations performed so far. Cache hits are
-    /// not counted — they perform no matcher or aggregate work.
+    /// not counted — they perform no mask or aggregate work.
     pub fn scorer_calls(&self) -> u64 {
         self.calls.get()
     }
@@ -646,12 +644,18 @@ impl<'a> Scorer<'a> {
     /// The bitmap of `p` over this Scorer's table, through the attached
     /// clause-mask cache (hits attributed to this Scorer).
     pub(crate) fn predicate_mask(&self, p: &Predicate) -> Result<PredicateMask> {
-        let (mask, hits) = p.mask_with_hits(self.table, &self.masks)?;
-        bump(&self.mask_lookups, p.num_clauses() as u64);
-        if hits > 0 {
-            bump(&self.mask_hits, hits);
-        }
-        Ok(mask)
+        let mut masks = Vec::with_capacity(p.num_clauses());
+        self.clause_masks(p, &mut masks)?;
+        Ok(PredicateMask::and_all(&masks, self.table.len()))
+    }
+
+    /// `p`'s clause masks through the attached clause-mask cache, into
+    /// `out`, with the lookups and hits attributed to this Scorer.
+    fn clause_masks(&self, p: &Predicate, out: &mut Vec<Arc<RowMask>>) -> Result<()> {
+        let hits = p.clause_masks(self.table, &self.masks, out)?;
+        bump(&self.mask_lookups, out.len() as u64);
+        bump(&self.mask_hits, hits);
+        Ok(())
     }
 
     /// `Δ` and match count of `p` (as a mask) over one group: a
@@ -662,13 +666,14 @@ impl<'a> Scorer<'a> {
     /// path). All-zero words — groups the predicate does not touch —
     /// cost one `AND` per 64 rows.
     ///
-    /// Rows are gathered in ascending order, the order the row-at-a-time
-    /// oracle visits them (group rows are normalized ascending), and a
-    /// removable algebra's `state_of` merges single-tuple states in that
-    /// order, so the result is bit-identical to
-    /// [`Scorer::influence_rowwise`]. The values are gathered into `buf`,
-    /// which is cleared first, so one buffer serves every group of an
-    /// evaluation ([`Scorer::mask_pairs`]). Returns `(n, Δ)`.
+    /// Rows are gathered in ascending order, the order a row-at-a-time
+    /// walk of the group visits them (group rows are normalized
+    /// ascending), and a removable algebra's `state_of` merges
+    /// single-tuple states in that order, so the result is bit-identical
+    /// to accumulating `state_one` row by row (`tests/mask_parity.rs`
+    /// checks it against such an oracle). The values are gathered into
+    /// `buf`, which is cleared first, so one buffer serves every group of
+    /// an evaluation ([`Scorer::mask_pairs`]). Returns `(n, Δ)`.
     fn delta_ctx(&self, ctx: &GroupCtx, pm: &RowMask, buf: &mut Vec<f64>) -> (f64, f64) {
         let gw = ctx.mask.words();
         let pw = pm.words();
@@ -765,52 +770,6 @@ impl<'a> Scorer<'a> {
         }
     }
 
-    /// Row-at-a-time `(n, Δ)` — the reference oracle the masked fold is
-    /// parity-tested against.
-    fn delta_ctx_rowwise(&self, ctx: &GroupCtx, m: &PredicateMatcher) -> (f64, f64) {
-        match (self.inc, &ctx.full_state) {
-            (Some(inc), Some(full)) => {
-                let mut sub = inc.empty();
-                let mut n = 0usize;
-                for (i, &row) in ctx.rows.iter().enumerate() {
-                    if m.matches(row) {
-                        sub.accumulate(&inc.state_one(ctx.values[i]));
-                        n += 1;
-                    }
-                }
-                if n == 0 {
-                    return (0.0, 0.0);
-                }
-                (n as f64, ctx.full_value - inc.recover(&inc.remove(full, &sub)))
-            }
-            _ => {
-                let mut kept = Vec::with_capacity(ctx.rows.len());
-                for (i, &row) in ctx.rows.iter().enumerate() {
-                    if !m.matches(row) {
-                        kept.push(ctx.values[i]);
-                    }
-                }
-                let n = ctx.rows.len() - kept.len();
-                if n == 0 {
-                    return (0.0, 0.0);
-                }
-                (n as f64, ctx.full_value - self.agg.compute(&kept))
-            }
-        }
-    }
-
-    /// Full influence computed entirely row-at-a-time through the
-    /// [`PredicateMatcher`]: the reference oracle that the mask path's
-    /// parity tests compare against, bit for bit. No caches are
-    /// consulted, no counters advance, and nothing is timed.
-    pub fn influence_rowwise(&self, p: &Predicate) -> Result<f64> {
-        let m = p.matcher(self.table)?;
-        Ok(self.fold(
-            self.outliers.iter().map(|ctx| self.delta_ctx_rowwise(ctx, &m)),
-            self.holdouts.iter().map(|ctx| self.delta_ctx_rowwise(ctx, &m)),
-        ))
-    }
-
     /// `inf = v · Δ / n^c`, with the empty selection defined as zero.
     #[inline]
     fn inf_from_delta(&self, delta: f64, n: f64, error: f64) -> f64 {
@@ -834,9 +793,9 @@ impl<'a> Scorer<'a> {
 
     /// The §3.2 fold `λ·avg_o(v_o·Δ_o/n_o^c) − (1−λ)·max_h|Δ_h/n_h^c|`
     /// over each labeled group's `(n, Δ)`, outliers in Scorer order —
-    /// the one arithmetic behind every exact, cached, row-at-a-time and
-    /// cached-tuple influence, so all of them agree bit for bit on equal
-    /// pairs. An empty `holdouts` gives the hold-out-free influence.
+    /// the one arithmetic behind every exact, cached and cached-tuple
+    /// influence, so all of them agree bit for bit on equal pairs. An
+    /// empty `holdouts` gives the hold-out-free influence.
     fn fold(
         &self,
         outliers: impl IntoIterator<Item = (f64, f64)>,
@@ -994,14 +953,12 @@ impl<'a> Scorer<'a> {
         let mut best = f64::NEG_INFINITY;
         for (g, ctx) in self.outliers.iter().enumerate() {
             let deltas = self.outlier_tuple_deltas(g);
-            for (i, &row) in ctx.rows.iter().enumerate() {
-                if pm.contains(row) {
-                    let inf = ctx.error * deltas[i];
-                    if inf > best {
-                        best = inf;
-                    }
+            self.for_each_selected(true, g, &pm, |i| {
+                let inf = ctx.error * deltas[i];
+                if inf > best {
+                    best = inf;
                 }
-            }
+            });
         }
         if let Some(cache) = &self.cache {
             let evicted = cache.store_max_tuple(p, best);
@@ -1066,27 +1023,11 @@ impl<'a> Scorer<'a> {
         st: &ApproxState,
         scratch: &mut BoundScratch,
     ) -> Option<()> {
-        let clause_masks = &mut scratch.clause_masks;
+        self.clause_masks(p, &mut scratch.clause_masks).ok()?;
         let comps = &mut scratch.comps;
-        clause_masks.clear();
         comps.clear();
-        for clause in p.clauses() {
-            let (full, hit) = self
-                .masks
-                .get_or_eval_flagged(clause, || {
-                    let col = self.table.column(clause.attr())?;
-                    clause.eval_mask(col).ok_or_else(|| scorpion_table::TableError::TypeMismatch {
-                        attr: format!("attr{}", clause.attr()),
-                        expected: "clause-compatible",
-                    })
-                })
-                .ok()?;
-            bump(&self.mask_lookups, 1);
-            if hit {
-                bump(&self.mask_hits, 1);
-            }
-            comps.push(st.compressed_clause(clause, &full));
-            clause_masks.push(full);
+        for (clause, full) in p.clauses().zip(&scratch.clause_masks) {
+            comps.push(st.compressed_clause(clause, full));
         }
         // The conjunction word is assembled on the fly (the match arm is
         // branch-predicted perfectly within a candidate); no conjunction
@@ -1632,31 +1573,6 @@ mod tests {
     }
 
     #[test]
-    fn mask_path_matches_rowwise_oracle_bit_exactly() {
-        let t = sensors();
-        for c in [0.0, 0.3, 1.0] {
-            let s = paper_scorer(&t, c).with_params(InfluenceParams { lambda: 0.5, c }).unwrap();
-            let code3 = t.cat(1).unwrap().code_of("3").unwrap();
-            for p in [
-                Predicate::all(),
-                Predicate::conjunction([Clause::range(2, 0.0, 2.4)]).unwrap(),
-                Predicate::conjunction([Clause::in_set(1, [code3])]).unwrap(),
-                Predicate::conjunction([Clause::range(2, 0.0, 2.4), Clause::in_set(1, [code3])])
-                    .unwrap(),
-                Predicate::conjunction([Clause::range(3, 1000.0, 2000.0)]).unwrap(),
-            ] {
-                let mask = s.influence(&p).unwrap();
-                let oracle = s.influence_rowwise(&p).unwrap();
-                assert!(
-                    mask.to_bits() == oracle.to_bits(),
-                    "c={c}: mask {mask} != oracle {oracle} for {}",
-                    p.display(&t)
-                );
-            }
-        }
-    }
-
-    #[test]
     fn batch_evaluates_each_distinct_clause_once() {
         let t = sensors();
         let s = paper_scorer(&t, 1.0);
@@ -1683,26 +1599,6 @@ mod tests {
         }
         assert_eq!(s.mask_cache_entries(), 6);
         assert!(s.mask_cache_hits() > hits);
-    }
-
-    #[test]
-    fn unsorted_group_rows_are_normalized() {
-        let t = sensors();
-        let g = group_by(&t, &[0]).unwrap();
-        let mut shuffled = g.rows(1).to_vec();
-        shuffled.reverse();
-        let s = Scorer::new(
-            &t,
-            &Avg,
-            3,
-            vec![GroupSpec { rows: shuffled, error: 1.0 }],
-            vec![],
-            InfluenceParams { lambda: 1.0, c: 1.0 },
-        )
-        .unwrap();
-        assert_eq!(s.outlier_rows(0), g.rows(1), "rows normalize ascending");
-        let p = Predicate::conjunction([Clause::range(2, 0.0, 2.4)]).unwrap();
-        assert_eq!(s.influence(&p).unwrap().to_bits(), s.influence_rowwise(&p).unwrap().to_bits());
     }
 
     #[test]

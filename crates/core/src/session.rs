@@ -11,7 +11,7 @@
 //!    pays the full cost.
 //! 2. Every later run at a new `(λ, c)` re-scores through the plan's
 //!    shared [`crate::InfluenceCache`] — known predicates re-score with
-//!    pure arithmetic, no matcher passes — and, for DT, warm-starts the
+//!    pure arithmetic, no mask passes — and, for DT, warm-starts the
 //!    merge from the answer stored at the nearest `c' ≥ c` (the Merger
 //!    is monotone in `c`: decreasing `c` only merges further).
 //! 3. A repeat of a `(λ, c)` the plan already answered returns that

@@ -5,7 +5,7 @@
 //! the key — that is the whole point: a repeated `POST /explain` for the
 //! same query and labels at a new `c` lands on the cached session and
 //! re-runs through its prepared plan's influence cache (pure arithmetic,
-//! no matcher passes) instead of re-parsing, re-partitioning, and
+//! no mask passes) instead of re-parsing, re-partitioning, and
 //! re-scoring from scratch. Replacing a table bumps its generation,
 //! which changes every dependent key and strands the stale entries until
 //! eviction collects them.
@@ -102,7 +102,9 @@ const COST_HEADROOM: u32 = 8;
 const COST_FLOOR: Duration = Duration::from_millis(1);
 
 /// One lock shard: slots keyed by plan key, LRU-ordered by access tick,
-/// evicted cost-aware.
+/// evicted cost-aware. It is not the `scorpion_table::lru::LruShard`
+/// the clause and predicate memos share, because its victim depends on
+/// build cost as well as recency, and it may refuse an entry.
 #[derive(Default)]
 struct CostShard {
     map: HashMap<PlanKey, Slot>,

@@ -58,6 +58,10 @@ mod sys {
     pub const EPOLLIN: u32 = 0x001;
     /// Disarm the registration after one event, until `EPOLL_CTL_MOD`.
     pub const EPOLLONESHOT: u32 = 1 << 30;
+    /// `accept` fails: the process has no descriptor free.
+    pub const EMFILE: i32 = 24;
+    /// `accept` fails: the system has no descriptor free.
+    pub const ENFILE: i32 = 23;
     const EPOLL_CLOEXEC: c_int = 0o2_000_000;
     const EPOLL_CTL_ADD: c_int = 1;
     const EPOLL_CTL_MOD: c_int = 3;
@@ -280,6 +284,11 @@ impl Poller {
     /// Runs until the stop flag is set. Transient wait/accept errors are
     /// tolerated (EMFILE under fd pressure, ECONNABORTED races); only a
     /// persistently failing `epoll_wait` is fatal.
+    ///
+    /// Out of descriptors, the listener stays readable while `accept`
+    /// fails, so every wait would return at once: the poller stops
+    /// watching it, and the next sweep (at most one tick later) watches
+    /// it again.
     pub fn run(mut self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let (wake_tx, mut wake_rx) = UnixStream::pair()?;
@@ -290,6 +299,8 @@ impl Poller {
         parked.epoll.add(wake_rx.as_raw_fd(), sys::EPOLLIN, WAKE)?;
 
         let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+        let listener_fd = self.listener.as_raw_fd();
+        let mut listener_paused = false;
         let mut next_sweep = Instant::now();
         let mut consecutive_failures = 0u32;
         loop {
@@ -328,20 +339,28 @@ impl Poller {
                             }
                         }
                     }
-                    LISTENER => {
-                        while let Ok((stream, _)) = self.listener.accept() {
-                            self.state.stats.connection();
-                            let _ = stream.set_nodelay(true);
-                            let _ = stream.set_nonblocking(true);
-                            let conn = Conn {
-                                stream,
-                                parser: RequestParser::new(),
-                                last_activity: Instant::now(),
-                                state: self.state.clone(),
-                            };
-                            parked.park(conn, true);
-                        }
-                    }
+                    LISTENER => loop {
+                        let stream = match self.listener.accept() {
+                            Ok((stream, _)) => stream,
+                            Err(e) => {
+                                if matches!(e.raw_os_error(), Some(sys::EMFILE | sys::ENFILE)) {
+                                    listener_paused =
+                                        parked.epoll.modify(listener_fd, 0, LISTENER).is_ok();
+                                }
+                                break;
+                            }
+                        };
+                        self.state.stats.connection();
+                        let _ = stream.set_nodelay(true);
+                        let _ = stream.set_nonblocking(true);
+                        let conn = Conn {
+                            stream,
+                            parser: RequestParser::new(),
+                            last_activity: Instant::now(),
+                            state: self.state.clone(),
+                        };
+                        parked.park(conn, true);
+                    },
                     slot => {
                         if let Some(conn) = parked.take(slot as usize) {
                             if let Some(conn) = self.advance(conn, &returns) {
@@ -354,6 +373,10 @@ impl Poller {
 
             let now = Instant::now();
             if now >= next_sweep {
+                if listener_paused {
+                    listener_paused =
+                        parked.epoll.modify(listener_fd, sys::EPOLLIN, LISTENER).is_err();
+                }
                 self.sweep(&mut parked, now);
                 next_sweep = now + Duration::from_millis(POLL_TICK_MS as u64);
             }

@@ -241,10 +241,13 @@ fn deadlines_bound_explain_and_are_overridable() {
     let handle = serve(ServerConfig { workers: 2, deadline_ms: 1, ..ServerConfig::default() });
     let mut c = client::Client::connect(handle.addr()).unwrap();
     c.post("/tables", &table_body("t", 150)).unwrap();
+    let wide = Json::obj([("name", Json::from("wide")), ("csv", Json::from(wide_csv(2000)))]);
+    c.post("/tables", &wide).unwrap();
 
-    // 1 ms default: parse + prepare alone exceed it — 504 either before
-    // execution or after a budget-truncated run.
-    let (status, resp) = c.post("/explain", &explain_body("t", "naive", 0.5)).unwrap();
+    // 1 ms default: an exhaustive run over the wide table takes seconds
+    // in any build — 504 either before execution or after a
+    // budget-truncated run.
+    let (status, resp) = c.post("/explain", &explain_body("wide", "naive", 0.5)).unwrap();
     assert_eq!(status, 504, "{resp:?}");
 
     // A generous per-request header overrides the tight default.

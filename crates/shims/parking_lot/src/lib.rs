@@ -22,22 +22,12 @@ impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
         Mutex(sync::Mutex::new(value))
     }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, recovering from poisoning.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Mutable access without locking.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -49,11 +39,6 @@ impl<T> RwLock<T> {
     /// Creates a new lock.
     pub fn new(value: T) -> Self {
         RwLock(sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -78,7 +63,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert_eq!(m.into_inner(), 2);
     }
 
     #[test]

@@ -198,7 +198,7 @@ pub mod prop {
 /// Common imports for property tests.
 pub mod prelude {
     pub use crate::{any, prop, ProptestConfig, Strategy, TestRunner};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, proptest};
 }
 
 /// Asserts inside a property test.
@@ -211,12 +211,6 @@ macro_rules! prop_assert {
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($($tt:tt)*) => { assert_eq!($($tt)*) };
-}
-
-/// Asserts inequality inside a property test.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($($tt:tt)*) => { assert_ne!($($tt)*) };
 }
 
 /// Defines property tests: each `fn name(pat in strategy, ...)` becomes

@@ -17,9 +17,12 @@
 //!   adjacency, and box carving.
 //! * [`query::group_by`] — group-by execution whose [`query::Grouping`]
 //!   doubles as the provenance mapping `αᵢ → g_αᵢ`.
-//! * [`RowMask`] / [`ClauseMaskCache`] — the bitmap execution layer:
-//!   per-clause columnar kernels, word-wise conjunction, popcount and
-//!   selection-vector iteration, with per-table clause-mask memoization.
+//! * [`RowMask`] / [`ClauseMaskCache`] — the bitmap execution layer, the
+//!   one predicate evaluator: per-clause columnar kernels, word-wise
+//!   conjunction, popcount and selection-vector iteration, with
+//!   per-table clause-mask memoization.
+//! * [`lru::LruShard`] — the least-recently-used map behind the clause,
+//!   predicate and compressed-clause memos.
 //!
 //! ```
 //! use scorpion_table::{Field, Schema, TableBuilder, Value};
@@ -43,6 +46,7 @@ mod column;
 pub mod csv;
 pub mod domain;
 mod error;
+pub mod lru;
 pub mod predicate;
 pub mod query;
 pub mod rowmask;
@@ -54,11 +58,9 @@ mod value;
 pub use column::{CatColumn, Column};
 pub use domain::{bin_edges, domains_of, AttrDomain};
 pub use error::{Result, TableError};
-pub use predicate::{Clause, Predicate, PredicateMatcher};
+pub use predicate::{Clause, Predicate};
 pub use query::{aggregate_groups, group_by, group_values, GroupKey, Grouping, KeyPart};
-pub use rowmask::{
-    intersect3_count_words, intersect_count_words, ClauseMaskCache, PredicateMask, RowMask,
-};
+pub use rowmask::{intersect_count_words, ClauseMaskCache, PredicateMask, RowMask};
 pub use schema::{AttrType, Field, Schema};
 pub use sql::{apply_selection, parse_query, Condition, ParsedQuery};
 pub use table::{Table, TableBuilder};

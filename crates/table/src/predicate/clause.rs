@@ -78,7 +78,7 @@ impl Clause {
     /// ([`Clause::matches_num`] / [`Clause::matches_code`]), and no bit
     /// past the column's length is set. Returns `None` when the clause
     /// kind does not match the column kind (range over discrete, set
-    /// over continuous) — the columnar equivalent of the matcher's
+    /// over continuous), which [`crate::Predicate::mask`] reports as a
     /// type-mismatch error.
     ///
     /// Each kernel walks the raw `&[f64]` / `&[u32]` storage in 64-row

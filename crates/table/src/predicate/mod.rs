@@ -1,10 +1,10 @@
 //! Predicate language: conjunctive range / set-containment predicates,
 //! their algebra (containment, intersection, bounding-box union,
-//! adjacency, carving), and fast compiled matching.
+//! adjacency, carving), and their bitmap evaluation.
 
 mod clause;
 #[allow(clippy::module_inception)]
 mod predicate;
 
 pub use clause::Clause;
-pub use predicate::{Predicate, PredicateMatcher};
+pub use predicate::Predicate;

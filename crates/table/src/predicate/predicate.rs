@@ -1,6 +1,5 @@
 //! Conjunctive predicates: the paper's explanation language.
 
-use crate::column::Column;
 use crate::domain::AttrDomain;
 use crate::error::Result;
 use crate::predicate::clause::Clause;
@@ -113,130 +112,59 @@ impl Predicate {
         }
     }
 
-    /// One clause's mask against `table`, served from (and recorded in)
-    /// `cache`; the flag reports a cache hit.
-    fn clause_mask(
-        table: &Table,
-        cache: &ClauseMaskCache,
-        clause: &Clause,
-    ) -> Result<(Arc<RowMask>, bool)> {
-        cache.get_or_eval_flagged(clause, || {
-            let col = table.column(clause.attr())?;
-            clause.eval_mask(col).ok_or_else(|| Predicate::type_mismatch(table, clause))
-        })
-    }
-
-    /// Evaluates the predicate against `table` as a bitmap: the `AND` of
-    /// its clauses' cached masks. Single-clause predicates share the
-    /// cached clause mask (refcount bump, no copy); the empty conjunction
-    /// is the full mask.
-    ///
-    /// This is the primary evaluation path — sibling candidates that
-    /// share clauses (a DT re-score level, an MC level, a NAIVE round)
-    /// pay each distinct clause's column pass once per `cache` lifetime.
-    /// Bit `r` is set iff [`PredicateMatcher::matches`] returns true for
-    /// row `r`; the row-at-a-time matcher survives as the reference
-    /// oracle for exactly that property.
-    pub fn mask(&self, table: &Table, cache: &ClauseMaskCache) -> Result<PredicateMask> {
-        self.mask_with_hits(table, cache).map(|(m, _)| m)
-    }
-
-    /// [`Predicate::mask`] plus the number of clause lookups this call
-    /// answered from `cache` — lets a consumer sharing the cache with
-    /// others attribute hits to itself.
-    pub fn mask_with_hits(
+    /// Each clause's mask against `table`, in attribute order, served
+    /// from (and recorded in) `cache`, written into `out` (cleared
+    /// first); returns how many of these lookups the cache answered, so
+    /// a consumer sharing the cache with others can attribute hits to
+    /// itself. A miss runs the clause's column kernel
+    /// ([`Clause::eval_mask`]).
+    pub fn clause_masks(
         &self,
         table: &Table,
         cache: &ClauseMaskCache,
-    ) -> Result<(PredicateMask, u64)> {
+        out: &mut Vec<Arc<RowMask>>,
+    ) -> Result<u64> {
+        out.clear();
         let mut hits = 0u64;
-        let mut first: Option<Arc<RowMask>> = None;
-        let mut acc: Option<RowMask> = None;
         for clause in self.clauses.values() {
-            let (m, hit) = Predicate::clause_mask(table, cache, clause)?;
+            let (m, hit) = cache.get_or_eval(clause, || {
+                let col = table.column(clause.attr())?;
+                clause.eval_mask(col).ok_or_else(|| Predicate::type_mismatch(table, clause))
+            })?;
             hits += hit as u64;
-            match (&mut acc, &first) {
-                (Some(a), _) => a.and_assign(&m),
-                (None, Some(f)) => acc = Some(f.and(&m)),
-                (None, None) => first = Some(m),
-            }
+            out.push(m);
         }
-        let mask = match (acc, first) {
-            (Some(owned), _) => PredicateMask::Owned(owned),
-            (None, Some(shared)) => PredicateMask::Shared(shared),
-            (None, None) => PredicateMask::Owned(RowMask::full(table.len())),
-        };
-        Ok((mask, hits))
+        Ok(hits)
     }
 
-    /// Evaluates the predicate as a bitmap without a clause cache — for
-    /// one-shot consumers (CLI previews, selection helpers) where
-    /// memoization has nothing to amortize.
-    pub fn mask_uncached(&self, table: &Table) -> Result<RowMask> {
-        let mut acc: Option<RowMask> = None;
-        for clause in self.clauses.values() {
-            let col = table.column(clause.attr())?;
-            let m = clause.eval_mask(col).ok_or_else(|| Predicate::type_mismatch(table, clause))?;
-            match &mut acc {
-                Some(a) => a.and_assign(&m),
-                None => acc = Some(m),
-            }
-        }
-        Ok(acc.unwrap_or_else(|| RowMask::full(table.len())))
+    /// Evaluates the predicate against `table` as a bitmap: the `AND` of
+    /// its clauses' cached masks ([`PredicateMask::and_all`]).
+    /// Single-clause predicates share the cached clause mask (refcount
+    /// bump, no copy); the empty conjunction is the full mask.
+    ///
+    /// This is the one evaluation path — sibling candidates that share
+    /// clauses (a DT re-score level, an MC level, a NAIVE round) pay each
+    /// distinct clause's column pass once per `cache` lifetime, and a
+    /// one-shot caller passes a fresh cache. Bit `r` is set iff row `r`
+    /// satisfies every clause ([`Clause::matches_num`] /
+    /// [`Clause::matches_code`]).
+    pub fn mask(&self, table: &Table, cache: &ClauseMaskCache) -> Result<PredicateMask> {
+        let mut masks = Vec::with_capacity(self.clauses.len());
+        self.clause_masks(table, cache, &mut masks)?;
+        Ok(PredicateMask::and_all(&masks, table.len()))
     }
 
-    /// Compiles the predicate against a table for row-at-a-time
-    /// matching. Kept as the reference oracle for the mask kernels
-    /// (parity-tested) and as the small-probe fallback of
-    /// [`Predicate::select`] / [`Predicate::count`]; scoring hot paths
-    /// evaluate [`Predicate::mask`] instead.
-    pub fn matcher<'t>(&self, table: &'t Table) -> Result<PredicateMatcher<'t>> {
-        let mut bound = Vec::with_capacity(self.clauses.len());
-        for clause in self.clauses.values() {
-            let attr = clause.attr();
-            let col = table.column(attr)?;
-            let b = match (clause, col) {
-                (Clause::Range { lo, hi, .. }, Column::Num(v)) => {
-                    BoundClause::Range { data: v, lo: *lo, hi: *hi }
-                }
-                (Clause::In { codes, .. }, Column::Cat(c)) => {
-                    BoundClause::In { codes: c.codes(), set: codes.clone() }
-                }
-                _ => return Err(Predicate::type_mismatch(table, clause)),
-            };
-            bound.push(b);
-        }
-        Ok(PredicateMatcher { bound })
-    }
-
-    /// True when probing `n_rows` of `table` should match row-at-a-time
-    /// rather than pay a full-column kernel pass per clause: the mask
-    /// kernels touch every table row, so tiny probes of large tables
-    /// are cheaper through the matcher.
-    fn small_probe(table: &Table, n_rows: usize) -> bool {
-        n_rows < table.len() / 64
-    }
-
-    /// Selects, from `rows`, the ids whose tuples satisfy the predicate
-    /// (bitmap-evaluated: one columnar pass per clause, then bit tests;
-    /// small probes of large tables fall back to row-at-a-time
-    /// matching).
+    /// Selects, from `rows`, the ids whose tuples satisfy the predicate:
+    /// one column pass per clause ([`Predicate::mask`]), then one bit
+    /// test per row.
     pub fn select(&self, table: &Table, rows: &[u32]) -> Result<Vec<u32>> {
-        if Predicate::small_probe(table, rows.len()) {
-            let m = self.matcher(table)?;
-            return Ok(rows.iter().copied().filter(|&r| m.matches(r)).collect());
-        }
-        let m = self.mask_uncached(table)?;
+        let m = self.mask(table, &ClauseMaskCache::new())?;
         Ok(rows.iter().copied().filter(|&r| m.contains(r)).collect())
     }
 
     /// Counts the rows of `rows` satisfying the predicate.
     pub fn count(&self, table: &Table, rows: &[u32]) -> Result<usize> {
-        if Predicate::small_probe(table, rows.len()) {
-            let m = self.matcher(table)?;
-            return Ok(rows.iter().filter(|&&r| m.matches(r)).count());
-        }
-        let m = self.mask_uncached(table)?;
+        let m = self.mask(table, &ClauseMaskCache::new())?;
         Ok(rows.iter().filter(|&&r| m.contains(r)).count())
     }
 
@@ -462,35 +390,10 @@ impl Predicate {
     }
 }
 
-/// A single clause bound to its column for fast evaluation.
-enum BoundClause<'t> {
-    Range { data: &'t [f64], lo: f64, hi: f64 },
-    In { codes: &'t [u32], set: BTreeSet<u32> },
-}
-
-/// A predicate compiled against a specific table.
-pub struct PredicateMatcher<'t> {
-    bound: Vec<BoundClause<'t>>,
-}
-
-impl PredicateMatcher<'_> {
-    /// Does row `r` satisfy every clause?
-    #[inline]
-    pub fn matches(&self, r: u32) -> bool {
-        let r = r as usize;
-        self.bound.iter().all(|b| match b {
-            BoundClause::Range { data, lo, hi } => {
-                let v = data[r];
-                *lo <= v && v < *hi
-            }
-            BoundClause::In { codes, set } => set.contains(&codes[r]),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::Column;
     use crate::schema::{Field, Schema};
     use crate::table::TableBuilder;
     use crate::value::Value;
@@ -729,8 +632,17 @@ mod tests {
         assert_eq!(q.simplify(&d), q);
     }
 
+    /// The row-at-a-time oracle: does row `r` satisfy every clause of
+    /// `p`, clause by clause through the scalar semantics?
+    fn matches_row(t: &Table, p: &Predicate, r: u32) -> bool {
+        p.clauses().all(|c| match t.column(c.attr()).unwrap() {
+            Column::Num(v) => c.matches_num(v[r as usize]),
+            Column::Cat(cat) => c.matches_code(cat.codes()[r as usize]),
+        })
+    }
+
     #[test]
-    fn mask_agrees_with_matcher_and_shares_clause_masks() {
+    fn mask_agrees_with_row_oracle_and_shares_clause_masks() {
         let t = table();
         let cache = ClauseMaskCache::new();
         let code_b = t.cat(2).unwrap().code_of("b").unwrap();
@@ -740,48 +652,48 @@ mod tests {
             Predicate::conjunction([Clause::range(0, 2.0, 10.0), Clause::in_set(2, [code_b])])
                 .unwrap(),
         ];
+        let all: Vec<u32> = (0..t.len() as u32).collect();
         for p in &preds {
             let mask = p.mask(&t, &cache).unwrap();
-            let m = p.matcher(&t).unwrap();
-            for r in 0..t.len() as u32 {
-                assert_eq!(mask.contains(r), m.matches(r), "{} row {r}", p.display(&t));
-            }
-            assert_eq!(
-                mask.count_ones(),
-                p.count(&t, &(0..t.len() as u32).collect::<Vec<_>>()).unwrap()
-            );
-            assert_eq!(
-                mask.to_rows(),
-                p.select(&t, &(0..t.len() as u32).collect::<Vec<_>>()).unwrap()
-            );
+            let want: Vec<u32> = all.iter().copied().filter(|&r| matches_row(&t, p, r)).collect();
+            assert_eq!(mask.to_rows(), want, "{}", p.display(&t));
+            assert_eq!(p.select(&t, &all).unwrap(), want);
+            assert_eq!(p.count(&t, &all).unwrap(), want.len());
+            // One row, out of order: `select` keeps the caller's order.
+            let probe = [3, 1];
+            let picked: Vec<u32> =
+                probe.iter().copied().filter(|&r| matches_row(&t, p, r)).collect();
+            assert_eq!(p.select(&t, &probe).unwrap(), picked);
+            assert_eq!(p.count(&t, &probe[..1]).unwrap(), usize::from(matches_row(&t, p, 3)));
         }
-        // The range clause appears in two predicates: second evaluation
+        // The range clause appears in two predicates: its second lookup
         // is a cache hit, and the single-clause predicate shares the Arc.
-        assert!(cache.hits() >= 1);
         assert_eq!(cache.len(), 2);
+        let mut masks = Vec::new();
+        assert_eq!(preds[2].clause_masks(&t, &cache, &mut masks).unwrap(), 2);
+        assert_eq!(masks.len(), 2);
         if let PredicateMask::Shared(m) = preds[1].mask(&t, &cache).unwrap() {
-            let (again, hit) =
-                Predicate::clause_mask(&t, &cache, preds[1].clause(0).unwrap()).unwrap();
-            assert!(hit);
-            assert!(Arc::ptr_eq(&m, &again));
+            assert_eq!(preds[1].clause_masks(&t, &cache, &mut masks).unwrap(), 1);
+            assert!(Arc::ptr_eq(&m, &masks[0]));
         } else {
             panic!("single-clause predicate must share its clause mask");
         }
+        // A fresh cache answers nothing.
+        assert_eq!(preds[2].clause_masks(&t, &ClauseMaskCache::new(), &mut masks).unwrap(), 0);
     }
 
     #[test]
-    fn mask_reports_type_mismatch_like_matcher() {
+    fn every_evaluation_reports_type_mismatch() {
         let t = table();
         // Range clause over the discrete attribute `s`.
         let bad = Predicate::conjunction([Clause::range(2, 0.0, 1.0)]).unwrap();
-        let cache = ClauseMaskCache::new();
-        assert!(matches!(
-            bad.mask(&t, &cache),
-            Err(crate::error::TableError::TypeMismatch { ref attr, expected: "continuous" })
-                if attr == "s"
-        ));
-        assert!(bad.mask_uncached(&t).is_err());
-        assert!(bad.matcher(&t).is_err());
+        let is_mismatch = |e: crate::error::TableError| {
+            matches!(e, crate::error::TableError::TypeMismatch { ref attr, expected: "continuous" }
+                if attr == "s")
+        };
+        assert!(is_mismatch(bad.mask(&t, &ClauseMaskCache::new()).err().unwrap()));
+        assert!(is_mismatch(bad.select(&t, &[0]).unwrap_err()));
+        assert!(is_mismatch(bad.count(&t, &[0]).unwrap_err()));
     }
 
     #[test]

@@ -15,11 +15,10 @@
 //! each distinct clause once per table instead of once per candidate.
 
 use crate::error::Result;
+use crate::lru::LruShard;
 use crate::predicate::Clause;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A bitmap over the row ids `0..len` of one table.
@@ -139,26 +138,6 @@ impl RowMask {
         }
     }
 
-    /// `self ∧ ¬other` as a new mask.
-    pub fn and_not(&self, other: &RowMask) -> RowMask {
-        debug_assert_eq!(self.len, other.len);
-        RowMask {
-            words: self.words.iter().zip(&other.words).map(|(a, b)| a & !b).collect(),
-            len: self.len,
-        }
-    }
-
-    /// `|self ∧ other|` without materializing the intersection.
-    ///
-    /// The word zip is unrolled 8-wide with independent accumulators so
-    /// the popcounts pipeline instead of serializing on one running sum
-    /// — the autovectorizer turns each lane into SIMD popcount sequences
-    /// where the target supports them.
-    pub fn intersect_count(&self, other: &RowMask) -> usize {
-        debug_assert_eq!(self.len, other.len);
-        intersect_count_words(&self.words, &other.words)
-    }
-
     /// Iterates the set rows in ascending order (a selection vector).
     pub fn iter(&self) -> RowMaskIter<'_> {
         RowMaskIter { words: &self.words, wi: 0, cur: self.words.first().copied().unwrap_or(0) }
@@ -172,9 +151,13 @@ impl RowMask {
     }
 }
 
-/// 8-way unrolled `popcount(a & b)` over two word slices (the kernel
-/// behind [`RowMask::intersect_count`], shared so span-limited consumers
-/// can run it over sub-slices).
+/// `popcount(a & b)` over two word slices, without materializing the
+/// intersection; span-limited consumers run it over sub-slices.
+///
+/// The word zip is unrolled 8-wide with independent accumulators so
+/// the popcounts pipeline instead of serializing on one running sum
+/// — the autovectorizer turns each lane into SIMD popcount sequences
+/// where the target supports them.
 pub fn intersect_count_words(a: &[u64], b: &[u64]) -> usize {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0usize; 8];
@@ -188,30 +171,6 @@ pub fn intersect_count_words(a: &[u64], b: &[u64]) -> usize {
     let mut n: usize = acc.iter().sum();
     for (wa, wb) in ra.iter().zip(rb) {
         n += (wa & wb).count_ones() as usize;
-    }
-    n
-}
-
-/// 8-way unrolled `popcount(a & b & c)` over three word slices — the
-/// three-operand sibling of [`intersect_count_words`], for counting a
-/// two-clause conjunction against a group mask in one pass without
-/// materializing the conjunction bitmap.
-pub fn intersect3_count_words(a: &[u64], b: &[u64], c: &[u64]) -> usize {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len(), c.len());
-    let mut acc = [0usize; 8];
-    let head = a.len() - a.len() % 8;
-    let (ca, ra) = a.split_at(head);
-    let (cb, rb) = b.split_at(head);
-    let (cc, rc) = c.split_at(head);
-    for ((wa, wb), wc) in ca.chunks_exact(8).zip(cb.chunks_exact(8)).zip(cc.chunks_exact(8)) {
-        for lane in 0..8 {
-            acc[lane] += (wa[lane] & wb[lane] & wc[lane]).count_ones() as usize;
-        }
-    }
-    let mut n: usize = acc.iter().sum();
-    for ((wa, wb), wc) in ra.iter().zip(rb).zip(rc) {
-        n += (wa & wb & wc).count_ones() as usize;
     }
     n
 }
@@ -261,6 +220,25 @@ pub enum PredicateMask {
     Owned(RowMask),
 }
 
+impl PredicateMask {
+    /// The `AND` of clause masks over a `len`-row domain: a single mask
+    /// is shared as it is (a refcount bump, no copy), and no mask at all
+    /// is the full mask (the empty conjunction).
+    pub fn and_all(masks: &[Arc<RowMask>], len: usize) -> PredicateMask {
+        match masks {
+            [] => PredicateMask::Owned(RowMask::full(len)),
+            [one] => PredicateMask::Shared(one.clone()),
+            [a, b, rest @ ..] => {
+                let mut acc = a.and(b);
+                for m in rest {
+                    acc.and_assign(m);
+                }
+                PredicateMask::Owned(acc)
+            }
+        }
+    }
+}
+
 impl std::ops::Deref for PredicateMask {
     type Target = RowMask;
     fn deref(&self) -> &RowMask {
@@ -271,20 +249,13 @@ impl std::ops::Deref for PredicateMask {
     }
 }
 
-/// Default bound on distinct cached clause masks.
+/// Bound on distinct cached clause masks.
 ///
 /// Masks cost `table_len / 8` bytes each; the bound keeps a long-lived
 /// plan (e.g. one kept warm in a server's plan cache) from accumulating
 /// unbounded bitmaps as NAIVE/MC searches mint new clauses run after
 /// run.
-const DEFAULT_MASK_CACHE_CAP: usize = 1024;
-
-/// Recency-stamped cache entries behind the lock.
-#[derive(Default)]
-struct MaskEntries {
-    map: HashMap<Clause, (Arc<RowMask>, u64)>,
-    tick: u64,
-}
+const MASK_CACHE_CAP: usize = 1024;
 
 /// A memo of per-clause masks for one table.
 ///
@@ -294,114 +265,50 @@ struct MaskEntries {
 /// and drop it when the table changes. Thread-safe: server workers
 /// running one shared plan share its cache behind a mutex (the held
 /// section is a hash probe; kernels run outside the lock). Bounded: past
-/// the capacity, inserting a new clause evicts the least-recently-used
-/// one, so long-lived plans hold at most `capacity × table_len / 8`
-/// bytes of masks.
+/// 1,024 clauses, inserting a new clause evicts the least-recently-used
+/// one ([`LruShard`]), so long-lived plans hold at most
+/// `1024 × table_len / 8` bytes of masks.
+#[derive(Default)]
 pub struct ClauseMaskCache {
-    entries: Mutex<MaskEntries>,
-    hits: AtomicU64,
-    cap: usize,
-}
-
-impl Default for ClauseMaskCache {
-    fn default() -> Self {
-        ClauseMaskCache::with_capacity(0)
-    }
+    masks: Mutex<LruShard<Clause, Arc<RowMask>>>,
 }
 
 impl ClauseMaskCache {
-    /// An empty cache with the default capacity bound.
+    /// An empty cache.
     pub fn new() -> Self {
         ClauseMaskCache::default()
     }
 
-    /// An empty cache holding at most `cap` clause masks, evicting the
-    /// least recently used past that (`0` = the default bound).
-    pub fn with_capacity(cap: usize) -> Self {
-        ClauseMaskCache {
-            entries: Mutex::new(MaskEntries::default()),
-            hits: AtomicU64::new(0),
-            cap: if cap == 0 { DEFAULT_MASK_CACHE_CAP } else { cap },
-        }
-    }
-
-    /// The enforced capacity bound in clauses.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Number of distinct clauses cached.
     pub fn len(&self) -> usize {
-        self.entries.lock().map.len()
+        self.masks.lock().len()
     }
 
     /// True when nothing is cached yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().map.is_empty()
-    }
-
-    /// Number of lookups answered from the cache since construction or
-    /// the last [`ClauseMaskCache::clear`] (per-consumer attribution is
-    /// the caller's job, via the hit flag of
-    /// [`ClauseMaskCache::get_or_eval_flagged`]).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Drops every cached mask *and* resets the hit counter. A clear is
-    /// how a plan rebind recycles a cache for a new table snapshot, so
-    /// both entries and hits must restart from zero — carrying the old
-    /// count over made warm-slide diagnostics overcount hits that
-    /// belonged to the previous generation.
-    pub fn clear(&self) {
-        self.entries.lock().map.clear();
-        self.hits.store(0, Ordering::Relaxed);
+        self.masks.lock().is_empty()
     }
 
     /// The cached mask of `clause`, computing and caching it with
-    /// `build` on a miss; the flag reports whether this lookup hit.
-    /// Concurrent misses may both run `build`; one result wins, keeping
-    /// every reader on the same `Arc`.
-    pub fn get_or_eval_flagged(
-        &self,
-        clause: &Clause,
-        build: impl FnOnce() -> Result<RowMask>,
-    ) -> Result<(Arc<RowMask>, bool)> {
-        {
-            let mut e = self.entries.lock();
-            e.tick += 1;
-            let tick = e.tick;
-            if let Some((m, stamp)) = e.map.get_mut(clause) {
-                *stamp = tick;
-                let m = m.clone();
-                drop(e);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((m, true));
-            }
-        }
-        let built = Arc::new(build()?);
-        let mut e = self.entries.lock();
-        e.tick += 1;
-        let tick = e.tick;
-        if !e.map.contains_key(clause) && e.map.len() >= self.cap {
-            // Lazy LRU: evict the stalest entry. The O(len) scan is
-            // noise next to the full-column kernel pass that got us
-            // here, and it only runs at capacity.
-            if let Some(lru) = e.map.iter().min_by_key(|(_, (_, s))| *s).map(|(k, _)| k.clone()) {
-                e.map.remove(&lru);
-            }
-        }
-        let m = e.map.entry(clause.clone()).or_insert((built, tick)).0.clone();
-        Ok((m, false))
-    }
-
-    /// [`ClauseMaskCache::get_or_eval_flagged`] without the hit flag.
+    /// `build` on a miss; the flag reports whether this lookup hit, so
+    /// each consumer of a shared cache can count its own hits.
+    /// Concurrent misses may both run `build`; the first mask inserted
+    /// wins, keeping every reader on the same `Arc`.
     pub fn get_or_eval(
         &self,
         clause: &Clause,
         build: impl FnOnce() -> Result<RowMask>,
-    ) -> Result<Arc<RowMask>> {
-        self.get_or_eval_flagged(clause, build).map(|(m, _)| m)
+    ) -> Result<(Arc<RowMask>, bool)> {
+        if let Some(m) = self.masks.lock().get_mut(clause) {
+            return Ok((m.clone(), true));
+        }
+        let built = Arc::new(build()?);
+        let mut masks = self.masks.lock();
+        if let Some(m) = masks.get_mut(clause) {
+            return Ok((m.clone(), false));
+        }
+        masks.insert(clause, built.clone(), MASK_CACHE_CAP);
+        Ok((built, false))
     }
 }
 
@@ -440,11 +347,24 @@ mod tests {
         let a = RowMask::from_rows(200, &[1, 5, 100, 150]);
         let b = RowMask::from_rows(200, &[5, 150, 199]);
         assert_eq!(a.and(&b).to_rows(), vec![5, 150]);
-        assert_eq!(a.and_not(&b).to_rows(), vec![1, 100]);
-        assert_eq!(a.intersect_count(&b), 2);
+        assert_eq!(intersect_count_words(a.words(), b.words()), 2);
         let mut c = a.clone();
         c.and_assign(&b);
         assert_eq!(c.to_rows(), vec![5, 150]);
+    }
+
+    #[test]
+    fn and_all_shares_one_mask_and_conjoins_many() {
+        let a = Arc::new(RowMask::from_rows(130, &[1, 5, 64, 129]));
+        let b = Arc::new(RowMask::from_rows(130, &[5, 64, 100, 129]));
+        let c = Arc::new(RowMask::from_rows(130, &[0, 64, 129]));
+        assert_eq!(PredicateMask::and_all(&[], 130).to_rows(), (0..130).collect::<Vec<_>>());
+        match PredicateMask::and_all(std::slice::from_ref(&a), 130) {
+            PredicateMask::Shared(m) => assert!(Arc::ptr_eq(&m, &a)),
+            PredicateMask::Owned(_) => panic!("one mask must be shared, not copied"),
+        }
+        assert_eq!(PredicateMask::and_all(&[a.clone(), b.clone()], 130).to_rows(), [5, 64, 129]);
+        assert_eq!(PredicateMask::and_all(&[a, b, c], 130).to_rows(), [64, 129]);
     }
 
     #[test]
@@ -467,19 +387,13 @@ mod tests {
     #[test]
     fn cache_hits_and_reuse() {
         let cache = ClauseMaskCache::new();
-        assert_eq!(cache.capacity(), 1024);
         let c = Clause::range(0, 0.0, 1.0);
-        let (m1, hit) = cache.get_or_eval_flagged(&c, || Ok(RowMask::from_rows(10, &[3]))).unwrap();
+        let (m1, hit) = cache.get_or_eval(&c, || Ok(RowMask::from_rows(10, &[3]))).unwrap();
         assert!(!hit);
-        assert_eq!(cache.hits(), 0);
         assert_eq!(cache.len(), 1);
-        let (m2, hit) = cache.get_or_eval_flagged(&c, || panic!("must hit")).unwrap();
+        let (m2, hit) = cache.get_or_eval(&c, || panic!("must hit")).unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&m1, &m2));
-        assert_eq!(cache.hits(), 1);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 0, "clear starts a new counting generation");
     }
 
     #[test]
@@ -494,43 +408,27 @@ mod tests {
             let b = RowMask::from_rows(len, &rows_b);
             let scalar: usize =
                 a.words().iter().zip(b.words()).map(|(x, y)| (x & y).count_ones() as usize).sum();
-            assert_eq!(a.intersect_count(&b), scalar, "len {len}");
-            assert_eq!(a.intersect_count(&b), (0..len as u32).filter(|r| r % 15 == 0).count());
-        }
-    }
-
-    #[test]
-    fn intersect3_unrolled_matches_scalar_on_all_lengths() {
-        for words in 0..20usize {
-            let len = words * 64 + 17;
-            let rows_a: Vec<u32> = (0..len as u32).filter(|r| r % 2 == 0).collect();
-            let rows_b: Vec<u32> = (0..len as u32).filter(|r| r % 3 == 0).collect();
-            let rows_c: Vec<u32> = (0..len as u32).filter(|r| r % 5 == 0).collect();
-            let a = RowMask::from_rows(len, &rows_a);
-            let b = RowMask::from_rows(len, &rows_b);
-            let c = RowMask::from_rows(len, &rows_c);
-            assert_eq!(
-                intersect3_count_words(a.words(), b.words(), c.words()),
-                (0..len as u32).filter(|r| r % 30 == 0).count(),
-                "len {len}"
-            );
+            let n = intersect_count_words(a.words(), b.words());
+            assert_eq!(n, scalar, "len {len}");
+            assert_eq!(n, (0..len as u32).filter(|r| r % 15 == 0).count());
         }
     }
 
     #[test]
     fn cache_evicts_lru_past_capacity() {
-        let cache = ClauseMaskCache::with_capacity(4);
+        let cache = ClauseMaskCache::new();
         let clause = |i: usize| Clause::range(0, i as f64, i as f64 + 1.0);
-        for i in 0..4 {
-            cache.get_or_eval(&clause(i), || Ok(RowMask::empty(8))).unwrap();
+        let build = || Ok(RowMask::empty(8));
+        for i in 0..MASK_CACHE_CAP {
+            cache.get_or_eval(&clause(i), build).unwrap();
         }
-        // Touch clause 0 so clause 1 is the LRU when 4 arrives.
+        // Touch clause 0 so clause 1 is the LRU when a new one arrives.
         cache.get_or_eval(&clause(0), || panic!("resident")).unwrap();
-        cache.get_or_eval(&clause(4), || Ok(RowMask::empty(8))).unwrap();
-        assert_eq!(cache.len(), 4, "bound enforced");
-        let (_, hit) = cache.get_or_eval_flagged(&clause(0), || Ok(RowMask::empty(8))).unwrap();
+        cache.get_or_eval(&clause(MASK_CACHE_CAP), build).unwrap();
+        assert_eq!(cache.len(), MASK_CACHE_CAP, "bound enforced");
+        let (_, hit) = cache.get_or_eval(&clause(0), build).unwrap();
         assert!(hit, "recently touched entry survives");
-        let (_, hit) = cache.get_or_eval_flagged(&clause(1), || Ok(RowMask::empty(8))).unwrap();
+        let (_, hit) = cache.get_or_eval(&clause(1), build).unwrap();
         assert!(!hit, "LRU entry was evicted");
     }
 }

@@ -4,7 +4,9 @@
 
 use scorpion::server::{client, Json};
 use std::io::Read;
+use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_scorpion"))
@@ -336,6 +338,23 @@ impl Drop for KillOnDrop {
     }
 }
 
+/// The address a `scorpion serve` child bound, read from its first
+/// stdout line: "scorpion-server listening on http://ADDR (..".
+fn listening_addr(child: &mut Child) -> SocketAddr {
+    let mut line = String::new();
+    let mut stdout = child.stdout.take().unwrap();
+    let mut buf = [0u8; 1];
+    while stdout.read(&mut buf).unwrap() == 1 && buf[0] != b'\n' {
+        line.push(buf[0] as char);
+    }
+    line.split("http://")
+        .nth(1)
+        .and_then(|s| s.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no address in banner: {line:?}"))
+        .parse()
+        .unwrap()
+}
+
 /// `scorpion serve --port 0` prints the bound address, serves
 /// `/healthz` and `/explain`, and shuts down on SIGKILL without
 /// leaving the port wedged.
@@ -357,20 +376,7 @@ fn serve_subcommand_end_to_end() {
         .spawn()
         .unwrap();
     let mut child = KillOnDrop(child);
-    // First stdout line: "scorpion-server listening on http://ADDR (..".
-    let mut line = String::new();
-    let mut stdout = child.0.stdout.take().unwrap();
-    let mut buf = [0u8; 1];
-    while stdout.read(&mut buf).unwrap() == 1 && buf[0] != b'\n' {
-        line.push(buf[0] as char);
-    }
-    let addr: std::net::SocketAddr = line
-        .split("http://")
-        .nth(1)
-        .and_then(|s| s.split_whitespace().next())
-        .unwrap_or_else(|| panic!("no address in banner: {line:?}"))
-        .parse()
-        .unwrap();
+    let addr = listening_addr(&mut child.0);
 
     let mut c = client::Client::connect(addr).unwrap();
     let (status, health) = c.get("/healthz").unwrap();
@@ -415,19 +421,7 @@ fn serve_slow_ms_logs_phase_breakdown() {
         .spawn()
         .unwrap();
     let mut child = KillOnDrop(child);
-    let mut line = String::new();
-    let mut stdout = child.0.stdout.take().unwrap();
-    let mut buf = [0u8; 1];
-    while stdout.read(&mut buf).unwrap() == 1 && buf[0] != b'\n' {
-        line.push(buf[0] as char);
-    }
-    let addr: std::net::SocketAddr = line
-        .split("http://")
-        .nth(1)
-        .and_then(|s| s.split_whitespace().next())
-        .unwrap_or_else(|| panic!("no address in banner: {line:?}"))
-        .parse()
-        .unwrap();
+    let addr = listening_addr(&mut child.0);
 
     let mut c = client::Client::connect(addr).unwrap();
     let body = Json::obj([
@@ -454,4 +448,73 @@ fn serve_slow_ms_logs_phase_breakdown() {
     assert!(slow_line.contains("phases="), "{slow_line}");
     // The breakdown names real engine phases with elapsed times.
     assert!(slow_line.contains("ms"), "{slow_line}");
+}
+
+/// Process CPU time (user + system) of `pid` so far, in milliseconds,
+/// from `/proc/<pid>/stat`.
+#[cfg(target_os = "linux")]
+fn cpu_ms(pid: u32) -> f64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap();
+    // Fields after the parenthesized command name start at field 3
+    // (state); utime and stime are fields 14 and 15, in clock ticks.
+    let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 1..].split_whitespace().collect();
+    let ticks: f64 = fields[11].parse::<f64>().unwrap() + fields[12].parse::<f64>().unwrap();
+    let per_s = Command::new("getconf")
+        .arg("CLK_TCK")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok()?.trim().parse::<f64>().ok())
+        .unwrap_or(100.0);
+    ticks * 1000.0 / per_s
+}
+
+/// Out of file descriptors, the server waits instead of spinning: the
+/// listener stays readable while `accept` fails with EMFILE, so the
+/// poller stops watching it until its next sweep. The limit is set in
+/// the child alone (48 descriptors) and the test holds 60 connections:
+/// the server may use at most 300 ms of CPU over 2 s, and `/healthz`
+/// answers once the clients close.
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_does_not_spin_out_of_file_descriptors() {
+    let csv = sample_csv_path("fd_limit.csv");
+    let child = Command::new("sh")
+        .args([
+            "-c",
+            "ulimit -n 48 && exec \"$0\" \"$@\"",
+            env!("CARGO_BIN_EXE_scorpion"),
+            "serve",
+            "--csv",
+            &format!("planted={}", csv.display()),
+            "--port",
+            "0",
+            "--workers",
+            "2",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut child = KillOnDrop(child);
+    let addr = listening_addr(&mut child.0);
+    let held: Vec<std::net::TcpStream> =
+        (0..60).map(|_| std::net::TcpStream::connect(addr).unwrap()).collect();
+    // Let the poller take every descriptor it can before measuring.
+    std::thread::sleep(Duration::from_millis(300));
+    let pid = child.0.id();
+    let before = cpu_ms(pid);
+    std::thread::sleep(Duration::from_secs(2));
+    let used = cpu_ms(pid) - before;
+    assert!(used <= 300.0, "server used {used} ms of CPU in 2 s out of descriptors");
+
+    drop(held);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let status = client::Client::connect(addr).and_then(|mut c| c.get("/healthz"));
+        match status {
+            Ok((200, _)) => break,
+            other => assert!(Instant::now() < deadline, "no /healthz 200 after close: {other:?}"),
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
 }
