@@ -19,20 +19,15 @@
 //! window's per-chunk summaries, which `scorpion-stream` merges instead
 //! of re-reading rows. SUM/COUNT/AVG/STDDEV/VARIANCE are removable
 //! ([`IncrementalAggregate::removable`]); MIN/MAX keep a merge-only
-//! `[extremum, n]` state; MEDIAN has none.
-//!
-//! An approximate capability covers operators with no exact state:
-//! **sketch tiers** ([`SketchAggregate`], via [`Aggregate::sketch`]) —
-//! MEDIAN and the [`Percentile`] family ride a retractable quantile
-//! sketch, [`CountDistinct`] a merge-only HLL++, each partial reporting
-//! its own error bound. Exact `compute` stays the oracle; sketches
-//! engage only where a caller opts in.
+//! `[extremum, n]` state; MEDIAN, the [`Percentile`] family and
+//! [`CountDistinct`] have none, so they are evaluated as black boxes
+//! and a streaming window keeps their raw values.
 //!
 //! Shipped operators: [`Sum`], [`Count`], [`Avg`], [`StdDev`],
 //! [`Variance`] (incrementally removable + independent), [`Min`],
-//! [`Max`] (merge-only), [`Median`] (black-box), and the sketch-tier
-//! family ([`Percentile`], [`CountDistinct`]). [`BlackBox`] hides an
-//! operator's exact state, for ablations of the §5.1 fast path.
+//! [`Max`] (merge-only), and [`Median`], [`Percentile`],
+//! [`CountDistinct`] (black-box). [`BlackBox`] hides an operator's
+//! exact state, for ablations of the §5.1 fast path.
 //!
 //! ```
 //! use scorpion_agg::{Avg, Aggregate, IncrementalAggregate, Max};
@@ -54,17 +49,17 @@
 #![warn(missing_docs)]
 
 mod arithmetic;
+mod holistic;
 mod order;
 mod registry;
-mod sketch;
 mod spread;
 mod state;
 mod traits;
 
 pub use arithmetic::{Avg, Count, Sum};
+pub use holistic::{CountDistinct, Percentile};
 pub use order::{Max, Median, Min};
 pub use registry::{aggregate_by_name, registered_names};
-pub use sketch::{CountDistinct, Percentile, SketchAggregate};
 pub use spread::{StdDev, Variance};
 pub use state::{AggState, MAX_STATE};
 pub use traits::{AggProperties, Aggregate, BlackBox, IncrementalAggregate};

@@ -142,10 +142,6 @@ impl Aggregate for Median {
         let (_, m, _) = v.select_nth_unstable_by(mid, |a, b| a.total_cmp(b));
         *m
     }
-
-    fn sketch(&self) -> Option<&dyn crate::SketchAggregate> {
-        Some(self)
-    }
 }
 
 #[cfg(test)]

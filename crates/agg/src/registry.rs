@@ -6,7 +6,7 @@
 //! * exact state, removable: `sum`, `count`, `avg` (alias `mean`),
 //!   `stddev` (alias `std`), `variance` (alias `var`);
 //! * exact state, merge-only: `min`, `max`;
-//! * exact compute with a sketch tier: `median`, `count_distinct`
+//! * exact compute, no state (black-box): `median`, `count_distinct`
 //!   (alias `distinct`), and the percentile family — the shorthands
 //!   `p10`/`p25`/`p50`/`p75`/`p90`/`p95`/`p99`/`p999`/`p100`, any
 //!   `p<digits>` spelling (1–2 digits read as hundredths, 3 as
@@ -18,8 +18,8 @@
 //! see the vocabulary instead of a bare failure.
 
 use crate::arithmetic::{Avg, Count, Sum};
+use crate::holistic::{CountDistinct, Percentile};
 use crate::order::{Max, Median, Min};
-use crate::sketch::{CountDistinct, Percentile};
 use crate::spread::{StdDev, Variance};
 use crate::traits::Aggregate;
 use std::sync::Arc;
@@ -150,19 +150,6 @@ mod tests {
                 aggregate_by_name(name).unwrap().incremental().is_none(),
                 "{name} should not be incrementally removable"
             );
-        }
-    }
-
-    #[test]
-    fn sketch_support_split() {
-        for name in ["median", "p50", "p90", "p99", "count_distinct"] {
-            assert!(
-                aggregate_by_name(name).unwrap().sketch().is_some(),
-                "{name} should have a sketch tier"
-            );
-        }
-        for name in ["sum", "count", "avg", "stddev", "variance", "min", "max"] {
-            assert!(aggregate_by_name(name).unwrap().sketch().is_none(), "{name} is exact-only");
         }
     }
 }

@@ -56,21 +56,10 @@ pub trait Aggregate: Send + Sync {
 
     /// The exact constant-size state algebra, when the operator has one:
     /// removable for SUM/COUNT/AVG/STDDEV/VARIANCE, merge-only for
-    /// MIN/MAX (see [`IncrementalAggregate::removable`]). MEDIAN has
-    /// none. `None` forces black-box evaluation, and a streaming window
-    /// then keeps raw values.
+    /// MIN/MAX (see [`IncrementalAggregate::removable`]). MEDIAN,
+    /// PERCENTILE and COUNT DISTINCT have none. `None` forces black-box
+    /// evaluation, and a streaming window then keeps raw values.
     fn incremental(&self) -> Option<&dyn IncrementalAggregate> {
-        None
-    }
-
-    /// The sketch-partial decomposition, when the operator has an
-    /// approximate tier (see [`crate::SketchAggregate`]). Orthogonal to
-    /// the exact algebra: MEDIAN/PERCENTILE have no exact state
-    /// but a retractable quantile sketch; COUNT DISTINCT has a
-    /// merge-only HLL++. `None` means exact-only. Sketch answers carry
-    /// a runtime-queryable error bound and are only used where a caller
-    /// explicitly opts in — `compute` stays the oracle.
-    fn sketch(&self) -> Option<&dyn crate::SketchAggregate> {
         None
     }
 }
@@ -180,10 +169,6 @@ impl<A: Aggregate> Aggregate for BlackBox<A> {
     fn anti_monotonic_check(&self, vals: &[f64]) -> bool {
         self.0.anti_monotonic_check(vals)
     }
-
-    fn sketch(&self) -> Option<&dyn crate::SketchAggregate> {
-        self.0.sketch()
-    }
 }
 
 #[cfg(test)]
@@ -217,7 +202,6 @@ mod tests {
         assert_eq!(b.compute(&[1.0, 2.5]), 3.5);
         assert!(b.properties().independent);
         assert!(b.anti_monotonic_check(&[0.0]) && !b.anti_monotonic_check(&[-1.0]));
-        assert!(BlackBox(crate::Median).sketch().is_some());
     }
 
     #[test]

@@ -211,14 +211,6 @@ impl InfluenceCache {
         self.shards.iter().all(|s| s.lock().is_empty())
     }
 
-    /// Drops every cached evaluation (the eviction counter survives —
-    /// clearing is not evicting).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.lock().clear();
-        }
-    }
-
     /// Total capacity in predicates: the configured bound (or the
     /// default when constructed with `0`), rounded up to shard
     /// granularity — this is the bound actually enforced.
@@ -1382,7 +1374,7 @@ mod tests {
         b.build()
     }
 
-    fn paper_scorer(table: &Table, _c: f64) -> Scorer<'_> {
+    fn paper_scorer(table: &Table, c: f64) -> Scorer<'_> {
         let g = group_by(table, &[0]).unwrap();
         // α2 (12PM) and α3 (1PM) are outliers ("too high" → v = +1);
         // α1 (11AM) is the hold-out.
@@ -1395,7 +1387,7 @@ mod tests {
                 GroupSpec { rows: g.rows(2).to_vec(), error: 1.0 },
             ],
             vec![GroupSpec { rows: g.rows(0).to_vec(), error: 1.0 }],
-            InfluenceParams { lambda: 0.5, c: 1.0 },
+            InfluenceParams { lambda: 0.5, c },
         )
         .unwrap()
     }
@@ -1644,23 +1636,6 @@ mod tests {
         let calls = s.scorer_calls();
         s.influence(&hot).unwrap();
         assert_eq!(s.scorer_calls(), calls, "hot predicate was evicted despite recency");
-    }
-
-    #[test]
-    fn influence_cache_clear_keeps_eviction_counter() {
-        let t = sensors();
-        let cache = Arc::new(InfluenceCache::with_capacity_bound(16));
-        let s = paper_scorer(&t, 1.0).with_cache(cache.clone());
-        for i in 0..64 {
-            let lo = i as f64 * 0.02;
-            s.influence(&Predicate::conjunction([Clause::range(2, lo, lo + 0.5)]).unwrap())
-                .unwrap();
-        }
-        let evicted = cache.evictions();
-        assert!(evicted > 0);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.evictions(), evicted);
     }
 
     #[test]

@@ -100,12 +100,6 @@ impl ScorpionSession {
     pub fn is_warm(&self) -> bool {
         self.plan.lock().is_some()
     }
-
-    /// Drops all cached state (used by the caching ablation). The next
-    /// run prepares from scratch.
-    pub fn clear_cache(&self) {
-        *self.plan.lock() = None;
-    }
 }
 
 #[cfg(test)]
@@ -180,15 +174,6 @@ mod tests {
         let n_hi = hi.best().predicate.count(&t, &rows).unwrap();
         let n_lo = lo.best().predicate.count(&t, &rows).unwrap();
         assert!(n_lo >= n_hi, "c=0 picked {n_lo} rows, c=1 picked {n_hi}");
-    }
-
-    #[test]
-    fn clear_cache_resets() {
-        let session = ScorpionSession::new(dt_request(planted())).unwrap();
-        let _ = session.run_with_c(0.3).unwrap();
-        assert!(session.is_warm());
-        session.clear_cache();
-        assert!(!session.is_warm());
     }
 
     #[test]

@@ -12,9 +12,6 @@ pub enum StreamError {
     Table(scorpion_table::TableError),
     /// Propagated from the explanation engine.
     Engine(scorpion_core::ScorpionError),
-    /// Propagated from the sketch tier (corrupt or incompatible sketch
-    /// partials).
-    Sketch(scorpion_sketch::SketchError),
     /// A configuration value is out of range or inconsistent.
     BadConfig(&'static str),
     /// An ingested row does not conform to the stream schema.
@@ -26,7 +23,6 @@ impl fmt::Display for StreamError {
         match self {
             StreamError::Table(e) => write!(f, "table error: {e}"),
             StreamError::Engine(e) => write!(f, "engine error: {e}"),
-            StreamError::Sketch(e) => write!(f, "sketch error: {e}"),
             StreamError::BadConfig(msg) => write!(f, "bad stream configuration: {msg}"),
             StreamError::BadRow(msg) => write!(f, "bad row: {msg}"),
         }
@@ -44,11 +40,5 @@ impl From<scorpion_table::TableError> for StreamError {
 impl From<scorpion_core::ScorpionError> for StreamError {
     fn from(e: scorpion_core::ScorpionError) -> Self {
         StreamError::Engine(e)
-    }
-}
-
-impl From<scorpion_sketch::SketchError> for StreamError {
-    fn from(e: scorpion_sketch::SketchError) -> Self {
-        StreamError::Sketch(e)
     }
 }

@@ -7,13 +7,12 @@
 //!   chunk once into one summary per group, and maintains the windowed
 //!   group-by aggregate series by merging the summaries into running
 //!   totals on arrival and taking them back out on eviction — no chunk
-//!   is ever re-read. The window picks its summary once: a sketch in
-//!   sketch mode, else the aggregate's exact state
-//!   ([`scorpion_agg::IncrementalAggregate`]; removable states are
-//!   subtracted, §5.1 `remove` on the time axis, and merge-only MIN/MAX
-//!   are re-merged from the surviving chunks), else raw values. An
-//!   eviction that leaves a NaN or ±∞, or whose subtraction may have
-//!   absorbed the survivors, re-merges too.
+//!   is ever re-read. The aggregate alone picks the summary: its exact
+//!   state when it has one ([`scorpion_agg::IncrementalAggregate`];
+//!   removable states are subtracted, §5.1 `remove` on the time axis,
+//!   and merge-only MIN/MAX are re-merged from the surviving chunks),
+//!   else raw values. An eviction that leaves a NaN or ±∞, or whose
+//!   subtraction may have absorbed the survivors, re-merges too.
 //! * [`OutlierDetector`] — a robust (median/MAD) z-score detector over
 //!   the live series that auto-generates the outlier labels, error
 //!   directions, and hold-out set the offline

@@ -5,29 +5,22 @@
 //! chunk's aggregate-attribute values are summarized once per group,
 //! and the summaries are merged into per-group running totals, which
 //! serve [`SlidingWindow::value_of`] and [`SlidingWindow::series`].
-//! A window keeps one kind of summary for its whole life, by this
-//! precedence:
+//! The aggregate alone decides which summary a window keeps:
 //!
-//! * a [`SketchPartial`] when [`StreamConfig::with_sketches`] is on and
-//!   the aggregate has a [`scorpion_agg::SketchAggregate`] tier (MEDIAN,
-//!   PERCENTILE, COUNT DISTINCT). The answer is approximate, within the
-//!   sketch's documented error bound; exact `compute` remains the oracle
-//!   whenever sketch mode is off;
-//! * otherwise the aggregate's exact state
-//!   ([`scorpion_agg::IncrementalAggregate`]), when it has one;
-//! * otherwise the raw values, which the black-box `compute` (MEDIAN)
-//!   reads at query time.
+//! * its exact state ([`scorpion_agg::IncrementalAggregate`]), when it
+//!   has one;
+//! * otherwise the raw values, which the black-box `compute` (MEDIAN,
+//!   PERCENTILE, COUNT DISTINCT) reads at query time.
 //!
 //! When a chunk expires, its summaries leave the running totals in
 //! O(groups-in-chunk): removable states (SUM/COUNT/AVG/STDDEV/VARIANCE)
-//! are subtracted — §5.1 `remove` applied to the time dimension —
-//! quantile sketches retract exactly, and a raw-value total drops its
-//! prefix, the expired chunk's values. Where that cannot be exact, the total is re-merged from the
-//! surviving chunks' summaries, never re-reading rows: MIN/MAX states,
-//! which cannot forget an extremum, HLL sketches, and a subtraction
-//! that may have lost the survivors — the evicted state dwarfs what
-//! remains (float absorption), or either holds a NaN or ±∞, which
-//! subtraction cannot take back out.
+//! are subtracted — §5.1 `remove` applied to the time dimension — and a
+//! raw-value total drops its prefix, the expired chunk's values. Where
+//! that cannot be exact, the total is re-merged from the surviving
+//! chunks' summaries, never re-reading rows: MIN/MAX states, which
+//! cannot forget an extremum, and a subtraction that may have lost the
+//! survivors — the evicted state dwarfs what remains (float absorption),
+//! or either holds a NaN or ±∞, which subtraction cannot take back out.
 //!
 //! ## Columnar chunks and the compaction tier
 //!
@@ -45,9 +38,8 @@
 //! [`StreamConfig::with_compaction`] bounds the resident columns: once a
 //! chunk ages past the `keep_recent` newest chunks and no flagged group
 //! ever touched it ([`SlidingWindow::mark_flagged`]), the compaction
-//! tier builds a per-group [`RowMask`] of the chunk-local row positions
-//! from the chunk's group codes, then drops its columns, retaining only
-//! the per-group summaries and masks. Raw-value windows never compact.
+//! tier drops its columns, retaining only the per-group summaries.
+//! Raw-value windows never compact: their summaries keep every value.
 //! Series maintenance is unaffected (it never re-reads rows);
 //! materialization and the warm-reuse signature
 //! ([`SlidingWindow::chunks_of`]) simply skip compacted chunks, so
@@ -55,12 +47,9 @@
 //! streams while flagged chunks stay fully re-explainable.
 
 use crate::error::{Result, StreamError};
-use scorpion_agg::{AggState, Aggregate, IncrementalAggregate, SketchAggregate};
+use scorpion_agg::{AggState, Aggregate, IncrementalAggregate};
 use scorpion_obs::Phases;
-use scorpion_sketch::{HeavyHitter, SketchPartial, SpaceSaving};
-use scorpion_table::{
-    group_by, AttrType, CatColumn, Column, Grouping, RowMask, Schema, Table, Value,
-};
+use scorpion_table::{group_by, AttrType, CatColumn, Column, Grouping, Schema, Table, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -76,16 +65,12 @@ pub struct StreamConfig {
     pub agg_attr: usize,
     /// Window capacity in chunks; pushing beyond it evicts the oldest.
     pub window_chunks: usize,
-    /// Serve the series from the aggregate's sketch tier when it has one
-    /// (approximate, within the sketch's error bound). Off by default:
-    /// exact `compute` stays the oracle.
-    pub sketch_mode: bool,
-    /// Mask-aware compaction: keep raw rows only for the newest
-    /// `keep_recent` chunks and for chunks a flagged group touched;
-    /// older never-flagged chunks drop their rows. `None` (default)
-    /// disables compaction. Choose `keep_recent` to cover the
-    /// detection horizon — a group flagged for the first time still
-    /// needs raw rows somewhere.
+    /// Compaction: keep raw rows only for the newest `keep_recent`
+    /// chunks and for chunks a flagged group touched; older
+    /// never-flagged chunks drop their rows (raw-value windows keep
+    /// them all). `None` (default) disables compaction. Choose
+    /// `keep_recent` to cover the detection horizon — a group flagged
+    /// for the first time still needs raw rows somewhere.
     pub compact_keep_recent: Option<usize>,
 }
 
@@ -111,21 +96,7 @@ impl StreamConfig {
         if a.ty() != AttrType::Continuous {
             return Err(StreamError::BadConfig("aggregate attribute must be continuous"));
         }
-        Ok(StreamConfig {
-            schema,
-            group_attr,
-            agg_attr,
-            window_chunks,
-            sketch_mode: false,
-            compact_keep_recent: None,
-        })
-    }
-
-    /// Enables (or disables) the sketch tier for sketch-capable
-    /// aggregates.
-    pub fn with_sketches(mut self, on: bool) -> Self {
-        self.sketch_mode = on;
-        self
+        Ok(StreamConfig { schema, group_attr, agg_attr, window_chunks, compact_keep_recent: None })
     }
 
     /// Enables the compaction tier, always retaining raw rows for the
@@ -152,10 +123,6 @@ struct Chunk {
     codes: Vec<Vec<u32>>,
     /// Per group key: (summary, row count).
     groups: BTreeMap<String, (Summary, usize)>,
-    /// Per group key: mask of the chunk-local row positions the group
-    /// occupied. Built when the chunk is compacted — the only
-    /// row-membership record that survives the columns.
-    masks: BTreeMap<String, RowMask>,
     /// Columns dropped by the compaction tier.
     compacted: bool,
     /// A flagged group's rows live here; exempt from compaction so warm
@@ -282,22 +249,25 @@ impl WindowDict {
     }
 }
 
-/// Buckets rows by code, numbering buckets by first appearance through
-/// a dense code → bucket array over `slots` codes: calls `f(bucket, row)`
-/// for every row and returns each bucket's code.
-fn bucket_rows(codes: &[u32], slots: usize, mut f: impl FnMut(usize, usize)) -> Vec<u32> {
+/// Buckets each row's value by the row's code, numbering buckets by
+/// first appearance through a dense code → bucket array over `slots`
+/// codes: returns each bucket's code and its values in row order.
+fn bucket_values(codes: &[u32], values: &[f64], slots: usize) -> (Vec<u32>, Vec<Vec<f64>>) {
+    assert_eq!(codes.len(), values.len(), "one value per row");
     const UNSEEN: usize = usize::MAX;
     let mut bucket_of = vec![UNSEEN; slots];
     let mut keys = Vec::new();
-    for (row, &code) in codes.iter().enumerate() {
+    let mut buckets: Vec<Vec<f64>> = Vec::new();
+    for (&code, &v) in codes.iter().zip(values) {
         let b = &mut bucket_of[code as usize];
         if *b == UNSEEN {
             *b = keys.len();
             keys.push(code);
+            buckets.push(Vec::new());
         }
-        f(*b, row);
+        buckets[*b].push(v);
     }
-    keys
+    (keys, buckets)
 }
 
 /// What a window keeps of one group's aggregate-attribute values, per
@@ -306,19 +276,15 @@ fn bucket_rows(codes: &[u32], slots: usize, mut f: impl FnMut(usize, usize)) -> 
 enum Summary {
     /// The aggregate's exact state.
     Exact(AggState),
-    /// A sketch partial.
-    Sketch(SketchPartial),
     /// The raw values, in arrival order.
     Values(Vec<f64>),
 }
 
 impl Summary {
-    /// Approximate bytes: an exact state's own size, a sketch's
-    /// footprint, or 8 per raw value.
+    /// Approximate bytes: an exact state's own size, or 8 per raw value.
     fn approx_bytes(&self) -> u64 {
         match self {
             Summary::Exact(state) => std::mem::size_of_val(state) as u64,
-            Summary::Sketch(partial) => partial.approx_bytes() as u64,
             Summary::Values(vals) => 8 * vals.len() as u64,
         }
     }
@@ -326,59 +292,44 @@ impl Summary {
 
 /// The aggregate's side of a window's summaries: which [`Summary`] the
 /// window keeps, and the operator that builds, merges and reads it.
-/// Fixed at construction, since it depends only on the aggregate and
-/// [`StreamConfig::sketch_mode`].
+/// Fixed at construction, since it depends only on the aggregate.
 #[derive(Clone, Copy)]
 enum Tier<'a> {
-    Sketch(&'a dyn SketchAggregate),
     Exact(&'a dyn IncrementalAggregate),
     Values(&'a dyn Aggregate),
 }
 
 impl<'a> Tier<'a> {
-    /// A sketch when sketch mode is on and the aggregate has one;
-    /// otherwise the exact state; otherwise raw values.
-    fn of(agg: &'a dyn Aggregate, sketch_mode: bool) -> Self {
-        match (agg.sketch().filter(|_| sketch_mode), agg.incremental()) {
-            (Some(sketch), _) => Tier::Sketch(sketch),
-            (None, Some(exact)) => Tier::Exact(exact),
-            (None, None) => Tier::Values(agg),
+    /// The exact state when the aggregate has one, otherwise raw values.
+    fn of(agg: &'a dyn Aggregate) -> Self {
+        match agg.incremental() {
+            Some(exact) => Tier::Exact(exact),
+            None => Tier::Values(agg),
         }
     }
 
     /// Summarizes one chunk's values of one group.
     fn summarize(self, vals: Vec<f64>) -> Summary {
         match self {
-            Tier::Sketch(sketch) => {
-                let mut partial = sketch.sketch_empty();
-                for &v in &vals {
-                    partial.insert(v);
-                }
-                Summary::Sketch(partial)
-            }
             Tier::Exact(exact) => Summary::Exact(exact.state_of(&vals)),
             Tier::Values(_) => Summary::Values(vals),
         }
     }
 
     /// Merges a chunk's summary into a running total.
-    fn merge(self, total: &mut Summary, part: &Summary) -> Result<()> {
+    fn merge(self, total: &mut Summary, part: &Summary) {
         match (self, total, part) {
             (Tier::Exact(exact), Summary::Exact(t), Summary::Exact(p)) => exact.merge(t, p),
-            (_, Summary::Sketch(t), Summary::Sketch(p)) => {
-                t.merge(p).map_err(StreamError::Sketch)?
-            }
             (_, Summary::Values(t), Summary::Values(p)) => t.extend_from_slice(p),
             _ => unreachable!("a window keeps one kind of summary"),
         }
-        Ok(())
     }
 
     /// Takes the oldest chunk's summary out of a running total. Returns
     /// false when that cannot be done exactly: the caller then re-merges
     /// the total from the surviving chunks ([`remerge`]).
-    fn retract(self, total: &mut Summary, part: &Summary) -> Result<bool> {
-        Ok(match (self, total, part) {
+    fn retract(self, total: &mut Summary, part: &Summary) -> bool {
+        match (self, total, part) {
             (Tier::Exact(exact), Summary::Exact(t), Summary::Exact(p)) if exact.removable() => {
                 // O(1) retraction (§5.1 `remove` on the time axis) — but
                 // floating-point subtraction is lossy when the evicted
@@ -390,23 +341,18 @@ impl<'a> Tier<'a> {
             }
             // MIN/MAX: the extremum may have left with the chunk.
             (Tier::Exact(_), ..) => false,
-            // Quantile sketches retract exactly; HLL answers false.
-            (_, Summary::Sketch(t), Summary::Sketch(p)) => {
-                t.retract(p).map_err(StreamError::Sketch)?
-            }
             // The oldest chunk's values are the total's prefix.
             (_, Summary::Values(t), Summary::Values(p)) => {
                 t.drain(..p.len());
                 true
             }
             _ => unreachable!("a window keeps one kind of summary"),
-        })
+        }
     }
 
     /// The aggregate value a running total summarizes.
     fn value(self, total: &Summary) -> f64 {
         match (self, total) {
-            (Tier::Sketch(sketch), Summary::Sketch(p)) => sketch.sketch_finalize(p),
             (Tier::Exact(exact), Summary::Exact(m)) => exact.recover(m),
             (Tier::Values(agg), Summary::Values(vals)) => agg.compute(vals),
             _ => unreachable!("a window keeps one kind of summary"),
@@ -423,13 +369,13 @@ struct GroupTotal {
 
 /// Rebuilds one group's running total by merging the surviving chunks'
 /// summaries, oldest first — no row is re-read.
-fn remerge(tier: Tier<'_>, chunks: &VecDeque<Chunk>, key: &str) -> Result<Summary> {
+fn remerge(tier: Tier<'_>, chunks: &VecDeque<Chunk>, key: &str) -> Summary {
     let mut parts = chunks.iter().filter_map(|c| c.groups.get(key)).map(|(part, _)| part);
     let mut total = parts.next().expect("a live group has rows in a live chunk").clone();
     for part in parts {
-        tier.merge(&mut total, part)?;
+        tier.merge(&mut total, part);
     }
-    Ok(total)
+    total
 }
 
 /// True when subtracting `removed` may have destroyed `remaining`:
@@ -478,9 +424,6 @@ pub struct SlidingWindow {
     totals: BTreeMap<String, GroupTotal>,
     next_chunk_id: u64,
     rows_ingested: u64,
-    /// SpaceSaving heavy-hitter summary of group keys over the window's
-    /// ingest lifetime (weights = rows per key; never retracted).
-    heavy: SpaceSaving,
     /// Chunks the compaction tier has stripped so far (lifetime count).
     compactions: u64,
     /// Maintenance-phase attribution (`window.compact`), drained by the
@@ -500,7 +443,6 @@ impl SlidingWindow {
             totals: BTreeMap::new(),
             next_chunk_id: 0,
             rows_ingested: 0,
-            heavy: SpaceSaving::default_sketch(),
             compactions: 0,
             phases: Phases::new(),
         }
@@ -516,18 +458,9 @@ impl SlidingWindow {
         &self.agg
     }
 
-    /// The active sketch tier: `Some` only when sketch mode is on *and*
-    /// the aggregate exposes one.
-    pub fn sketch_tier(&self) -> Option<&dyn SketchAggregate> {
-        match self.tier() {
-            Tier::Sketch(sketch) => Some(sketch),
-            _ => None,
-        }
-    }
-
     /// The window's [`Tier`].
     fn tier(&self) -> Tier<'_> {
-        Tier::of(self.agg.as_ref(), self.cfg.sketch_mode)
+        Tier::of(self.agg.as_ref())
     }
 
     /// Number of live chunks.
@@ -551,7 +484,7 @@ impl SlidingWindow {
 
     /// Approximate bytes resident in the window: the chunks' columns
     /// (8 bytes per number, 4 per code), the window dictionaries, and
-    /// the per-group summaries and masks.
+    /// the per-group summaries.
     pub fn resident_bytes(&self) -> u64 {
         let mut bytes: u64 = self.dicts.iter().map(WindowDict::approx_bytes).sum();
         for c in &self.chunks {
@@ -560,14 +493,11 @@ impl SlidingWindow {
             for (key, (summary, _)) in &c.groups {
                 bytes += key.len() as u64 + summary.approx_bytes() + 16;
             }
-            for (key, m) in &c.masks {
-                bytes += key.len() as u64 + 8 * m.words().len() as u64;
-            }
         }
         for (key, t) in &self.totals {
             bytes += key.len() as u64 + t.summary.approx_bytes() + 24;
         }
-        bytes + self.heavy.approx_bytes() as u64
+        bytes
     }
 
     /// Slots of the window dictionary of attribute `attr`, free ones
@@ -599,15 +529,6 @@ impl SlidingWindow {
         self.rows_ingested
     }
 
-    /// Approximate heaviest group keys by ingested row count
-    /// (SpaceSaving; `err ≤ rows_ingested / 64`). Lifetime counts —
-    /// eviction does not retract them.
-    pub fn heavy_groups(&self, k: usize) -> Vec<HeavyHitter> {
-        let mut hh = self.heavy.heavy_hitters();
-        hh.truncate(k);
-        hh
-    }
-
     /// Ids of the live, *uncompacted* chunks containing rows of `key`,
     /// oldest first. Compacted chunks are excluded on purpose: this
     /// feeds the warm-reuse signature, and a compacted chunk's rows are
@@ -619,13 +540,6 @@ impl SlidingWindow {
             .filter(|c| !c.compacted && c.groups.contains_key(key))
             .map(|c| c.id)
             .collect()
-    }
-
-    /// The retained row-membership mask of `key` within a compacted
-    /// chunk (`None` if the chunk is live-with-rows, evicted, or never
-    /// held the group).
-    pub fn compacted_mask(&self, chunk_id: u64, key: &str) -> Option<&RowMask> {
-        self.chunks.iter().find(|c| c.id == chunk_id && c.compacted)?.masks.get(key)
     }
 
     /// Marks every live chunk holding rows of the given group keys as
@@ -667,15 +581,9 @@ impl SlidingWindow {
 
         let (nums, codes) = self.encode(&rows);
         let group = &self.dicts[self.cfg.group_attr];
-        let agg_values = &nums[self.cfg.agg_attr];
-        let mut by_group: Vec<Vec<f64>> = Vec::new();
-        let keys = bucket_rows(&codes[self.cfg.group_attr], group.slots(), |b, row| {
-            if b == by_group.len() {
-                by_group.push(Vec::new());
-            }
-            by_group[b].push(agg_values[row]);
-        });
-        let tier = Tier::of(self.agg.as_ref(), self.cfg.sketch_mode);
+        let (keys, by_group) =
+            bucket_values(&codes[self.cfg.group_attr], &nums[self.cfg.agg_attr], group.slots());
+        let tier = Tier::of(self.agg.as_ref());
         let groups: BTreeMap<String, (Summary, usize)> = keys
             .iter()
             .zip(by_group)
@@ -689,7 +597,7 @@ impl SlidingWindow {
         for (key, (part, n)) in &groups {
             match self.totals.get_mut(key) {
                 Some(total) => {
-                    tier.merge(&mut total.summary, part)?;
+                    tier.merge(&mut total.summary, part);
                     total.rows += n;
                 }
                 None => {
@@ -697,7 +605,6 @@ impl SlidingWindow {
                     self.totals.insert(key.clone(), total);
                 }
             }
-            self.heavy.insert(key, *n as u64);
         }
 
         let chunk_id = self.next_chunk_id;
@@ -708,7 +615,6 @@ impl SlidingWindow {
             nums,
             codes,
             groups,
-            masks: BTreeMap::new(),
             compacted: false,
             flagged: false,
         });
@@ -716,7 +622,7 @@ impl SlidingWindow {
         // Retract after merging the new chunk: the totals' float sums
         // depend on the order, and re-merges must see the new chunk.
         if let Some(old) = &evicted {
-            self.retract(old)?;
+            self.retract(old);
         }
         Ok(ChunkReceipt { chunk_id, rows: rows.len(), evicted: evicted.map(|old| old.id) })
     }
@@ -772,8 +678,8 @@ impl SlidingWindow {
     }
 
     /// Removes an evicted chunk's contribution from the running totals.
-    fn retract(&mut self, old: &Chunk) -> Result<()> {
-        let tier = Tier::of(self.agg.as_ref(), self.cfg.sketch_mode);
+    fn retract(&mut self, old: &Chunk) {
+        let tier = Tier::of(self.agg.as_ref());
         for (key, (part, n)) in &old.groups {
             let Some(total) = self.totals.get_mut(key) else { continue };
             total.rows -= (*n).min(total.rows);
@@ -781,16 +687,15 @@ impl SlidingWindow {
                 self.totals.remove(key);
                 continue;
             }
-            if !tier.retract(&mut total.summary, part)? {
-                total.summary = remerge(tier, &self.chunks, key)?;
+            if !tier.retract(&mut total.summary, part) {
+                total.summary = remerge(tier, &self.chunks, key);
             }
         }
-        Ok(())
     }
 
     /// Strips the columns from chunks older than the `keep_recent` newest
     /// that no flagged group ever touched, leaving the per-group
-    /// summaries and row masks built from the group codes. Runs before
+    /// summaries. Runs before
     /// the incoming chunk joins the window, so that chunk counts toward
     /// the newest. Skipped for raw-value windows: their summaries keep
     /// every value, so dropping the columns would not make them
@@ -805,22 +710,11 @@ impl SlidingWindow {
             return;
         }
         let start = Instant::now();
-        let group_attr = self.cfg.group_attr;
         let mut did = 0u64;
         for c in self.chunks.iter_mut().take(eligible) {
             if c.compacted || c.flagged {
                 continue;
             }
-            let group = &self.dicts[group_attr];
-            let codes = &c.codes[group_attr];
-            let mut masks: Vec<RowMask> = Vec::new();
-            let keys = bucket_rows(codes, group.slots(), |b, row| {
-                if b == masks.len() {
-                    masks.push(RowMask::empty(codes.len()));
-                }
-                masks[b].insert(row as u32);
-            });
-            c.masks = keys.iter().map(|&k| group.value(k).to_owned()).zip(masks).collect();
             c.drop_columns(&mut self.dicts);
             c.compacted = true;
             did += 1;
@@ -1052,59 +946,8 @@ mod tests {
         assert_eq!(g.len(), 0);
     }
 
-    // ---- sketch mode ----------------------------------------------------
-
-    fn sketch_window(agg: &str, capacity: usize) -> SlidingWindow {
-        let cfg = StreamConfig::new(two_col_schema(), 0, 1, capacity).unwrap().with_sketches(true);
-        SlidingWindow::new(cfg, aggregate_by_name(agg).unwrap())
-    }
-
     #[test]
-    fn sketch_median_tracks_exact_within_bound() {
-        let mut exact = window("median", 3);
-        let mut approx = sketch_window("median", 3);
-        assert!(approx.sketch_tier().is_some());
-        for base in [10.0, 20.0, 30.0, 40.0] {
-            let rows: Vec<(String, f64)> =
-                (0..20).map(|i| ("a".to_string(), base + i as f64)).collect();
-            let borrowed: Vec<(&str, f64)> = rows.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-            exact.push_chunk(chunk(&borrowed)).unwrap();
-            approx.push_chunk(chunk(&borrowed)).unwrap();
-            let want = exact.value_of("a").unwrap();
-            let got = approx.value_of("a").unwrap();
-            let tier = approx.sketch_tier().unwrap();
-            let sketch = tier.sketch_empty();
-            let tol = sketch.error_bound().magnitude() * want.abs() + 1e-9;
-            assert!((got - want).abs() <= tol, "median {got} vs {want} (tol {tol})");
-        }
-    }
-
-    #[test]
-    fn sketch_eviction_retracts_quantiles_exactly() {
-        let mut w = sketch_window("p50", 2);
-        w.push_chunk(chunk(&[("a", 1000.0), ("a", 2000.0)])).unwrap();
-        w.push_chunk(chunk(&[("a", 5.0)])).unwrap();
-        // Evict the big chunk: the surviving value must dominate.
-        w.push_chunk(chunk(&[("a", 7.0)])).unwrap();
-        let got = w.value_of("a").unwrap();
-        assert!((5.0..=8.0).contains(&got), "retracted median {got}");
-    }
-
-    #[test]
-    fn sketch_count_distinct_remerges_on_eviction() {
-        let mut w = sketch_window("count_distinct", 2);
-        let many: Vec<(String, f64)> = (0..500).map(|i| ("a".to_string(), i as f64)).collect();
-        let borrowed: Vec<(&str, f64)> = many.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        w.push_chunk(chunk(&borrowed)).unwrap();
-        w.push_chunk(chunk(&[("a", 1.0), ("a", 2.0)])).unwrap();
-        // Evicting the 500-distinct chunk must re-merge, not retract.
-        w.push_chunk(chunk(&[("a", 1.0)])).unwrap();
-        let got = w.value_of("a").unwrap();
-        assert!(got < 20.0, "after eviction only ~3 distinct remain, got {got}");
-    }
-
-    #[test]
-    fn sketch_mode_off_stays_exact() {
+    fn percentile_window_stays_exact() {
         let mut w = window("p50", 2);
         w.push_chunk(chunk(&[("a", 1.0), ("a", 2.0), ("a", 100.0)])).unwrap();
         assert_eq!(w.value_of("a"), Some(2.0));
@@ -1112,10 +955,9 @@ mod tests {
 
     // ---- compaction tier ------------------------------------------------
 
-    fn compacting_window(agg: &str, capacity: usize, keep: usize, sketches: bool) -> SlidingWindow {
+    fn compacting_window(agg: &str, capacity: usize, keep: usize) -> SlidingWindow {
         let cfg = StreamConfig::new(two_col_schema(), 0, 1, capacity)
             .unwrap()
-            .with_sketches(sketches)
             .with_compaction(keep)
             .unwrap();
         SlidingWindow::new(cfg, aggregate_by_name(agg).unwrap())
@@ -1123,7 +965,7 @@ mod tests {
 
     #[test]
     fn compaction_bounds_resident_rows() {
-        let mut w = compacting_window("avg", 100, 3, false);
+        let mut w = compacting_window("avg", 100, 3);
         let raw_cfg = StreamConfig::new(two_col_schema(), 0, 1, 100).unwrap();
         let mut raw = SlidingWindow::new(raw_cfg, aggregate_by_name("avg").unwrap());
         for i in 0..100 {
@@ -1157,7 +999,7 @@ mod tests {
 
     #[test]
     fn flagged_chunks_keep_their_rows() {
-        let mut w = compacting_window("avg", 10, 1, false);
+        let mut w = compacting_window("avg", 10, 1);
         w.push_chunk(chunk(&[("hot", 9.0), ("cold", 1.0)])).unwrap();
         assert_eq!(w.mark_flagged(["hot"]), 1);
         for _ in 0..5 {
@@ -1171,16 +1013,12 @@ mod tests {
     }
 
     #[test]
-    fn compacted_chunks_leave_masks_and_exit_signatures() {
-        let mut w = compacting_window("sum", 10, 1, false);
+    fn compacted_chunks_exit_signatures() {
+        let mut w = compacting_window("sum", 10, 1);
         w.push_chunk(chunk(&[("a", 1.0), ("b", 2.0), ("a", 3.0)])).unwrap();
         w.push_chunk(chunk(&[("a", 4.0)])).unwrap();
         w.push_chunk(chunk(&[("b", 5.0)])).unwrap();
-        // Chunks 0 and 1 are compacted; masks record row membership.
         assert_eq!(w.n_compacted_chunks(), 2);
-        let m = w.compacted_mask(0, "a").unwrap();
-        assert_eq!(m.to_rows(), vec![0, 2]);
-        assert!(w.compacted_mask(2, "b").is_none(), "live chunk has no mask");
         // Signatures skip compacted chunks, matching materialize().
         assert_eq!(w.chunks_of("a"), Vec::<u64>::new());
         assert_eq!(w.chunks_of("b"), vec![2]);
@@ -1190,33 +1028,15 @@ mod tests {
     }
 
     #[test]
-    fn blackbox_without_sketch_tier_never_compacts() {
-        let mut w = compacting_window("median", 10, 1, false);
-        for _ in 0..5 {
-            w.push_chunk(chunk(&[("a", 1.0), ("a", 3.0)])).unwrap();
+    fn raw_value_windows_never_compact() {
+        for agg in ["median", "p90", "count_distinct"] {
+            let mut w = compacting_window(agg, 10, 1);
+            for _ in 0..5 {
+                w.push_chunk(chunk(&[("a", 1.0), ("a", 3.0)])).unwrap();
+            }
+            assert_eq!(w.n_compacted_chunks(), 0, "{agg} needs its raw values");
+            let want = w.aggregate().compute(&[1.0, 3.0].repeat(5));
+            assert_eq!(w.value_of("a"), Some(want), "{agg}");
         }
-        assert_eq!(w.n_compacted_chunks(), 0, "median needs its raw values");
-        let exact = w.value_of("a").unwrap();
-        assert!((1.0..=3.0).contains(&exact));
-        // With the sketch tier on, the same window compacts.
-        let mut ws = compacting_window("median", 10, 1, true);
-        for _ in 0..5 {
-            ws.push_chunk(chunk(&[("a", 1.0), ("a", 3.0)])).unwrap();
-        }
-        assert_eq!(ws.n_compacted_chunks(), 4);
-        let got = ws.value_of("a").unwrap();
-        assert!((0.9..=3.1).contains(&got), "sketched median {got}");
-    }
-
-    #[test]
-    fn heavy_groups_tracks_dominant_keys() {
-        let mut w = window("sum", 4);
-        for _ in 0..10 {
-            w.push_chunk(chunk(&[("big", 1.0), ("big", 1.0), ("small", 1.0)])).unwrap();
-        }
-        let hh = w.heavy_groups(1);
-        assert_eq!(hh.len(), 1);
-        assert_eq!(hh[0].key, "big");
-        assert_eq!(hh[0].count, 20);
     }
 }

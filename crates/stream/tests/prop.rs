@@ -12,8 +12,10 @@ use scorpion_table::{group_by, AttrType, CatColumn, Field, Schema, Table, TableB
 use std::collections::{BTreeMap, VecDeque};
 
 /// All registry aggregates: removable exact states, merge-only exact
-/// states (min/max), and the raw-value fallback (median).
-const AGGS: &[&str] = &["sum", "count", "avg", "stddev", "variance", "min", "max", "median"];
+/// states (min/max), and the raw-value fallback (median, p90,
+/// count_distinct).
+const AGGS: &[&str] =
+    &["sum", "count", "avg", "stddev", "variance", "min", "max", "median", "p90", "count_distinct"];
 
 /// Absolute tolerance for FP-reordered evaluation, where `scale` is the
 /// largest input magnitude that fed the group (not a fixed floor — the

@@ -103,12 +103,6 @@ impl<K: Hash + Eq + Clone, V> LruShard<K, V> {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-
-    /// Drops every entry (and the recency heap).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +194,5 @@ mod tests {
         }
         assert_eq!(s.len(), 8);
         assert_eq!(evicted, 92);
-        s.clear();
-        assert!(s.is_empty());
     }
 }

@@ -59,8 +59,7 @@
 //! |-------|----------|
 //! | [`obs`] | Dependency-free observability: phase timings, log-scale histograms, span recorder, Prometheus text |
 //! | [`table`] | Columnar relational substrate, predicates, group-by + provenance |
-//! | [`agg`] | Aggregate-property framework (§5) + sketch-tier operators |
-//! | [`sketch`] | Probabilistic sketches: retractable quantiles, HLL++, SpaceSaving |
+//! | [`agg`] | Aggregate-property framework (§5): exact state algebra, black-box MEDIAN / PERCENTILE / COUNT DISTINCT |
 //! | [`core`] | Scorer + influence cache, `ExplainRequest` builder (the one entry point), prepared plans (NAIVE/DT/MC), Merger, sessions (§3–§7) |
 //! | [`data`] | SYNTH / INTEL / EXPENSE workload generators + streaming sensor feed (§8.1) |
 //! | [`stream`] | Continuous sliding-window engine: per-chunk summaries, auto-labeling, warm re-explanation |
@@ -75,7 +74,6 @@ pub use scorpion_data as data;
 pub use scorpion_eval as eval;
 pub use scorpion_obs as obs;
 pub use scorpion_server as server;
-pub use scorpion_sketch as sketch;
 pub use scorpion_stream as stream;
 pub use scorpion_table as table;
 
@@ -83,7 +81,7 @@ pub use scorpion_table as table;
 pub mod prelude {
     pub use scorpion_agg::{
         aggregate_by_name, AggState, Aggregate, Avg, Count, CountDistinct, IncrementalAggregate,
-        Max, Median, Min, Percentile, SketchAggregate, StdDev, Sum, Variance,
+        Max, Median, Min, Percentile, StdDev, Sum, Variance,
     };
     pub use scorpion_core::features::{rank_attributes, select_attributes};
     pub use scorpion_core::session::ScorpionSession;
@@ -92,9 +90,6 @@ pub mod prelude {
         Explanation, GroupSpec, InfluenceCache, InfluenceParams, McConfig, MergerConfig,
         NaiveConfig, PreparedPlan, PreparedQuery, RequestBuilder, ScoredPredicate, Scorer,
         Scorpion, ScorpionError,
-    };
-    pub use scorpion_sketch::{
-        ErrorBound, HyperLogLog, QuantileSketch, SketchPartial, SpaceSaving,
     };
     pub use scorpion_table::{
         aggregate_groups, bin_edges, domains_of, group_by, AttrDomain, AttrType, Clause,
