@@ -1,14 +1,24 @@
 //! The sharded plan cache: warm [`ScorpionSession`]s keyed by
-//! `(table generation, normalized SQL, labels, algorithm)`.
+//! `(table name, normalized SQL, labels, algorithm)`, one slot per query.
 //!
 //! The influence parameters `(λ, c)` are deliberately **not** part of
 //! the key — that is the whole point: a repeated `POST /explain` for the
 //! same query and labels at a new `c` lands on the cached session and
 //! re-runs through its prepared plan's influence cache (pure arithmetic,
 //! no mask passes) instead of re-parsing, re-partitioning, and
-//! re-scoring from scratch. Replacing a table bumps its generation,
-//! which changes every dependent key and strands the stale entries until
-//! eviction collects them.
+//! re-scoring from scratch.
+//!
+//! The table's generation is not part of the key either: each slot
+//! records the generation its plan was built at, and a lookup names the
+//! generation the request read from the registry. Replacing a table
+//! bumps its generation, so the next lookup of each of its queries finds
+//! a stale slot, takes it out, counts it as an eviction and builds the
+//! plan anew; the stale plan (with the old table snapshot, its masks and
+//! memos) is freed after the shard lock is released. A replaced table's
+//! plans therefore live until their query is asked again, not until LRU
+//! reaches them. A request that read the registry just before a reload
+//! and arrives after the new plan is resident is served a plan built
+//! for its own snapshot, which is not cached.
 //!
 //! Eviction is **prepare-cost-aware**: each resident entry remembers how
 //! long it took to build (SQL parse + session + `prepare`), and an
@@ -22,28 +32,38 @@
 use crate::registry::TableEntry;
 use parking_lot::Mutex;
 use scorpion_core::ScorpionSession;
+use std::cmp;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A cache key. Construct with [`PlanKey::new`] so SQL normalization and
-/// field separation stay consistent.
+/// A cache key: the query a plan answers, which names its slot, and the
+/// generation of the table snapshot the request read, which the slot's
+/// plan must have been built at. Construct with [`PlanKey::new`] so SQL
+/// normalization and field separation stay consistent.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlanKey(String);
+pub struct PlanKey {
+    /// `(table name, normalized SQL, labels, algorithm)`, joined.
+    query: String,
+    /// Generation of the snapshot the request read.
+    generation: u64,
+}
 
 impl PlanKey {
-    /// Builds a key from the coordinates that determine a prepared
-    /// plan's validity. `labels` is the caller's canonical rendering of
-    /// the label specification (indices or keys, auto-label `k`, …);
-    /// requests that spell the same labels differently simply occupy
-    /// two cache slots — both correct, neither shared.
+    /// Builds a key for a request that read `entry` as the table `name`.
+    /// `labels` is the caller's canonical rendering of the label
+    /// specification (indices or keys, auto-label `k`, …); requests that
+    /// spell the same labels differently simply occupy two cache slots —
+    /// both correct, neither shared.
     pub fn new(entry: &TableEntry, name: &str, sql: &str, labels: &str, algorithm: &str) -> Self {
-        PlanKey(format!(
-            "{name}@{generation}\u{1}{sql}\u{1}{labels}\u{1}{algorithm}",
-            generation = entry.generation,
-            sql = normalize_sql(sql),
-        ))
+        PlanKey {
+            query: format!(
+                "{name}\u{1}{sql}\u{1}{labels}\u{1}{algorithm}",
+                sql = normalize_sql(sql)
+            ),
+            generation: entry.generation,
+        }
     }
 }
 
@@ -72,7 +92,8 @@ pub struct PlanCacheStats {
     pub hits: u64,
     /// Lookups that had to build a session.
     pub misses: u64,
-    /// Entries evicted to admit a newer one.
+    /// Entries evicted to admit a newer one, or replaced because their
+    /// table was reloaded.
     pub evictions: u64,
     /// Built entries refused residency because every evictable slot
     /// held a strictly more expensive prepare.
@@ -84,6 +105,8 @@ pub struct PlanCacheStats {
 /// A resident entry plus its admission metadata.
 struct Slot {
     entry: Arc<PlanEntry>,
+    /// Generation of the table snapshot the plan was built from.
+    generation: u64,
     /// Measured build cost (parse + session + prepare) at insert time.
     cost: Duration,
     /// Last-access tick for LRU ordering within the shard.
@@ -101,24 +124,45 @@ const COST_HEADROOM: u32 = 8;
 /// should compete as plain LRU.
 const COST_FLOOR: Duration = Duration::from_millis(1);
 
-/// One lock shard: slots keyed by plan key, LRU-ordered by access tick,
+/// What a shard holds for a key's query.
+enum Found {
+    /// A plan built at the key's generation.
+    Current(Arc<PlanEntry>),
+    /// A plan built at an older generation, now taken out of the shard.
+    /// The caller drops it once the shard lock is released: freeing a
+    /// cold plan takes a fraction of a millisecond.
+    Stale(Slot),
+    /// A plan built at a newer generation: the request read the registry
+    /// before a reload.
+    Newer,
+    /// No plan.
+    Absent,
+}
+
+/// One lock shard: slots keyed by query, LRU-ordered by access tick,
 /// evicted cost-aware. It is not the `scorpion_table::lru::LruShard`
 /// the clause and predicate memos share, because its victim depends on
 /// build cost as well as recency, and it may refuse an entry.
 #[derive(Default)]
 struct CostShard {
-    map: HashMap<PlanKey, Slot>,
+    map: HashMap<String, Slot>,
     tick: u64,
 }
 
 impl CostShard {
-    fn get(&mut self, key: &PlanKey) -> Option<Arc<PlanEntry>> {
+    /// Looks up `key`'s query; a hit at the key's generation counts as a
+    /// use, and a slot of an older generation is taken out.
+    fn find(&mut self, key: &PlanKey) -> Found {
         self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|slot| {
-            slot.tick = tick;
-            slot.entry.clone()
-        })
+        let Some(slot) = self.map.get_mut(&key.query) else { return Found::Absent };
+        match slot.generation.cmp(&key.generation) {
+            cmp::Ordering::Equal => {
+                slot.tick = self.tick;
+                Found::Current(slot.entry.clone())
+            }
+            cmp::Ordering::Greater => Found::Newer,
+            cmp::Ordering::Less => self.map.remove(&key.query).map_or(Found::Absent, Found::Stale),
+        }
     }
 
     /// Attempts to admit `entry` under the cost-aware policy, evicting
@@ -151,7 +195,7 @@ impl CostShard {
                 None => return (0, false),
             }
         }
-        self.map.insert(key.clone(), Slot { entry, cost, tick });
+        self.map.insert(key.query.clone(), Slot { entry, generation: key.generation, cost, tick });
         (evicted, true)
     }
 }
@@ -195,7 +239,7 @@ impl PlanCache {
     fn shard(&self, key: &PlanKey) -> &Mutex<CostShard> {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
+        key.query.hash(&mut h);
         &self.shards[(h.finish() as usize) & (SHARDS - 1)]
     }
 
@@ -214,26 +258,52 @@ impl PlanCache {
     /// later builders adopt it, so every caller shares one session
     /// object per key. A denied admission still returns the built entry
     /// — the response is served; the entry just isn't cached.
+    ///
+    /// A plan of an older generation than `key`'s is taken out of its
+    /// slot, counted as an eviction and freed outside the shard lock
+    /// before the new plan is built. When the slot holds a newer
+    /// generation than `key`'s, the built entry is served but not
+    /// offered for admission.
     pub fn get_or_create<E>(
         &self,
         key: &PlanKey,
         build: impl FnOnce() -> Result<PlanEntry, E>,
     ) -> Result<(Arc<PlanEntry>, bool), E> {
-        if let Some(entry) = self.shard(key).lock().get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((entry, true));
-        }
+        let found = self.shard(key).lock().find(key);
+        let admit = match found {
+            Found::Current(entry) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok((entry, true));
+            }
+            Found::Stale(stale) => {
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+                drop(stale);
+                true
+            }
+            Found::Newer => false,
+            Found::Absent => true,
+        };
         self.misses.fetch_add(1, Ordering::Relaxed);
         let build_start = Instant::now();
         let built = Arc::new(build()?);
         let cost = build_start.elapsed();
-        let mut shard = self.shard(key).lock();
-        if let Some(existing) = shard.get(key) {
-            // A racing builder won; adopt its resident entry.
-            return Ok((existing, false));
+        if !admit {
+            return Ok((built, false));
         }
+        let mut shard = self.shard(key).lock();
+        let stale = match shard.find(key) {
+            // A racing builder won; adopt its resident entry.
+            Found::Current(existing) => return Ok((existing, false)),
+            // A request that read a newer snapshot got in first.
+            Found::Newer => return Ok((built, false)),
+            // One that read an older snapshot got in first.
+            Found::Stale(stale) => Some(stale),
+            Found::Absent => None,
+        };
         let (evicted, admitted) = shard.admit(key, built.clone(), cost, self.shard_cap());
         drop(shard);
+        let evicted = evicted + u64::from(stale.is_some());
+        drop(stale);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
@@ -303,16 +373,43 @@ mod tests {
     }
 
     #[test]
-    fn generation_bump_changes_the_key() {
+    fn generation_bump_replaces_and_drops_the_stale_plan() {
         let t = sensors();
         let cache = PlanCache::default();
         let g1 = TableEntry { table: std::sync::Arc::new(t.clone()), generation: 1 };
         let g2 = TableEntry { table: std::sync::Arc::new(t.clone()), generation: 2 };
         let sql = "SELECT avg(v) FROM t GROUP BY g";
-        cache.get_or_create::<()>(&key(&g1, sql), || Ok(entry_for(&t))).unwrap();
-        let (_, hit) = cache.get_or_create::<()>(&key(&g2, sql), || Ok(entry_for(&t))).unwrap();
+        let old = {
+            let (plan, _) =
+                cache.get_or_create::<()>(&key(&g1, sql), || Ok(entry_for(&t))).unwrap();
+            Arc::downgrade(&plan)
+        };
+        assert!(old.upgrade().is_some(), "the cache holds the plan");
+        let (new, hit) = cache.get_or_create::<()>(&key(&g2, sql), || Ok(entry_for(&t))).unwrap();
         assert!(!hit, "new generation must not hit the old plan");
-        assert_eq!(cache.stats().misses, 2);
+        assert!(old.upgrade().is_none(), "the stale plan outlived its replacement's lookup");
+        let s = cache.stats();
+        assert_eq!((s.misses, s.evictions, s.admission_denied, s.entries), (2, 1, 0, 1));
+        let (again, hit) = cache.get_or_create::<()>(&key(&g2, sql), || Ok(entry_for(&t))).unwrap();
+        assert!(hit && Arc::ptr_eq(&new, &again));
+    }
+
+    #[test]
+    fn older_generation_lookup_is_served_but_not_admitted() {
+        let t = sensors();
+        let cache = PlanCache::default();
+        let g1 = TableEntry { table: std::sync::Arc::new(t.clone()), generation: 1 };
+        let g2 = TableEntry { table: std::sync::Arc::new(t.clone()), generation: 2 };
+        let sql = "SELECT avg(v) FROM t GROUP BY g";
+        let (resident, _) =
+            cache.get_or_create::<()>(&key(&g2, sql), || Ok(entry_for(&t))).unwrap();
+        // A request that read generation 1 before the reload arrives late.
+        let (late, hit) = cache.get_or_create::<()>(&key(&g1, sql), || Ok(entry_for(&t))).unwrap();
+        assert!(!hit && !Arc::ptr_eq(&late, &resident), "a late request got the newer plan");
+        let s = cache.stats();
+        assert_eq!((s.misses, s.evictions, s.admission_denied, s.entries), (2, 0, 0, 1));
+        let (again, hit) = cache.get_or_create::<()>(&key(&g2, sql), || Ok(entry_for(&t))).unwrap();
+        assert!(hit && Arc::ptr_eq(&resident, &again), "the late request displaced the plan");
     }
 
     #[test]
@@ -353,15 +450,15 @@ mod tests {
         let (evicted, admitted) =
             shard.admit(&mk("mc"), Arc::new(entry_for(&t)), Duration::from_millis(1), 1);
         assert!(!admitted && evicted == 0, "cheap prep displaced an expensive one");
-        assert!(shard.get(&mk("dt")).is_some(), "expensive resident must survive");
-        assert!(shard.get(&mk("mc")).is_none());
+        assert!(matches!(shard.find(&mk("dt")), Found::Current(_)), "expensive resident lost");
+        assert!(matches!(shard.find(&mk("mc")), Found::Absent));
 
         // A comparably expensive prep evicts it (plain LRU among peers).
         let (evicted, admitted) =
             shard.admit(&mk("dt2"), Arc::new(entry_for(&t)), Duration::from_secs(1), 1);
         assert!(admitted && evicted == 1);
-        assert!(shard.get(&mk("dt2")).is_some());
-        assert!(shard.get(&mk("dt")).is_none());
+        assert!(matches!(shard.find(&mk("dt2")), Found::Current(_)));
+        assert!(matches!(shard.find(&mk("dt")), Found::Absent));
     }
 
     #[test]

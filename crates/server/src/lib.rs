@@ -12,10 +12,11 @@
 //! requests bit-exactly. The server adds the serving substrate:
 //!
 //! * [`registry::TableRegistry`] — named, `Arc`-shared table snapshots
-//!   with generation stamps (reloading a table invalidates dependent
-//!   plans by key, not by scanning).
+//!   with generation stamps (after a reload, the next lookup of each
+//!   dependent query replaces its plan; nothing scans).
 //! * [`cache::PlanCache`] — a sharded LRU of warm sessions keyed by
-//!   `(table generation, normalized SQL, labels, algorithm)`. The
+//!   `(table name, normalized SQL, labels, algorithm)`, each recording
+//!   the table generation it was built at. The
 //!   influence parameters are *not* in the key: a repeated
 //!   `POST /explain` at a new `c` re-scores through the plan's
 //!   influence cache instead of re-preparing (§8.3.3, generalized).

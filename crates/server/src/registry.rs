@@ -2,9 +2,11 @@
 //! sessions over.
 //!
 //! Every table carries a *generation*: a monotonically increasing stamp
-//! bumped each time a name is (re)loaded. Plan-cache keys embed the
-//! generation, so replacing a table's data instantly invalidates every
-//! warm plan prepared against the old snapshot without any scanning.
+//! bumped each time a name is (re)loaded. A plan-cache lookup carries the
+//! generation the request read, and each cached plan records the one it
+//! was built at, so after a reload the next lookup of each query replaces
+//! the plan prepared against the old snapshot; the reload itself neither
+//! scans nor frees any plan.
 
 use parking_lot::RwLock;
 use scorpion_table::Table;

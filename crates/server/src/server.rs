@@ -104,7 +104,8 @@ impl Default for ServerConfig {
 pub struct ServerState {
     /// Named table snapshots.
     pub registry: TableRegistry,
-    /// Warm sessions keyed by (generation, SQL, labels, algorithm).
+    /// Warm sessions keyed by (table, SQL, labels, algorithm), each
+    /// built at the table generation it records.
     pub plans: PlanCache,
     /// Request/latency counters.
     pub stats: ServerStats,

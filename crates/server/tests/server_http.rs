@@ -121,14 +121,21 @@ fn reloading_a_table_invalidates_warm_plans() {
     c.post("/tables", &table_body("t", 100)).unwrap();
     let (_, first) = c.post("/explain", &explain_body("t", "dt", 0.5)).unwrap();
     assert_eq!(first.get("plan_cache").and_then(Json::as_str), Some("miss"));
-    // Reload the table: new generation, stale plans unreachable.
-    c.post("/tables", &table_body("t", 100)).unwrap();
-    let (_, second) = c.post("/explain", &explain_body("t", "dt", 0.5)).unwrap();
-    assert_eq!(second.get("plan_cache").and_then(Json::as_str), Some("miss"));
-    assert!(
-        second.get("generation").and_then(Json::as_f64)
-            > first.get("generation").and_then(Json::as_f64)
-    );
+    let mut generation = first.get("generation").and_then(Json::as_f64).unwrap();
+    // Each reload is a new generation: the same question misses, and its
+    // new plan replaces the stale one instead of sitting beside it.
+    for _ in 0..5 {
+        c.post("/tables", &table_body("t", 100)).unwrap();
+        let (_, again) = c.post("/explain", &explain_body("t", "dt", 0.5)).unwrap();
+        assert_eq!(again.get("plan_cache").and_then(Json::as_str), Some("miss"));
+        let next = again.get("generation").and_then(Json::as_f64).unwrap();
+        assert!(next > generation, "{next} after {generation}");
+        generation = next;
+    }
+    let (_, stats) = c.get("/stats").unwrap();
+    let plans = stats.get("plan_cache").unwrap();
+    assert_eq!(plans.get("entries").and_then(Json::as_f64), Some(1.0), "{plans:?}");
+    assert_eq!(plans.get("evictions").and_then(Json::as_f64), Some(5.0), "{plans:?}");
     handle.stop();
 }
 

@@ -55,23 +55,26 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Static description of the stream relation and the continuous query.
+/// [`StreamConfig::new`] and [`StreamConfig::with_compaction`] are the
+/// only ways to set its fields, so every window's configuration has
+/// passed their checks.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Schema every ingested row must conform to.
-    pub schema: Schema,
+    schema: Schema,
     /// The group-by attribute (must be discrete).
-    pub group_attr: usize,
+    group_attr: usize,
     /// The aggregated attribute (must be continuous).
-    pub agg_attr: usize,
+    pub(crate) agg_attr: usize,
     /// Window capacity in chunks; pushing beyond it evicts the oldest.
-    pub window_chunks: usize,
+    window_chunks: usize,
     /// Compaction: keep raw rows only for the newest `keep_recent`
     /// chunks and for chunks a flagged group touched; older
     /// never-flagged chunks drop their rows (raw-value windows keep
     /// them all). `None` (default) disables compaction. Choose
     /// `keep_recent` to cover the detection horizon — a group flagged
     /// for the first time still needs raw rows somewhere.
-    pub compact_keep_recent: Option<usize>,
+    compact_keep_recent: Option<usize>,
 }
 
 impl StreamConfig {

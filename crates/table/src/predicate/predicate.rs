@@ -5,16 +5,47 @@ use crate::error::Result;
 use crate::predicate::clause::Clause;
 use crate::rowmask::{ClauseMaskCache, PredicateMask, RowMask};
 use crate::table::Table;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A conjunction of per-attribute clauses; each attribute appears in at
 /// most one clause. The empty conjunction matches every tuple.
+///
+/// The clauses sit in one `Vec`, sorted by attribute and allocated at
+/// exactly their number: a predicate has a handful of clauses, and the
+/// caches, memos and trees that hold thousands of predicates pay one
+/// small block per predicate. Equality and hashing compare the sorted
+/// clauses, so predicates built from the same clauses in any order are
+/// equal and hash alike.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Predicate {
-    clauses: BTreeMap<usize, Clause>,
+    /// Sorted by [`Clause::attr`], at most one clause per attribute.
+    clauses: Vec<Clause>,
+}
+
+/// The clauses of two predicates side by side, one item per attribute
+/// either constrains, in attribute order.
+fn zip<'a>(
+    a: &'a Predicate,
+    b: &'a Predicate,
+) -> impl Iterator<Item = (Option<&'a Clause>, Option<&'a Clause>)> {
+    let (mut a, mut b) = (a.clauses.iter().peekable(), b.clauses.iter().peekable());
+    std::iter::from_fn(move || {
+        let order = match (a.peek(), b.peek()) {
+            (None, None) => return None,
+            (Some(x), Some(y)) => x.attr().cmp(&y.attr()),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+        };
+        Some(match order {
+            Ordering::Less => (a.next(), None),
+            Ordering::Equal => (a.next(), b.next()),
+            Ordering::Greater => (None, b.next()),
+        })
+    })
 }
 
 impl Predicate {
@@ -23,15 +54,35 @@ impl Predicate {
         Predicate::default()
     }
 
+    /// Wraps clauses already sorted by attribute, one per attribute,
+    /// releasing any spare capacity.
+    fn from_sorted(mut clauses: Vec<Clause>) -> Self {
+        debug_assert!(clauses.windows(2).all(|w| w[0].attr() < w[1].attr()));
+        clauses.shrink_to_fit();
+        Predicate { clauses }
+    }
+
+    /// Where the clause on `attr` is (`Ok`), or where it would go (`Err`).
+    fn find(&self, attr: usize) -> std::result::Result<usize, usize> {
+        self.clauses.binary_search_by_key(&attr, Clause::attr)
+    }
+
+    /// A copy with the clauses at `at` replaced by `with`, allocated at
+    /// exactly its length.
+    fn splice(&self, at: Range<usize>, with: Option<Clause>) -> Self {
+        let mut clauses =
+            Vec::with_capacity(self.clauses.len() - at.len() + usize::from(with.is_some()));
+        clauses.extend_from_slice(&self.clauses[..at.start]);
+        clauses.extend(with);
+        clauses.extend_from_slice(&self.clauses[at.end..]);
+        Predicate { clauses }
+    }
+
     /// Builds a predicate from clauses; later clauses on the same attribute
     /// are intersected with earlier ones (conjunction semantics). Returns
     /// `None` when the conjunction is unsatisfiable.
     pub fn conjunction(clauses: impl IntoIterator<Item = Clause>) -> Option<Self> {
-        let mut p = Predicate::all();
-        for c in clauses {
-            p = p.and_clause(c)?;
-        }
-        Some(p)
+        clauses.into_iter().try_fold(Predicate::all(), |p, c| p.and_clause(c))
     }
 
     /// Adds one clause conjunctively; `None` when unsatisfiable.
@@ -40,48 +91,43 @@ impl Predicate {
         if clause.is_empty() {
             return None;
         }
-        let mut out = self.clone();
-        match out.clauses.get(&clause.attr()) {
-            Some(existing) => {
-                let merged = existing.intersect(&clause)?;
-                out.clauses.insert(clause.attr(), merged);
-            }
-            None => {
-                out.clauses.insert(clause.attr(), clause);
-            }
-        }
-        Some(out)
+        Some(match self.find(clause.attr()) {
+            Ok(i) => self.splice(i..i + 1, Some(self.clauses[i].intersect(&clause)?)),
+            Err(i) => self.splice(i..i, Some(clause)),
+        })
     }
 
     /// Replaces (or inserts) the clause on `clause.attr()` unconditionally.
     #[must_use]
     pub fn with_clause(&self, clause: Clause) -> Self {
-        let mut out = self.clone();
-        out.clauses.insert(clause.attr(), clause);
-        out
+        match self.find(clause.attr()) {
+            Ok(i) => self.splice(i..i + 1, Some(clause)),
+            Err(i) => self.splice(i..i, Some(clause)),
+        }
     }
 
     /// Removes the clause on `attr`, widening the predicate.
     #[must_use]
     pub fn without_attr(&self, attr: usize) -> Self {
-        let mut out = self.clone();
-        out.clauses.remove(&attr);
-        out
+        match self.find(attr) {
+            Ok(i) => self.splice(i..i + 1, None),
+            Err(_) => self.clone(),
+        }
     }
 
     /// The clause on `attr`, if any.
     pub fn clause(&self, attr: usize) -> Option<&Clause> {
-        self.clauses.get(&attr)
+        self.find(attr).ok().map(|i| &self.clauses[i])
     }
 
     /// Iterates clauses in attribute order.
     pub fn clauses(&self) -> impl Iterator<Item = &Clause> {
-        self.clauses.values()
+        self.clauses.iter()
     }
 
     /// The set of constrained attributes.
     pub fn attrs(&self) -> impl Iterator<Item = usize> + '_ {
-        self.clauses.keys().copied()
+        self.clauses.iter().map(Clause::attr)
     }
 
     /// Number of clauses.
@@ -126,7 +172,7 @@ impl Predicate {
     ) -> Result<u64> {
         out.clear();
         let mut hits = 0u64;
-        for clause in self.clauses.values() {
+        for clause in &self.clauses {
             let (m, hit) = cache.get_or_eval(clause, || {
                 let col = table.column(clause.attr())?;
                 clause.eval_mask(col).ok_or_else(|| Predicate::type_mismatch(table, clause))
@@ -171,45 +217,49 @@ impl Predicate {
     /// Syntactic containment: every tuple matching `self` also matches
     /// `other` (`self ≺ other` in the paper's notation, modulo strictness).
     pub fn implies(&self, other: &Predicate) -> bool {
-        other.clauses.iter().all(|(attr, oc)| match self.clauses.get(attr) {
-            Some(sc) => oc.contains(sc),
-            // `other` constrains an attribute `self` leaves free.
-            None => false,
+        zip(self, other).all(|pair| match pair {
+            (Some(sc), Some(oc)) => oc.contains(sc),
+            // False when `other` constrains an attribute `self` leaves free.
+            (_, oc) => oc.is_none(),
         })
     }
 
-    /// Conjunction of two predicates; `None` when unsatisfiable.
+    /// Conjunction of two predicates; `None` when unsatisfiable. As if
+    /// each of `other`'s clauses were added by [`Predicate::and_clause`].
     pub fn intersect(&self, other: &Predicate) -> Option<Predicate> {
-        let mut out = self.clone();
-        for c in other.clauses.values() {
-            out = out.and_clause(c.clone())?;
+        let mut clauses = Vec::with_capacity(zip(self, other).count());
+        for pair in zip(self, other) {
+            clauses.push(match pair {
+                (_, Some(oc)) if oc.is_empty() => return None,
+                (Some(sc), Some(oc)) => sc.intersect(oc)?,
+                (sc, oc) => sc.or(oc).expect("zip yields a clause on one side").clone(),
+            });
         }
-        Some(out)
+        Some(Predicate { clauses })
     }
 
     /// Minimum-bounding-box union (§4.3): per-attribute hulls where both
     /// predicates have clauses; attributes constrained by only one side
     /// become unconstrained (the box must contain both operands).
     pub fn hull(&self, other: &Predicate) -> Predicate {
-        let mut clauses = BTreeMap::new();
-        for (attr, sc) in &self.clauses {
-            if let Some(oc) = other.clauses.get(attr) {
-                clauses.insert(*attr, sc.hull(oc));
-            }
-        }
-        Predicate { clauses }
+        let mut clauses = Vec::with_capacity(self.clauses.len().min(other.clauses.len()));
+        clauses.extend(zip(self, other).filter_map(|pair| match pair {
+            (Some(sc), Some(oc)) => Some(sc.hull(oc)),
+            _ => None,
+        }));
+        Predicate::from_sorted(clauses)
     }
 
     /// The fraction of the full attribute-space volume this predicate's
     /// bounding box occupies (product of per-clause fractions).
     pub fn volume_fraction(&self, domains: &[AttrDomain]) -> f64 {
-        self.clauses.values().map(|c| c.fraction(&domains[c.attr()])).product()
+        self.clauses.iter().map(|c| c.fraction(&domains[c.attr()])).product()
     }
 
     /// The volume fraction of `self ∩ other`, or `None` when the boxes
     /// are disjoint: exactly `self.intersect(other).map(|p|
     /// p.volume_fraction(domains))`, computed without building the
-    /// intersection. Both clause maps are walked in attribute order and
+    /// intersection. Both clause lists are walked in attribute order and
     /// each attribute's fraction is multiplied in with the same
     /// [`Clause::fraction`] arithmetic, so the result is bit-identical.
     /// As for [`Predicate::volume_fraction`], `domains` must cover every
@@ -219,9 +269,9 @@ impl Predicate {
         other: &Predicate,
         domains: &[AttrDomain],
     ) -> Option<f64> {
-        let mut mine = self.clauses.values().peekable();
+        let mut mine = self.clauses.iter().peekable();
         let mut vol = 1.0;
-        for oc in other.clauses.values() {
+        for oc in &other.clauses {
             // `other`'s clauses are conjoined into a copy of `self`: an
             // empty one makes the conjunction unsatisfiable.
             if oc.is_empty() {
@@ -245,22 +295,17 @@ impl Predicate {
     /// so their hull introduces no gap. `eps_frac` is the allowed gap as a
     /// fraction of each attribute's domain span.
     pub fn is_adjacent(&self, other: &Predicate, domains: &[AttrDomain], eps_frac: f64) -> bool {
-        for (attr, sc) in &self.clauses {
-            if let Some(oc) = other.clauses.get(attr) {
-                let eps = domains[*attr].span() * eps_frac;
-                if !sc.touches(oc, eps) {
-                    return false;
-                }
-            }
-            // Unconstrained on the other side: overlaps trivially.
-        }
-        true
+        zip(self, other).all(|pair| match pair {
+            (Some(sc), Some(oc)) => sc.touches(oc, domains[sc.attr()].span() * eps_frac),
+            // Unconstrained on one side: overlaps trivially.
+            _ => true,
+        })
     }
 
     /// The effective clause on `attr`: the stored clause, or the full-domain
     /// clause when unconstrained.
     fn effective_clause(&self, attr: usize, domains: &[AttrDomain]) -> Clause {
-        if let Some(c) = self.clauses.get(&attr) {
+        if let Some(c) = self.clause(attr) {
             return c.clone();
         }
         match &domains[attr] {
@@ -284,24 +329,25 @@ impl Predicate {
     ) -> (Option<Predicate>, Vec<Predicate>) {
         let mut remainders = Vec::new();
         let mut current = self.clone();
-        for (attr, oc) in &other.clauses {
-            let sc = current.effective_clause(*attr, domains);
+        for oc in &other.clauses {
+            let attr = oc.attr();
+            let sc = current.effective_clause(attr, domains);
             match (&sc, oc) {
                 (Clause::Range { lo: sl, hi: sh, .. }, Clause::Range { lo: ol, hi: oh, .. }) => {
                     // Left remainder: [sl, min(sh, ol))
                     let left_hi = sh.min(*ol);
                     if *sl < left_hi {
-                        remainders.push(current.with_clause(Clause::range(*attr, *sl, left_hi)));
+                        remainders.push(current.with_clause(Clause::range(attr, *sl, left_hi)));
                     }
                     // Right remainder: [max(sl, oh), sh)
                     let right_lo = sl.max(*oh);
                     if right_lo < *sh {
-                        remainders.push(current.with_clause(Clause::range(*attr, right_lo, *sh)));
+                        remainders.push(current.with_clause(Clause::range(attr, right_lo, *sh)));
                     }
                     // Middle: overlap.
                     let (ml, mh) = (sl.max(*ol), sh.min(*oh));
                     if ml < mh {
-                        current = current.with_clause(Clause::range(*attr, ml, mh));
+                        current = current.with_clause(Clause::range(attr, ml, mh));
                     } else {
                         return (None, remainders);
                     }
@@ -309,13 +355,13 @@ impl Predicate {
                 (Clause::In { codes: scod, .. }, Clause::In { codes: ocod, .. }) => {
                     let outside: BTreeSet<u32> = scod.difference(ocod).copied().collect();
                     if !outside.is_empty() {
-                        remainders.push(current.with_clause(Clause::in_set(*attr, outside)));
+                        remainders.push(current.with_clause(Clause::in_set(attr, outside)));
                     }
                     let inside: BTreeSet<u32> = scod.intersection(ocod).copied().collect();
                     if inside.is_empty() {
                         return (None, remainders);
                     }
-                    current = current.with_clause(Clause::in_set(*attr, inside));
+                    current = current.with_clause(Clause::in_set(attr, inside));
                 }
                 // Mixed kinds cannot arise on a well-typed schema.
                 _ => return (None, remainders),
@@ -330,9 +376,8 @@ impl Predicate {
     /// The simplified predicate selects exactly the same rows.
     #[must_use]
     pub fn simplify(&self, domains: &[AttrDomain]) -> Predicate {
-        let mut out = BTreeMap::new();
-        for (attr, c) in &self.clauses {
-            let full = match (c, &domains[*attr]) {
+        let kept = self.clauses.iter().filter(|c| {
+            let full = match (c, &domains[c.attr()]) {
                 (Clause::Range { lo, hi, .. }, AttrDomain::Continuous { lo: dl, hi: dh }) => {
                     *lo <= *dl && *dh < *hi
                 }
@@ -341,11 +386,11 @@ impl Predicate {
                 }
                 _ => false,
             };
-            if !full {
-                out.insert(*attr, c.clone());
-            }
-        }
-        Predicate { clauses: out }
+            !full
+        });
+        let mut clauses = Vec::with_capacity(self.clauses.len());
+        clauses.extend(kept.cloned());
+        Predicate::from_sorted(clauses)
     }
 
     /// Renders the predicate as a SQL-like string, resolving dictionary
@@ -355,7 +400,7 @@ impl Predicate {
             return "TRUE".to_owned();
         }
         let mut parts = Vec::with_capacity(self.clauses.len());
-        for clause in self.clauses.values() {
+        for clause in &self.clauses {
             let attr = clause.attr();
             let name = table
                 .schema()
