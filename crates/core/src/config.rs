@@ -60,9 +60,6 @@ pub struct NaiveConfig {
     pub max_clauses: usize,
     /// Maximum cardinality of a discrete clause's value set.
     pub max_discrete_subset: usize,
-    /// Cap on the distinct values considered per discrete attribute
-    /// (values are drawn from the outlier input groups).
-    pub max_discrete_values: usize,
     /// Anytime budget: the search stops after this much wall-clock time
     /// and returns the best predicate so far (the paper ran NAIVE for up
     /// to 40 minutes).
@@ -77,20 +74,16 @@ impl Default for NaiveConfig {
             n_bins: 15,
             max_clauses: 0,
             max_discrete_subset: 3,
-            max_discrete_values: 64,
             time_budget: Some(Duration::from_secs(60)),
             keep_trace: false,
         }
     }
 }
 
-/// Configuration of the influence-weighted sampling inside DT (§6.1.2).
+/// Configuration of the influence-weighted sampling inside DT (§6.1.2;
+/// the assumed cluster fraction `ε` is a constant of [`crate::dt`]).
 #[derive(Debug, Clone, Copy)]
 pub struct SamplingConfig {
-    /// `ε`: the assumed fraction of the dataset occupied by an influential
-    /// cluster; drives the initial uniform sampling rate
-    /// `min{ sr | 1 − (1−ε)^(sr·|D|) ≥ 0.95 }`.
-    pub epsilon: f64,
     /// Groups smaller than this are never sampled.
     pub min_rows_to_sample: usize,
     /// Sampling-rate floor applied after stratified reweighting.
@@ -101,7 +94,7 @@ pub struct SamplingConfig {
 
 impl Default for SamplingConfig {
     fn default() -> Self {
-        SamplingConfig { epsilon: 0.01, min_rows_to_sample: 4000, min_rate: 0.05, seed: 0x5C09 }
+        SamplingConfig { min_rows_to_sample: 4000, min_rate: 0.05, seed: 0x5C09 }
     }
 }
 
@@ -152,42 +145,15 @@ impl ApproxConfig {
     }
 }
 
-/// Configuration of the DT (decision-tree) partitioner (§6.1).
+/// Configuration of the DT (decision-tree) partitioner (§6.1). The
+/// paper's fixed parameters (the §6.1.1 threshold curve, tree and
+/// partition bounds) are constants in [`crate::dt`].
 #[derive(Debug, Clone)]
 pub struct DtConfig {
-    /// Minimum multiplicative error threshold `τ_min` (§6.1.1).
-    pub tau_min: f64,
-    /// Maximum multiplicative error threshold `τ_max` (§6.1.1).
-    pub tau_max: f64,
-    /// Inflection point `p` of the threshold curve (paper: 0.5).
-    pub inflection: f64,
-    /// Do not split partitions with fewer sampled tuples than this.
-    pub min_partition_size: usize,
-    /// Maximum tree depth.
-    pub max_depth: usize,
-    /// Number of candidate split points per continuous attribute
-    /// (quantiles of the partition's sample).
-    pub n_split_candidates: usize,
     /// Maximum number of prefix splits tried on a discrete attribute.
     pub max_discrete_splits: usize,
     /// §6.1.2 sampling; `None` disables it.
     pub sampling: Option<SamplingConfig>,
-    /// Guard on the number of pieces one outlier partition may be carved
-    /// into when combining with hold-out partitions (§6.1.4).
-    pub max_carve_pieces: usize,
-    /// Budget on leaves per tree side. Noisy (Hard) data keeps per-tuple
-    /// influence variance above the stopping threshold, which would grow
-    /// trees to the depth limit (§8.3.2 observes exactly this); once the
-    /// budget is reached, remaining nodes become leaves as-is.
-    pub max_leaves: usize,
-    /// Overall cap on combined partitions handed to the Merger (its
-    /// expansion scan is quadratic in the input size: each step
-    /// estimates every adjacent candidate, and each cached-tuple
-    /// estimate visits every partition once). On the 50k-row SYNTH
-    /// tables of the `analyst_slider` benchmark a merge gets about 295
-    /// partitions, about 57 of them pass the disjoint-range filter, and
-    /// an estimate costs about 8.5 µs on a 2-vCPU x86-64 host.
-    pub max_partitions: usize,
     /// Merger settings for the DT pipeline.
     pub merger: MergerConfig,
 }
@@ -195,35 +161,17 @@ pub struct DtConfig {
 impl Default for DtConfig {
     fn default() -> Self {
         DtConfig {
-            tau_min: 0.025,
-            tau_max: 0.2,
-            inflection: 0.5,
-            min_partition_size: 16,
-            max_depth: 12,
-            n_split_candidates: 16,
             max_discrete_splits: 16,
             sampling: Some(SamplingConfig::default()),
-            max_carve_pieces: 64,
-            max_leaves: 512,
-            max_partitions: 1024,
             merger: MergerConfig { use_cached_tuples: true, ..MergerConfig::default() },
         }
     }
 }
 
-/// Configuration of the MC (bottom-up) partitioner (§6.2).
+/// Configuration of the MC (bottom-up) partitioner (§6.2). Its binning
+/// and frontier bounds are constants in [`crate::mc`].
 #[derive(Debug, Clone)]
 pub struct McConfig {
-    /// Number of equi-width bins per continuous attribute (paper: 15).
-    pub n_bins: usize,
-    /// Cap on the distinct values considered per discrete attribute
-    /// (values are drawn from the outlier input groups; values absent from
-    /// every outlier group have non-positive influence and are pruned
-    /// immediately by any positive `best`).
-    pub max_discrete_values: usize,
-    /// Cap on candidates carried between levels (kept by outlier-only
-    /// influence); prevents worst-case blowup on hard data.
-    pub max_candidates_per_level: usize,
     /// Maximum predicate dimensionality (defaults to all attributes
     /// when 0).
     pub max_dims: usize,
@@ -242,9 +190,6 @@ pub struct McConfig {
 impl Default for McConfig {
     fn default() -> Self {
         McConfig {
-            n_bins: 15,
-            max_discrete_values: 256,
-            max_candidates_per_level: 4096,
             max_dims: 0,
             disable_pruning: false,
             time_budget: None,
@@ -267,8 +212,6 @@ pub struct MergerConfig {
     /// partition statistics instead of calling the Scorer (requires an
     /// incrementally removable aggregate and partition stats).
     pub use_cached_tuples: bool,
-    /// Adjacency tolerance as a fraction of each attribute's domain span.
-    pub adjacency_eps: f64,
     /// Only merge predicates constraining the same attribute set. MC sets
     /// this: in the subspace-clustering frame (§6.2), adjacent units live
     /// in the same subspace, and cross-subspace hulls would degenerate to
@@ -286,7 +229,6 @@ impl Default for MergerConfig {
         MergerConfig {
             top_quartile_only: true,
             use_cached_tuples: false,
-            adjacency_eps: 1e-6,
             require_same_attrs: false,
             max_expansions: 64,
             max_results: 16,
@@ -331,11 +273,9 @@ mod tests {
     fn defaults_are_papers() {
         let n = NaiveConfig::default();
         assert_eq!(n.n_bins, 15);
-        let m = McConfig::default();
-        assert_eq!(m.n_bins, 15);
-        let d = DtConfig::default();
-        assert!(d.tau_min < d.tau_max);
-        assert_eq!(d.inflection, 0.5);
+        assert_eq!(crate::mc::N_BINS, 15);
+        const { assert!(crate::dt::TAU_MIN < crate::dt::TAU_MAX) };
+        assert_eq!(crate::dt::INFLECTION, 0.5);
         let p = InfluenceParams::default();
         assert_eq!(p.lambda, 0.5);
     }

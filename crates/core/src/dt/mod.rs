@@ -36,6 +36,51 @@ use scorpion_obs::span;
 use scorpion_table::{AttrDomain, Clause, Column, Predicate, RowMask};
 use std::collections::BTreeSet;
 
+/// Minimum multiplicative error threshold `τ_min` of the stopping curve
+/// (§6.1.1).
+pub const TAU_MIN: f64 = 0.025;
+
+/// Maximum multiplicative error threshold `τ_max` of the stopping curve
+/// (§6.1.1).
+pub const TAU_MAX: f64 = 0.2;
+
+/// Inflection point `p` of the stopping curve (paper: 0.5).
+pub const INFLECTION: f64 = 0.5;
+
+/// `ε` (§6.1.2): the assumed fraction of the dataset occupied by an
+/// influential cluster; drives the initial uniform sampling rate
+/// `min{ sr | 1 − (1−ε)^(sr·|D|) ≥ 0.95 }`.
+const SAMPLING_EPSILON: f64 = 0.01;
+
+/// Do not split partitions with fewer sampled tuples than this.
+const MIN_PARTITION_SIZE: usize = 16;
+
+/// Maximum tree depth.
+const MAX_DEPTH: usize = 12;
+
+/// Number of candidate split points per continuous attribute (quantiles
+/// of the partition's sample).
+const N_SPLIT_CANDIDATES: usize = 16;
+
+/// Guard on the number of pieces one outlier partition may be carved
+/// into when combining with hold-out partitions (§6.1.4).
+const MAX_CARVE_PIECES: usize = 64;
+
+/// Budget on leaves per tree side. Noisy (Hard) data keeps per-tuple
+/// influence variance above the stopping threshold, which would grow
+/// trees to the depth limit (§8.3.2 observes exactly this); once the
+/// budget is reached, remaining nodes become leaves as-is.
+const MAX_LEAVES: usize = 512;
+
+/// Overall cap on combined partitions handed to the Merger (its
+/// expansion scan is quadratic in the input size: each step estimates
+/// every adjacent candidate, and each cached-tuple estimate visits every
+/// partition once). On the 50k-row SYNTH tables of the `analyst_slider`
+/// benchmark a merge gets about 295 partitions, about 57 of them pass
+/// the disjoint-range filter, and an estimate costs about 8.5 µs on a
+/// 2-vCPU x86-64 host.
+const MAX_PARTITIONS: usize = 1024;
+
 /// Counters describing one DT run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DtDiag {
@@ -146,7 +191,7 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
         let mut scored = phases.time("dt.finalize", || self.finalize(combined))?;
         // Bound the Merger's (quadratic) input; the ranking is exact, so
         // only the weakest partitions are dropped.
-        scored.truncate(self.cfg.max_partitions.max(1));
+        scored.truncate(MAX_PARTITIONS);
         Ok((scored, diag))
     }
 
@@ -195,13 +240,7 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
         }
         Ok(SideData {
             groups,
-            curve: ThresholdCurve::new(
-                self.cfg.tau_min,
-                self.cfg.tau_max,
-                self.cfg.inflection,
-                inf_l,
-                inf_u,
-            ),
+            curve: ThresholdCurve::new(TAU_MIN, TAU_MAX, INFLECTION, inf_l, inf_u),
         })
     }
 
@@ -212,7 +251,7 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
         if group_len < s.min_rows_to_sample || group_len == 0 {
             return 1.0;
         }
-        let rate = (0.05f64).ln() / (group_len as f64 * (1.0 - s.epsilon).ln());
+        let rate = (0.05f64).ln() / (group_len as f64 * (1.0 - SAMPLING_EPSILON).ln());
         rate.max(s.min_rate).min(1.0)
     }
 
@@ -250,7 +289,7 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
         // running example has 3-tuple groups): never demand more than a
         // quarter of the root's tuples.
         let root_total: usize = slices.iter().map(|s| s.sample.len()).sum();
-        let min_size = self.cfg.min_partition_size.min((root_total / 4).max(2));
+        let min_size = MIN_PARTITION_SIZE.min((root_total / 4).max(2));
         let phases = self.scorer.phases();
         let mut leaves = Vec::new();
         let mut stack = vec![Node { pred: Predicate::all(), slices, depth: 0 }];
@@ -258,7 +297,7 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
             // Leaf budget: on noisy data the influence spread never drops
             // under the threshold and the tree would grow to the depth
             // limit; finish the remaining frontier as leaves.
-            if leaves.len() + stack.len() + 1 >= self.cfg.max_leaves {
+            if leaves.len() + stack.len() + 1 >= MAX_LEAVES {
                 leaves.push(node);
                 continue;
             }
@@ -281,7 +320,7 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
 
     fn should_stop(&self, side: &SideData, node: &Node, min_size: usize) -> bool {
         let total_sample: usize = node.slices.iter().map(|s| s.sample.len()).sum();
-        if total_sample < min_size || node.depth >= self.cfg.max_depth {
+        if total_sample < min_size || node.depth >= MAX_DEPTH {
             return true;
         }
         let mut sigma_max = 0.0f64;
@@ -347,10 +386,9 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
                     if lo == hi {
                         continue;
                     }
-                    let k = self.cfg.n_split_candidates.max(1);
                     let mut seen = f64::NAN;
-                    for q in 1..=k {
-                        let x = xs[(xs.len() * q / (k + 1)).min(xs.len() - 1)];
+                    for q in 1..=N_SPLIT_CANDIDATES {
+                        let x = xs[(xs.len() * q / (N_SPLIT_CANDIDATES + 1)).min(xs.len() - 1)];
                         if x <= lo || x > hi || x == seen {
                             continue;
                         }
@@ -558,7 +596,7 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
                         next.push(i);
                     }
                     next.extend(rems);
-                    if next.len() > self.cfg.max_carve_pieces {
+                    if next.len() > MAX_CARVE_PIECES {
                         break 'carve;
                     }
                 }
@@ -1029,12 +1067,7 @@ mod tests {
         let s = scorer(&t);
         let d = domains_of(&t).unwrap();
         let cfg = DtConfig {
-            sampling: Some(SamplingConfig {
-                epsilon: 0.01,
-                min_rows_to_sample: 500,
-                min_rate: 0.05,
-                seed: 42,
-            }),
+            sampling: Some(SamplingConfig { min_rows_to_sample: 500, min_rate: 0.05, seed: 42 }),
             ..DtConfig::default()
         };
         let dt = DtPartitioner::new(&s, vec![1, 2], d, cfg);

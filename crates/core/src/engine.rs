@@ -22,10 +22,11 @@
 //! prepare step and scoring loop.
 //!
 //! Plans can out-live one dataset snapshot: [`PreparedPlan::rebind`]
-//! transfers the `c`-agnostic geometry onto a new, compatible request
-//! (the streaming engine uses this to carry partitions across window
-//! slides), dropping the influence cache and the answers whose entries
-//! the new data invalidated.
+//! moves a plan onto a new, compatible request. A DT plan carries its
+//! `c`-agnostic geometry over (the streaming engine uses this to carry
+//! partitions across window slides), dropping the influence cache and
+//! the answers whose entries the new data invalidated; MC and NAIVE
+//! prepare the new request afresh.
 
 use crate::approx::ApproxState;
 use crate::config::{DtConfig, InfluenceParams, McConfig, NaiveConfig, SamplingConfig};
@@ -77,12 +78,15 @@ pub trait PreparedPlan: Send + Sync {
         budget: Option<Duration>,
     ) -> Result<Explanation>;
 
-    /// Transfers the `c`-agnostic artifacts onto a new, compatible
-    /// request — same schema and label semantics over fresher data (a
-    /// slid window, an appended table). Influence caches are dropped
-    /// (the data changed); candidate geometry and merge seeds survive
-    /// and are re-scored exactly on the next [`PreparedPlan::run`].
-    fn rebind(&self, req: &ExplainRequest) -> Result<Box<dyn PreparedPlan>>;
+    /// A plan for a new, compatible request — same schema and label
+    /// semantics over fresher data (a slid window, an appended table).
+    /// By default the new request is prepared from scratch. DT
+    /// overrides it: its influence cache is dropped (the data changed),
+    /// while its partition geometry and merge seeds survive and are
+    /// re-scored exactly on the next [`PreparedPlan::run`].
+    fn rebind(&self, req: &ExplainRequest) -> Result<Box<dyn PreparedPlan>> {
+        req.prepare()
+    }
 
     /// Predicates worth seeding a successor plan's merge with (the most
     /// recent merged output, for engines that merge).
@@ -209,36 +213,29 @@ struct PlanCore {
 
 impl PlanCore {
     /// The prepare prologue: validate, build the caches and the prepare
-    /// scorer, select attributes (unless `attrs` carries a selection
-    /// over from a rebound plan — the §6.4 ranking is a property of the
-    /// labeling, not of one window snapshot), build the sampler state
-    /// and domains, then run the engine's `step`, which times its own
-    /// phases on the scorer. The whole prepare — the `prepare` phase and
-    /// everything under it — becomes the cost the first run is charged.
+    /// scorer, select attributes (§6.4, when the request asks for it),
+    /// build the sampler state and domains, then run the engine's
+    /// `step`, which times its own phases on the scorer. The whole
+    /// prepare — the `prepare` phase and everything under it — becomes
+    /// the cost the first run is charged.
     fn prepare<T>(
         req: &ExplainRequest,
-        attrs: Option<Vec<usize>>,
         step: impl FnOnce(&Scorer<'_>, &[usize], &[AttrDomain]) -> Result<T>,
     ) -> Result<(PlanCore, T)> {
         let phases = Arc::new(Phases::new());
         let prepare = phases.enter("prepare");
         req.validate()?;
-        let cache = Arc::new(InfluenceCache::with_capacity_bound(req.influence_cache_entries()));
+        let cache = Arc::new(InfluenceCache::new());
         let masks = Arc::new(ClauseMaskCache::new());
         let scorer = req
             .scorer()?
             .with_cache(cache.clone())
             .with_mask_cache(masks.clone())
             .with_phases(phases.clone());
-        let attrs = match attrs {
-            Some(attrs) => attrs,
-            None => {
-                let attrs = req.resolved_attrs()?;
-                match req.max_explain_attrs {
-                    Some(k) if k < attrs.len() => select_attributes(&scorer, &attrs, k)?,
-                    _ => attrs,
-                }
-            }
+        let attrs = req.resolved_attrs()?;
+        let attrs = match req.max_explain_attrs {
+            Some(k) if k < attrs.len() => select_attributes(&scorer, &attrs, k)?,
+            _ => attrs,
         };
         let approx_state = req.approx().map(|cfg| scorer.build_approx(*cfg)).transpose()?;
         let domains = domains_of(&req.table)?;
@@ -273,7 +270,7 @@ impl PlanCore {
             req: req.clone(),
             attrs: self.attrs.clone(),
             domains: domains_of(&req.table)?,
-            cache: Arc::new(InfluenceCache::with_capacity_bound(req.influence_cache_entries())),
+            cache: Arc::new(InfluenceCache::new()),
             masks: Arc::new(ClauseMaskCache::new()),
             approx_state,
             prep_cost: Mutex::new(None),
@@ -440,11 +437,10 @@ impl DtPlan {
                     min_rows_to_sample: a.min_rows,
                     min_rate: a.sample_rate,
                     seed: a.seed,
-                    ..SamplingConfig::default()
                 });
             }
         }
-        let (core, partitions) = PlanCore::prepare(req, None, |scorer, attrs, domains| {
+        let (core, partitions) = PlanCore::prepare(req, |scorer, attrs, domains| {
             let dt = DtPartitioner::new(scorer, attrs.to_vec(), domains.to_vec(), cfg.clone());
             Ok(dt.partition()?.0)
         })?;
@@ -549,15 +545,10 @@ pub(crate) struct McPlan {
 }
 
 impl McPlan {
-    /// Prepares an MC plan; `attrs` carries a rebound plan's attribute
-    /// selection over (see [`PlanCore::prepare`]).
-    pub(crate) fn prepare(
-        req: &ExplainRequest,
-        cfg: McConfig,
-        attrs: Option<Vec<usize>>,
-    ) -> Result<Box<dyn PreparedPlan>> {
-        let (core, units) = PlanCore::prepare(req, attrs, |scorer, attrs, domains| {
-            scorer.phases().time("mc.units", || initial_units(scorer, attrs, domains, &cfg))
+    /// Prepares an MC plan: builds the level-1 units.
+    pub(crate) fn prepare(req: &ExplainRequest, cfg: McConfig) -> Result<Box<dyn PreparedPlan>> {
+        let (core, units) = PlanCore::prepare(req, |scorer, attrs, domains| {
+            scorer.phases().time("mc.units", || initial_units(scorer, attrs, domains))
         })?;
         Ok(Box::new(McPlan { core, cfg, units }))
     }
@@ -590,14 +581,6 @@ impl PreparedPlan for McPlan {
             })
         })
     }
-
-    fn rebind(&self, req: &ExplainRequest) -> Result<Box<dyn PreparedPlan>> {
-        // Unit geometry is derived from domains and dictionaries, which
-        // new data may have shifted; re-prepare (it is cheap for MC),
-        // keeping the attribute selection — re-ranking it is the
-        // expensive part of MC's prepare.
-        McPlan::prepare(req, self.cfg.clone(), Some(self.core.attrs.clone()))
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -616,13 +599,9 @@ pub(crate) struct NaivePlan {
 }
 
 impl NaivePlan {
-    /// Prepares a NAIVE plan; `attrs` as in [`McPlan::prepare`].
-    pub(crate) fn prepare(
-        req: &ExplainRequest,
-        cfg: NaiveConfig,
-        attrs: Option<Vec<usize>>,
-    ) -> Result<Box<dyn PreparedPlan>> {
-        let (core, candidates) = PlanCore::prepare(req, attrs, |scorer, attrs, domains| {
+    /// Prepares a NAIVE plan: enumerates the clause candidates.
+    pub(crate) fn prepare(req: &ExplainRequest, cfg: NaiveConfig) -> Result<Box<dyn PreparedPlan>> {
+        let (core, candidates) = PlanCore::prepare(req, |scorer, attrs, domains| {
             scorer
                 .phases()
                 .time("naive.candidates", || naive_candidates(scorer, attrs, domains, &cfg))
@@ -657,10 +636,6 @@ impl PreparedPlan for NaivePlan {
             })
         })
     }
-
-    fn rebind(&self, req: &ExplainRequest) -> Result<Box<dyn PreparedPlan>> {
-        NaivePlan::prepare(req, self.cfg.clone(), Some(self.core.attrs.clone()))
-    }
 }
 
 #[cfg(test)]
@@ -671,13 +646,14 @@ mod tests {
     use scorpion_agg::{Avg, Sum};
     use scorpion_table::{Field, Schema, Table, TableBuilder, Value};
 
-    fn planted() -> Table {
+    /// Group "o" runs hot for x in `hot`; group "h" is uniform.
+    fn planted(hot: std::ops::Range<f64>) -> Table {
         let schema =
             Schema::new(vec![Field::disc("g"), Field::cont("x"), Field::cont("v")]).unwrap();
         let mut b = TableBuilder::new(schema);
         for i in 0..200 {
             let x = (i as f64 * 7.3) % 100.0;
-            let v = if (20.0..60.0).contains(&x) { 80.0 } else { 10.0 };
+            let v = if hot.contains(&x) { 80.0 } else { 10.0 };
             b.push_row(vec!["o".into(), Value::from(x), v.into()]).unwrap();
             b.push_row(vec!["h".into(), Value::from(x), Value::from(10.0)]).unwrap();
         }
@@ -685,11 +661,15 @@ mod tests {
     }
 
     fn request(algorithm: Algorithm, c: f64) -> ExplainRequest {
+        request_on(planted(20.0..60.0), algorithm, c)
+    }
+
+    fn request_on(table: Table, algorithm: Algorithm, c: f64) -> ExplainRequest {
         let agg: std::sync::Arc<dyn scorpion_agg::Aggregate> = match &algorithm {
             Algorithm::BottomUp(_) => std::sync::Arc::new(Sum),
             _ => std::sync::Arc::new(Avg),
         };
-        Scorpion::on(planted())
+        Scorpion::on(table)
             .group_by(&[0], agg, 2)
             .unwrap()
             .outlier(0, 1.0)
@@ -736,6 +716,30 @@ mod tests {
         assert!(!from_memo(&again), "{:?}", again.diagnostics);
         assert_eq!(first.best().predicate, again.best().predicate);
         assert!((first.best().influence - again.best().influence).abs() < 1e-9);
+    }
+
+    #[test]
+    fn mc_and_naive_rebind_like_a_fresh_prepare() {
+        let bits = |ex: &Explanation| -> Vec<(Predicate, u64)> {
+            ex.predicates.iter().map(|sp| (sp.predicate.clone(), sp.influence.to_bits())).collect()
+        };
+        for algorithm in
+            [Algorithm::BottomUp(McConfig::default()), Algorithm::Naive(NaiveConfig::default())]
+        {
+            let first = request(algorithm.clone(), 0.5);
+            let plan = first.prepare().unwrap();
+            let before = plan.run(&first.params()).unwrap();
+            // The second table runs hot over another range.
+            let second = request_on(planted(50.0..90.0), algorithm, 0.5);
+            let rebound = plan.rebind(&second).unwrap().run(&second.params()).unwrap();
+            let fresh = second.prepare().unwrap().run(&second.params()).unwrap();
+            let algo = fresh.diagnostics.algorithm;
+            assert_eq!(rebound.diagnostics.algorithm, algo);
+            assert_eq!(bits(&rebound), bits(&fresh), "{algo}");
+            assert_ne!(bits(&rebound), bits(&before), "{algo}: the tables' answers must differ");
+            let (r, f) = (&rebound.diagnostics, &fresh.diagnostics);
+            assert_eq!((r.candidates, r.partitions), (f.candidates, f.partitions), "{algo}");
+        }
     }
 
     #[test]

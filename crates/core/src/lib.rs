@@ -36,7 +36,6 @@ pub mod features;
 pub mod mc;
 pub mod merger;
 pub mod naive;
-pub mod prepared;
 pub mod request;
 mod result;
 mod scorer;
@@ -50,7 +49,6 @@ pub use config::{
 };
 pub use engine::PreparedPlan;
 pub use error::{Result, ScorpionError};
-pub use prepared::PreparedQuery;
 pub use request::{label_extremes, ExplainRequest, RequestBuilder, Scorpion};
 pub use result::{Diagnostics, Explanation, GroupStat, PartitionStats, ScoredPredicate};
 pub use scorer::{GroupSpec, InfluenceCache, PrunedBatch, Scorer};

@@ -28,6 +28,19 @@ use scorpion_obs::span;
 use scorpion_table::{bin_edges, AttrDomain, Clause, Predicate};
 use std::collections::{HashMap, HashSet};
 
+/// Number of equi-width bins per continuous attribute (paper: 15).
+pub(crate) const N_BINS: usize = 15;
+
+/// Cap on the distinct values considered per discrete attribute (values
+/// are drawn from the outlier input groups; values absent from every
+/// outlier group have non-positive influence and are pruned immediately
+/// by any positive `best`).
+const MAX_DISCRETE_VALUES: usize = 256;
+
+/// Cap on candidates carried between levels (kept by outlier-only
+/// influence); prevents worst-case blowup on hard data.
+const MAX_CANDIDATES_PER_LEVEL: usize = 4096;
+
 /// Counters describing one MC run.
 #[derive(Debug, Clone, Default)]
 pub struct McDiag {
@@ -56,7 +69,7 @@ pub fn mc_search(
     domains: &[AttrDomain],
     cfg: &McConfig,
 ) -> Result<(Vec<ScoredPredicate>, McDiag)> {
-    let units = initial_units(scorer, attrs, domains, cfg)?;
+    let units = initial_units(scorer, attrs, domains)?;
     mc_search_units(scorer, attrs, domains, cfg, units)
 }
 
@@ -156,7 +169,7 @@ pub fn mc_search_units(
         let mut next_scored =
             phases.time("mc.level_score", || score_all(scorer, next, top_k, &mut diag))?;
         // Bound the frontier by hold-out-free influence.
-        if next_scored.len() > cfg.max_candidates_per_level {
+        if next_scored.len() > MAX_CANDIDATES_PER_LEVEL {
             let mut keyed: Vec<(f64, ScoredPredicate)> = next_scored
                 .into_iter()
                 .map(|sp| {
@@ -166,7 +179,7 @@ pub fn mc_search_units(
                 })
                 .collect();
             keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
-            keyed.truncate(cfg.max_candidates_per_level);
+            keyed.truncate(MAX_CANDIDATES_PER_LEVEL);
             next_scored = keyed.into_iter().map(|(_, sp)| sp).collect();
         }
         scored = next_scored;
@@ -194,13 +207,12 @@ pub(crate) fn initial_units(
     scorer: &Scorer<'_>,
     attrs: &[usize],
     domains: &[AttrDomain],
-    cfg: &McConfig,
 ) -> Result<Vec<Predicate>> {
     let mut units = Vec::new();
     for &attr in attrs {
         match &domains[attr] {
             AttrDomain::Continuous { lo, hi } => {
-                let edges = bin_edges(*lo, *hi, cfg.n_bins.max(1));
+                let edges = bin_edges(*lo, *hi, N_BINS);
                 for w in edges.windows(2) {
                     let p = Predicate::conjunction([Clause::range(attr, w[0], w[1])])
                         .expect("bin clause is non-empty");
@@ -218,7 +230,7 @@ pub(crate) fn initial_units(
                 }
                 let mut by_freq: Vec<(u32, u32)> = freq.into_iter().collect();
                 by_freq.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                by_freq.truncate(cfg.max_discrete_values);
+                by_freq.truncate(MAX_DISCRETE_VALUES);
                 for (code, _) in by_freq {
                     let p = Predicate::conjunction([Clause::in_set(attr, [code])])
                         .expect("singleton clause is non-empty");
@@ -449,7 +461,7 @@ mod tests {
         )
         .unwrap();
         let d = domains_of(&t).unwrap();
-        let units = initial_units(&s, &[1], &d, &cfg()).unwrap();
+        let units = initial_units(&s, &[1], &d).unwrap();
         // 4 distinct states in the outlier group (DC, NY, CA, TX); WA is
         // hold-out-only and must not appear.
         assert_eq!(units.len(), 4);

@@ -56,6 +56,9 @@ use scorpion_obs::span;
 use scorpion_table::{AttrDomain, Clause, Predicate};
 use std::collections::{HashMap, HashSet};
 
+/// Adjacency tolerance as a fraction of each attribute's domain span.
+const ADJACENCY_EPS: f64 = 1e-6;
+
 /// Greedy bounding-box merger over scored predicates.
 pub struct Merger<'s, 'a> {
     scorer: &'s Scorer<'a>,
@@ -125,11 +128,7 @@ impl<'s, 'a> Merger<'s, 'a> {
                 let mut best: Option<(usize, Predicate, f64)> = None;
                 for (j, cand) in items.iter().enumerate() {
                     if consumed[j]
-                        || !cur.predicate.is_adjacent(
-                            &cand.predicate,
-                            self.domains,
-                            self.cfg.adjacency_eps,
-                        )
+                        || !cur.predicate.is_adjacent(&cand.predicate, self.domains, ADJACENCY_EPS)
                     {
                         continue;
                     }
@@ -610,11 +609,7 @@ mod tests {
                 let mut best: Option<(usize, ScoredPredicate)> = None;
                 for (j, cand) in items.iter().enumerate() {
                     if consumed[j]
-                        || !cur.predicate.is_adjacent(
-                            &cand.predicate,
-                            m.domains,
-                            m.cfg.adjacency_eps,
-                        )
+                        || !cur.predicate.is_adjacent(&cand.predicate, m.domains, ADJACENCY_EPS)
                     {
                         continue;
                     }
@@ -775,7 +770,6 @@ mod tests {
                 require_same_attrs: rng.random_range(0..4u32) == 0,
                 max_expansions: [1, 3, 64][rng.random_range(0..3usize)],
                 max_results: [1, 4, 16][rng.random_range(0..3usize)],
-                ..MergerConfig::default()
             };
             let merger = Merger::new(s, &d, cfg);
             let (got, got_diag) = merger.merge(items.clone()).unwrap();

@@ -19,6 +19,10 @@ use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
+/// Cap on the distinct values considered per discrete attribute (values
+/// are drawn from the outlier input groups).
+const MAX_DISCRETE_VALUES: usize = 64;
+
 /// One improvement of the best-so-far predicate (Figure 11's time series).
 #[derive(Debug, Clone)]
 pub struct TracePoint {
@@ -93,7 +97,7 @@ pub(crate) fn naive_candidates(
                 has_discrete = true;
                 candidates.push(AttrClauses::Discrete {
                     attr,
-                    codes: outlier_codes(scorer, attr, cfg.max_discrete_values)?,
+                    codes: outlier_codes(scorer, attr, MAX_DISCRETE_VALUES)?,
                 });
             }
         }

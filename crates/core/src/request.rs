@@ -43,11 +43,12 @@
 use crate::config::{Algorithm, ApproxConfig, DtConfig, InfluenceParams, McConfig, NaiveConfig};
 use crate::engine::{DtPlan, McPlan, NaivePlan, PreparedPlan};
 use crate::error::{Result, ScorpionError};
-use crate::prepared::PreparedQuery;
 use crate::result::Explanation;
 use crate::scorer::{GroupHandle, Scorer};
-use scorpion_agg::Aggregate;
-use scorpion_table::{aggregate_groups, group_by, Grouping, Table, TableError};
+use scorpion_agg::{aggregate_by_name, Aggregate};
+use scorpion_table::{
+    aggregate_groups, apply_selection, group_by, parse_query, Grouping, Table, TableError,
+};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -71,17 +72,39 @@ pub struct ExplainRequest {
     pub(crate) algorithm: Algorithm,
     pub(crate) explain_attrs: Option<Vec<usize>>,
     pub(crate) max_explain_attrs: Option<usize>,
-    pub(crate) influence_cache_entries: usize,
     pub(crate) approx: Option<ApproxConfig>,
 }
 
 impl ExplainRequest {
+    /// The request defaults over a query: no labels,
+    /// [`InfluenceParams::default`], [`Algorithm::Auto`], the `A_rest`
+    /// attributes and exact scoring. Not validated.
+    fn unlabeled(
+        table: Arc<Table>,
+        grouping: Arc<Grouping>,
+        agg: Arc<dyn Aggregate>,
+        agg_attr: usize,
+    ) -> Self {
+        ExplainRequest {
+            table,
+            grouping,
+            agg,
+            agg_attr,
+            outliers: Vec::new(),
+            holdouts: Vec::new(),
+            params: InfluenceParams::default(),
+            algorithm: Algorithm::Auto,
+            explain_attrs: None,
+            max_explain_attrs: None,
+            approx: None,
+        }
+    }
+
     /// Assembles a request directly from owned parts — the programmatic
     /// path for callers that already hold a materialized table and
-    /// grouping (e.g. the streaming engine). Labels are validated;
-    /// parameters default to [`InfluenceParams::default`] and the
-    /// algorithm to [`Algorithm::Auto`] (adjust with the `with_*`
-    /// methods).
+    /// grouping (e.g. the streaming engine). Labels are validated; every
+    /// other option takes the builder's default (adjust with the
+    /// `with_*` methods).
     pub fn from_parts(
         table: Arc<Table>,
         grouping: Arc<Grouping>,
@@ -91,18 +114,9 @@ impl ExplainRequest {
         holdouts: Vec<usize>,
     ) -> Result<Self> {
         let req = ExplainRequest {
-            table,
-            grouping,
-            agg,
-            agg_attr,
             outliers,
             holdouts,
-            params: InfluenceParams::default(),
-            algorithm: Algorithm::Auto,
-            explain_attrs: None,
-            max_explain_attrs: None,
-            influence_cache_entries: 0,
-            approx: None,
+            ..ExplainRequest::unlabeled(table, grouping, agg, agg_attr)
         };
         req.validate()?;
         Ok(req)
@@ -164,19 +178,6 @@ impl ExplainRequest {
     #[must_use]
     pub fn with_algorithm(&self, algorithm: Algorithm) -> Self {
         ExplainRequest { algorithm, ..self.clone() }
-    }
-
-    /// Returns a copy restricted to the given explanation attributes
-    /// (`None` restores the `A_rest` default).
-    #[must_use]
-    pub fn with_explain_attrs(&self, explain_attrs: Option<Vec<usize>>) -> Self {
-        ExplainRequest { explain_attrs, ..self.clone() }
-    }
-
-    /// The configured [`crate::InfluenceCache`] bound for plans prepared
-    /// from this request (`0` = the cache's default bound).
-    pub fn influence_cache_entries(&self) -> usize {
-        self.influence_cache_entries
     }
 
     /// The approximate-search configuration, if any.
@@ -301,8 +302,8 @@ impl ExplainRequest {
     pub fn prepare(&self) -> Result<Box<dyn PreparedPlan>> {
         match self.resolve_algorithm()? {
             Algorithm::DecisionTree(cfg) => Ok(Box::new(DtPlan::prepare(self, cfg)?)),
-            Algorithm::BottomUp(cfg) => McPlan::prepare(self, cfg, None),
-            Algorithm::Naive(cfg) => NaivePlan::prepare(self, cfg, None),
+            Algorithm::BottomUp(cfg) => McPlan::prepare(self, cfg),
+            Algorithm::Naive(cfg) => NaivePlan::prepare(self, cfg),
             Algorithm::Auto => unreachable!("resolve_algorithm never returns Auto"),
         }
     }
@@ -356,18 +357,30 @@ impl Scorpion {
         Scorpion { table: table.into() }
     }
 
-    /// Parses and executes a select-project-group-by SQL query (WHERE
-    /// clauses are materialized, §3.1) and moves to the labeling stage.
+    /// Parses and executes a select-project-group-by SQL query and
+    /// moves to the labeling stage. A WHERE clause is materialized into
+    /// a fresh table, as §3.1 models selections; a selection that keeps
+    /// no row is an error.
     pub fn sql(self, sql: &str) -> Result<RequestBuilder> {
-        let pq = PreparedQuery::new(&self.table, sql)?;
-        Ok(RequestBuilder {
-            table: Arc::new(pq.table),
-            grouping: Arc::new(pq.grouping),
-            agg: pq.agg,
-            agg_attr: pq.agg_attr,
-            results: pq.results,
-            request: RequestOpts::default(),
-        })
+        let parsed = parse_query(sql)?;
+        let agg = aggregate_by_name(&parsed.agg_name)
+            .ok_or_else(|| ScorpionError::UnknownAggregate { name: parsed.agg_name.clone() })?;
+        let table = if parsed.selection.is_empty() {
+            self.table
+        } else {
+            let rows = apply_selection(&self.table, &parsed.selection)?;
+            Arc::new(self.table.select_rows(&rows)?)
+        };
+        if table.is_empty() {
+            return Err(TableError::Empty("selected input").into());
+        }
+        let group_attrs = parsed
+            .group_by
+            .iter()
+            .map(|name| table.attr(name))
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        let agg_attr = table.attr(&parsed.agg_attr)?;
+        Scorpion { table }.group_by(&group_attrs, agg, agg_attr)
     }
 
     /// Groups the table by `group_attrs` and aggregates `agg_attr` with
@@ -395,52 +408,17 @@ impl Scorpion {
         let agg_ref = agg.clone();
         let results =
             aggregate_groups(&self.table, &grouping, agg_attr, move |v| agg_ref.compute(v))?;
-        Ok(RequestBuilder {
-            table: self.table,
-            grouping,
-            agg,
-            agg_attr,
-            results,
-            request: RequestOpts::default(),
-        })
-    }
-}
-
-/// Options accumulated between the query stage and `build()`.
-struct RequestOpts {
-    outliers: Vec<(usize, f64)>,
-    holdouts: Vec<usize>,
-    params: InfluenceParams,
-    algorithm: Algorithm,
-    explain_attrs: Option<Vec<usize>>,
-    max_explain_attrs: Option<usize>,
-    influence_cache_entries: usize,
-    approx: Option<ApproxConfig>,
-}
-
-impl Default for RequestOpts {
-    fn default() -> Self {
-        RequestOpts {
-            outliers: Vec::new(),
-            holdouts: Vec::new(),
-            params: InfluenceParams::default(),
-            algorithm: Algorithm::Auto,
-            explain_attrs: None,
-            max_explain_attrs: None,
-            influence_cache_entries: 0,
-            approx: None,
-        }
+        let request = ExplainRequest::unlabeled(self.table, grouping, agg, agg_attr);
+        Ok(RequestBuilder { request, results })
     }
 }
 
 /// Second builder stage: the query has run; label results and set knobs.
 pub struct RequestBuilder {
-    table: Arc<Table>,
-    grouping: Arc<Grouping>,
-    agg: Arc<dyn Aggregate>,
-    agg_attr: usize,
+    /// The request `build` validates and returns, with the labels and
+    /// knobs staged so far.
+    request: ExplainRequest,
     results: Vec<f64>,
-    request: RequestOpts,
 }
 
 impl RequestBuilder {
@@ -462,12 +440,12 @@ impl RequestBuilder {
 
     /// Human-readable key of result `i`.
     pub fn display_key(&self, i: usize) -> String {
-        self.grouping.display_key(&self.table, i)
+        self.request.grouping.display_key(&self.request.table, i)
     }
 
     /// Result index of a displayed group key, if present.
     pub fn index_of_key(&self, key: &str) -> Option<usize> {
-        (0..self.grouping.len()).find(|&i| self.display_key(i) == key)
+        (0..self.request.grouping.len()).find(|&i| self.display_key(i) == key)
     }
 
     /// The outlier labels staged so far.
@@ -555,14 +533,6 @@ impl RequestBuilder {
         self
     }
 
-    /// Bounds the prepared plan's influence cache to `entries`
-    /// predicates, evicting LRU past that (`0` = the default bound).
-    #[must_use]
-    pub fn influence_cache_entries(mut self, entries: usize) -> Self {
-        self.request.influence_cache_entries = entries;
-        self
-    }
-
     /// Opts into the two-stage approximate influence search. Exact
     /// scoring stays the default; with this set, candidate batches are
     /// interval-pruned before exact scoring and diagnostics report
@@ -576,22 +546,8 @@ impl RequestBuilder {
     /// Validates the request ([`ExplainRequest::validate`]) and produces
     /// it.
     pub fn build(self) -> Result<ExplainRequest> {
-        let req = ExplainRequest {
-            table: self.table,
-            grouping: self.grouping,
-            agg: self.agg,
-            agg_attr: self.agg_attr,
-            outliers: self.request.outliers,
-            holdouts: self.request.holdouts,
-            params: self.request.params,
-            algorithm: self.request.algorithm,
-            explain_attrs: self.request.explain_attrs,
-            max_explain_attrs: self.request.max_explain_attrs,
-            influence_cache_entries: self.request.influence_cache_entries,
-            approx: self.request.approx,
-        };
-        req.validate()?;
-        Ok(req)
+        self.request.validate()?;
+        Ok(self.request)
     }
 }
 
@@ -703,6 +659,97 @@ mod tests {
         assert_eq!(tweaked.params().c, 0.9);
         assert_eq!(tweaked.params().lambda, req.params().lambda);
         assert!(Arc::ptr_eq(req.table(), tweaked.table()));
+    }
+
+    #[test]
+    fn sql_and_explain_q1() {
+        let b = Scorpion::on(sensors())
+            .sql("SELECT avg(temp), time FROM sensors GROUP BY time")
+            .unwrap();
+        assert_eq!(b.results().len(), 3);
+        assert!((b.results()[1] - 56.6667).abs() < 1e-3);
+        let req = b.outlier(1, 1.0).outlier(2, 1.0).holdout(0).build().unwrap();
+        let ex = req.explain().unwrap();
+        let table = req.table();
+        let sel = ex
+            .best()
+            .predicate
+            .select(table, &(0..table.len() as u32).collect::<Vec<_>>())
+            .unwrap();
+        assert!(sel.contains(&5) && sel.contains(&8));
+    }
+
+    #[test]
+    fn where_clause_materializes() {
+        let b = Scorpion::on(sensors())
+            .sql("SELECT avg(temp) FROM sensors WHERE sensorid = '3' GROUP BY time")
+            .unwrap();
+        assert_eq!(b.results().len(), 3);
+        assert!((b.results()[1] - 100.0).abs() < 1e-9);
+        assert_eq!(b.outlier(1, 1.0).build().unwrap().table().len(), 3);
+    }
+
+    #[test]
+    fn numeric_where() {
+        let b = Scorpion::on(sensors())
+            .sql("SELECT avg(temp) FROM sensors WHERE voltage >= 2.5 GROUP BY time")
+            .unwrap();
+        // The two low-voltage readings are filtered out.
+        assert!(b.results().iter().all(|&v| v < 40.0));
+        assert_eq!(b.outlier(1, 1.0).build().unwrap().table().len(), 7);
+    }
+
+    #[test]
+    fn unknown_aggregate_rejected_with_vocabulary() {
+        let err = match Scorpion::on(sensors()).sql("SELECT geomean(temp) FROM s GROUP BY time") {
+            Err(e) => e,
+            Ok(_) => panic!("geomean is not registered"),
+        };
+        assert!(matches!(err, ScorpionError::UnknownAggregate { .. }));
+        let msg = err.to_string();
+        assert!(msg.contains("geomean"), "names the offender: {msg}");
+        for name in scorpion_agg::registered_names() {
+            assert!(msg.contains(name), "lists {name}: {msg}");
+        }
+    }
+
+    #[test]
+    fn empty_selection_rejected() {
+        assert!(Scorpion::on(sensors())
+            .sql("SELECT avg(temp) FROM s WHERE sensorid = 'nope' GROUP BY time")
+            .is_err());
+    }
+
+    #[test]
+    fn label_extremes_is_disjoint_on_tiny_series() {
+        // Regression: with a single result, `k` clamps to 1 and the old
+        // code emitted the same index as both outlier and hold-out, so
+        // `explain` always failed with OverlappingLabels.
+        let b = Scorpion::on(sensors())
+            .sql("SELECT avg(temp) FROM sensors WHERE time = '12PM' GROUP BY time")
+            .unwrap();
+        assert_eq!(b.results().len(), 1);
+        let b = b.auto_label(1);
+        assert_eq!(b.outlier_labels().len(), 1);
+        let holdouts = b.holdout_labels();
+        assert!(holdouts.is_empty(), "single result must not double-label: {holdouts:?}");
+        // Labeling validates, and the downstream explain must no longer
+        // be doomed to fail.
+        assert!(b.build().unwrap().explain().is_ok());
+    }
+
+    #[test]
+    fn label_extremes_flags_the_hot_hours() {
+        let b = Scorpion::on(sensors())
+            .sql("SELECT avg(temp) FROM s GROUP BY time")
+            .unwrap()
+            .auto_label(1);
+        // Median result is 50 (α3); α1 (34.7) deviates most → flagged
+        // "too low" (error −1).
+        assert_eq!(b.outlier_labels()[0].0, 0);
+        assert_eq!(b.outlier_labels()[0].1, -1.0);
+        // The hold-out is the result closest to the median (α3 itself).
+        assert_eq!(b.holdout_labels(), [2]);
     }
 
     #[test]
@@ -825,7 +872,7 @@ mod tests {
             // A valid request re-pointed at a bad attribute fails at
             // prepare, not with a panic inside the engine.
             let req = planted(Arc::new(Sum)).algorithm(algorithm).build().unwrap();
-            let req = req.with_explain_attrs(Some(vec![9]));
+            let req = ExplainRequest { explain_attrs: Some(vec![9]), ..req };
             assert!(req.explain().is_err_and(|e| bad(&e)), "{name}: explain must reject attr 9");
         }
     }

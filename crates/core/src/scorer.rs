@@ -164,14 +164,14 @@ pub struct InfluenceCache {
     /// Sharded by predicate hash so server workers running one shared
     /// plan at once do not serialize on one lock.
     shards: Vec<Mutex<CacheShard>>,
-    /// Total capacity across shards (0 = the default cap).
+    /// Total capacity across shards.
     cap: usize,
     /// Cumulative LRU evictions.
     evictions: AtomicU64,
 }
 
-/// Default bound on cached predicates per [`InfluenceCache`].
-const DEFAULT_CACHE_CAP: usize = 1 << 20;
+/// Bound on cached predicates per [`InfluenceCache`].
+const CACHE_CAP: usize = 1 << 20;
 
 /// Lock shards per cache (power of two).
 const CACHE_SHARDS: usize = 16;
@@ -180,24 +180,24 @@ impl Default for InfluenceCache {
     fn default() -> Self {
         InfluenceCache {
             shards: (0..CACHE_SHARDS).map(|_| Mutex::new(CacheShard::default())).collect(),
-            cap: 0,
+            cap: CACHE_CAP,
             evictions: AtomicU64::new(0),
         }
     }
 }
 
 impl InfluenceCache {
-    /// An empty cache with the default capacity bound.
+    /// An empty cache bounded to 2^20 predicates.
     pub fn new() -> Self {
         InfluenceCache::default()
     }
 
-    /// An empty cache holding at most `cap` predicates, evicting the
-    /// least recently used past that (`0` = the default bound). The
-    /// bound is enforced per lock shard, so the effective capacity is
-    /// `cap` rounded up to a multiple of the shard count — read it back
-    /// with [`InfluenceCache::capacity`].
-    pub fn with_capacity_bound(cap: usize) -> Self {
+    /// An empty cache holding at most `cap` predicates, for the eviction
+    /// tests. The bound is enforced per lock shard, so the effective
+    /// capacity is `cap` rounded up to a multiple of the shard count —
+    /// read it back with [`InfluenceCache::capacity`].
+    #[cfg(test)]
+    fn with_capacity_bound(cap: usize) -> Self {
         InfluenceCache { cap, ..InfluenceCache::default() }
     }
 
@@ -211,8 +211,7 @@ impl InfluenceCache {
         self.shards.iter().all(|s| s.lock().is_empty())
     }
 
-    /// Total capacity in predicates: the configured bound (or the
-    /// default when constructed with `0`), rounded up to shard
+    /// Total capacity in predicates: the bound rounded up to shard
     /// granularity — this is the bound actually enforced.
     pub fn capacity(&self) -> usize {
         self.shard_cap() * CACHE_SHARDS
@@ -223,14 +222,6 @@ impl InfluenceCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    fn effective_cap(&self) -> usize {
-        if self.cap == 0 {
-            DEFAULT_CACHE_CAP
-        } else {
-            self.cap
-        }
-    }
-
     fn shard(&self, p: &Predicate) -> &Mutex<CacheShard> {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -239,7 +230,7 @@ impl InfluenceCache {
     }
 
     fn shard_cap(&self) -> usize {
-        self.effective_cap().div_ceil(CACHE_SHARDS)
+        self.cap.div_ceil(CACHE_SHARDS)
     }
 
     fn count_evictions(&self, n: u64) {

@@ -2,17 +2,15 @@
 
 use crate::experiments::Scale;
 use crate::report::{f, Report};
-use scorpion_core::dt::ThresholdCurve;
+use scorpion_core::dt::{ThresholdCurve, INFLECTION, TAU_MAX, TAU_MIN};
 
-/// Samples the threshold curve with the engine's default parameters.
+/// Samples the threshold curve at the engine's parameters.
 pub fn run(_scale: &Scale) -> Vec<Report> {
-    let cfg = scorpion_core::DtConfig::default();
-    let curve = ThresholdCurve::new(cfg.tau_min, cfg.tau_max, cfg.inflection, 0.0, 100.0);
+    let curve = ThresholdCurve::new(TAU_MIN, TAU_MAX, INFLECTION, 0.0, 100.0);
     let mut r = Report::new(
         format!(
-            "Figure 4 — threshold curve ω(inf_max), τ_min={}, τ_max={}, p={}, \
-             inf range [0, 100]",
-            cfg.tau_min, cfg.tau_max, cfg.inflection
+            "Figure 4 — threshold curve ω(inf_max), τ_min={TAU_MIN}, τ_max={TAU_MAX}, \
+             p={INFLECTION}, inf range [0, 100]"
         ),
         &["inf_max", "omega", "threshold"],
     );
@@ -31,9 +29,8 @@ mod tests {
         let r = &run(&Scale::quick())[0];
         let omegas: Vec<f64> = r.rows.iter().map(|row| row[1].parse().unwrap()).collect();
         assert_eq!(omegas.len(), 21);
-        let cfg = scorpion_core::DtConfig::default();
-        assert!((omegas[0] - cfg.tau_max).abs() < 1e-9);
-        assert!((omegas[20] - cfg.tau_min).abs() < 1e-9);
+        assert!((omegas[0] - TAU_MAX).abs() < 1e-9);
+        assert!((omegas[20] - TAU_MIN).abs() < 1e-9);
         for w in omegas.windows(2) {
             assert!(w[1] <= w[0] + 1e-12);
         }

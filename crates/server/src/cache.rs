@@ -213,19 +213,20 @@ pub struct PlanCache {
 /// Lock shards (power of two).
 const SHARDS: usize = 8;
 
-/// Default bound on cached sessions.
-const DEFAULT_CAP: usize = 256;
+/// Bound on cached sessions.
+const CAP: usize = 256;
 
 impl Default for PlanCache {
+    /// The server's cache: bounded to 256 sessions.
     fn default() -> Self {
-        PlanCache::with_capacity(DEFAULT_CAP)
+        PlanCache::with_capacity(CAP)
     }
 }
 
 impl PlanCache {
-    /// A cache bounded to `cap` sessions (`0` = the default bound).
+    /// A cache bounded to `cap` sessions, for tests that need a smaller
+    /// bound than the server's 256.
     pub fn with_capacity(cap: usize) -> Self {
-        let cap = if cap == 0 { DEFAULT_CAP } else { cap };
         PlanCache {
             shards: (0..SHARDS).map(|_| Mutex::new(CostShard::default())).collect(),
             cap,
@@ -243,9 +244,9 @@ impl PlanCache {
         &self.shards[(h.finish() as usize) & (SHARDS - 1)]
     }
 
-    /// Per-shard resident bound: the configured capacity rounded up to
-    /// shard granularity, so the cache never under-provisions what the
-    /// operator asked for (it may hold up to `SHARDS − 1` extra).
+    /// Per-shard resident bound: the capacity rounded up to shard
+    /// granularity, so the cache never holds fewer sessions than its
+    /// bound (it may hold up to `SHARDS − 1` extra).
     fn shard_cap(&self) -> usize {
         self.cap.div_ceil(SHARDS)
     }

@@ -18,7 +18,7 @@ use crate::http::{error_response, Request, Response};
 use crate::json::Json;
 use crate::render::{diagnostics_json, explanations_json, num_or_null};
 use scorpion_core::{table_csv, TelemetryTable};
-use scorpion_stream::{explain_latency, Audit, AuditConfig, AuditOutcome};
+use scorpion_stream::{explain_latency, Audit, AuditConfig, AuditOutcome, AUDIT_MIN_EVENTS};
 use scorpion_table::Table;
 
 /// The resident telemetry events as a JSON object (or CSV with
@@ -80,7 +80,7 @@ pub fn handle_slow(req: &Request) -> Response {
         Ok(a) => a,
         Err(e) => return error_response(500, &format!("self-explain failed: {e}")),
     };
-    match audit_json(&audit, cfg.min_events, top).encode() {
+    match audit_json(&audit, top).encode() {
         Ok(text) => Response::json(200, text),
         Err(e) => error_response(500, &format!("response encoding failed: {e}")),
     }
@@ -89,7 +89,7 @@ pub fn handle_slow(req: &Request) -> Response {
 /// An [`Audit`] finding as JSON. The `/debug/slow` body and
 /// `scorpion audit --json` both render through this, so the live and
 /// offline surfaces cannot diverge.
-pub fn audit_json(audit: &Audit, min_events: usize, top: usize) -> Json {
+pub fn audit_json(audit: &Audit, top: usize) -> Json {
     let mut fields = vec![
         ("events".to_owned(), Json::from(audit.events)),
         ("threshold".to_owned(), Json::from(audit.threshold)),
@@ -97,7 +97,7 @@ pub fn audit_json(audit: &Audit, min_events: usize, top: usize) -> Json {
     match &audit.outcome {
         AuditOutcome::TooFewEvents => {
             fields.push(("outcome".to_owned(), Json::from("too_few_events")));
-            fields.push(("min_events".to_owned(), Json::from(min_events)));
+            fields.push(("min_events".to_owned(), Json::from(AUDIT_MIN_EVENTS)));
         }
         AuditOutcome::NoOutliers { center_ms, scale_ms } => {
             fields.push(("outcome".to_owned(), Json::from("no_outliers")));

@@ -47,10 +47,6 @@ pub struct ServerConfig {
     /// picked up by a worker before the server starts shedding with
     /// 503s.
     pub queue_depth: usize,
-    /// Plan-cache bound in sessions (`0` = default).
-    pub plan_cache_entries: usize,
-    /// Per-plan influence-cache bound in predicates (`0` = default).
-    pub influence_cache_entries: usize,
     /// Write one access-log line per request to stderr.
     pub access_log: bool,
     /// Requests at or above this many milliseconds get an access-log
@@ -85,8 +81,6 @@ impl Default for ServerConfig {
             port: 7070,
             workers: 0,
             queue_depth: 64,
-            plan_cache_entries: 0,
-            influence_cache_entries: 0,
             access_log: false,
             slow_ms: None,
             telemetry_events: scorpion_obs::DEFAULT_TELEMETRY_EVENTS,
@@ -105,11 +99,10 @@ pub struct ServerState {
     /// Named table snapshots.
     pub registry: TableRegistry,
     /// Warm sessions keyed by (table, SQL, labels, algorithm), each
-    /// built at the table generation it records.
+    /// built at the table generation it records; at most 256.
     pub plans: PlanCache,
     /// Request/latency counters.
     pub stats: ServerStats,
-    influence_cache_entries: usize,
     access_log: bool,
     slow_ms: Option<u64>,
     deadline_ms: u64,
@@ -118,50 +111,23 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    /// Fresh state with the given cache bounds.
-    pub fn new(plan_cache_entries: usize, influence_cache_entries: usize) -> Self {
-        ServerState {
-            registry: TableRegistry::new(),
-            plans: PlanCache::with_capacity(plan_cache_entries),
-            stats: ServerStats::new(),
-            influence_cache_entries,
-            access_log: false,
-            slow_ms: None,
-            deadline_ms: 0,
-            trace_dir: None,
-            pool: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// Enables the access log and/or per-request trace dumps. Setting a
-    /// trace directory also turns the global span recorder on.
-    pub fn with_observability(mut self, access_log: bool, trace_dir: Option<PathBuf>) -> Self {
-        self.access_log = access_log;
-        if trace_dir.is_some() {
+    /// Fresh state under `cfg`'s access log, slow-request threshold,
+    /// trace directory and default deadline. A trace directory also
+    /// turns the global span recorder on.
+    pub fn new(cfg: &ServerConfig) -> Self {
+        if cfg.trace_dir.is_some() {
             scorpion_obs::recorder().enable();
         }
-        self.trace_dir = trace_dir;
-        self
-    }
-
-    /// Sets the slow-request threshold: requests at or above `slow_ms`
-    /// milliseconds are logged (with their phase breakdown) even when
-    /// the full access log is off.
-    pub fn with_slow_ms(mut self, slow_ms: Option<u64>) -> Self {
-        self.slow_ms = slow_ms;
-        self
-    }
-
-    /// Sets the default per-request deadline in milliseconds (`0` =
-    /// none; per-request [`DEADLINE_HEADER`] overrides either way).
-    pub fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.deadline_ms = deadline_ms;
-        self
-    }
-
-    /// The per-plan influence-cache bound requests are built with.
-    pub fn influence_cache_entries(&self) -> usize {
-        self.influence_cache_entries
+        ServerState {
+            registry: TableRegistry::new(),
+            plans: PlanCache::default(),
+            stats: ServerStats::new(),
+            access_log: cfg.access_log,
+            slow_ms: cfg.slow_ms,
+            deadline_ms: cfg.deadline_ms,
+            trace_dir: cfg.trace_dir.clone(),
+            pool: std::sync::OnceLock::new(),
+        }
     }
 
     pub(crate) fn access_log(&self) -> bool {
@@ -198,20 +164,16 @@ impl Server {
         if cfg.telemetry_events > 0 {
             scorpion_obs::telemetry().enable_with_capacity(cfg.telemetry_events);
         }
-        let state = Arc::new(
-            ServerState::new(cfg.plan_cache_entries, cfg.influence_cache_entries)
-                .with_observability(cfg.access_log, cfg.trace_dir.clone())
-                .with_slow_ms(cfg.slow_ms)
-                .with_deadline_ms(cfg.deadline_ms),
-        );
+        let state = Arc::new(ServerState::new(cfg));
         let _ = state.pool.set(pool.gauges());
         // A zero timeout would close every connection on the first
         // sweep; treat it as "use the default".
+        let defaults = ServerConfig::default();
         let ms = |v: u64, default: u64| Duration::from_millis(if v == 0 { default } else { v });
         let poller_cfg = PollerConfig {
-            read_timeout: ms(cfg.read_timeout_ms, 10_000),
-            idle_timeout: ms(cfg.idle_timeout_ms, 60_000),
-            write_timeout: ms(cfg.write_timeout_ms, 10_000),
+            read_timeout: ms(cfg.read_timeout_ms, defaults.read_timeout_ms),
+            idle_timeout: ms(cfg.idle_timeout_ms, defaults.idle_timeout_ms),
+            write_timeout: ms(cfg.write_timeout_ms, defaults.write_timeout_ms),
         };
         Ok(Server { listener, state, pool, stop: Arc::new(AtomicBool::new(false)), poller_cfg })
     }
@@ -806,7 +768,7 @@ fn handle_explain(
     let key = PlanKey::new(&entry, &table_name, sql, &labels_spec, algorithm_name);
 
     let build = || -> Result<PlanEntry, Response> {
-        build_plan_entry(state, &entry, sql, &body, algorithm, lambda, c, approx)
+        build_plan_entry(&entry, sql, &body, algorithm, lambda, c, approx)
     };
     let (plan, hit) = state.plans.get_or_create(&key, build)?;
 
@@ -905,9 +867,7 @@ fn dump_trace(dir: &std::path::Path, trace_id: u64) {
 }
 
 /// Builds the session and result metadata for a plan-cache miss.
-#[allow(clippy::too_many_arguments)]
 fn build_plan_entry(
-    state: &ServerState,
     entry: &TableEntry,
     sql: &str,
     body: &Json,
@@ -958,10 +918,7 @@ fn build_plan_entry(
         }
         builder.outliers(outliers).holdouts(holdouts)
     };
-    let mut builder = builder
-        .params(lambda, c)
-        .algorithm(algorithm)
-        .influence_cache_entries(state.influence_cache_entries);
+    let mut builder = builder.params(lambda, c).algorithm(algorithm);
     if let Some(a) = approx {
         builder = builder.approx(a);
     }

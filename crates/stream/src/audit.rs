@@ -39,23 +39,25 @@ pub struct AuditConfig {
     /// Modified z-score above which a slice is slow (the detector's
     /// threshold; 3.5 is the Iglewicz–Hoaglin default).
     pub threshold: f64,
-    /// Minimum events before the robust statistics are meaningful;
-    /// smaller rings yield [`AuditOutcome::TooFewEvents`].
-    pub min_events: usize,
-    /// Hold-out slices handed to the engine, most normal first.
-    pub max_holdouts: usize,
 }
 
 impl Default for AuditConfig {
     fn default() -> Self {
-        AuditConfig { threshold: 3.5, min_events: 6 * SLICE_WIDTH, max_holdouts: 16 }
+        AuditConfig { threshold: 3.5 }
     }
 }
+
+/// Minimum events before the robust statistics are meaningful; smaller
+/// rings yield [`AuditOutcome::TooFewEvents`].
+pub const AUDIT_MIN_EVENTS: usize = 6 * SLICE_WIDTH;
+
+/// Hold-out slices handed to the engine, most normal first.
+const MAX_HOLDOUTS: usize = 16;
 
 /// What the audit found.
 #[derive(Debug)]
 pub enum AuditOutcome {
-    /// Fewer events than [`AuditConfig::min_events`].
+    /// Fewer events than [`AUDIT_MIN_EVENTS`].
     TooFewEvents,
     /// Latency is uniform: no slice crossed the threshold.
     NoOutliers {
@@ -121,7 +123,7 @@ fn explain_attrs(table: &Table) -> Vec<usize> {
 /// [`scorpion_core::telemetry::events_to_table`] shape).
 pub fn explain_latency(table: &Table, cfg: &AuditConfig) -> Result<Audit> {
     let events = table.len();
-    if events < cfg.min_events {
+    if events < AUDIT_MIN_EVENTS {
         return Ok(Audit { events, threshold: cfg.threshold, outcome: AuditOutcome::TooFewEvents });
     }
     let slice = table.attr(SLICE_COLUMN).map_err(StreamError::Table)?;
@@ -144,8 +146,8 @@ pub fn explain_latency(table: &Table, cfg: &AuditConfig) -> Result<Audit> {
 
     let detector = OutlierDetector::new(DetectorConfig {
         threshold: cfg.threshold,
-        max_holdouts: cfg.max_holdouts,
-        min_groups: (cfg.min_events / SLICE_WIDTH).max(2),
+        max_holdouts: MAX_HOLDOUTS,
+        min_groups: AUDIT_MIN_EVENTS / SLICE_WIDTH,
         min_scale: 0.0,
     });
     let detection = detector.detect(&series);

@@ -48,7 +48,7 @@ mod error;
 mod session;
 mod window;
 
-pub use audit::{explain_latency, Audit, AuditConfig, AuditOutcome, AuditReport};
+pub use audit::{explain_latency, Audit, AuditConfig, AuditOutcome, AuditReport, AUDIT_MIN_EVENTS};
 pub use detector::{Detection, DetectorConfig, OutlierDetector};
 pub use error::{Result, StreamError};
 pub use session::{ContinuousConfig, ContinuousSession, SessionStats, StreamExplanation};

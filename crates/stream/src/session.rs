@@ -62,31 +62,22 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Knobs of the continuous explanation pipeline.
+/// Knobs of the continuous explanation pipeline. Every window state is
+/// explained by DT at [`DtConfig::default`] over `A_rest` (every
+/// attribute but the group-by and aggregate ones).
 #[derive(Debug, Clone)]
 pub struct ContinuousConfig {
     /// Hold-out importance trade-off λ (§3.2).
     pub lambda: f64,
     /// Selectivity exponent `c` (§7).
     pub c: f64,
-    /// DT partitioner + merger settings.
-    pub dt: DtConfig,
     /// Outlier auto-labeling settings.
     pub detector: DetectorConfig,
-    /// Attributes explanations are built over; `None` selects `A_rest`
-    /// (everything but the group-by and aggregate attributes).
-    pub explain_attrs: Option<Vec<usize>>,
 }
 
 impl Default for ContinuousConfig {
     fn default() -> Self {
-        ContinuousConfig {
-            lambda: 0.5,
-            c: 0.5,
-            dt: DtConfig::default(),
-            detector: DetectorConfig::default(),
-            explain_attrs: None,
-        }
+        ContinuousConfig { lambda: 0.5, c: 0.5, detector: DetectorConfig::default() }
     }
 }
 
@@ -174,14 +165,6 @@ impl ContinuousSession {
         self.cache.lock().stats
     }
 
-    /// Drops all cached state.
-    pub fn invalidate(&self) {
-        let mut c = self.cache.lock();
-        c.outlier_sig = None;
-        c.dict_sig = None;
-        c.plan = None;
-    }
-
     /// Detects outliers in the window's live series and, when something
     /// is flagged, explains them. Returns `Ok(None)` on a quiet window.
     pub fn explain(&self, window: &SlidingWindow) -> Result<Option<StreamExplanation>> {
@@ -222,8 +205,7 @@ impl ContinuousSession {
             holdouts.clone(),
         )?
         .with_params(params)
-        .with_explain_attrs(self.cfg.explain_attrs.clone())
-        .with_algorithm(Algorithm::DecisionTree(self.cfg.dt.clone()));
+        .with_algorithm(Algorithm::DecisionTree(DtConfig::default()));
         let attrs = req.resolved_attrs()?;
 
         let outlier_sig = self.outlier_signature(window, &detection, &attrs);
@@ -525,18 +507,6 @@ mod tests {
         // And the rebuilt explanation still names the right sensor.
         let rendered = second.explanation.best().predicate.display(&second.table);
         assert!(rendered.contains("s3"), "predicate was: {rendered}");
-    }
-
-    #[test]
-    fn invalidate_clears_cache() {
-        let w = build_window(12, 8..10);
-        let s = session();
-        let _ = s.explain(&w).unwrap().expect("detection");
-        assert!(s.is_warm());
-        s.invalidate();
-        assert!(!s.is_warm());
-        let again = s.explain(&w).unwrap().expect("detection");
-        assert!(!again.warm);
     }
 
     #[test]

@@ -420,12 +420,19 @@ impl Predicate {
                     }
                 }
                 Clause::In { codes, .. } => {
-                    let vals: Vec<String> = match table.cat(attr) {
-                        Ok(cat) => {
-                            codes.iter().map(|&c| format!("'{}'", cat.value_of(c))).collect()
-                        }
-                        Err(_) => codes.iter().map(|c| c.to_string()).collect(),
-                    };
+                    // A code past the column's dictionary (a clause built
+                    // by hand with `Clause::in_set`) has no value to show:
+                    // render its number, as for a non-discrete column.
+                    let cat = table.cat(attr).ok();
+                    let vals: Vec<String> = codes
+                        .iter()
+                        .map(|&c| match cat {
+                            Some(cat) if (c as usize) < cat.cardinality() => {
+                                format!("'{}'", cat.value_of(c))
+                            }
+                            _ => c.to_string(),
+                        })
+                        .collect();
                     let _ = write!(s, "{name} in ({})", vals.join(", "));
                 }
             }

@@ -5,8 +5,9 @@
 //!
 //! Clause sequences draw attributes 0–5 of a table with continuous and
 //! discrete columns (one of each with a single-value domain), ranges with
-//! NaN, ±∞ and `lo >= hi` bounds, empty, full and partial code sets, and
-//! now and then a clause of the other kind than its column. Every result
+//! NaN, ±∞ and `lo >= hi` bounds, empty, full and partial code sets (on
+//! column 5 also codes past its dictionary), and now and then a clause of
+//! the other kind than its column. Every result
 //! must equal the model's: the same clauses in the same order, the same
 //! verdicts, and volume fractions with the same bits.
 
@@ -76,12 +77,10 @@ impl Rng {
         let attr = self.below(ATTRS);
         // One clause in eight is of the other kind than its column.
         if is_discrete(attr) == (self.below(8) != 0) {
-            // Codes stay inside the column's dictionary, for `display`.
-            let card = if attr == 5 { 1 } else { CARD };
             let codes: BTreeSet<u32> = match self.below(5) {
                 0 => BTreeSet::new(),
-                1 => (0..card).collect(),
-                _ => (0..card).filter(|_| self.below(2) == 0).collect(),
+                1 => (0..CARD).collect(),
+                _ => (0..CARD).filter(|_| self.below(2) == 0).collect(),
             };
             Clause::in_set(attr, codes)
         } else {
@@ -218,10 +217,13 @@ fn m_display(m: &Model, t: &Table) -> String {
                 }
             }
             Clause::In { codes, .. } => {
-                let vals: Vec<String> = match t.cat(c.attr()) {
-                    Ok(cat) => codes.iter().map(|&k| format!("'{}'", cat.value_of(k))).collect(),
-                    Err(_) => codes.iter().map(|k| k.to_string()).collect(),
+                // A value for each code in the dictionary, the number for
+                // any other (and for every code on a continuous column).
+                let value = |k: u32| match t.cat(c.attr()) {
+                    Ok(cat) if k < cat.cardinality() as u32 => format!("'{}'", cat.value_of(k)),
+                    _ => k.to_string(),
                 };
+                let vals: Vec<String> = codes.iter().map(|&k| value(k)).collect();
                 format!("{name} in ({})", vals.join(", "))
             }
         }

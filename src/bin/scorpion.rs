@@ -22,7 +22,7 @@
 use scorpion::prelude::*;
 use scorpion::server::{audit_json, diagnostics_json, explanations_json, num_or_null, Json};
 use scorpion::server::{Server, ServerConfig};
-use scorpion::stream::{explain_latency, AuditConfig, AuditOutcome};
+use scorpion::stream::{explain_latency, AuditConfig, AuditOutcome, AUDIT_MIN_EVENTS};
 use std::process::exit;
 
 /// `println!` that tolerates a closed pipe (`scorpion … | head`):
@@ -87,9 +87,9 @@ scorpion-stream crate and `cargo run --release --example\n\
 streaming_monitor`.";
 
 const SERVE_HELP: &str = "usage: scorpion serve [--csv NAME=FILE]... [--port P] [--host H] \
-[--workers N] [--queue N] [--plan-cache N] [--influence-cache-entries N] [--access-log] \
-[--slow-ms MS] [--telemetry-events N] [--trace-dir DIR] [--deadline-ms MS] \
-[--read-timeout-ms MS] [--write-timeout-ms MS] [--idle-timeout-ms MS]\n\
+[--workers N] [--queue N] [--access-log] [--slow-ms MS] [--telemetry-events N] \
+[--trace-dir DIR] [--deadline-ms MS] [--read-timeout-ms MS] [--write-timeout-ms MS] \
+[--idle-timeout-ms MS]\n\
 \n\
 Serves outlier explanations over HTTP/1.1 JSON:\n\
   POST /explain   {table, sql, outliers|auto_label, holdouts, lambda, c,\n\
@@ -110,7 +110,8 @@ Serves outlier explanations over HTTP/1.1 JSON:\n\
 the file stem). --port 0 picks an ephemeral port; the bound address is\n\
 printed on stdout. --workers 0 (default) uses all cores. Repeated\n\
 /explain calls for the same query and labels at a new c reuse the\n\
-cached prepared plan (the paper's 8.3.3 cache, served warm).\n\
+cached prepared plan (the paper's 8.3.3 cache, served warm; the\n\
+server keeps up to 256 plans).\n\
 --access-log prints one line per request to stderr (method, path,\n\
 status, duration, trace id). --slow-ms MS also logs any request at or\n\
 over MS milliseconds with its top-3 phases inline (works without\n\
@@ -285,13 +286,6 @@ fn parse_serve_args(it: impl Iterator<Item = String>) -> ServeArgs {
             "--host" => args.config.host = val("--host"),
             "--workers" => args.config.workers = num("--workers", val("--workers")),
             "--queue" => args.config.queue_depth = num("--queue", val("--queue")),
-            "--plan-cache" => {
-                args.config.plan_cache_entries = num("--plan-cache", val("--plan-cache"))
-            }
-            "--influence-cache-entries" => {
-                args.config.influence_cache_entries =
-                    num("--influence-cache-entries", val("--influence-cache-entries"))
-            }
             "--access-log" => args.config.access_log = true,
             "--slow-ms" => args.config.slow_ms = Some(num("--slow-ms", val("--slow-ms")) as u64),
             "--telemetry-events" => {
@@ -436,7 +430,7 @@ fn audit_main(it: impl Iterator<Item = String>) -> ! {
             exit(1)
         }
     };
-    let cfg = AuditConfig { threshold: args.threshold, ..AuditConfig::default() };
+    let cfg = AuditConfig { threshold: args.threshold };
     let audit = match explain_latency(&table, &cfg) {
         Ok(a) => a,
         Err(e) => {
@@ -446,7 +440,7 @@ fn audit_main(it: impl Iterator<Item = String>) -> ! {
     };
 
     if args.json {
-        match audit_json(&audit, cfg.min_events, args.top).encode() {
+        match audit_json(&audit, args.top).encode() {
             Ok(text) => out!("{text}"),
             Err(e) => {
                 eprintln!("JSON encoding failed: {e}");
@@ -459,7 +453,7 @@ fn audit_main(it: impl Iterator<Item = String>) -> ! {
     out!("audited {} request events (threshold {})", audit.events, audit.threshold);
     match &audit.outcome {
         AuditOutcome::TooFewEvents => {
-            out!("too few events for a verdict (need at least {})", cfg.min_events);
+            out!("too few events for a verdict (need at least {AUDIT_MIN_EVENTS})");
         }
         AuditOutcome::NoOutliers { center_ms, scale_ms } => {
             out!(

@@ -88,8 +88,8 @@ pub mod prelude {
     pub use scorpion_core::{
         label_extremes, Algorithm, ApproxConfig, Diagnostics, DtConfig, ExplainRequest,
         Explanation, GroupSpec, InfluenceCache, InfluenceParams, McConfig, MergerConfig,
-        NaiveConfig, PreparedPlan, PreparedQuery, RequestBuilder, ScoredPredicate, Scorer,
-        Scorpion, ScorpionError,
+        NaiveConfig, PreparedPlan, RequestBuilder, ScoredPredicate, Scorer, Scorpion,
+        ScorpionError,
     };
     pub use scorpion_table::{
         aggregate_groups, bin_edges, domains_of, group_by, AttrDomain, AttrType, Clause,

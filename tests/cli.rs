@@ -79,6 +79,10 @@ fn bad_invocations_exit_two() {
         &["--csv"][..],              // missing value
         &["audit"][..],              // missing --telemetry-csv
         &["audit", "--no-such"][..], // unknown audit flag
+        // The plan and influence caches have fixed bounds: their old
+        // flags are unknown, even before `--help`.
+        &["serve", "--plan-cache", "8", "--help"][..],
+        &["serve", "--influence-cache-entries", "8", "--help"][..],
     ] {
         let out = bin().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
