@@ -13,6 +13,13 @@
 //! 3. Splitting stops when a partition's influence spread falls under the
 //!    [`ThresholdCurve`] (§6.1.1, Figure 4), with influence-weighted
 //!    stratified sampling optionally bounding the per-node work (§6.1.2).
+//!    One evaluator scores the splits of both attribute kinds: a pass per
+//!    node and attribute adds each sampled row's `(1, inf, inf²)` into
+//!    per-(group, bucket) sums, where a bucket is the interval between
+//!    two consecutive quantile candidates of a continuous attribute or
+//!    one admitted code of a discrete one, and each candidate is scored
+//!    from running bucket sums. A split's rows are routed to its children
+//!    by a stable two-cursor write with no branch on the side.
 //! 4. The outlier partitioning is carved along the influential hold-out
 //!    partitions (§6.1.4) so that predicates that would perturb hold-outs
 //!    are separated from those that only touch outliers.
@@ -124,7 +131,6 @@ struct SideData {
 
 /// Per-group membership of a tree node: full positions and the sampled
 /// subset used for split decisions.
-#[derive(Clone)]
 struct Slice {
     pos: Vec<u32>,
     sample: Vec<u32>,
@@ -291,201 +297,132 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
         let root_total: usize = slices.iter().map(|s| s.sample.len()).sum();
         let min_size = MIN_PARTITION_SIZE.min((root_total / 4).max(2));
         let phases = self.scorer.phases();
+        let mut scratch = SplitScratch::default();
         let mut leaves = Vec::new();
         let mut stack = vec![Node { pred: Predicate::all(), slices, depth: 0 }];
-        while let Some(node) = stack.pop() {
+        while let Some(mut node) = stack.pop() {
             // Leaf budget: on noisy data the influence spread never drops
             // under the threshold and the tree would grow to the depth
             // limit; finish the remaining frontier as leaves.
-            if leaves.len() + stack.len() + 1 >= MAX_LEAVES {
-                leaves.push(node);
-                continue;
-            }
-            if self.should_stop(side, &node, min_size) {
-                leaves.push(node);
-                continue;
-            }
-            match phases.time("dt.split", || self.best_split(side, cols, &node)) {
-                Some(split) => {
+            let split = if leaves.len() + stack.len() + 1 >= MAX_LEAVES
+                || self.should_stop(side, &node, &mut scratch, min_size)
+            {
+                None
+            } else {
+                phases.time("dt.split", || self.best_split(&node, cols, &mut scratch))
+            };
+            match split {
+                Some((_, split)) => {
                     let (l, r) = phases
                         .time("dt.expand", || self.apply_split(side, cols, node, &split, rng));
                     stack.push(l);
                     stack.push(r);
                 }
-                None => leaves.push(node),
+                None => {
+                    // A leaf keeps its sample (hold-out leaves are weighed
+                    // by it) but not its positions.
+                    node.slices.iter_mut().for_each(|s| s.pos = Vec::new());
+                    leaves.push(node);
+                }
             }
         }
         leaves
     }
 
-    fn should_stop(&self, side: &SideData, node: &Node, min_size: usize) -> bool {
-        let total_sample: usize = node.slices.iter().map(|s| s.sample.len()).sum();
-        if total_sample < min_size || node.depth >= MAX_DEPTH {
-            return true;
-        }
-        let mut sigma_max = 0.0f64;
-        let mut inf_max = f64::NEG_INFINITY;
-        for (g, slice) in node.slices.iter().enumerate() {
-            let infs = &side.groups[g].infs;
-            let (mut n, mut sum, mut sumsq) = (0.0, 0.0, 0.0);
-            for &p in &slice.sample {
-                let v = infs[p as usize];
-                n += 1.0;
-                sum += v;
-                sumsq += v * v;
-                inf_max = inf_max.max(v);
-            }
-            if n >= 2.0 {
-                let var = (sumsq / n - (sum / n) * (sum / n)).max(0.0);
-                sigma_max = sigma_max.max(var.sqrt());
-            }
-        }
-        if !inf_max.is_finite() {
-            return true;
-        }
-        sigma_max <= side.curve.threshold(inf_max)
-    }
-
-    /// Finds the best split, combining per-group error metrics with `max`
-    /// (§6.1.3). Returns `None` when no split improves on the parent.
-    fn best_split(&self, side: &SideData, cols: &[(usize, Col<'_>)], node: &Node) -> Option<Split> {
-        let parent = combined_metric(side, node, |_, _| true).1;
-        let mut best: Option<(f64, Split)> = None;
-        for (attr, col) in cols {
-            match col {
-                Col::Num(vals) => {
-                    // Sorted per-(node, attr) projection: each group's
-                    // sampled (value, influence) pairs are sorted by value
-                    // once, with prefix sums of influence and squared
-                    // influence, so every candidate threshold below costs
-                    // one binary search per group instead of a pass over
-                    // the node's rows.
-                    let mut projs: Vec<SortedProj> = Vec::with_capacity(node.slices.len());
-                    let mut xs: Vec<f64> = Vec::new();
-                    for (g, slice) in node.slices.iter().enumerate() {
-                        let pairs: Vec<(f64, f64)> = slice
-                            .sample
-                            .iter()
-                            .map(|&p| {
-                                (
-                                    vals[side.groups[g].rows[p as usize] as usize],
-                                    side.groups[g].infs[p as usize],
-                                )
-                            })
-                            .collect();
-                        let proj = SortedProj::new(pairs);
-                        xs.extend_from_slice(&proj.values);
-                        projs.push(proj);
-                    }
-                    if xs.len() < 2 {
-                        continue;
-                    }
-                    // Quantile candidates over the node's pooled sample.
-                    xs.sort_by(f64::total_cmp);
-                    let (lo, hi) = (xs[0], xs[xs.len() - 1]);
-                    if lo == hi {
-                        continue;
-                    }
-                    let mut seen = f64::NAN;
-                    for q in 1..=N_SPLIT_CANDIDATES {
-                        let x = xs[(xs.len() * q / (N_SPLIT_CANDIDATES + 1)).min(xs.len() - 1)];
-                        if x <= lo || x > hi || x == seen {
-                            continue;
-                        }
-                        seen = x;
-                        let (ok, metric) = sorted_metric(&projs, x);
-                        if ok && metric < parent && best.as_ref().is_none_or(|(m, _)| metric < *m) {
-                            best = Some((metric, Split::Cont { attr: *attr, x }));
-                        }
-                    }
-                }
-                Col::Cat(codes) => {
-                    let found = self.disc_split(side, node, *attr, codes, parent);
-                    if let Some((metric, split)) = found {
-                        if best.as_ref().is_none_or(|(m, _)| metric < *m) {
-                            best = Some((metric, split));
-                        }
-                    }
-                }
-            }
-        }
-        best.map(|(_, s)| s)
-    }
-
-    /// The best prefix split of discrete `attr` whose metric is below
-    /// `parent`, with its metric: the admitted codes are ordered by
-    /// pooled mean influence, and the first prefix of least metric wins.
-    ///
-    /// Per-code `(sum, n)` accumulate through a code→slot table, in the
-    /// order codes first appear in the node's sample, and membership in
-    /// the admitted and left sets is a code-indexed table lookup. Each
-    /// code's sum adds its rows in sample order, and the mean-influence
-    /// sort is stable over first-appearance order.
-    fn disc_split(
+    /// Whether `node` is a leaf: too small, too deep, or with every
+    /// group's influence spread under the threshold curve. It first loads
+    /// the node's sampled rows into `scratch`, for [`Self::best_split`].
+    fn should_stop(
         &self,
         side: &SideData,
         node: &Node,
-        attr: usize,
-        codes: &[u32],
-        parent: f64,
+        scratch: &mut SplitScratch,
+        min_size: usize,
+    ) -> bool {
+        scratch.gather(side, node);
+        if scratch.infs.len() < min_size || node.depth >= MAX_DEPTH {
+            return true;
+        }
+        let sigma_max = (scratch.whole.iter().filter(|w| w[0] >= 2.0))
+            .map(|&[n, s, q]| (q / n - (s / n) * (s / n)).max(0.0).sqrt())
+            .fold(0.0, f64::max);
+        let inf_max = scratch.infs.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
+        !inf_max.is_finite() || sigma_max <= side.curve.threshold(inf_max)
+    }
+
+    /// Finds the best split of `node`, whose sampled rows `scratch` has
+    /// loaded, with its metric: per group, the size-weighted mean of the
+    /// two children's influence variances, combined across groups with
+    /// `max` (§6.1.3). Returns `None` when no candidate's metric is below
+    /// the parent's.
+    ///
+    /// One evaluator serves both attribute kinds. A pass over the node's
+    /// sampled rows adds each row's `(1, inf, inf²)` into per-(group,
+    /// bucket) sums, and every candidate is scored from running bucket
+    /// sums in `O(groups)` ([`SplitScratch::scan`]):
+    ///
+    /// - a continuous attribute's candidates are up to
+    ///   [`N_SPLIT_CANDIDATES`] quantiles of the node's pooled sample, and
+    ///   its buckets the intervals between consecutive candidates. A row
+    ///   is left of `x` exactly when `v < x`, as [`Router`] sends it, so
+    ///   NaN of either sign goes right.
+    /// - a discrete attribute's candidates are prefixes of its admitted
+    ///   codes ordered by pooled mean influence (stable over first
+    ///   appearance), at most `max_discrete_splits` of them, and its
+    ///   buckets one per admitted code.
+    ///
+    /// Attributes and their candidates are tried in order, and a later
+    /// one wins only with a strictly smaller metric.
+    fn best_split(
+        &self,
+        node: &Node,
+        cols: &[(usize, Col<'_>)],
+        scratch: &mut SplitScratch,
     ) -> Option<(f64, Split)> {
-        let allowed = match node.pred.clause(attr) {
-            Some(Clause::In { codes, .. }) => Some(code_table(codes)),
-            _ => None,
-        };
-        const NO_SLOT: u32 = u32::MAX;
-        let mut slot: Vec<u32> = Vec::new();
-        let mut acc: Vec<(u32, f64, f64)> = Vec::new(); // (code, sum, n)
-        for (slice, group) in node.slices.iter().zip(&side.groups) {
-            for &p in &slice.sample {
-                let code = codes[group.rows[p as usize] as usize];
-                if allowed.as_ref().is_some_and(|a| !in_table(a, code)) {
-                    continue;
+        let parent = split_metric(&scratch.whole, &scratch.whole).1;
+        let mut best: Option<(f64, Split)> = None;
+        for (attr, col) in cols {
+            let n_cands = match col {
+                Col::Num(vals) => scratch.cont_buckets(vals),
+                Col::Cat(codes) => {
+                    let admitted = match node.pred.clause(*attr) {
+                        Some(Clause::In { codes, .. }) => Some(code_table(codes)),
+                        _ => None,
+                    };
+                    scratch.disc_buckets(codes, admitted.as_deref(), self.cfg.max_discrete_splits)
                 }
-                let c = code as usize;
-                if c >= slot.len() {
-                    slot.resize(c + 1, NO_SLOT);
+            };
+            let mut bound = best.as_ref().map_or(parent, |(m, _)| *m);
+            let mut found = None;
+            scratch.scan(n_cands, |j, left, tot| {
+                let (ok, metric) = split_metric(left, tot);
+                if ok && metric < bound {
+                    bound = metric;
+                    found = Some(j);
                 }
-                let inf = group.infs[p as usize];
-                match slot[c] {
-                    NO_SLOT => {
-                        slot[c] = acc.len() as u32;
-                        acc.push((code, inf, 1.0));
-                    }
-                    i => {
-                        let e = &mut acc[i as usize];
-                        e.1 += inf;
-                        e.2 += 1.0;
-                    }
-                }
-            }
-        }
-        if acc.len() < 2 {
-            return None;
-        }
-        acc.sort_by(|a, b| (b.1 / b.2).total_cmp(&(a.1 / a.2)));
-        let max_j = (acc.len() - 1).min(self.cfg.max_discrete_splits);
-        let mut left = vec![false; slot.len()];
-        let mut best: Option<(f64, usize)> = None;
-        for (j, item) in acc.iter().take(max_j).enumerate() {
-            left[item.0 as usize] = true;
-            let (ok, metric) = combined_metric(side, node, |g, p| {
-                in_table(&left, codes[side.groups[g].rows[p as usize] as usize])
             });
-            if ok && metric < parent && best.is_none_or(|(m, _)| metric < m) {
-                best = Some((metric, j));
+            if let Some(j) = found {
+                let split = match col {
+                    Col::Num(_) => Split::Cont { attr: *attr, x: scratch.cands[j] },
+                    Col::Cat(_) => {
+                        let left = scratch.order[..=j].iter().map(|&b| scratch.codes[b].0);
+                        Split::Disc { attr: *attr, left: left.collect() }
+                    }
+                };
+                best = Some((bound, split));
             }
         }
-        best.map(|(metric, j)| {
-            (metric, Split::Disc { attr, left: acc[..=j].iter().map(|e| e.0).collect() })
-        })
+        best
     }
 
     /// Splits `node`, partitioning full and sampled positions and applying
     /// the §6.1.2 stratified resampling to the children.
     ///
     /// Each row is routed by its own value ([`Router`]), so a split
-    /// costs in proportion to the node's rows, not the table's.
+    /// costs in proportion to the node's rows, not the table's. Both
+    /// lists keep their order, by a two-cursor write with no branch on
+    /// the side a row takes ([`two_cursor`]); the right child reuses the
+    /// parent's buffers.
     fn apply_split(
         &self,
         side: &SideData,
@@ -499,26 +436,16 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
         let mut lslices = Vec::with_capacity(node.slices.len());
         let mut rslices = Vec::with_capacity(node.slices.len());
         for (slice, group) in node.slices.into_iter().zip(&side.groups) {
-            let (mut pos_l, mut pos_r) = (Vec::new(), Vec::new());
-            for p in slice.pos {
-                if router.goes_left(group.rows[p as usize]) {
-                    pos_l.push(p);
-                } else {
-                    pos_r.push(p);
-                }
-            }
-            let (mut sample_l, mut sample_r) = (Vec::new(), Vec::new());
+            let (pos_l, pos_r) =
+                two_cursor(slice.pos, |p| router.goes_left(group.rows[p as usize]));
             let (mut mass_l, mut mass_r) = (0.0f64, 0.0f64);
-            for p in slice.sample {
+            let (mut sample_l, mut sample_r) = two_cursor(slice.sample, |p| {
+                let left = router.goes_left(group.rows[p as usize]);
                 let inf = group.infs[p as usize].abs();
-                if router.goes_left(group.rows[p as usize]) {
-                    sample_l.push(p);
-                    mass_l += inf;
-                } else {
-                    sample_r.push(p);
-                    mass_r += inf;
-                }
-            }
+                mass_l += if left { inf } else { 0.0 };
+                mass_r += if left { 0.0 } else { inf };
+                left
+            });
             if let Some(s) = self.cfg.sampling {
                 let parent_n = (sample_l.len() + sample_r.len()) as f64;
                 let total_mass = mass_l + mass_r;
@@ -703,116 +630,266 @@ fn mean_abs_influence(side: &SideData, node: &Node) -> f64 {
     }
 }
 
-/// One group's sampled rows of a (node, attribute) pair, projected to
-/// value-sorted order with prefix sums of influence and squared
-/// influence: the split metric at any threshold reduces to a
-/// `partition_point` plus two prefix lookups.
-struct SortedProj {
-    /// Sampled attribute values, ascending (`total_cmp` order).
-    values: Vec<f64>,
-    /// `pref_s[i]` = influence sum of the `i` smallest-valued rows.
-    pref_s: Vec<f64>,
-    /// `pref_q[i]` = squared-influence sum of the `i` smallest-valued rows.
-    pref_q: Vec<f64>,
+/// `(count, Σ influence, Σ influence²)` over some sampled rows of one
+/// group.
+type Sums = [f64; 3];
+
+/// Adds one row of influence `inf` to `s`.
+fn add_row(s: &mut Sums, inf: f64) {
+    *s = [s[0] + 1.0, s[1] + inf, s[2] + inf * inf];
 }
 
-impl SortedProj {
-    fn new(mut pairs: Vec<(f64, f64)>) -> Self {
-        pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        let mut pref_s = Vec::with_capacity(pairs.len() + 1);
-        let mut pref_q = Vec::with_capacity(pairs.len() + 1);
-        let (mut s, mut q) = (0.0f64, 0.0f64);
-        pref_s.push(0.0);
-        pref_q.push(0.0);
-        for &(_, inf) in &pairs {
-            s += inf;
-            q += inf * inf;
-            pref_s.push(s);
-            pref_q.push(q);
-        }
-        SortedProj { values: pairs.into_iter().map(|(v, _)| v).collect(), pref_s, pref_q }
-    }
-
-    /// `(count, influence sum, squared-influence sum)` of the rows with
-    /// value `< x`.
-    fn left_of(&self, x: f64) -> (usize, f64, f64) {
-        let i = self.values.partition_point(|&v| v < x);
-        (i, self.pref_s[i], self.pref_q[i])
-    }
+/// Adds `b` to `a`.
+fn add_sums(a: &mut Sums, b: &Sums) {
+    *a = [a[0] + b[0], a[1] + b[1], a[2] + b[2]];
 }
 
-/// [`combined_metric`] over sorted projections: same per-group
-/// size-weighted child variances combined with `max`, evaluated in
-/// `O(groups · log sample)` per threshold.
-fn sorted_metric(projs: &[SortedProj], x: f64) -> (bool, f64) {
-    let mut metric = 0.0f64;
-    let (mut tot_l, mut tot_r) = (0usize, 0usize);
-    for proj in projs {
-        let n_all = proj.values.len();
-        let (nl_i, sl, ql) = proj.left_of(x);
-        let nr_i = n_all - nl_i;
-        tot_l += nl_i;
-        tot_r += nr_i;
-        let (nl, nr) = (nl_i as f64, nr_i as f64);
-        let (sr, qr) = (proj.pref_s[n_all] - sl, proj.pref_q[n_all] - ql);
-        let var = |n: f64, s: f64, q: f64| {
-            if n < 1.0 {
-                0.0
-            } else {
-                (q / n - (s / n) * (s / n)).max(0.0)
-            }
-        };
-        let n = nl + nr;
+/// A candidate's split metric (§6.1.3), given each group's sums left of
+/// it and in all, with whether both children have sampled rows: per
+/// group, the size-weighted mean of the two children's influence
+/// variances; across groups, the `max`. With `left == tot` it is the
+/// node's own metric.
+fn split_metric(left: &[Sums], tot: &[Sums]) -> (bool, f64) {
+    let var = |[n, s, q]: Sums| if n < 1.0 { 0.0 } else { (q / n - (s / n) * (s / n)).max(0.0) };
+    let (mut metric, mut n_l, mut n_r) = (0.0f64, 0.0, 0.0);
+    for (&l, t) in left.iter().zip(tot) {
+        let r = [t[0] - l[0], t[1] - l[1], t[2] - l[2]];
+        let n = l[0] + r[0];
         if n > 0.0 {
-            let g_metric = (nl * var(nl, sl, ql) + nr * var(nr, sr, qr)) / n;
-            metric = metric.max(g_metric);
+            metric = metric.max((l[0] * var(l) + r[0] * var(r)) / n);
         }
+        (n_l, n_r) = (n_l + l[0], n_r + r[0]);
     }
-    (tot_l > 0 && tot_r > 0, metric)
+    (n_l > 0.0 && n_r > 0.0, metric)
 }
 
-/// Computes the split error metric: per group, the size-weighted mean of
-/// the child variances; combined across groups with `max` (§6.1.3).
-/// Returns `(both_children_nonempty, metric)`.
-fn combined_metric(
-    side: &SideData,
-    node: &Node,
-    goes_left: impl Fn(usize, u32) -> bool,
-) -> (bool, f64) {
-    let mut metric = 0.0f64;
-    let (mut tot_l, mut tot_r) = (0usize, 0usize);
-    for (g, slice) in node.slices.iter().enumerate() {
-        let infs = &side.groups[g].infs;
-        let (mut nl, mut sl, mut ql) = (0.0, 0.0, 0.0);
-        let (mut nr, mut sr, mut qr) = (0.0, 0.0, 0.0);
-        for &p in &slice.sample {
-            let v = infs[p as usize];
-            if goes_left(g, p) {
-                nl += 1.0;
-                sl += v;
-                ql += v * v;
-            } else {
-                nr += 1.0;
-                sr += v;
-                qr += v * v;
+/// A node's sampled rows and the buffers of its split search, reused
+/// from node to node within one grow.
+///
+/// [`SplitScratch::gather`] loads a node. Per attribute,
+/// [`SplitScratch::cont_buckets`] or [`SplitScratch::disc_buckets`] fills
+/// the per-(bucket, group) sums and the bucket order, and
+/// [`SplitScratch::scan`] walks the candidates.
+#[derive(Default)]
+struct SplitScratch {
+    /// Table row of every sampled row, group after group, each group's
+    /// in sample order.
+    rows: Vec<u32>,
+    /// Tuple influence of each row of `rows`.
+    infs: Vec<f64>,
+    /// `ends[g]` is where group `g`'s rows end in `rows` and `infs`.
+    ends: Vec<usize>,
+    /// Each group's sums over all its sampled rows, in sample order.
+    whole: Vec<Sums>,
+    /// A continuous attribute's value of each row of `rows`.
+    vals: Vec<f64>,
+    /// A copy of `vals` that the quantile selection reorders.
+    pool: Vec<f64>,
+    /// The ranks the quantile selection reads.
+    ranks: Vec<usize>,
+    /// A continuous attribute's candidates, ascending, padded with NaN.
+    cands: [f64; N_SPLIT_CANDIDATES],
+    /// Code → 1 + bucket of a discrete attribute's admitted codes (0:
+    /// none yet); all 0 between attributes.
+    slot: Vec<u32>,
+    /// `(code, pooled Σ influence, pooled count)` of each discrete bucket,
+    /// in order of first appearance.
+    codes: Vec<(u32, f64, f64)>,
+    /// Per-(bucket, group) sums, bucket-major: `sums[b · groups + g]`.
+    sums: Vec<Sums>,
+    /// The buckets in candidate order: candidate `j`'s left side is the
+    /// buckets `order[..=j]`.
+    order: Vec<usize>,
+    /// Each group's sums over all its sampled rows, less a candidate's
+    /// left sums its right ones: a continuous attribute's fold of its
+    /// buckets, or a discrete attribute's copy of `whole`.
+    tot: Vec<Sums>,
+}
+
+impl SplitScratch {
+    /// Loads `node`: its sampled rows' table rows and influences, and each
+    /// group's sums over them.
+    fn gather(&mut self, side: &SideData, node: &Node) {
+        self.rows.clear();
+        self.infs.clear();
+        self.ends.clear();
+        self.whole.clear();
+        for (slice, group) in node.slices.iter().zip(&side.groups) {
+            let mut whole = [0.0; 3];
+            for &p in &slice.sample {
+                let inf = group.infs[p as usize];
+                self.rows.push(group.rows[p as usize]);
+                self.infs.push(inf);
+                add_row(&mut whole, inf);
             }
-        }
-        tot_l += nl as usize;
-        tot_r += nr as usize;
-        let var = |n: f64, s: f64, q: f64| {
-            if n < 1.0 {
-                0.0
-            } else {
-                (q / n - (s / n) * (s / n)).max(0.0)
-            }
-        };
-        let n = nl + nr;
-        if n > 0.0 {
-            let g_metric = (nl * var(nl, sl, ql) + nr * var(nr, sr, qr)) / n;
-            metric = metric.max(g_metric);
+            self.ends.push(self.rows.len());
+            self.whole.push(whole);
         }
     }
-    (tot_l > 0 && tot_r > 0, metric)
+
+    /// Buckets the node's rows by continuous column `col` and returns the
+    /// number of candidates.
+    ///
+    /// The candidates are the values at the ranks `len·q / 17`
+    /// (`q = 1..=16`) of the node's pooled sample in `f64::total_cmp`
+    /// order, read by selection rather than a sort, above the pooled
+    /// minimum and without repeats; a NaN candidate, which no row is left
+    /// of, is dropped. Bucket `b` holds the rows left of candidate `b`
+    /// but of no smaller one, and bucket `k` the rows left of none (NaN
+    /// among them).
+    fn cont_buckets(&mut self, col: &[f64]) -> usize {
+        const N: usize = N_SPLIT_CANDIDATES;
+        let len = self.rows.len();
+        if len < 2 {
+            return 0;
+        }
+        self.vals.clear();
+        self.vals.extend(self.rows.iter().map(|&r| col[r as usize]));
+        self.pool.clone_from(&self.vals);
+        let rank = |q: usize| (len * q / (N + 1)).min(len - 1);
+        self.ranks.clear();
+        self.ranks.extend((0..=N).map(rank).chain([len - 1]));
+        self.ranks.dedup();
+        select_ranks(&mut self.pool, 0, &self.ranks);
+        let (lo, hi) = (self.pool[0], self.pool[len - 1]);
+        if lo == hi {
+            return 0;
+        }
+        self.cands = [f64::NAN; N];
+        let (mut k, mut seen) = (0, f64::NAN);
+        for q in 1..=N {
+            let x = self.pool[rank(q)];
+            if x <= lo || x == seen {
+                continue;
+            }
+            seen = x;
+            if !x.is_nan() {
+                self.cands[k] = x;
+                k += 1;
+            }
+        }
+        let groups = self.ends.len();
+        self.sums.clear();
+        self.sums.resize((k + 1) * groups, [0.0; 3]);
+        // A row's bucket is the number of candidates it is not left of;
+        // no row is left of a NaN pad.
+        let mut start = 0;
+        for (g, &end) in self.ends.iter().enumerate() {
+            for (&v, &inf) in self.vals[start..end].iter().zip(&self.infs[start..end]) {
+                let b = k - self.cands.iter().filter(|&&x| v < x).count();
+                add_row(&mut self.sums[b * groups + g], inf);
+            }
+            start = end;
+        }
+        self.order.clear();
+        self.order.extend(0..=k);
+        // The totals fold the buckets in order, so a group that a
+        // candidate leaves whole scores the same for every candidate.
+        self.tot.clear();
+        self.tot.resize(groups, [0.0; 3]);
+        for bucket in self.sums.chunks_exact(groups) {
+            self.tot.iter_mut().zip(bucket).for_each(|(t, s)| add_sums(t, s));
+        }
+        k
+    }
+
+    /// Buckets the node's rows by discrete column `col` and returns the
+    /// number of candidates: prefixes of the admitted codes, at most
+    /// `max_splits` and leaving at least one code out.
+    ///
+    /// `admitted` is the node's clause on the attribute as a
+    /// [`code_table`] (`None`: every code). Each admitted code gets a
+    /// bucket when first seen; a row whose code the clause does not admit
+    /// is in none, and goes right of every prefix. Each code's pooled mean
+    /// influence adds its rows across groups in sample order, and `order`
+    /// sorts the codes by it, descending and stable. The totals are each
+    /// group's sample-order sums.
+    fn disc_buckets(&mut self, col: &[u32], admitted: Option<&[bool]>, max_splits: usize) -> usize {
+        let groups = self.ends.len();
+        self.codes.clear();
+        self.sums.clear();
+        let mut start = 0;
+        for (g, &end) in self.ends.iter().enumerate() {
+            for (&row, &inf) in self.rows[start..end].iter().zip(&self.infs[start..end]) {
+                let code = col[row as usize];
+                if admitted.is_some_and(|a| !in_table(a, code)) {
+                    continue;
+                }
+                let c = code as usize;
+                if c >= self.slot.len() {
+                    self.slot.resize(c + 1, 0);
+                }
+                if self.slot[c] == 0 {
+                    // −0.0 is the identity of `+`: the first sum is `inf`.
+                    self.codes.push((code, -0.0, 0.0));
+                    self.slot[c] = self.codes.len() as u32;
+                    self.sums.resize(self.sums.len() + groups, [0.0; 3]);
+                }
+                let b = self.slot[c] as usize - 1;
+                let e = &mut self.codes[b];
+                (e.1, e.2) = (e.1 + inf, e.2 + 1.0);
+                add_row(&mut self.sums[b * groups + g], inf);
+            }
+            start = end;
+        }
+        self.codes.iter().for_each(|&(code, ..)| self.slot[code as usize] = 0);
+        let n = self.codes.len();
+        if n < 2 {
+            return 0;
+        }
+        let codes = &self.codes;
+        self.order.clear();
+        self.order.extend(0..n);
+        self.order
+            .sort_by(|&a, &b| (codes[b].1 / codes[b].2).total_cmp(&(codes[a].1 / codes[a].2)));
+        self.tot.clone_from(&self.whole);
+        (n - 1).min(max_splits)
+    }
+
+    /// Calls `visit(j, left, tot)` for each of the first `n_cands`
+    /// candidates, where `left[g]` sums group `g`'s rows left of
+    /// candidate `j`, its buckets `order[..=j]` added in that order, and
+    /// `tot[g]` all of the group's rows.
+    fn scan(&self, n_cands: usize, mut visit: impl FnMut(usize, &[Sums], &[Sums])) {
+        let groups = self.ends.len();
+        let mut left = vec![[0.0; 3]; groups];
+        for (j, &b) in self.order[..n_cands].iter().enumerate() {
+            let bucket = &self.sums[b * groups..(b + 1) * groups];
+            left.iter_mut().zip(bucket).for_each(|(l, s)| add_sums(l, s));
+            visit(j, &left, &self.tot);
+        }
+    }
+}
+
+/// Moves the values of `ranks` (ascending, distinct, offset by `base`
+/// from `xs`' start) to where a sort by `f64::total_cmp` would put them:
+/// one selection per rank, each over the span its neighbours leave.
+fn select_ranks(xs: &mut [f64], base: usize, ranks: &[usize]) {
+    let mid = ranks.len() / 2;
+    let Some(&r) = ranks.get(mid) else { return };
+    let (below, _, above) = xs.select_nth_unstable_by(r - base, f64::total_cmp);
+    select_ranks(below, base, &ranks[..mid]);
+    select_ranks(above, r + 1, &ranks[mid + 1..]);
+}
+
+/// Splits `items` into those `left` holds for and the rest, each in its
+/// original order. Each item is written at both sides' cursors and only
+/// its own side's cursor advances, so no branch depends on the side. The
+/// right side keeps `items`' buffer.
+fn two_cursor(mut items: Vec<u32>, mut left: impl FnMut(u32) -> bool) -> (Vec<u32>, Vec<u32>) {
+    let mut l = vec![0; items.len()];
+    let (mut n_l, mut n_r) = (0, 0);
+    for i in 0..items.len() {
+        let p = items[i];
+        let go = left(p);
+        l[n_l] = p;
+        items[n_r] = p;
+        n_l += usize::from(go);
+        n_r += usize::from(!go);
+    }
+    l.truncate(n_l);
+    items.truncate(n_r);
+    (l, items)
 }
 
 /// Moves `k` elements drawn uniformly without replacement from `pool`
@@ -1211,6 +1288,280 @@ mod tests {
         }
     }
 
+    /// The split metric, walked row by row: per group, the size-weighted
+    /// mean of the child variances, each child summed in sample order;
+    /// combined across groups with `max` (§6.1.3). Returns
+    /// `(both_children_nonempty, metric)`.
+    fn combined_metric(
+        side: &SideData,
+        node: &Node,
+        goes_left: impl Fn(usize, u32) -> bool,
+    ) -> (bool, f64) {
+        let mut metric = 0.0f64;
+        let (mut tot_l, mut tot_r) = (0usize, 0usize);
+        for (g, slice) in node.slices.iter().enumerate() {
+            let infs = &side.groups[g].infs;
+            let (mut nl, mut sl, mut ql) = (0.0, 0.0, 0.0);
+            let (mut nr, mut sr, mut qr) = (0.0, 0.0, 0.0);
+            for &p in &slice.sample {
+                let v = infs[p as usize];
+                if goes_left(g, p) {
+                    nl += 1.0;
+                    sl += v;
+                    ql += v * v;
+                } else {
+                    nr += 1.0;
+                    sr += v;
+                    qr += v * v;
+                }
+            }
+            tot_l += nl as usize;
+            tot_r += nr as usize;
+            let var = |n: f64, s: f64, q: f64| {
+                if n < 1.0 {
+                    0.0
+                } else {
+                    (q / n - (s / n) * (s / n)).max(0.0)
+                }
+            };
+            let n = nl + nr;
+            if n > 0.0 {
+                let g_metric = (nl * var(nl, sl, ql) + nr * var(nr, sr, qr)) / n;
+                metric = metric.max(g_metric);
+            }
+        }
+        (tot_l > 0 && tot_r > 0, metric)
+    }
+
+    /// A node over table rows `0..n_rows`: 1–4 groups, each a shuffled
+    /// subset of the rows with influences drawn by `inf`, and a sample of
+    /// each group's positions in random order.
+    fn random_node(
+        rng: &mut StdRng,
+        n_rows: usize,
+        mut inf: impl FnMut(&mut StdRng) -> f64,
+    ) -> (SideData, Node) {
+        let all_rows: Vec<u32> = (0..n_rows as u32).collect();
+        let (mut groups, mut slices) = (Vec::new(), Vec::new());
+        for _ in 0..1 + below(rng, 4) {
+            let rows = shuffled_subset(rng, &all_rows, 7);
+            let infs: Vec<f64> = rows.iter().map(|_| inf(rng)).collect();
+            let pos: Vec<u32> = (0..rows.len() as u32).collect();
+            slices.push(Slice { sample: shuffled_subset(rng, &pos, 8), pos });
+            groups.push(SideGroup { rows, infs });
+        }
+        let side = SideData { groups, curve: ThresholdCurve::new(0.05, 0.25, 0.5, 0.0, 1.0) };
+        (side, Node { pred: Predicate::all(), slices, depth: 0 })
+    }
+
+    /// Column values with ties, ±NaN, ±∞ and ±0.0.
+    fn tied_values(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        let special = [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+        (0..n)
+            .map(|_| match below(rng, 4) {
+                0 => special[below(rng, special.len())],
+                _ => below(rng, 12) as f64 * 0.5 - 3.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn continuous_buckets_sum_what_the_router_sends_left() {
+        // `"-nan".parse::<f64>()`, as a CSV cell reads, is a NaN that a
+        // `total_cmp` sort puts first.
+        assert!("-nan".parse::<f64>().unwrap().is_sign_negative());
+        let mut rng = StdRng::seed_from_u64(0xB0C);
+        let mut checked = 0;
+        for case in 0..300 {
+            let n_rows = 1 + below(&mut rng, 300);
+            let vals = tied_values(&mut rng, n_rows);
+            // Dyadic influences, so every sum below is exact in any order.
+            let (side, node) = random_node(&mut rng, n_rows, |r| below(r, 9) as f64 * 0.25 - 1.0);
+            let cols = [(0, Col::Num(&vals))];
+            let mut scratch = SplitScratch::default();
+            scratch.gather(&side, &node);
+            let k = scratch.cont_buckets(&vals);
+            let cands = scratch.cands;
+            assert!(cands[..k].windows(2).all(|w| w[0] < w[1]), "case {case}: {cands:?}");
+            let mut visited = 0;
+            scratch.scan(k, |j, left, _| {
+                let router = Router::new(&cols, &Split::Cont { attr: 0, x: cands[j] });
+                for (g, (slice, group)) in node.slices.iter().zip(&side.groups).enumerate() {
+                    let mut want = [0.0; 3];
+                    for &p in &slice.sample {
+                        if router.goes_left(group.rows[p as usize]) {
+                            add_row(&mut want, group.infs[p as usize]);
+                        }
+                    }
+                    assert_eq!(left[g], want, "case {case}, x {:?}, group {g}", cands[j]);
+                }
+                visited += 1;
+            });
+            assert_eq!(visited, k, "case {case}");
+            checked += k;
+        }
+        assert!(checked > 1000, "only {checked} candidates checked");
+    }
+
+    /// The candidates the retired evaluators tried, in order: per
+    /// continuous attribute, the quantiles of a full `total_cmp` sort of
+    /// the pooled sample; per discrete one, the prefixes of the admitted
+    /// codes by pooled mean.
+    fn oracle_candidates(
+        dt: &DtPartitioner<'_, '_>,
+        side: &SideData,
+        node: &Node,
+        cols: &[(usize, Col<'_>)],
+    ) -> Vec<Split> {
+        let mut out = Vec::new();
+        for (attr, col) in cols {
+            match col {
+                Col::Num(vals) => {
+                    let mut xs: Vec<f64> = (node.slices.iter().zip(&side.groups))
+                        .flat_map(|(s, g)| {
+                            s.sample.iter().map(|&p| vals[g.rows[p as usize] as usize])
+                        })
+                        .collect();
+                    if xs.len() < 2 {
+                        continue;
+                    }
+                    xs.sort_by(f64::total_cmp);
+                    let (lo, hi) = (xs[0], xs[xs.len() - 1]);
+                    if lo == hi {
+                        continue;
+                    }
+                    let mut seen = f64::NAN;
+                    for q in 1..=N_SPLIT_CANDIDATES {
+                        let x = xs[(xs.len() * q / (N_SPLIT_CANDIDATES + 1)).min(xs.len() - 1)];
+                        if x <= lo || x > hi || x == seen {
+                            continue;
+                        }
+                        seen = x;
+                        out.push(Split::Cont { attr: *attr, x });
+                    }
+                }
+                Col::Cat(codes) => out.extend(
+                    linear_prefixes(dt, side, node, *attr, codes)
+                        .into_iter()
+                        .map(|left| Split::Disc { attr: *attr, left }),
+                ),
+            }
+        }
+        out
+    }
+
+    fn same_split(a: &Split, b: &Split) -> bool {
+        match (a, b) {
+            (Split::Cont { attr: a1, x: x1 }, Split::Cont { attr: a2, x: x2 }) => {
+                a1 == a2 && x1.to_bits() == x2.to_bits()
+            }
+            (Split::Disc { attr: a1, left: l1 }, Split::Disc { attr: a2, left: l2 }) => {
+                a1 == a2 && l1 == l2
+            }
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn one_evaluator_picks_the_least_oracle_metric() {
+        let t = planted_2d(10);
+        let s = scorer(&t);
+        let d = domains_of(&t).unwrap();
+        let mut rng = StdRng::seed_from_u64(0x0A7C);
+        let (mut split, mut kept) = (0, 0);
+        for case in 0..400 {
+            let cfg = DtConfig { max_discrete_splits: 1 + below(&mut rng, 20), ..dt_cfg() };
+            let dt = DtPartitioner::new(&s, vec![], d.clone(), cfg);
+            let n_rows = 1 + below(&mut rng, 300);
+            let tied = tied_values(&mut rng, n_rows);
+            let spread: Vec<f64> =
+                (0..n_rows).map(|_| below(&mut rng, 1000) as f64 * 0.0137 - 4.0).collect();
+            let n_codes = 1 + below(&mut rng, 40);
+            let codes: Vec<u32> = (0..n_rows).map(|_| below(&mut rng, n_codes) as u32).collect();
+            // One influence for every row in a sixth of the nodes, so no
+            // split helps; otherwise tied influences half the time and
+            // spread ones the rest.
+            let flat = below(&mut rng, 6) == 0;
+            let (side, mut node) = random_node(&mut rng, n_rows, |r| match below(r, 2) {
+                _ if flat => 0.7,
+                0 => [0.1, -2.7, 3.3][below(r, 3)],
+                _ => below(r, 1000) as f64 * 0.0371 - 15.0,
+            });
+            if below(&mut rng, 2) == 0 {
+                let admitted: BTreeSet<u32> =
+                    (0..n_codes as u32).filter(|_| below(&mut rng, 3) > 0).collect();
+                node.pred = Predicate::all().with_clause(Clause::In { attr: 1, codes: admitted });
+            }
+            let cols = [(0, Col::Num(&tied)), (1, Col::Cat(&codes)), (2, Col::Num(&spread))];
+            let parent = combined_metric(&side, &node, |_, _| true).1;
+            let mut scratch = SplitScratch::default();
+            scratch.gather(&side, &node);
+            let own = split_metric(&scratch.whole, &scratch.whole).1;
+            assert_eq!(own.to_bits(), parent.to_bits(), "case {case}");
+
+            let cands = oracle_candidates(&dt, &side, &node, &cols);
+            // The quantiles come out bit for bit; only NaN ones, which no
+            // row is left of, are dropped.
+            for (attr, col) in &cols {
+                if let Col::Num(vals) = col {
+                    let k = scratch.cont_buckets(vals);
+                    let want: Vec<u64> = (cands.iter())
+                        .filter_map(|c| match c {
+                            Split::Cont { attr: a, x } if a == attr && !x.is_nan() => {
+                                Some(x.to_bits())
+                            }
+                            _ => None,
+                        })
+                        .collect();
+                    let got: Vec<u64> = scratch.cands[..k].iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, want, "case {case}, attribute {attr}");
+                }
+            }
+            let oracle = |c: &Split| {
+                let router = Router::new(&cols, c);
+                combined_metric(&side, &node, |g, p| {
+                    router.goes_left(side.groups[g].rows[p as usize])
+                })
+            };
+            let scored: Vec<(bool, f64)> = cands.iter().map(oracle).collect();
+            let least = (scored.iter())
+                .filter(|(ok, _)| *ok)
+                .map(|&(_, m)| m)
+                .fold(f64::INFINITY, f64::min);
+            let tol = 1e-9
+                * (node.slices.iter().zip(&side.groups))
+                    .filter(|(s, _)| !s.sample.is_empty())
+                    .map(|(s, g)| {
+                        let q: f64 = s.sample.iter().map(|&p| g.infs[p as usize].powi(2)).sum();
+                        q / s.sample.len() as f64
+                    })
+                    .fold(0.0, f64::max);
+            match dt.best_split(&node, &cols, &mut scratch) {
+                Some((metric, chosen)) => {
+                    let i = (cands.iter().position(|c| same_split(c, &chosen)))
+                        .unwrap_or_else(|| panic!("case {case}: the split is no candidate"));
+                    let (ok, m) = scored[i];
+                    assert!(ok, "case {case}: a child is empty");
+                    assert!(m - least <= tol, "case {case}: {m} against the least {least}");
+                    assert!(m < parent + tol, "case {case}: {m} against the parent {parent}");
+                    assert!(
+                        (metric - m).abs() <= tol,
+                        "case {case}: reported {metric}, oracle {m}"
+                    );
+                    split += 1;
+                }
+                None => {
+                    assert!(
+                        least >= parent - tol,
+                        "case {case}: {least} beats the parent {parent}"
+                    );
+                    kept += 1;
+                }
+            }
+        }
+        assert!(split > 100 && kept > 20, "{split} nodes split, {kept} kept");
+    }
+
     /// The retired `draw`: a partial Fisher–Yates over a copy of `pool`.
     fn draw_from_copy(pool: &[u32], k: usize, rng: &mut StdRng) -> Vec<u32> {
         let k = k.min(pool.len());
@@ -1270,16 +1621,16 @@ mod tests {
         assert!(drew > 100, "only {drew} cases drew");
     }
 
-    /// The retired discrete split search: codes found by linear search,
-    /// membership tested in `BTreeSet`s.
-    fn disc_split_linear(
+    /// The retired discrete split candidates: codes found by linear
+    /// search, membership tested in `BTreeSet`s, and each prefix of the
+    /// admitted codes by pooled mean influence.
+    fn linear_prefixes(
         dt: &DtPartitioner<'_, '_>,
         side: &SideData,
         node: &Node,
         attr: usize,
         codes: &[u32],
-        parent: f64,
-    ) -> Option<(f64, Split)> {
+    ) -> Vec<BTreeSet<u32>> {
         let allowed = match node.pred.clause(attr) {
             Some(Clause::In { codes, .. }) => Some(codes.clone()),
             _ => None,
@@ -1303,19 +1654,30 @@ mod tests {
             }
         }
         if acc.len() < 2 {
-            return None;
+            return Vec::new();
         }
         acc.sort_by(|a, b| (b.1 / b.2).total_cmp(&(a.1 / a.2)));
         let max_j = (acc.len() - 1).min(dt.cfg.max_discrete_splits);
-        let mut left: BTreeSet<u32> = BTreeSet::new();
+        (1..=max_j).map(|j| acc[..j].iter().map(|e| e.0).collect()).collect()
+    }
+
+    /// The retired discrete split search: the first of the
+    /// [`linear_prefixes`] of least row-by-row metric below `parent`.
+    fn disc_split_linear(
+        dt: &DtPartitioner<'_, '_>,
+        side: &SideData,
+        node: &Node,
+        attr: usize,
+        codes: &[u32],
+        parent: f64,
+    ) -> Option<(f64, Split)> {
         let mut best: Option<(f64, Split)> = None;
-        for item in acc.iter().take(max_j) {
-            left.insert(item.0);
+        for left in linear_prefixes(dt, side, node, attr, codes) {
             let (ok, metric) = combined_metric(side, node, |g, p| {
                 left.contains(&codes[side.groups[g].rows[p as usize] as usize])
             });
             if ok && metric < parent && best.as_ref().is_none_or(|(m, _)| metric < *m) {
-                best = Some((metric, Split::Disc { attr, left: left.clone() }));
+                best = Some((metric, Split::Disc { attr, left }));
             }
         }
         best
@@ -1355,7 +1717,9 @@ mod tests {
             };
             let node = Node { pred, slices, depth: 0 };
             let parent = combined_metric(&side, &node, |_, _| true).1;
-            let dense = dt.disc_split(&side, &node, 1, &codes, parent);
+            let mut scratch = SplitScratch::default();
+            scratch.gather(&side, &node);
+            let dense = dt.best_split(&node, &[(1, Col::Cat(&codes))], &mut scratch);
             let linear = disc_split_linear(&dt, &side, &node, 1, &codes, parent);
             match (dense, linear) {
                 (None, None) => {}
