@@ -319,9 +319,12 @@ impl Predicate {
         }
     }
 
-    /// Carves `self` along `other`'s boundaries (§6.1.4): returns the
-    /// intersection box (if non-empty) and a set of disjoint remainder
-    /// boxes that together cover `self − other`.
+    /// Carves `self` along `other`'s boundaries (§6.1.4). `other` meets
+    /// `self` when, on every attribute `other` constrains, its clause
+    /// overlaps `self`'s effective clause there. A box `other` meets comes
+    /// back as the intersection box and disjoint remainder boxes that
+    /// together cover `self − other`; a box it misses comes back whole,
+    /// as `(None, vec![self.clone()])`, without a cut.
     pub fn carve(
         &self,
         other: &Predicate,
@@ -332,6 +335,8 @@ impl Predicate {
         for oc in &other.clauses {
             let attr = oc.attr();
             let sc = current.effective_clause(attr, domains);
+            // Clauses of different kinds never meet.
+            let Some(middle) = sc.intersect(oc) else { return (None, vec![self.clone()]) };
             match (&sc, oc) {
                 (Clause::Range { lo: sl, hi: sh, .. }, Clause::Range { lo: ol, hi: oh, .. }) => {
                     // Left remainder: [sl, min(sh, ol))
@@ -344,28 +349,16 @@ impl Predicate {
                     if right_lo < *sh {
                         remainders.push(current.with_clause(Clause::range(attr, right_lo, *sh)));
                     }
-                    // Middle: overlap.
-                    let (ml, mh) = (sl.max(*ol), sh.min(*oh));
-                    if ml < mh {
-                        current = current.with_clause(Clause::range(attr, ml, mh));
-                    } else {
-                        return (None, remainders);
-                    }
                 }
                 (Clause::In { codes: scod, .. }, Clause::In { codes: ocod, .. }) => {
                     let outside: BTreeSet<u32> = scod.difference(ocod).copied().collect();
                     if !outside.is_empty() {
                         remainders.push(current.with_clause(Clause::in_set(attr, outside)));
                     }
-                    let inside: BTreeSet<u32> = scod.intersection(ocod).copied().collect();
-                    if inside.is_empty() {
-                        return (None, remainders);
-                    }
-                    current = current.with_clause(Clause::in_set(attr, inside));
                 }
-                // Mixed kinds cannot arise on a well-typed schema.
-                _ => return (None, remainders),
+                _ => {}
             }
+            current = current.with_clause(middle);
         }
         (Some(current), remainders)
     }
@@ -625,6 +618,15 @@ mod tests {
         assert!(mid.is_none());
         assert_eq!(rem.len(), 1);
         assert_eq!(rem[0], a);
+
+        // Boxes that overlap on x but not on y miss each other too: the box
+        // comes back whole rather than as pieces cut on x.
+        let p = |x: (f64, f64), y: (f64, f64)| {
+            Predicate::conjunction([Clause::range(0, x.0, x.1), Clause::range(1, y.0, y.1)])
+                .unwrap()
+        };
+        let (unit, by) = (p((0.0, 1.0), (0.0, 1.0)), p((0.2, 0.4), (5.0, 6.0)));
+        assert_eq!(unit.carve(&by, &d), (None, vec![unit.clone()]));
     }
 
     #[test]

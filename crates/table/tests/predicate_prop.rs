@@ -152,7 +152,25 @@ fn m_effective(m: &Model, attr: usize, d: &[AttrDomain]) -> Clause {
     }
 }
 
+/// Whether `b` meets `a`: on every attribute `b` constrains, its clause
+/// overlaps `a`'s effective clause (the full domain where `a` is free).
+/// Clauses of different kinds never overlap.
+fn m_meets(a: &Model, b: &Model, d: &[AttrDomain]) -> bool {
+    b.iter().all(|(&attr, oc)| match (&m_effective(a, attr, d), oc) {
+        (Clause::Range { lo: sl, hi: sh, .. }, Clause::Range { lo: ol, hi: oh, .. }) => {
+            sl.max(*ol) < sh.min(*oh)
+        }
+        (Clause::In { codes: s, .. }, Clause::In { codes: o, .. }) => !s.is_disjoint(o),
+        _ => false,
+    })
+}
+
+/// `a` carved by `b`: `a` whole when `b` misses it, otherwise the middle
+/// and the left and right remainders of each of `b`'s attributes in turn.
 fn m_carve(a: &Model, b: &Model, d: &[AttrDomain]) -> (Option<Model>, Vec<Model>) {
+    if !m_meets(a, b, d) {
+        return (None, vec![a.clone()]);
+    }
     let mut rest = Vec::new();
     let mut cur = a.clone();
     for (&attr, oc) in b {
@@ -164,25 +182,16 @@ fn m_carve(a: &Model, b: &Model, d: &[AttrDomain]) -> (Option<Model>, Vec<Model>
                 if sl.max(*oh) < *sh {
                     rest.push(m_with(&cur, Clause::range(attr, sl.max(*oh), *sh)));
                 }
-                let (ml, mh) = (sl.max(*ol), sh.min(*oh));
-                if ml < mh {
-                    cur = m_with(&cur, Clause::range(attr, ml, mh));
-                } else {
-                    return (None, rest);
-                }
+                cur = m_with(&cur, Clause::range(attr, sl.max(*ol), sh.min(*oh)));
             }
             (Clause::In { codes: s, .. }, Clause::In { codes: o, .. }) => {
                 let outside: BTreeSet<u32> = s.difference(o).copied().collect();
                 if !outside.is_empty() {
                     rest.push(m_with(&cur, Clause::in_set(attr, outside)));
                 }
-                let inside: BTreeSet<u32> = s.intersection(o).copied().collect();
-                if inside.is_empty() {
-                    return (None, rest);
-                }
-                cur = m_with(&cur, Clause::in_set(attr, inside));
+                cur = m_with(&cur, Clause::in_set(attr, s.intersection(o).copied()));
             }
-            _ => return (None, rest),
+            _ => unreachable!("m_meets rejects clauses of different kinds"),
         }
     }
     (Some(cur), rest)
@@ -324,6 +333,106 @@ proptest! {
         if let Some(conj) = Predicate::conjunction(clauses.iter().cloned()) {
             prop_assert_eq!(&conj, &a);
             prop_assert_eq!(hash_of(&conj), hash_of(&a));
+        }
+    }
+}
+
+/// Column values of the carve table: NaN of both signs, ±∞, ±0.0 and
+/// finite values.
+const CELLS: [f64; 11] =
+    [f64::NAN, -f64::NAN, f64::NEG_INFINITY, f64::INFINITY, -0.0, 0.0, -3.0, -1.0, 0.5, 2.0, 4.0];
+
+/// Range bounds of the carved boxes: ±∞, ±0.0 and finite values, some
+/// past the columns' finite values.
+const BOX_BOUNDS: [f64; 10] =
+    [f64::NEG_INFINITY, f64::INFINITY, -3.0, -1.0, -0.0, 0.0, 0.5, 2.0, 4.0, 7.0];
+
+/// Three columns: `x0` and `x2` continuous over [`CELLS`] (each value
+/// beside each other one), `d1` discrete with [`CARD`] codes.
+fn carve_table() -> Table {
+    let fields = vec![Field::cont("x0"), Field::disc("d1"), Field::cont("x2")];
+    let mut b = TableBuilder::new(Schema::new(fields).unwrap());
+    for i in 0..CELLS.len() * CELLS.len() {
+        let (x0, x2) = (CELLS[i % CELLS.len()], CELLS[i / CELLS.len()]);
+        let d1 = ["a", "b", "c", "d"][i % CARD as usize];
+        b.push_row(vec![Value::from(x0), Value::from(d1), Value::from(x2)]).unwrap();
+    }
+    b.build()
+}
+
+impl Rng {
+    /// A box on two or three of [`carve_table`]'s attributes.
+    fn carve_box(&mut self) -> (Predicate, Model) {
+        let skip = if self.below(2) == 0 { self.below(3) } else { 3 };
+        let clauses: Vec<Clause> = (0..3)
+            .filter(|&attr| attr != skip)
+            .map(|attr| {
+                if attr == 1 {
+                    // Now and then empty, or with a code past the dictionary.
+                    Clause::in_set(1, (0..CARD + 1).filter(|_| self.below(2) == 0))
+                } else {
+                    let (x, y) = (self.below(BOX_BOUNDS.len()), self.below(BOX_BOUNDS.len()));
+                    // One range in eight is empty or inverted.
+                    let (lo, hi) = if self.below(8) == 0 { (y, x) } else { (x.min(y), x.max(y)) };
+                    Clause::range(attr, BOX_BOUNDS[lo], BOX_BOUNDS[hi])
+                }
+            })
+            .collect();
+        built(&clauses)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// Carving `a` by `b` over a table with NaN, ±∞ and ±0.0 cells: a box
+    /// `b` misses comes back whole. Otherwise the pieces lie inside `a`,
+    /// select pairwise disjoint rows, and together every row of `a` except
+    /// those outside the full domain (NaN, or past its padded top) of an
+    /// attribute `b` constrains and `a` leaves free, where the cut on that
+    /// attribute reaches them.
+    #[test]
+    fn carve_pieces_partition_the_box(seed in any::<u64>()) {
+        let mut rng = Rng(seed);
+        let t = carve_table();
+        let d = domains_of(&t).unwrap();
+        let all: Vec<u32> = (0..t.len() as u32).collect();
+        let (a, ma) = rng.carve_box();
+        let (b, mb) = rng.carve_box();
+        let (mid, rest) = a.carve(&b, &d);
+        if m_meets(&ma, &mb, &d) {
+            prop_assert!(mid.is_some());
+            // Walking `b`'s attributes in order, a row of `a` outside the
+            // effective clause of the first one whose middle it leaves is in
+            // no piece: NaN, or past the padded top of the full domain of an
+            // attribute `a` leaves free.
+            let kept = |r: usize| {
+                for (&attr, oc) in &mb {
+                    let sc = m_effective(&ma, attr, &d);
+                    let has = |c: &Clause| match c {
+                        Clause::Range { .. } => c.matches_num(t.num(attr).unwrap()[r]),
+                        Clause::In { .. } => c.matches_code(t.cat(attr).unwrap().codes()[r]),
+                    };
+                    if !has(&sc) || !has(oc) {
+                        return has(&sc);
+                    }
+                }
+                true
+            };
+            let mut want = a.select(&t, &all).unwrap();
+            want.retain(|&r| kept(r as usize));
+            let mut got: Vec<u32> = Vec::new();
+            for p in mid.iter().chain(&rest) {
+                prop_assert!(p.implies(&a), "{p:?} is not inside {a:?}");
+                got.extend(p.select(&t, &all).unwrap());
+            }
+            got.sort_unstable();
+            let mut distinct = got.clone();
+            distinct.dedup();
+            prop_assert_eq!(&distinct, &got, "pieces overlap");
+            prop_assert_eq!(got, want);
+        } else {
+            prop_assert_eq!((mid, rest), (None, vec![a]));
         }
     }
 }

@@ -334,8 +334,8 @@ fn repeats_return_the_first_answer_from_the_memo() {
 }
 
 /// The DT slider walk's exact output on the `server_dashboard` table
-/// shape (SYNTH-2D-Easy, seed 21, 200 tuples per group: ≈285 partitions,
-/// so each cached-tuple merge runs hundreds of §6.3 estimates). Cold at
+/// shape (SYNTH-2D-Easy, seed 21, 200 tuples per group: 171 partitions,
+/// every one of which each cached-tuple §6.3 estimate visits). Cold at
 /// `c = 0.5`, then 0.25 (warm-started), 0.8 (a merge from scratch), a
 /// revisit of 0.5 (step 0's answer, from the plan's memo), and 0.65
 /// (warm-started from 0.8's merge). The expected top-3 predicates and
@@ -360,52 +360,47 @@ fn dt_slider_walk_output_is_fixed() {
         .unwrap();
     let session = ScorpionSession::new(req).unwrap();
     let box_at = |a1: &str, a2: &str| format!("A1 in [{a1}) AND A2 in [{a2})");
+    let cold = [
+        (box_at("9.3521, 51.3414", "33.4460, 83.9709"), 0.7142984704600793),
+        (box_at("3.4739, 9.3521", "34.8986, 83.9709"), 0.07850066849319697),
+        (box_at("2.1985, 3.4739", "34.8986, 83.9709"), 0.06673646561856966),
+    ];
+    let (upper, lower) = (
+        box_at("51.3414, 52.1293", "51.8691, 60.9018"),
+        box_at("51.3414, 52.1293", "34.8986, 42.2421"),
+    );
     let walk: [(f64, [(String, f64); 3]); 5] = [
-        (
-            0.5,
-            [
-                (box_at("2.1985, 40.0135", "32.0966, 83.9709"), 0.6015889509899883),
-                (box_at("12.7980, 40.0135", "33.4460, 83.9709"), 0.5454537021645998),
-                (box_at("40.0405, 51.3414", "35.2653, 83.9709"), 0.2938138419803861),
-            ],
-        ),
+        (0.5, cold.clone()),
         (
             0.25,
             [
-                (box_at("0.0040, 40.0135", "32.0966, 83.9709"), 1.5529891606433273),
-                (box_at("40.0405, 51.3414", "35.2653, 83.9709"), 0.5456040844670669),
-                (box_at("59.0434, 60.6396", "68.0647, 72.2024"), 0.0003084653280559735),
+                (box_at("0.0040, 51.3414", "29.7354, 83.9709"), 2.058739688521143),
+                (upper.clone(), 0.0),
+                (lower.clone(), 0.0),
             ],
         ),
         (
             0.8,
             [
-                (box_at("21.7486, 40.0135", "43.1501, 67.3342"), 0.21975262359883285),
-                (box_at("9.3521, 40.0135", "32.0966, 83.9709"), 0.1915479166749552),
-                (box_at("12.7980, 40.0135", "33.4460, 83.9709"), 0.18940750908004683),
+                (box_at("21.7486, 46.5523", "43.1501, 67.3342"), 0.23686523309269114),
+                (box_at("9.3521, 51.3414", "33.4460, 83.9709"), 0.22174225935043113),
+                (box_at("2.1985, 3.4739", "34.8986, 83.9709"), 0.06045569824389166),
             ],
         ),
-        (
-            0.5,
-            [
-                (box_at("2.1985, 40.0135", "32.0966, 83.9709"), 0.6015889509899883),
-                (box_at("12.7980, 40.0135", "33.4460, 83.9709"), 0.5454537021645998),
-                (box_at("40.0405, 51.3414", "35.2653, 83.9709"), 0.2938138419803861),
-            ],
-        ),
+        (0.5, cold),
         (
             0.65,
             [
-                (box_at("2.1985, 40.0135", "32.0966, 83.9709"), 0.34220803528907706),
-                (box_at("40.1347, 49.4291", "40.7794, 71.2316"), 0.20711613929424907),
-                (box_at("40.2276, 52.1293", "34.8986, 83.9709"), 0.189885107652839),
+                (box_at("2.1985, 51.3414", "33.4460, 83.9709"), 0.4148316085449401),
+                (upper, 0.0),
+                (lower, 0.0),
             ],
         ),
     ];
     let mut tops = Vec::new();
     for (step, (c, want)) in walk.iter().enumerate() {
         let ex = session.run_with_c(*c).unwrap();
-        assert!(ex.diagnostics.partitions > 250, "{}", ex.diagnostics.partitions);
+        assert!(ex.diagnostics.partitions > 150, "{}", ex.diagnostics.partitions);
         for (i, (pred, inf)) in want.iter().enumerate() {
             let got = &ex.predicates[i];
             assert_eq!(&got.predicate.display(&ds.table), pred, "step {step} (c = {c}) #{i}");
@@ -477,27 +472,23 @@ fn dt_sampled_walk_output_is_fixed() {
     let got = walk_tops(&session, &ds.table, &[0.5, 0.05, 0.95, 0.5]);
     let box_at = |a1: &str, a2: &str| format!("A1 in [{a1}) AND A2 in [{a2})");
     let (hot, wide) = (
-        box_at("13.0842, 51.9296", "21.5730, 74.6424"),
-        box_at("12.7936, 65.4666", "21.5730, 74.6424"),
+        box_at("13.0842, 62.9507", "21.5730, 71.4774"),
+        box_at("13.0842, 65.4666", "21.5730, 74.6424"),
     );
     let (sliver, corner) = (
         box_at("71.6271, 75.1502", "24.5341, 24.5675"),
         box_at("93.7019, 95.9527", "24.5675, 24.6813"),
     );
-    let cold = [
-        (hot.as_str(), 0.1150075143180587),
-        (&box_at("51.9582, 62.9507", "21.5730, 71.4774"), 0.06139135032185766),
-        (&sliver, 0.0),
-    ];
+    let cold = [(hot.as_str(), 0.1477442257279942), (&sliver, 0.0), (&corner, 0.0)];
     let want: [(f64, [(&str, f64); 3]); 4] = [
         (0.5, cold),
-        (0.05, [(&wide, 3.682471582829601), (&sliver, 0.0), (&corner, 0.0)]),
+        (0.05, [(&wide, 3.682274684485921), (&sliver, 0.0), (&corner, 0.0)]),
         (
             0.95,
             [
-                (&box_at("35.8658, 51.9296", "45.2674, 71.4774"), 0.00781547550931368),
+                (&box_at("32.8106, 61.0199", "45.2674, 71.4774"), 0.00761440694851134),
                 (&box_at("41.1373, 47.6510", "47.0434, 67.0398"), 0.007209391708121068),
-                (&box_at("52.4319, 58.6390", "46.6136, 71.4774"), 0.007124960346602324),
+                (&box_at("47.6510, 51.9582", "47.0434, 70.5178"), 0.007090906083908181),
             ],
         ),
         (0.5, cold),
@@ -544,32 +535,23 @@ fn dt_discrete_walk_output_is_fixed() {
         .unwrap();
     let session = ScorpionSession::new(req).unwrap();
     let got = walk_tops(&session, &table, &[0.5, 0.2, 0.9]);
-    let pair = "sensorid in ('s03', 's81') AND voltage in [2.2757, 2.6946)";
-    let s03 = "sensorid in ('s03') AND voltage in [2.7030, 2.7603) AND light in ";
-    let (dark, bright) = (format!("{s03}[18.5293, 29.7933)"), format!("{s03}[518.5896, 599.9809)"));
+    let (pair, four) = (
+        "sensorid in ('s81', 's93')",
+        "sensorid in ('s03', 's09', 's81', 's99') AND voltage in [2.2757, 2.6946)",
+    );
+    let volt = "voltage in [2.7030, 2.7603) AND light in ";
+    let dark = format!("sensorid in ('s03') AND {volt}[18.5293, 29.7933)");
+    let others =
+        format!("sensorid in ('s01', 's02', 's04', 's94', 's97') AND {volt}[0.0092, 18.5293)");
     let want: [(f64, [(&str, f64); 3]); 3] = [
-        (
-            0.5,
-            [
-                (pair, 0.30853047021123703),
-                ("sensorid in ('s81', 's93')", 0.2886284678670035),
-                (&dark, 0.0),
-            ],
-        ),
-        (
-            0.2,
-            [
-                (pair, 0.7296562306728018),
-                ("sensorid in ('s81', 's93')", 0.7090031467382293),
-                (&dark, 0.0),
-            ],
-        ),
+        (0.5, [(pair, 0.2886284678670035), (four, 0.22417841400367286), (&dark, 0.0)]),
+        (0.2, [(pair, 0.7090031467382293), (four, 0.6365194856420056), (&dark, 0.0)]),
         (
             0.9,
             [
                 ("sensorid in ('s81')", 0.16376578269193967),
                 (&dark, 0.0),
-                (&bright, -0.00016348921599507182),
+                (&others, -0.00047850127353926534),
             ],
         ),
     ];
@@ -627,12 +609,12 @@ fn dt_approx_output_is_fixed() {
     );
     let box_at = |a1: &str, a2: &str| format!("A1 in [{a1}) AND A2 in [{a2})");
     let want = [
-        (&box_at("32.2037, 63.1902", "22.3695, 72.0276"), 0.25797932190342815),
-        (&box_at("36.0262, 64.6773", "24.4570, 72.6352"), 0.2311729001971397),
-        (&box_at("13.0138, 32.1135", "22.5987, 72.0276"), 0.11889073720312107),
+        (&box_at("14.0712, 63.1902", "23.6994, 72.0276"), 0.30989017257322105),
+        (&box_at("13.6910, 64.6773", "22.3695, 72.6352"), 0.309413634013443),
+        (&box_at("36.0262, 64.6773", "20.4585, 24.4570"), 0.006038736603421594),
     ];
     assert_walk(&[tops], &[(0.5, want.map(|(p, inf)| (p.as_str(), inf)))]);
-    assert_eq!(pruned, 217);
+    assert_eq!(pruned, 28);
 }
 
 /// MC's approximate-mode output on SYNTH-3D-Easy at 500 tuples per
