@@ -100,6 +100,52 @@ pub trait IncrementalAggregate: Aggregate {
         acc
     }
 
+    /// `(n, state(S))` for the bag `S` of the `n` values
+    /// `vals[(i << 6) | j]` at the set bits `j` of `a[i] & b[i]`, in
+    /// ascending order: the merges [`IncrementalAggregate::state_of`]
+    /// makes over those values gathered into a buffer, without the
+    /// buffer. `a` and `b` are equally long, and `vals` covers every
+    /// selected index.
+    ///
+    /// The words are ANDed eight at a time, with no branch, and only the
+    /// chunks that select a value are walked bit by bit. As a provided
+    /// method it is compiled for each implementing type, so the walk
+    /// calls that type's `state_one` and `merge` directly, even when it
+    /// is reached through `dyn IncrementalAggregate`.
+    fn state_of_selected(&self, vals: &[f64], a: &[u64], b: &[u64]) -> (usize, AggState) {
+        debug_assert_eq!(a.len(), b.len());
+        let mut acc = self.empty();
+        let mut n = 0usize;
+        let mut fold = |wi: usize, mut w: u64| {
+            n += w.count_ones() as usize;
+            while w != 0 {
+                self.merge(
+                    &mut acc,
+                    &self.state_one(vals[(wi << 6) | w.trailing_zeros() as usize]),
+                );
+                w &= w - 1;
+            }
+        };
+        let chunked = a.len() & !7;
+        for wi in (0..chunked).step_by(8) {
+            let mut anded = [0u64; 8];
+            let mut any = 0u64;
+            for (lane, x) in anded.iter_mut().enumerate() {
+                *x = a[wi + lane] & b[wi + lane];
+                any |= *x;
+            }
+            if any != 0 {
+                for (lane, &x) in anded.iter().enumerate() {
+                    fold(wi + lane, x);
+                }
+            }
+        }
+        for wi in chunked..a.len() {
+            fold(wi, a[wi] & b[wi]);
+        }
+        (n, acc)
+    }
+
     /// Combines the state of a disjoint bag into `into`.
     fn merge(&self, into: &mut AggState, other: &AggState) {
         into.accumulate(other);

@@ -186,3 +186,72 @@ proptest! {
         prop_assert!(data.contains(&m));
     }
 }
+
+/// SplitMix64 for the word-walk property below.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// A word whose bits are set with a density drawn per word: none,
+    /// all, or about one in 2, 8 or 64.
+    fn word(&mut self) -> u64 {
+        match self.below(6) {
+            0 => 0,
+            1 => u64::MAX,
+            2 => self.next(),
+            3 => self.next() & self.next() & self.next(),
+            _ => 1 << self.below(64),
+        }
+    }
+}
+
+/// `state_of_selected` folds exactly what gathering the selected values
+/// and calling `state_of` folds, bit for bit, for every removable
+/// algebra: over random group and predicate word masks of 0 to 40 words
+/// (every remainder of the eight-word chunks), with values that include
+/// NaN, ±∞ and ±0.0.
+#[test]
+fn state_of_selected_is_gather_then_state_of() {
+    let values = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 1e308, -3.5, 0.1, 7.0];
+    let mut rng = Mix(0xA66);
+    let mut selected = 0;
+    for case in 0..400 {
+        let words = rng.below(41) as usize;
+        let a: Vec<u64> = (0..words).map(|_| rng.word()).collect();
+        let b: Vec<u64> = (0..words).map(|_| rng.word()).collect();
+        let vals: Vec<f64> = (0..words * 64)
+            .map(|_| match rng.below(3) {
+                0 => values[rng.below(values.len() as u64) as usize],
+                _ => (rng.next() >> 11) as f64 / (1u64 << 40) as f64 - 4096.0,
+            })
+            .collect();
+        let gathered: Vec<f64> = (0..words * 64)
+            .filter(|&i| (a[i >> 6] & b[i >> 6]) >> (i & 63) & 1 == 1)
+            .map(|i| vals[i])
+            .collect();
+        selected += gathered.len();
+        for name in INCREMENTAL {
+            let inc = aggregate_by_name(name).unwrap();
+            let inc = inc.incremental().unwrap();
+            let (n, got) = inc.state_of_selected(&vals, &a, &b);
+            let want = inc.state_of(&gathered);
+            let bits = |s: &scorpion_agg::AggState| -> Vec<u64> {
+                s.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(n, gathered.len(), "case {case}, {name}");
+            assert_eq!(bits(&got), bits(&want), "case {case}, {name}");
+        }
+    }
+    assert!(selected > 20_000, "only {selected} values selected");
+}

@@ -28,7 +28,11 @@
 //!
 //! The resulting partitions are scored exactly, tagged with the per-group
 //! statistics the Merger's cached-tuple approximation needs (§6.3), and
-//! handed to the [`crate::merger::Merger`].
+//! handed to the [`crate::merger::Merger`]. Each partition lies inside the
+//! outlier leaf it was carved from, and the tree has routed every labeled
+//! row (the hold-out groups' rows ride down the outlier tree too) to its
+//! leaf, so a partition is scored from its leaf's rows rather than from
+//! masks over the whole table.
 
 mod threshold;
 
@@ -38,12 +42,13 @@ use crate::config::DtConfig;
 use crate::error::Result;
 use crate::merger::{MergeDiag, Merger};
 use crate::result::{GroupStat, PartitionStats, ScoredPredicate};
-use crate::scorer::Scorer;
+use crate::scorer::{Scorer, Selection};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scorpion_obs::span;
-use scorpion_table::{AttrDomain, Clause, Column, Predicate, RowMask};
-use std::collections::BTreeSet;
+use scorpion_table::{AttrDomain, Clause, Column, Predicate, RowMask, Table};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::ops::Range;
 
 /// Minimum multiplicative error threshold `τ_min` of the stopping curve
 /// (§6.1.1).
@@ -142,6 +147,10 @@ struct Slice {
 struct Node {
     pred: Predicate,
     slices: Vec<Slice>,
+    /// On the outlier tree, each hold-out group's positions whose rows
+    /// the node's splits route to it, ascending; empty on the hold-out
+    /// tree.
+    riders: Vec<Vec<u32>>,
     depth: usize,
 }
 
@@ -166,15 +175,32 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
     /// per-group statistics the Merger needs.
     pub fn partition(&self) -> Result<(Vec<ScoredPredicate>, DtDiag)> {
         let _span = span!("dt.partition");
-        let phases = self.scorer.phases();
         let mut diag = DtDiag::default();
+        let (out_leaves, pieces) = self.carve_leaves(&mut diag)?;
+        let mut scored =
+            self.scorer.phases().time("dt.finalize", || self.finalize(&out_leaves, &pieces))?;
+        // Bound the Merger's (quadratic) input; the ranking is exact, so
+        // only the weakest partitions are dropped.
+        scored.truncate(MAX_PARTITIONS);
+        Ok((scored, diag))
+    }
+
+    /// Grows both trees and carves the outlier leaves along the
+    /// influential hold-out leaves (§6.1.4): the outlier leaves, and each
+    /// one's partitions.
+    fn carve_leaves(&self, diag: &mut DtDiag) -> Result<(Vec<Node>, Vec<Vec<Predicate>>)> {
+        let phases = self.scorer.phases();
         let cols = self.borrow_cols()?;
         let mut rng = StdRng::seed_from_u64(self.cfg.sampling.map(|s| s.seed).unwrap_or(0));
 
-        // Outlier side.
+        // Outlier side; the hold-out groups' rows ride along.
         let out_side = phases.time("dt.influences", || self.build_side(true))?;
-        let out_leaves = phases
-            .time("dt.grow", || self.grow(&out_side, &cols, &mut rng, &mut diag.sampled_fraction));
+        let riders = (0..self.scorer.n_holdouts())
+            .map(|h| (0..self.scorer.holdout_rows(h).len() as u32).collect())
+            .collect();
+        let out_leaves = phases.time("dt.grow", || {
+            self.grow(&out_side, riders, &cols, &mut rng, &mut diag.sampled_fraction)
+        });
         diag.outlier_leaves = out_leaves.len();
 
         // Hold-out side (if any).
@@ -182,8 +208,8 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
         if self.scorer.n_holdouts() > 0 {
             let hold_side = phases.time("dt.influences", || self.build_side(false))?;
             let mut dummy = 0.0;
-            let hold_leaves =
-                phases.time("dt.grow", || self.grow(&hold_side, &cols, &mut rng, &mut dummy));
+            let hold_leaves = phases
+                .time("dt.grow", || self.grow(&hold_side, Vec::new(), &cols, &mut rng, &mut dummy));
             diag.holdout_leaves = hold_leaves.len();
             hold_preds = hold_leaves
                 .iter()
@@ -193,14 +219,9 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
 
         // §6.1.4: carve outlier partitions along influential hold-out
         // partitions.
-        let combined = phases.time("dt.carve", || self.combine(&out_leaves, &hold_preds));
-        diag.partitions = combined.len();
-
-        let mut scored = phases.time("dt.finalize", || self.finalize(combined))?;
-        // Bound the Merger's (quadratic) input; the ranking is exact, so
-        // only the weakest partitions are dropped.
-        scored.truncate(MAX_PARTITIONS);
-        Ok((scored, diag))
+        let pieces = phases.time("dt.carve", || self.combine(&out_leaves, &hold_preds));
+        diag.partitions = pieces.iter().map(Vec::len).sum();
+        Ok((out_leaves, pieces))
     }
 
     /// Partition + merge: the full DT pipeline.
@@ -263,10 +284,13 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
         rate.max(s.min_rate).min(1.0)
     }
 
-    /// Grows one side's tree and returns its leaves.
+    /// Grows one side's tree and returns its leaves. `riders` are the
+    /// root's positions of the hold-out groups whose rows ride down the
+    /// tree (the outlier tree's; none on the hold-out tree).
     fn grow(
         &self,
         side: &SideData,
+        riders: Vec<Vec<u32>>,
         cols: &[(usize, Col<'_>)],
         rng: &mut StdRng,
         sampled_fraction: &mut f64,
@@ -301,8 +325,8 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
         let phases = self.scorer.phases();
         let mut scratch = SplitScratch::default();
         let mut leaves = Vec::new();
-        let mut stack = vec![Node { pred: Predicate::all(), slices, depth: 0 }];
-        while let Some(mut node) = stack.pop() {
+        let mut stack = vec![Node { pred: Predicate::all(), slices, riders, depth: 0 }];
+        while let Some(node) = stack.pop() {
             // Leaf budget: on noisy data the influence spread never drops
             // under the threshold and the tree would grow to the depth
             // limit; finish the remaining frontier as leaves.
@@ -320,12 +344,10 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
                     stack.push(l);
                     stack.push(r);
                 }
-                None => {
-                    // A leaf keeps its sample (hold-out leaves are weighed
-                    // by it) but not its positions.
-                    node.slices.iter_mut().for_each(|s| s.pos = Vec::new());
-                    leaves.push(node);
-                }
+                // A leaf keeps its sample (hold-out leaves are weighed by
+                // it) and its positions (an outlier leaf's partitions are
+                // scored from them).
+                None => leaves.push(node),
             }
         }
         leaves
@@ -417,13 +439,14 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
         best
     }
 
-    /// Splits `node`, partitioning full and sampled positions and applying
-    /// the §6.1.2 stratified resampling to the children.
+    /// Splits `node`, partitioning full and sampled positions and the
+    /// riding hold-out positions, and applying the §6.1.2 stratified
+    /// resampling to the children.
     ///
     /// Each row is routed by its own value ([`Router`]), so a split
-    /// costs in proportion to the node's rows, not the table's. Both
-    /// lists keep their order, by a two-cursor write with no branch on
-    /// the side a row takes ([`two_cursor`]); the right child reuses the
+    /// costs in proportion to the node's rows, not the table's. Every
+    /// list keeps its order, by a two-cursor write with no branch on the
+    /// side a row takes ([`two_cursor`]); the right child reuses the
     /// parent's buffers.
     fn apply_split(
         &self,
@@ -462,9 +485,17 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
             lslices.push(Slice { pos: pos_l, sample: sample_l });
             rslices.push(Slice { pos: pos_r, sample: sample_r });
         }
+        let (mut lriders, mut rriders) = (Vec::new(), Vec::new());
+        for (h, pos) in node.riders.into_iter().enumerate() {
+            let rows = self.scorer.holdout_rows(h);
+            let (l, r) = two_cursor(pos, |p| router.goes_left(rows[p as usize]));
+            lriders.push(l);
+            rriders.push(r);
+        }
+        let depth = node.depth + 1;
         (
-            Node { pred: lp, slices: lslices, depth: node.depth + 1 },
-            Node { pred: rp, slices: rslices, depth: node.depth + 1 },
+            Node { pred: lp, slices: lslices, riders: lriders, depth },
+            Node { pred: rp, slices: rslices, riders: rriders, depth },
         )
     }
 
@@ -509,14 +540,15 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
     /// partitions so hold-out-hurting regions are separated. Each
     /// influential box cuts the pieces it meets and leaves the others
     /// whole, so a leaf that no influential box meets stays one partition.
-    fn combine(&self, out_leaves: &[Node], hold: &[(Predicate, f64)]) -> Vec<Predicate> {
+    /// Returns each leaf's pieces, in leaf order.
+    fn combine(&self, out_leaves: &[Node], hold: &[(Predicate, f64)]) -> Vec<Vec<Predicate>> {
         let influential: Vec<&Predicate> = if hold.is_empty() {
             Vec::new()
         } else {
             let global_mean = hold.iter().map(|(_, m)| m).sum::<f64>() / hold.len() as f64;
             hold.iter().filter(|(_, m)| *m >= global_mean).map(|(p, _)| p).collect()
         };
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(out_leaves.len());
         for leaf in out_leaves {
             let mut boxes = vec![leaf.pred.clone()];
             'carve: for h in &influential {
@@ -533,88 +565,251 @@ impl<'s, 'a> DtPartitioner<'s, 'a> {
                 }
                 boxes = next;
             }
-            out.extend(boxes);
+            out.push(boxes);
         }
         out
     }
 
     /// Scores each partition exactly and attaches the per-group statistics
-    /// (cardinality + mean-influence representative tuple, §6.3).
+    /// (cardinality + mean-influence representative tuple, §6.3), leaf by
+    /// leaf: `pieces[i]` are the partitions carved from `leaves[i]`.
     ///
-    /// Each partition's mask is built once, through the Scorer's clause
-    /// mask cache, so sibling partitions sharing clauses (children of
-    /// the same carve) reuse cached clause masks instead of re-walking
-    /// rows. The same mask then feeds the statistics and the exact score
-    /// ([`Scorer::influence_of`]). The tuple influences are computed
-    /// once per call. Each group's statistics come from one walk over
-    /// the set bits of `group mask ∧ partition mask`
-    /// ([`Scorer::for_each_selected`]), which visits the selected rows in
-    /// ascending order, as a row-by-row scan would: the influence sum and
-    /// the first-closest representative are the same.
+    /// A partition selects only rows of its leaf's box, since a carve
+    /// piece lies inside the box it carves, and every labeled row in that
+    /// box was routed to the leaf, since a [`Router`] sends a row left
+    /// exactly when it satisfies the left child's clause. So each leaf's
+    /// rows are laid out once ([`LeafRows`]), and a partition's rows are
+    /// the leaf rows its clauses' kernels select there, each clause's
+    /// mask built once per leaf. The same walk over those bits in
+    /// ascending group position gives each group's statistics and, on a
+    /// cache miss, its `(n, Δ)` ([`Scorer::influence_at`]), so sums,
+    /// folds and the first-closest representative see the rows in the
+    /// order a table-wide mask walk would.
     ///
-    /// Each partition's mask build is timed as phase `dt.finalize.mask`
-    /// and its statistics walks as `dt.finalize.stats`; its score is
-    /// `scorer.mask`.
-    fn finalize(&self, preds: Vec<Predicate>) -> Result<Vec<ScoredPredicate>> {
+    /// A leaf's layout is timed as phase `dt.finalize.gather`, each
+    /// partition's mask as `dt.finalize.mask` and its statistics as
+    /// `dt.finalize.stats`; its score is `scorer.mask`.
+    fn finalize(&self, leaves: &[Node], pieces: &[Vec<Predicate>]) -> Result<Vec<ScoredPredicate>> {
         let s = self.scorer;
-        let out_infs: Vec<Vec<f64>> =
-            (0..s.n_outliers()).map(|g| s.outlier_tuple_influences(g)).collect();
-        let hold_infs: Vec<Vec<f64>> =
-            (0..s.n_holdouts()).map(|g| s.holdout_tuple_influences(g)).collect();
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::with_capacity(preds.len());
-        let mut pos = Vec::new();
-        for pred in preds {
-            if !seen.insert(pred.clone()) {
-                continue;
-            }
-            let pm = s.phases().time("dt.finalize.mask", || s.predicate_mask(&pred))?;
-            let stats = s.phases().time("dt.finalize.stats", || PartitionStats {
-                outlier: (out_infs.iter().enumerate())
-                    .map(|(g, infs)| self.group_stat(true, g, &pm, infs, &mut pos))
-                    .collect(),
-                holdout: (hold_infs.iter().enumerate())
-                    .map(|(g, infs)| self.group_stat(false, g, &pm, infs, &mut pos))
-                    .collect(),
+        let phases = s.phases();
+        let (n_out, n_hold) = (s.n_outliers(), s.n_holdouts());
+        let out_infs: Vec<Vec<f64>> = (0..n_out).map(|g| s.outlier_tuple_influences(g)).collect();
+        let hold_infs: Vec<Vec<f64>> = (0..n_hold).map(|g| s.holdout_tuple_influences(g)).collect();
+        let mut seen = HashSet::new();
+        let mut out = Vec::with_capacity(pieces.iter().map(Vec::len).sum());
+        let (mut words, mut picked) = (Vec::new(), Vec::new());
+        for (leaf, preds) in leaves.iter().zip(pieces) {
+            // Each group's positions in the leaf, outlier groups first.
+            let pos: Vec<&[u32]> = (leaf.slices.iter().map(|sl| sl.pos.as_slice()))
+                .chain(leaf.riders.iter().map(Vec::as_slice))
+                .collect();
+            let rows = phases.time("dt.finalize.gather", || {
+                let group = |k: usize| {
+                    if k < n_out {
+                        (s.outlier_rows(k), s.outlier_values(k), out_infs[k].as_slice())
+                    } else {
+                        let h = k - n_out;
+                        (s.holdout_rows(h), s.holdout_values(h), hold_infs[h].as_slice())
+                    }
+                };
+                let attrs = preds.iter().flat_map(Predicate::attrs).collect();
+                LeafRows::gather(&pos, group, s.table(), &attrs)
             });
-            let influence = s.influence_of(&pred, Some(pm))?;
-            out.push(ScoredPredicate { predicate: pred, influence, stats: Some(stats) });
+            let mut masks: HashMap<&Clause, RowMask> = HashMap::new();
+            for pred in preds {
+                if !seen.insert(pred.clone()) {
+                    continue;
+                }
+                phases.time("dt.finalize.mask", || rows.select(pred, &mut masks, &mut words));
+                let mut stat = |k: usize| rows.stat(k, &words, &mut picked);
+                let stats = phases.time("dt.finalize.stats", || PartitionStats {
+                    outlier: (0..n_out).map(&mut stat).collect(),
+                    holdout: (n_out..n_out + n_hold).map(&mut stat).collect(),
+                });
+                let influence = s.influence_at(pred, |outlier, g| {
+                    let k = if outlier { g } else { n_out + g };
+                    rows.selection(k, &words, pos[k])
+                })?;
+                out.push(ScoredPredicate {
+                    predicate: pred.clone(),
+                    influence,
+                    stats: Some(stats),
+                });
+            }
         }
         out.sort_by(|a, b| b.influence.total_cmp(&a.influence));
         Ok(out)
     }
+}
 
-    /// The §6.3 statistics of outlier group `g` (hold-out group `g` when
-    /// `outlier` is false) over the tuples `pm` selects: their count, and
-    /// the value of the first of them whose influence lies closest to
-    /// their mean influence. `infs` are the group's tuple influences;
-    /// `pos` is scratch.
-    fn group_stat(
+/// One outlier leaf's labeled rows, laid out for the clause kernels.
+///
+/// Each group's rows in the leaf (outlier groups, then hold-out groups)
+/// fill a segment of local rows, in ascending group position, and each
+/// segment starts on a 64-row word, so a group's rows are whole words of
+/// any local mask. Padding fills the gaps and the tail: a NaN value and
+/// an out-of-dictionary code, which no clause kernel selects.
+struct LeafRows {
+    /// Each group's local rows.
+    segs: Vec<Range<usize>>,
+    /// The aggregate value and the tuple influence of each local row.
+    vals: Vec<f64>,
+    infs: Vec<f64>,
+    /// Each local row's value of the attributes the leaf's partitions
+    /// constrain.
+    cols: HashMap<usize, LocalCol>,
+    /// The local rows that hold a labeled row: the selection of a
+    /// partition with no clause.
+    real: Vec<u64>,
+}
+
+/// One attribute's values of a leaf's rows.
+enum LocalCol {
+    Num(Vec<f64>),
+    /// Dictionary codes, and the dictionary's size.
+    Cat(Vec<u32>, usize),
+}
+
+impl LeafRows {
+    /// Lays out the rows at `pos[k]` of each group `k`, whose table rows,
+    /// aggregate values and tuple influences `group(k)` gives, with their
+    /// values of `attrs`.
+    fn gather<'g>(
+        pos: &[&[u32]],
+        group: impl Fn(usize) -> (&'g [u32], &'g [f64], &'g [f64]),
+        table: &Table,
+        attrs: &BTreeSet<usize>,
+    ) -> LeafRows {
+        let mut segs = Vec::with_capacity(pos.len());
+        let mut end = 0usize;
+        for p in pos {
+            let start = end.next_multiple_of(64);
+            end = start + p.len();
+            segs.push(start..end);
+        }
+        let len = end.next_multiple_of(64);
+        let (mut rows, mut vals, mut infs) = (vec![0u32; len], vec![0.0; len], vec![0.0; len]);
+        let mut real = vec![0u64; len / 64];
+        for (k, (seg, p)) in segs.iter().zip(pos).enumerate() {
+            let (g_rows, g_vals, g_infs) = group(k);
+            let local = (rows[seg.clone()].iter_mut())
+                .zip(&mut vals[seg.clone()])
+                .zip(&mut infs[seg.clone()]);
+            for (((row, val), inf), &q) in local.zip(p.iter()) {
+                let q = q as usize;
+                (*row, *val, *inf) = (g_rows[q], g_vals[q], g_infs[q]);
+            }
+            let (full, rest) = (seg.start / 64..seg.end / 64, seg.end % 64);
+            real[full.clone()].fill(u64::MAX);
+            if rest != 0 {
+                real[full.end] = (1 << rest) - 1;
+            }
+        }
+        // Padding keeps NaN and `u32::MAX`; only the segments are read.
+        let gathered = |c: &Column| match c {
+            Column::Num(v) => {
+                let mut out = vec![f64::NAN; len];
+                for seg in &segs {
+                    let local = out[seg.clone()].iter_mut().zip(&rows[seg.clone()]);
+                    local.for_each(|(x, &r)| *x = v[r as usize]);
+                }
+                LocalCol::Num(out)
+            }
+            Column::Cat(c) => {
+                let (codes, mut out) = (c.codes(), vec![u32::MAX; len]);
+                for seg in &segs {
+                    let local = out[seg.clone()].iter_mut().zip(&rows[seg.clone()]);
+                    local.for_each(|(x, &r)| *x = codes[r as usize]);
+                }
+                LocalCol::Cat(out, c.cardinality())
+            }
+        };
+        let cols = (attrs.iter())
+            .map(|&a| (a, gathered(table.column(a).expect("DT attributes are table columns"))))
+            .collect();
+        LeafRows { segs, vals, infs, cols, real }
+    }
+
+    /// Writes into `words` the local rows `pred` selects: the `AND` of
+    /// its clauses' masks over the leaf, each built by its column kernel
+    /// once per leaf and kept in `masks`.
+    fn select<'p>(
         &self,
-        outlier: bool,
-        g: usize,
-        pm: &RowMask,
-        infs: &[f64],
-        pos: &mut Vec<usize>,
-    ) -> GroupStat {
-        let s = self.scorer;
-        let values = if outlier { s.outlier_values(g) } else { s.holdout_values(g) };
-        pos.clear();
+        pred: &'p Predicate,
+        masks: &mut HashMap<&'p Clause, RowMask>,
+        words: &mut Vec<u64>,
+    ) {
+        words.clear();
+        let mut clauses = pred.clauses();
+        let Some(first) = clauses.next() else {
+            words.extend_from_slice(&self.real);
+            return;
+        };
+        words.extend_from_slice(self.mask(first, masks).words());
+        for clause in clauses {
+            let m = self.mask(clause, masks);
+            words.iter_mut().zip(m.words()).for_each(|(w, m)| *w &= m);
+        }
+    }
+
+    /// `clause`'s mask over the leaf, from `masks` or built and kept
+    /// there.
+    fn mask<'m, 'p>(
+        &self,
+        clause: &'p Clause,
+        masks: &'m mut HashMap<&'p Clause, RowMask>,
+    ) -> &'m RowMask {
+        masks.entry(clause).or_insert_with(|| {
+            let mask = match &self.cols[&clause.attr()] {
+                LocalCol::Num(v) => clause.eval_nums(v),
+                LocalCol::Cat(c, cardinality) => clause.eval_codes(c, *cardinality),
+            };
+            mask.expect("a DT clause matches its column's kind")
+        })
+    }
+
+    /// Group `k`'s part of a selection `words`, whose rows sit at the
+    /// group positions `pos`.
+    fn selection<'x>(&'x self, k: usize, words: &'x [u64], pos: &'x [u32]) -> Selection<'x> {
+        let seg = &self.segs[k];
+        Selection {
+            words: &words[seg.start / 64..seg.end.div_ceil(64)],
+            vals: &self.vals[seg.start..],
+            pos,
+        }
+    }
+
+    /// The §6.3 statistics of group `k` over the local rows `words`
+    /// selects: their count, and the aggregate value of the first of them
+    /// whose influence lies closest to their mean influence. `picked` is
+    /// scratch.
+    fn stat(&self, k: usize, words: &[u64], picked: &mut Vec<usize>) -> GroupStat {
+        let seg = &self.segs[k];
+        picked.clear();
         let mut sum = 0.0;
-        s.for_each_selected(outlier, g, pm, |i| {
-            pos.push(i);
-            sum += infs[i];
-        });
-        if pos.is_empty() {
+        for (wi, &word) in (seg.start / 64..).zip(&words[seg.start / 64..seg.end.div_ceil(64)]) {
+            let mut w = word;
+            while w != 0 {
+                let j = (wi << 6) | w.trailing_zeros() as usize;
+                picked.push(j);
+                sum += self.infs[j];
+                w &= w - 1;
+            }
+        }
+        if picked.is_empty() {
             return GroupStat { n: 0.0, rep_value: 0.0 };
         }
-        let mean = sum / pos.len() as f64;
-        let rep = pos
-            .iter()
-            .copied()
-            .min_by(|&a, &b| (infs[a] - mean).abs().total_cmp(&(infs[b] - mean).abs()))
-            .expect("non-empty");
-        GroupStat { n: pos.len() as f64, rep_value: values[rep] }
+        let mean = sum / picked.len() as f64;
+        // The first of the least distances, as `Iterator::min_by` picks.
+        let gap = |j: usize| (self.infs[j] - mean).abs();
+        let (mut rep, mut least) = (picked[0], gap(picked[0]));
+        for &j in &picked[1..] {
+            let d = gap(j);
+            if d.total_cmp(&least).is_lt() {
+                (rep, least) = (j, d);
+            }
+        }
+        GroupStat { n: picked.len() as f64, rep_value: self.vals[rep] }
     }
 }
 
@@ -995,11 +1190,12 @@ impl<'t> Router<'t> {
 mod tests {
     use super::*;
     use crate::config::{InfluenceParams, SamplingConfig};
-    use crate::scorer::GroupSpec;
+    use crate::scorer::{GroupSpec, InfluenceCache};
     use scorpion_agg::Avg;
     use scorpion_table::{
         domains_of, group_by, ClauseMaskCache, Field, Schema, Table, TableBuilder, Value,
     };
+    use std::sync::Arc;
 
     /// 2-D planted box: outlier group has value 100 inside
     /// x ∈ [20,60) ∧ y ∈ [20,60), 10 elsewhere; hold-out group uniform 10.
@@ -1225,6 +1421,303 @@ mod tests {
         assert!(!merged.is_empty());
     }
 
+    /// The §6.3 statistics of outlier group `g` (hold-out group `g` when
+    /// `outlier` is false) over the tuples `pm` selects: their count, and
+    /// the value of the first of them whose influence lies closest to
+    /// their mean influence. `infs` are the group's tuple influences;
+    /// `pos` is scratch.
+    fn group_stat_by_mask(
+        s: &Scorer<'_>,
+        outlier: bool,
+        g: usize,
+        pm: &RowMask,
+        infs: &[f64],
+        pos: &mut Vec<usize>,
+    ) -> GroupStat {
+        let values = if outlier { s.outlier_values(g) } else { s.holdout_values(g) };
+        pos.clear();
+        let mut sum = 0.0;
+        s.for_each_selected(outlier, g, pm, |i| {
+            pos.push(i);
+            sum += infs[i];
+        });
+        if pos.is_empty() {
+            return GroupStat { n: 0.0, rep_value: 0.0 };
+        }
+        let mean = sum / pos.len() as f64;
+        let rep = (pos.iter().copied())
+            .min_by(|&a, &b| (infs[a] - mean).abs().total_cmp(&(infs[b] - mean).abs()))
+            .expect("non-empty");
+        GroupStat { n: pos.len() as f64, rep_value: values[rep] }
+    }
+
+    /// The retired finalize: each partition's mask over the whole table,
+    /// through the Scorer's clause-mask cache; each group's statistics
+    /// from a walk of `group ∧ mask`; and the mask path's score.
+    fn finalize_by_masks(dt: &DtPartitioner<'_, '_>, preds: &[Predicate]) -> Vec<ScoredPredicate> {
+        let s = dt.scorer;
+        let out_infs: Vec<Vec<f64>> =
+            (0..s.n_outliers()).map(|g| s.outlier_tuple_influences(g)).collect();
+        let hold_infs: Vec<Vec<f64>> =
+            (0..s.n_holdouts()).map(|g| s.holdout_tuple_influences(g)).collect();
+        let mut seen = HashSet::new();
+        let mut out = Vec::new();
+        let mut pos = Vec::new();
+        for pred in preds {
+            if !seen.insert(pred.clone()) {
+                continue;
+            }
+            let pm = s.predicate_mask(pred).unwrap();
+            let mut stat = |outlier: bool, (g, infs): (usize, &Vec<f64>)| {
+                group_stat_by_mask(s, outlier, g, &pm, infs, &mut pos)
+            };
+            let stats = PartitionStats {
+                outlier: out_infs.iter().enumerate().map(|x| stat(true, x)).collect(),
+                holdout: hold_infs.iter().enumerate().map(|x| stat(false, x)).collect(),
+            };
+            let influence = s.influence(pred).unwrap();
+            out.push(ScoredPredicate { predicate: pred.clone(), influence, stats: Some(stats) });
+        }
+        out.sort_by(|a, b| b.influence.total_cmp(&a.influence));
+        out
+    }
+
+    /// Whether carving `leaf` along the influential hold-out boxes of
+    /// `hold` stops at [`MAX_CARVE_PIECES`] (the break in `combine`).
+    fn carve_is_capped(dt: &DtPartitioner<'_, '_>, leaf: &Predicate, hold: &[Predicate]) -> bool {
+        let mut boxes = vec![leaf.clone()];
+        for h in hold {
+            let mut next = Vec::new();
+            for b in &boxes {
+                let (inter, rems) = b.carve(h, &dt.domains);
+                next.extend(inter);
+                next.extend(rems);
+                if next.len() > MAX_CARVE_PIECES {
+                    return true;
+                }
+            }
+            boxes = next;
+        }
+        false
+    }
+
+    /// A random table for the finalize oracle: a group label `g`, two
+    /// continuous attributes `x` and `y` with ties, NaN, ±∞ and ±0.0, a
+    /// discrete attribute `d`, and the aggregate attribute `v`. Rows of
+    /// `n_groups` groups interleave at random, so no group's rows are
+    /// contiguous, and group sizes are mostly not multiples of 64. Outlier
+    /// values are hot inside a random box unless `flat_outliers` (one
+    /// value, so the outlier tree is its root leaf); hold-out values are
+    /// noisy, so the hold-out tree grows many leaves.
+    fn oracle_table(rng: &mut StdRng, n_groups: usize, n_out: usize, flat_outliers: bool) -> Table {
+        let schema = Schema::new(vec![
+            Field::disc("g"),
+            Field::cont("x"),
+            Field::cont("y"),
+            Field::disc("d"),
+            Field::cont("v"),
+        ])
+        .unwrap();
+        let mut b = TableBuilder::new(schema);
+        let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+        let coord = |rng: &mut StdRng| match below(rng, 10) {
+            0 => special[below(rng, special.len())],
+            1..=3 => below(rng, 8) as f64 - 4.0,
+            _ => below(rng, 1000) as f64 * 0.01 - 5.0,
+        };
+        let (bx, by) = (below(rng, 6) as f64 - 4.0, below(rng, 6) as f64 - 4.0);
+        let n_rows = 40 + below(rng, 400 * n_groups);
+        for _ in 0..n_rows {
+            let g = below(rng, n_groups);
+            let (x, y) = (coord(rng), coord(rng));
+            let d = format!("d{}", below(rng, 5));
+            let v = if g < n_out {
+                let hot = (bx..bx + 3.0).contains(&x) && (by..by + 3.0).contains(&y);
+                match () {
+                    _ if flat_outliers => 1.0,
+                    _ if hot => 50.0 + below(rng, 3) as f64,
+                    _ => [0.0, -0.0, 1.0, 2.0][below(rng, 4)],
+                }
+            } else {
+                below(rng, 100) as f64 * 0.37 - 3.0
+            };
+            let row = vec![Value::from(format!("g{g}")), x.into(), y.into(), d.into(), v.into()];
+            b.push_row(row).unwrap();
+        }
+        b.build()
+    }
+
+    /// The leaf-row finalize gives every partition, score and statistic
+    /// of the mask-path finalize bit for bit, writes the same
+    /// influence-cache entries and counts the same scorer calls: over
+    /// random tables with NaN, ±∞ and ±0.0 coordinates, one and two
+    /// outlier groups, zero to two hold-out groups, sampled and unsampled
+    /// trees, every removable aggregate and a black-box one. A sixth of
+    /// the cases have one outlier value, so the outlier tree is its root
+    /// leaf (`Predicate::all()`); with noisy hold-outs carving it, some of
+    /// them stop at [`MAX_CARVE_PIECES`].
+    #[test]
+    fn leaf_finalize_matches_the_mask_path_bit_for_bit() {
+        use scorpion_agg::{Aggregate, BlackBox, Count, StdDev, Sum, Variance};
+        let aggs: [&dyn Aggregate; 6] = [&Avg, &Sum, &Count, &StdDev, &Variance, &BlackBox(Avg)];
+        let mut rng = StdRng::seed_from_u64(0xF1A1);
+        let (mut parts, mut roots, mut capped, mut hold_cases) = (0, 0, 0, 0);
+        for case in 0..160 {
+            let n_out = 1 + below(&mut rng, 2);
+            let n_hold = below(&mut rng, 3);
+            let flat = below(&mut rng, 6) == 0;
+            let t = oracle_table(&mut rng, n_out + n_hold, n_out, flat);
+            // Group `gi` is an outlier group for `i < n_out`, a hold-out
+            // group otherwise; a group that drew no row is left out.
+            let labels = t.cat(0).unwrap();
+            let spec = |i: usize| {
+                let code = labels.code_of(&format!("g{i}"))?;
+                let rows = (0..t.len() as u32).filter(|&r| labels.codes()[r as usize] == code);
+                Some(GroupSpec { rows: rows.collect(), error: 1.0 })
+            };
+            let outs: Vec<GroupSpec> = (0..n_out).filter_map(spec).collect();
+            let holds: Vec<GroupSpec> = (n_out..n_out + n_hold).filter_map(spec).collect();
+            if outs.is_empty() {
+                continue;
+            }
+            let agg = aggs[below(&mut rng, aggs.len())];
+            let params = InfluenceParams { lambda: 0.5, c: [0.0, 0.5, 1.0][below(&mut rng, 3)] };
+            let scorer = |cache: &Arc<InfluenceCache>| {
+                Scorer::new(&t, agg, 4, outs.clone(), holds.clone(), params)
+                    .unwrap()
+                    .with_cache(cache.clone())
+            };
+            let (cache, cache_ref) =
+                (Arc::new(InfluenceCache::new()), Arc::new(InfluenceCache::new()));
+            let (s, s_ref) = (scorer(&cache), scorer(&cache_ref));
+            let sampling = (below(&mut rng, 3) == 0).then_some(SamplingConfig {
+                min_rows_to_sample: 50,
+                min_rate: 0.2,
+                seed: case,
+            });
+            let cfg = DtConfig { sampling, ..dt_cfg() };
+            let d = domains_of(&t).unwrap();
+            let dt = DtPartitioner::new(&s, vec![1, 2, 3], d.clone(), cfg.clone());
+            let dt_ref = DtPartitioner::new(&s_ref, vec![1, 2, 3], d, cfg);
+            let mut diag = DtDiag::default();
+            let (leaves, pieces) = dt.carve_leaves(&mut diag).unwrap();
+            let got = dt.finalize(&leaves, &pieces).unwrap();
+            let flat_pieces: Vec<Predicate> = pieces.concat();
+            let want = finalize_by_masks(&dt_ref, &flat_pieces);
+
+            assert_eq!(got.len(), want.len(), "case {case}");
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(a.predicate, b.predicate, "case {case}");
+                let what = format!("case {case}, {:?}", a.predicate);
+                assert_eq!(a.influence.to_bits(), b.influence.to_bits(), "{what}");
+                let bits = |p: &ScoredPredicate| -> Vec<(u64, u64)> {
+                    let st = p.stats.as_ref().unwrap();
+                    (st.outlier.iter().chain(&st.holdout))
+                        .map(|g| (g.n.to_bits(), g.rep_value.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(a), bits(b), "{what}");
+                assert_eq!(
+                    cache.pair_bits(&a.predicate),
+                    cache_ref.pair_bits(&b.predicate),
+                    "{what}"
+                );
+            }
+            assert_eq!(cache.len(), cache_ref.len(), "case {case}");
+            assert_eq!(s.scorer_calls(), s_ref.scorer_calls(), "case {case}");
+            parts += got.len();
+            hold_cases += usize::from(!holds.is_empty());
+            if leaves.len() == 1 && leaves[0].pred.is_all() {
+                roots += 1;
+                // The hold-out leaves `combine` carves with: those at or
+                // above the mean of their mean |influence|.
+                if !holds.is_empty() {
+                    let hold_side = dt.build_side(false).unwrap();
+                    let cols = dt.borrow_cols().unwrap();
+                    let mut rng = StdRng::seed_from_u64(dt.cfg.sampling.map_or(0, |s| s.seed));
+                    let mut sink = 0.0;
+                    dt.grow(&dt.build_side(true).unwrap(), Vec::new(), &cols, &mut rng, &mut sink);
+                    let leaves = dt.grow(&hold_side, Vec::new(), &cols, &mut rng, &mut sink);
+                    let means: Vec<f64> =
+                        leaves.iter().map(|n| mean_abs_influence(&hold_side, n)).collect();
+                    let global = means.iter().sum::<f64>() / means.len() as f64;
+                    let hold: Vec<Predicate> = (leaves.iter().zip(&means))
+                        .filter(|(_, &m)| m >= global)
+                        .map(|(n, _)| n.pred.clone())
+                        .collect();
+                    capped += usize::from(carve_is_capped(&dt, &Predicate::all(), &hold));
+                }
+            }
+        }
+        assert!(parts > 5000, "only {parts} partitions compared");
+        assert!(roots > 20 && capped > 2, "{roots} root-leaf cases, {capped} capped");
+        assert!(hold_cases > 80, "only {hold_cases} cases with hold-outs");
+    }
+
+    /// The whole tree is its root leaf, `Predicate::all()`: with no
+    /// hold-outs the root is the one partition and selects every labeled
+    /// row, none of the leaf's padding; with hold-outs the carved pieces
+    /// score as the mask path scores them.
+    #[test]
+    fn root_leaf_selects_every_labeled_row_and_no_padding() {
+        let schema =
+            Schema::new(vec![Field::disc("g"), Field::cont("x"), Field::cont("v")]).unwrap();
+        let mut b = TableBuilder::new(schema);
+        // 70 outlier rows of one value, so their tree is its root, and 45
+        // hold-out rows of spread values, so theirs splits and carves the
+        // root: neither group's size is a multiple of 64.
+        for i in 0..115 {
+            let x = [f64::NAN, 0.0, -0.0, f64::INFINITY, i as f64][i % 5];
+            let (g, v) = if i % 23 < 14 { ("o", 2.0) } else { ("h", (i % 7) as f64) };
+            b.push_row(vec![g.into(), x.into(), v.into()]).unwrap();
+        }
+        let t = b.build();
+        let g = group_by(&t, &[0]).unwrap();
+        for holdouts in [false, true] {
+            let hold = if holdouts {
+                vec![GroupSpec { rows: g.rows(1).to_vec(), error: 1.0 }]
+            } else {
+                vec![]
+            };
+            let mk = || {
+                Scorer::new(
+                    &t,
+                    &Avg,
+                    2,
+                    vec![GroupSpec { rows: g.rows(0).to_vec(), error: 1.0 }],
+                    hold.clone(),
+                    InfluenceParams { lambda: 0.5, c: 0.5 },
+                )
+                .unwrap()
+            };
+            let (s, s_ref) = (mk(), mk());
+            let d = domains_of(&t).unwrap();
+            let dt = DtPartitioner::new(&s, vec![1], d.clone(), dt_cfg());
+            let mut diag = DtDiag::default();
+            let (leaves, pieces) = dt.carve_leaves(&mut diag).unwrap();
+            assert_eq!(leaves.len(), 1);
+            assert!(leaves[0].pred.is_all());
+            let got = dt.finalize(&leaves, &pieces).unwrap();
+            let want = finalize_by_masks(
+                &DtPartitioner::new(&s_ref, vec![1], d, dt_cfg()),
+                &pieces.concat(),
+            );
+            if !holdouts {
+                assert_eq!(got.len(), 1);
+                let st = got[0].stats.as_ref().unwrap();
+                assert_eq!(st.outlier[0].n, s.outlier_rows(0).len() as f64);
+            }
+            assert_eq!(got.len(), want.len());
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(
+                    (&a.predicate, a.influence.to_bits()),
+                    (&b.predicate, b.influence.to_bits())
+                );
+                assert_eq!(a.stats, b.stats);
+            }
+        }
+    }
+
     #[test]
     fn threshold_curve_is_exported() {
         let c = ThresholdCurve::new(0.05, 0.25, 0.5, 0.0, 1.0);
@@ -1355,7 +1848,7 @@ mod tests {
             groups.push(SideGroup { rows, infs });
         }
         let side = SideData { groups, curve: ThresholdCurve::new(0.05, 0.25, 0.5, 0.0, 1.0) };
-        (side, Node { pred: Predicate::all(), slices, depth: 0 })
+        (side, Node { pred: Predicate::all(), slices, riders: Vec::new(), depth: 0 })
     }
 
     /// Column values with ties, ±NaN, ±∞ and ±0.0.
@@ -1719,7 +2212,7 @@ mod tests {
                     (0..n_codes as u32).filter(|_| below(&mut rng, 3) > 0).collect();
                 Predicate::all().with_clause(Clause::In { attr: 1, codes: admitted })
             };
-            let node = Node { pred, slices, depth: 0 };
+            let node = Node { pred, slices, riders: Vec::new(), depth: 0 };
             let parent = combined_metric(&side, &node, |_, _| true).1;
             let mut scratch = SplitScratch::default();
             scratch.gather(&side, &node);

@@ -13,10 +13,14 @@
 //! memoized per distinct clause in a shared [`ClauseMaskCache`]), and
 //! `(n, Δ)` per group falls out of a word-wise zip of the predicate mask
 //! against the group's base mask, which skips whole all-zero words and
-//! gathers the selected values: `n` is their count, and `Δ` comes from
-//! one [`IncrementalAggregate::state_of`] fold over them. The bitmap is the
-//! only evaluator; the row-at-a-time reference the mask path is checked
-//! against bit for bit lives in the tests (`tests/mask_parity.rs`).
+//! folds the selected values' states as it walks them
+//! ([`IncrementalAggregate::state_of_selected`]): `n` is their count. The
+//! bitmap is the only evaluator; the row-at-a-time reference the mask
+//! path is checked against bit for bit lives in the tests
+//! (`tests/mask_parity.rs`). The DT partitioner hands its partitions'
+//! rows in directly, read off the tree leaf each one lies in
+//! ([`Scorer::influence_at`]); that evaluation writes the same cache
+//! entry and counts the same as the mask path.
 
 use crate::approx::{ApproxState, GroupSample, InfluenceInterval};
 use crate::config::{ApproxConfig, InfluenceParams};
@@ -259,6 +263,13 @@ impl InfluenceCache {
         drop(shard);
         self.count_evictions(n);
         n
+    }
+
+    /// The bits of `p`'s cached `(n, Δ)` pairs, outlier groups first.
+    #[cfg(test)]
+    pub(crate) fn pair_bits(&self, p: &Predicate) -> Option<Vec<(u64, u64)>> {
+        let g = self.get(p)?.groups?;
+        Some(g.0.iter().chain(g.1.iter()).map(|(n, d)| (n.to_bits(), d.to_bits())).collect())
     }
 
     fn store_groups(&self, p: &Predicate, groups: Arc<GroupPairs>) -> u64 {
@@ -642,82 +653,78 @@ impl<'a> Scorer<'a> {
     }
 
     /// `Δ` and match count of `p` (as a mask) over one group: a
-    /// word-wise zip of the predicate mask against the group's base
-    /// mask gathers the values of the selected rows, folded by one
-    /// [`IncrementalAggregate::state_of`] call (incremental path), or of
-    /// the survivors, over which the aggregate is recomputed (black-box
-    /// path). All-zero words — groups the predicate does not touch —
+    /// word-wise zip of the predicate mask against the group's base mask
+    /// over the group's nonzero word span. The incremental path folds
+    /// each selected row's state as the zip reaches it
+    /// ([`IncrementalAggregate::state_of_selected`]); the black-box path
+    /// gathers the survivors into `buf` (cleared first, so one buffer
+    /// serves every group of an evaluation) and recomputes the aggregate
+    /// over them. All-zero words — groups the predicate does not touch —
     /// cost one `AND` per 64 rows.
     ///
-    /// Rows are gathered in ascending order, the order a row-at-a-time
+    /// Rows are visited in ascending order, the order a row-at-a-time
     /// walk of the group visits them (group rows are normalized
-    /// ascending), and a removable algebra's `state_of` merges
-    /// single-tuple states in that order, so the result is bit-identical
-    /// to accumulating `state_one` row by row (`tests/mask_parity.rs`
-    /// checks it against such an oracle). The values are gathered into
-    /// `buf`, which is cleared first, so one buffer serves every group of
-    /// an evaluation ([`Scorer::mask_pairs`]). Returns `(n, Δ)`.
+    /// ascending), and a removable algebra merges single-tuple states in
+    /// that order, so the result is bit-identical to accumulating
+    /// `state_one` row by row (`tests/mask_parity.rs` checks it against
+    /// such an oracle). Returns `(n, Δ)`.
     fn delta_ctx(&self, ctx: &GroupCtx, pm: &RowMask, buf: &mut Vec<f64>) -> (f64, f64) {
-        let gw = ctx.mask.words();
-        let pw = pm.words();
-        buf.clear();
-        buf.reserve(ctx.rows.len());
+        let (gw, pw) = (ctx.mask.words(), pm.words());
+        let span = ctx.span.clone();
         match (self.inc, &ctx.full_state) {
             (Some(inc), Some(full)) => {
-                let removed = buf;
-                let mut gather = |wi: usize, mut w: u64| {
-                    while w != 0 {
-                        let row = ((wi as u32) << 6) | w.trailing_zeros();
-                        removed.push(self.vals[row as usize]);
-                        w &= w - 1;
-                    }
-                };
-                // Chunked word-zip: AND 8 words at a time (branch-free,
-                // auto-vectorizable), then bit-walk only the chunks that
-                // matched anything. Rows are still gathered strictly
-                // ascending.
-                let mut wi = ctx.span.start;
-                let chunk_end = ctx.span.start + (ctx.span.len() & !7);
-                while wi < chunk_end {
-                    let mut anded = [0u64; 8];
-                    let mut any = 0u64;
-                    for (lane, a) in anded.iter_mut().enumerate() {
-                        *a = gw[wi + lane] & pw[wi + lane];
-                        any |= *a;
-                    }
-                    if any != 0 {
-                        for (lane, &a) in anded.iter().enumerate() {
-                            gather(wi + lane, a);
-                        }
-                    }
-                    wi += 8;
-                }
-                for wi in chunk_end..ctx.span.end {
-                    gather(wi, gw[wi] & pw[wi]);
-                }
-                if removed.is_empty() {
-                    return (0.0, 0.0);
-                }
-                let sub = inc.state_of(removed);
-                (removed.len() as f64, ctx.full_value - inc.recover(&inc.remove(full, &sub)))
+                let vals = &self.vals[span.start << 6..];
+                let (n, sub) = inc.state_of_selected(vals, &gw[span.clone()], &pw[span]);
+                removal_pair(ctx, inc, full, n, &sub)
             }
             _ => {
-                let kept = buf;
+                buf.clear();
                 let mut n = 0usize;
-                for wi in ctx.span.clone() {
+                for wi in span {
                     let g = gw[wi];
                     n += (g & pw[wi]).count_ones() as usize;
                     let mut w = g & !pw[wi];
                     while w != 0 {
                         let row = ((wi as u32) << 6) | w.trailing_zeros();
-                        kept.push(self.vals[row as usize]);
+                        buf.push(self.vals[row as usize]);
                         w &= w - 1;
                     }
                 }
                 if n == 0 {
                     return (0.0, 0.0);
                 }
-                (n as f64, ctx.full_value - self.agg.compute(kept))
+                (n as f64, ctx.full_value - self.agg.compute(buf))
+            }
+        }
+    }
+
+    /// [`Scorer::delta_ctx`] of the group rows `sel` selects: the same
+    /// folds in the same order, over the leaf's copy of the selected
+    /// rows' values, and on the black-box path the group's values at
+    /// every position `sel` leaves out.
+    fn delta_at(&self, ctx: &GroupCtx, sel: &Selection<'_>, buf: &mut Vec<f64>) -> (f64, f64) {
+        match (self.inc, &ctx.full_state) {
+            (Some(inc), Some(full)) => {
+                let (n, sub) = inc.state_of_selected(sel.vals, sel.words, sel.words);
+                removal_pair(ctx, inc, full, n, &sub)
+            }
+            _ => {
+                buf.clear();
+                let (mut n, mut next) = (0usize, 0usize);
+                for (wi, &word) in sel.words.iter().enumerate() {
+                    let mut w = word;
+                    while w != 0 {
+                        let p = sel.pos[(wi << 6) | w.trailing_zeros() as usize] as usize;
+                        buf.extend_from_slice(&ctx.values[next..p]);
+                        (n, next) = (n + 1, p + 1);
+                        w &= w - 1;
+                    }
+                }
+                if n == 0 {
+                    return (0.0, 0.0);
+                }
+                buf.extend_from_slice(&ctx.values[next..]);
+                (n as f64, ctx.full_value - self.agg.compute(buf))
             }
         }
     }
@@ -774,6 +781,23 @@ impl<'a> Scorer<'a> {
         groups.iter().map(move |ctx| self.delta_ctx(ctx, pm, &mut buf))
     }
 
+    /// `p`'s `(n, Δ)` over every labeled group, from its mask.
+    fn mask_eval(&self, p: &Predicate) -> Result<GroupPairs> {
+        let pm = self.predicate_mask(p)?;
+        Ok((
+            self.mask_pairs(&self.outliers, &pm).collect(),
+            self.mask_pairs(&self.holdouts, &pm).collect(),
+        ))
+    }
+
+    /// Runs one uncached evaluation: counted in `scorer_calls` and timed
+    /// as `scorer.mask`.
+    fn evaluate<T>(&self, eval: impl FnOnce() -> Result<T>) -> Result<T> {
+        bump(&self.calls, 1);
+        let _scope = self.phases.enter("scorer.mask");
+        eval()
+    }
+
     /// The §3.2 fold `λ·avg_o(v_o·Δ_o/n_o^c) − (1−λ)·max_h|Δ_h/n_h^c|`
     /// over each labeled group's `(n, Δ)`, outliers in Scorer order —
     /// the one arithmetic behind every exact, cached and cached-tuple
@@ -805,33 +829,53 @@ impl<'a> Scorer<'a> {
     /// direct computation at the current parameters. Without a cache the
     /// terms are folded directly from the predicate's mask.
     pub fn influence(&self, p: &Predicate) -> Result<f64> {
-        self.influence_of(p, None)
+        self.influence_with(p, || self.mask_eval(p))
     }
 
-    /// [`Scorer::influence`] of `p`, given `p`'s mask when the caller
-    /// already built it ([`Scorer::predicate_mask`]): an evaluation then
-    /// scores that mask instead of building it again. Counters, phases
-    /// and the result are the same either way.
-    pub(crate) fn influence_of(&self, p: &Predicate, mask: Option<PredicateMask>) -> Result<f64> {
+    /// [`Scorer::influence`] of `p`, given the rows `p` selects: `at(true,
+    /// g)` selects outlier group `g`'s, and `at(false, g)` hold-out group
+    /// `g`'s. The DT finalize reads them off the tree leaf `p` lies in
+    /// instead of building `p`'s mask over the table. Counters, phases,
+    /// the cache entry and the result are those of [`Scorer::influence`]
+    /// when the selections hold exactly the rows `p` selects.
+    pub(crate) fn influence_at<'x>(
+        &self,
+        p: &Predicate,
+        at: impl Fn(bool, usize) -> Selection<'x>,
+    ) -> Result<f64> {
+        self.influence_with(p, || {
+            let mut buf = Vec::new();
+            let mut pairs = |outlier: bool, groups: &[GroupCtx]| -> Box<[(f64, f64)]> {
+                let sel = groups.iter().enumerate();
+                sel.map(|(g, ctx)| self.delta_at(ctx, &at(outlier, g), &mut buf)).collect()
+            };
+            Ok((pairs(true, &self.outliers), pairs(false, &self.holdouts)))
+        })
+    }
+
+    /// [`Scorer::influence`] of `p`, whose `(n, Δ)` pairs `eval` computes
+    /// when the cache does not hold them.
+    fn influence_with(
+        &self,
+        p: &Predicate,
+        eval: impl FnOnce() -> Result<GroupPairs>,
+    ) -> Result<f64> {
         let Some(cache) = &self.cache else {
-            bump(&self.calls, 1);
-            let _scope = self.phases.enter("scorer.mask");
-            let pm = mask.map_or_else(|| self.predicate_mask(p), Ok)?;
-            return Ok(self
-                .fold(self.mask_pairs(&self.outliers, &pm), self.mask_pairs(&self.holdouts, &pm)));
+            let (o, h) = self.evaluate(eval)?;
+            return Ok(self.fold(o.iter().copied(), h.iter().copied()));
         };
-        let g = self.cached_pairs(cache, p, mask)?;
+        let g = self.cached_pairs(cache, p, eval)?;
         Ok(self.fold(g.0.iter().copied(), g.1.iter().copied()))
     }
 
     /// `p`'s `(n, Δ)` pairs over every labeled group, through `cache`. A
-    /// miss is one uncached evaluation of `mask` (see
-    /// [`Scorer::influence_of`]), timed as `scorer.mask` and stored.
+    /// miss is one uncached evaluation of `eval` ([`Scorer::evaluate`]),
+    /// stored.
     fn cached_pairs(
         &self,
         cache: &InfluenceCache,
         p: &Predicate,
-        mask: Option<PredicateMask>,
+        eval: impl FnOnce() -> Result<GroupPairs>,
     ) -> Result<Arc<GroupPairs>> {
         if let Some(CachedEval { groups: Some(g), .. }) = cache.get(p) {
             debug_assert_eq!(
@@ -842,14 +886,7 @@ impl<'a> Scorer<'a> {
             bump(&self.cache_hits, 1);
             return Ok(g);
         }
-        bump(&self.calls, 1);
-        let scope = self.phases.enter("scorer.mask");
-        let pm = mask.map_or_else(|| self.predicate_mask(p), Ok)?;
-        let pairs = Arc::new((
-            self.mask_pairs(&self.outliers, &pm).collect(),
-            self.mask_pairs(&self.holdouts, &pm).collect(),
-        ));
-        drop(scope);
+        let pairs = Arc::new(self.evaluate(eval)?);
         let evicted = cache.store_groups(p, pairs.clone());
         bump(&self.cache_evictions, evicted);
         Ok(pairs)
@@ -863,12 +900,12 @@ impl<'a> Scorer<'a> {
     /// [`Scorer::influence`] calls.
     pub fn influence_outliers_only(&self, p: &Predicate) -> Result<f64> {
         let Some(cache) = &self.cache else {
-            bump(&self.calls, 1);
-            let _scope = self.phases.enter("scorer.mask");
-            let pm = self.predicate_mask(p)?;
-            return Ok(self.fold(self.mask_pairs(&self.outliers, &pm), []));
+            return self.evaluate(|| {
+                let pm = self.predicate_mask(p)?;
+                Ok(self.fold(self.mask_pairs(&self.outliers, &pm), []))
+            });
         };
-        let g = self.cached_pairs(cache, p, None)?;
+        let g = self.cached_pairs(cache, p, || self.mask_eval(p))?;
         Ok(self.fold(g.0.iter().copied(), []))
     }
 
@@ -1330,6 +1367,35 @@ pub struct PrunedBatch {
     /// Worst distance between a pruned candidate's estimate and its
     /// interval edge (`0.0` when nothing was pruned).
     pub error_bound: f64,
+}
+
+/// The rows of one labeled group a predicate selects, handed to
+/// [`Scorer::influence_at`] by a caller that holds them already: bit `j`
+/// of `words` stands for the group row at position `pos[j]`, whose
+/// aggregate value is `vals[j]`. Positions ascend with `j`, and `pos`
+/// and `vals` cover every set bit.
+pub(crate) struct Selection<'x> {
+    /// The selected rows' bits.
+    pub words: &'x [u64],
+    /// The aggregate value of the row behind each bit.
+    pub vals: &'x [f64],
+    /// The group position of the row behind each bit.
+    pub pos: &'x [u32],
+}
+
+/// `(n, Δ)` of removing the `n` rows of state `sub` from `ctx`, with the
+/// empty selection defined as `(0, 0)`.
+fn removal_pair(
+    ctx: &GroupCtx,
+    inc: &dyn IncrementalAggregate,
+    full: &AggState,
+    n: usize,
+    sub: &AggState,
+) -> (f64, f64) {
+    if n == 0 {
+        return (0.0, 0.0);
+    }
+    (n as f64, ctx.full_value - inc.recover(&inc.remove(full, sub)))
 }
 
 #[cfg(test)]

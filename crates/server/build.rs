@@ -14,6 +14,12 @@ fn main() {
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".into());
     println!("cargo:rustc-env=SCORPION_GIT_SHA={sha}");
-    // Re-stamp when HEAD moves; harmless if the path doesn't exist.
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
+    // Re-stamp when HEAD moves. Outside a checkout there is no HEAD to
+    // watch, and cargo would rerun the script (and rebuild the crate) on
+    // every build if told to watch a missing file, so nothing is watched
+    // and cargo reruns it only when the package's files change.
+    let head = "../../.git/HEAD";
+    if std::path::Path::new(head).exists() {
+        println!("cargo:rerun-if-changed={head}");
+    }
 }

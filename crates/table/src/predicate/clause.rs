@@ -87,16 +87,37 @@ impl Clause {
     /// AVX2 instance chosen at runtime; every other host runs the same
     /// bodies at the baseline ISA. Both instances give the same bits.
     pub fn eval_mask(&self, col: &Column) -> Option<RowMask> {
-        match (self, col) {
-            (Clause::Range { lo, hi, .. }, Column::Num(data)) => Some(vectorized(
+        match col {
+            Column::Num(data) => self.eval_nums(data),
+            Column::Cat(cat) => self.eval_codes(cat.codes(), cat.cardinality()),
+        }
+    }
+
+    /// The range kernel of [`Clause::eval_mask`] over raw continuous
+    /// values, such as some rows of a column gathered into a slice: bit
+    /// `i` is set iff `data[i]` satisfies the clause. `None` for a set
+    /// clause.
+    pub fn eval_nums(&self, data: &[f64]) -> Option<RowMask> {
+        match self {
+            Clause::Range { lo, hi, .. } => Some(vectorized(
                 #[inline(always)]
                 || range_kernel(data, *lo, *hi),
             )),
-            (Clause::In { codes, .. }, Column::Cat(cat)) => Some(vectorized(
+            Clause::In { .. } => None,
+        }
+    }
+
+    /// The set kernel of [`Clause::eval_mask`] over raw dictionary codes
+    /// of a dictionary of `cardinality` values: bit `i` is set iff
+    /// `codes[i]` satisfies the clause. A code at or past `cardinality`
+    /// is in no set. `None` for a range clause.
+    pub fn eval_codes(&self, codes: &[u32], cardinality: usize) -> Option<RowMask> {
+        match self {
+            Clause::In { codes: set, .. } => Some(vectorized(
                 #[inline(always)]
-                || set_kernel(codes, cat.codes(), cat.cardinality()),
+                || set_kernel(set, codes, cardinality),
             )),
-            _ => None,
+            Clause::Range { .. } => None,
         }
     }
 
@@ -276,9 +297,9 @@ fn range_kernel(data: &[f64], lo: f64, hi: f64) -> RowMask {
 /// `code ∈ set` over a raw dictionary-code column, by a branch-free
 /// lookup instead of a `BTreeSet` probe: `lut[c]` is 1 for an admitted
 /// code and 0 otherwise. The table has one entry per code up to the
-/// set's largest, but none from `cardinality` on, since no column code
-/// reaches its dictionary's size. One zero sentinel follows, and `min`
-/// clamps every larger code onto it.
+/// set's largest, but none from `cardinality` on: one zero sentinel
+/// follows, and `min` clamps every larger code onto it, so a code at or
+/// past the dictionary's size is in no set.
 #[inline(always)]
 fn set_kernel(set: &BTreeSet<u32>, codes: &[u32], cardinality: usize) -> RowMask {
     let dict = u32::try_from(cardinality).unwrap_or(u32::MAX);
@@ -545,6 +566,29 @@ mod tests {
                 assert_rows(&dispatched, len, |r| clause.matches_code(codes[r]), &what);
                 assert!(Clause::range(0, 0.0, 1.0).eval_mask(&col).is_none());
             }
+        }
+    }
+
+    /// The slice kernels select what the column kernels select, and a
+    /// code at or past the dictionary's size is in no set, even one that
+    /// lists it.
+    #[test]
+    fn slice_kernels_agree_and_skip_out_of_dictionary_codes() {
+        let mut rng = Rng(7);
+        for len in [0, 1, 63, 64, 65, 200] {
+            let data: Vec<f64> = (0..len).map(|_| rng.pick(&EDGES)).collect();
+            let range = Clause::range(0, rng.pick(&EDGES), rng.pick(&EDGES));
+            assert_eq!(range.eval_nums(&data), range.eval_mask(&Column::Num(data.clone())));
+            assert!(range.eval_codes(&[], 0).is_none());
+            let dict = 1 + rng.below(10);
+            let codes: Vec<u32> = (0..len).map(|_| rng.below(dict) as u32).collect();
+            let names = (0..dict).map(|i| format!("v{i}")).collect();
+            let col = Column::Cat(CatColumn::from_parts(codes.clone(), names).unwrap());
+            let set = Clause::in_set(0, (0..dict as u32 + 2).chain([u32::MAX]));
+            assert_eq!(set.eval_codes(&codes, dict), set.eval_mask(&col));
+            assert!(set.eval_nums(&[]).is_none());
+            let outside: Vec<u32> = (0..len).map(|i| [dict as u32, u32::MAX][i % 2]).collect();
+            assert!(!set.eval_codes(&outside, dict).unwrap().any(), "{len} rows");
         }
     }
 

@@ -6,11 +6,14 @@ revision and on the working tree in alternating pairs, then judge them.
 
 The base is extracted with `git archive` into `<work>/base-src`, and
 the working tree's tracked and untracked-but-not-ignored files are
-copied to `<work>/change-src`: both sides build from a fresh copy
-under the same directory, and edits made while the guard runs do not
-reach the change's builds. Each side is built and run by its own
-`perfbench/run.py`, with its own `CARGO_TARGET_DIR`
-(`<work>/base-target`, `<work>/change-target`), on
+copied to `<work>/change-src`, so edits made while the guard runs do
+not reach the change's builds. Around each run, the side's tree is
+moved to `<work>/src` and back: both sides build from one path, since
+cargo hashes a path dependency's location into its crates' metadata,
+and two builds of one source from two paths differ in symbol names and
+layout. Each side is built and run by its own `perfbench/run.py`, with
+its own `CARGO_TARGET_DIR` (`<work>/base-target`,
+`<work>/change-target`), on
 every workload of `BENCHMARK.json`, at its `run_seconds`, untraced
 (at 3 s and 8 s, `analyst_slider` and `server_dashboard` time too few
 ops to report their percentiles). Pair i of every workload uses seed
@@ -82,15 +85,27 @@ def copy_worktree(dest):
         shutil.copy2(src, dst, follow_symlinks=False)
 
 
-def run_one(side, workload, seed, seconds, log_dir):
-    """Runs one workload on one side; returns its ledger row, or None
-    (after printing why) when the run fails."""
-    cmd = [sys.executable, os.path.join(side["src"], "perfbench", "run.py"),
+def run_at(side, build_dir, cmd, env):
+    """Runs `cmd` in `build_dir` with the side's tree moved there, and
+    moves the tree back afterwards."""
+    os.rename(side["src"], build_dir)
+    try:
+        return subprocess.run(cmd, cwd=build_dir, env=env, capture_output=True, text=True)
+    finally:
+        os.rename(build_dir, side["src"])
+
+
+def run_one(side, workload, seed, seconds, work):
+    """Runs one workload on one side, from the side's tree moved to
+    `<work>/src`; returns its ledger row, or None (after printing why)
+    when the run fails."""
+    build_dir = os.path.join(work, "src")
+    cmd = [sys.executable, os.path.join(build_dir, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
            "--trace", "0"]
     env = dict(os.environ, CARGO_TARGET_DIR=side["target"])
-    log = os.path.join(log_dir, f"{side['name']}-{workload}-s{seed}.txt")
-    ran = subprocess.run(cmd, cwd=side["src"], env=env, capture_output=True, text=True)
+    log = os.path.join(work, "logs", f"{side['name']}-{workload}-s{seed}.txt")
+    ran = run_at(side, build_dir, cmd, env)
     with open(log, "w") as f:
         f.write(ran.stdout)
         f.write(ran.stderr)
@@ -139,8 +154,10 @@ def main():
     seconds = bench["run_seconds"]
 
     work = os.path.abspath(args.work)
-    log_dir = os.path.join(work, "logs")
-    os.makedirs(log_dir, exist_ok=True)
+    os.makedirs(os.path.join(work, "logs"), exist_ok=True)
+    # A tree a killed guard left at the build path is stale: the next
+    # extraction and copy replace both sides.
+    shutil.rmtree(os.path.join(work, "src"), ignore_errors=True)
     base_label = git("rev-parse", "--short=7", f"{args.base}^{{commit}}")
     base = {
         "name": "base",
@@ -165,7 +182,7 @@ def main():
         order = (base, change) if i % 2 == 0 else (change, base)
         for workload in workloads:
             for side in order:
-                row = run_one(side, workload, i + 1, seconds, log_dir)
+                row = run_one(side, workload, i + 1, seconds, work)
                 if row is None:
                     return 1
                 rows.append(row)
