@@ -705,23 +705,11 @@ impl LeafRows {
                 real[full.end] = (1 << rest) - 1;
             }
         }
-        // Padding keeps NaN and `u32::MAX`; only the segments are read.
+        // Padding is NaN or `u32::MAX`, which no clause kernel selects.
         let gathered = |c: &Column| match c {
-            Column::Num(v) => {
-                let mut out = vec![f64::NAN; len];
-                for seg in &segs {
-                    let local = out[seg.clone()].iter_mut().zip(&rows[seg.clone()]);
-                    local.for_each(|(x, &r)| *x = v[r as usize]);
-                }
-                LocalCol::Num(out)
-            }
+            Column::Num(v) => LocalCol::Num(spread(v, &rows, &segs, f64::NAN)),
             Column::Cat(c) => {
-                let (codes, mut out) = (c.codes(), vec![u32::MAX; len]);
-                for seg in &segs {
-                    let local = out[seg.clone()].iter_mut().zip(&rows[seg.clone()]);
-                    local.for_each(|(x, &r)| *x = codes[r as usize]);
-                }
-                LocalCol::Cat(out, c.cardinality())
+                LocalCol::Cat(spread(c.codes(), &rows, &segs, u32::MAX), c.cardinality())
             }
         };
         let cols = (attrs.iter())
@@ -768,15 +756,17 @@ impl LeafRows {
         })
     }
 
+    /// The words of a local mask that hold group `k`'s rows.
+    fn words_of(&self, k: usize) -> Range<usize> {
+        let seg = &self.segs[k];
+        seg.start / 64..seg.end.div_ceil(64)
+    }
+
     /// Group `k`'s part of a selection `words`, whose rows sit at the
     /// group positions `pos`.
     fn selection<'x>(&'x self, k: usize, words: &'x [u64], pos: &'x [u32]) -> Selection<'x> {
-        let seg = &self.segs[k];
-        Selection {
-            words: &words[seg.start / 64..seg.end.div_ceil(64)],
-            vals: &self.vals[seg.start..],
-            pos,
-        }
+        let (words, vals) = (&words[self.words_of(k)], &self.vals[self.segs[k].start..]);
+        Selection { words, vals, pos }
     }
 
     /// The §6.3 statistics of group `k` over the local rows `words`
@@ -784,10 +774,10 @@ impl LeafRows {
     /// whose influence lies closest to their mean influence. `picked` is
     /// scratch.
     fn stat(&self, k: usize, words: &[u64], picked: &mut Vec<usize>) -> GroupStat {
-        let seg = &self.segs[k];
+        let span = self.words_of(k);
         picked.clear();
         let mut sum = 0.0;
-        for (wi, &word) in (seg.start / 64..).zip(&words[seg.start / 64..seg.end.div_ceil(64)]) {
+        for (wi, &word) in span.clone().zip(&words[span]) {
             let mut w = word;
             while w != 0 {
                 let j = (wi << 6) | w.trailing_zeros() as usize;
@@ -811,6 +801,17 @@ impl LeafRows {
         }
         GroupStat { n: picked.len() as f64, rep_value: self.vals[rep] }
     }
+}
+
+/// `col` at the table row `rows[j]` of each local row `j` of `segs`, and
+/// `pad` at every other local row.
+fn spread<T: Copy>(col: &[T], rows: &[u32], segs: &[Range<usize>], pad: T) -> Vec<T> {
+    let mut out = vec![pad; rows.len()];
+    for seg in segs {
+        let local = out[seg.clone()].iter_mut().zip(&rows[seg.clone()]);
+        local.for_each(|(x, &r)| *x = col[r as usize]);
+    }
+    out
 }
 
 /// Pooled mean |influence| of a node over all groups' samples.

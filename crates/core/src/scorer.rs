@@ -835,9 +835,10 @@ impl<'a> Scorer<'a> {
     /// [`Scorer::influence`] of `p`, given the rows `p` selects: `at(true,
     /// g)` selects outlier group `g`'s, and `at(false, g)` hold-out group
     /// `g`'s. The DT finalize reads them off the tree leaf `p` lies in
-    /// instead of building `p`'s mask over the table. Counters, phases,
-    /// the cache entry and the result are those of [`Scorer::influence`]
-    /// when the selections hold exactly the rows `p` selects.
+    /// instead of building `p`'s mask over the table, so no clause mask is
+    /// looked up. The scorer call, the `scorer.mask` scope, the cache entry
+    /// and the result are those of [`Scorer::influence`] when the
+    /// selections hold exactly the rows `p` selects.
     pub(crate) fn influence_at<'x>(
         &self,
         p: &Predicate,

@@ -43,10 +43,21 @@
 //! be coarser around new hold-out structure than a cold rebuild's.
 //! Influence scores are always exact; only candidate geometry ages.
 //! Warm merges always run exact (`rebind` drops the cached
-//! per-partition stats): the §6.3 cached-tuple approximation is steered
-//! by statistics frozen at build time, and on re-explanation workloads
-//! it proved both slower and less precise than exact re-scoring — it
-//! remains active only inside cold builds.
+//! per-partition stats), and so do the merges of cold plans that absorb
+//! seeds, which carry none: the §6.3 cached-tuple approximation remains
+//! active only inside cold builds. Two ways to keep it were measured
+//! with perfbench at commit 888952d on a 2-vCPU host, and each lost on
+//! one side:
+//!
+//! - Keeping §6.3 stats on DT warm-start seeds cut `analyst_slider`'s
+//!   scorer calls per warm step from 17.5 to 1.2 and its warm p50 from
+//!   1.80–1.89 ms to 1.24–1.29 ms (seeds 1–3), but warm mean top
+//!   influence fell 10–12% (0.488 → 0.431 at seed 1) and warm mean
+//!   F-score from 0.80–0.82 to 0.61–0.62.
+//! - Fresh stats on rebound stream partitions and absorbed seeds raised
+//!   `stream_monitor`'s mean top influence from 0.717 to 0.764 (seed 3),
+//!   but `run.score` per warm slide went 0.54 → 1.79 ms and warm p50 rose
+//!   about 2.2×.
 
 use crate::detector::{Detection, DetectorConfig, OutlierDetector};
 use crate::error::{Result, StreamError};
